@@ -75,14 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if slope:
             p.add_argument("--slope", required=True,
                            help='slope as partial quotients, e.g. "[0;2,(1,2)]"')
-        p.add_argument("--boundary", choices=["left", "right"], default="left",
-                       help="which side of the cut points belongs to the 0-interval "
-                            "(affects only codings through the marked points)")
         p.add_argument("--format", choices=["table", "json"], default="table")
-        p.add_argument("--depth", type=int, default=None,
-                       help="depth bound for commands that take one")
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved; all algorithms are deterministic")
 
     p = sub.add_parser("factors", help="all factors of a given length with intervals")
     common(p)
@@ -115,6 +108,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("critical-exponent", help="supremum of fractional indices")
     common(p)
+    p.add_argument("--depth", type=int, default=None,
+                   help="depth bound: the last term index k listed (default 30)")
     p.set_defaults(handler=cmd_critical_exponent)
 
     p = sub.add_parser("verify", help="run the formula-vs-oracle verification suites")
@@ -148,11 +143,11 @@ def _form_json(cf: ContinuedFraction, form: LinearForm) -> dict:
 def _emit(args: argparse.Namespace, cf: ContinuedFraction, swapped: bool,
           results: list, table_lines: list[str]) -> int:
     if args.format == "json":
+        depth = getattr(args, "depth", None)  # only critical-exponent takes --depth
         doc = {
             "slope": str(cf),
-            "depth": args.depth if args.depth is not None else exactnum.depth_limit(),
+            "depth": exactnum.depth_limit() if depth is None else depth,
             "command": args.command,
-            "boundary": args.boundary,
             "letters_swapped_from_input": swapped,
             "results": results,
         }
@@ -347,9 +342,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.format == "json":
         doc = {
             "slope": args.slope or "default-family",
-            "depth": args.depth if args.depth is not None else exactnum.depth_limit(),
+            "depth": exactnum.depth_limit(),
             "command": "verify",
-            "boundary": args.boundary,
             "results": [
                 {"suite": r.name, "passed": r.passed, "checks": r.checks,
                  "failures": r.failures[:20]}

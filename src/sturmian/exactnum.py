@@ -1,7 +1,7 @@
 """Continued-fraction bookkeeping and certified exact comparison.
 
 A slope is an irrational number in (0, 1) given purely by its partial
-quotients, either eventually periodic (exact, unbounded depth) or as a
+quotients, either eventually periodic (exact to any depth) or as a
 finite truncation (every answer is then only valid to the stated depth).
 Quantities derived from the slope -- distances to the nearest integer,
 interval lengths on the circle -- are kept as integer linear forms
@@ -151,10 +151,6 @@ class LinearForm:
         """The form for (value + n)."""
         return LinearForm(self.q, self.p - n)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.q == 0 and self.p == 0
-
     def __str__(self) -> str:
         if self.q == 0:
             return str(-self.p)
@@ -180,9 +176,6 @@ class CertifiedEnclosure:
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    def __contains__(self, x: object) -> bool:
-        return self.lo <= x <= self.hi  # type: ignore[operator]
 
 
 # ------------------------------------------------------------------

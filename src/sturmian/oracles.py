@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from sturmian.exactnum import ContinuedFraction, LinearForm
-from sturmian.rotation import KeyTable, key_table
+from sturmian.rotation import key_table
 
 
 # ------------------------------------------------------------------
@@ -174,7 +174,8 @@ def power_roots(text: str, n_max: int, exponent: int) -> set[str]:
 
 def best_denominator_scan(cf: ContinuedFraction, q_max: int) -> list[int]:
     """Denominators of best approximations found by scanning all b <= q_max."""
-    table = _scan_table(cf, q_max)
+    # The certified table strictly orders every ||b*alpha|| for b <= q_max.
+    table = key_table(cf, q_max)
     best: list[int] = []
     current = table.q  # key-unit value of 1
     for b in range(1, q_max + 1):
@@ -187,12 +188,7 @@ def best_denominator_scan(cf: ContinuedFraction, q_max: int) -> list[int]:
 
 def closer_multiples_scan(cf: ContinuedFraction, limit: int, bound_n: int) -> list[int]:
     """All 0 < n < limit with ||n*alpha|| < ||bound_n*alpha|| by direct scan."""
-    table = _scan_table(cf, max(limit, bound_n))
+    table = key_table(cf, max(limit, bound_n))
     bound = table.norm_key(bound_n)
     return [n for n in range(1, limit) if table.norm_key(n) < bound]
 
-
-def _scan_table(cf: ContinuedFraction, span: int) -> KeyTable:
-    # The certified table guarantees strict ordering of all ||m*alpha||
-    # values in range: distinct m < span give distinct separated keys.
-    return key_table(cf, span)

@@ -11,9 +11,11 @@ twice: by exact interval formulas and by scanning coded prefixes.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from typing import Iterator
 
 from sturmian import oracles
 from sturmian.exactnum import (
@@ -108,8 +110,6 @@ class CriticalExponentResult:
     limit_offset: int | None
     limit_tail: ContinuedFraction | None
     depth_limited: bool
-    bounded: bool | None
-    infinite: bool = False
 
     def bounds(self, depth: int = 40) -> tuple[Fraction, Fraction]:
         """Certified rational bounds for the supremum."""
@@ -243,7 +243,7 @@ def classify_length(cf: ContinuedFraction, n: int,
     verification suites.  Fractional indices are filled only on request.
     """
     tag, params = length_case(cf, n)
-    factors = [w for w, _ in _factor_words(cf, n)]
+    factors = list(factor_interval_map(cf, n))
     a1 = cf.quotient(1)
 
     assigned: dict[str, tuple[int, int | None]] = {}
@@ -304,11 +304,6 @@ def _shift_power(root: str, m: int, i: int) -> str:
     """C^i(root^m) = C^i(root)^m for i < |root|."""
     shifted = root[-i:] + root[:-i] if i else root
     return shifted * m
-
-
-@lru_cache(maxsize=None)
-def _factor_words(cf: ContinuedFraction, n: int) -> tuple[tuple[str, LinearForm], ...]:
-    return tuple((w, iv.length) for w, iv in factor_interval_map(cf, n).items())
 
 
 # ------------------------------------------------------------------
@@ -420,37 +415,43 @@ def _class_limit_tail(cf: ContinuedFraction, k0: int) -> ContinuedFraction:
     return ContinuedFraction((), block)
 
 
-def _candidate_le(cf_tail_a: tuple[Fraction, ContinuedFraction | None],
-                  cf_tail_b: tuple[Fraction, ContinuedFraction | None]) -> bool:
-    """Certified a <= b for candidates of the form rational + optional CF tail."""
-    fa, ta = cf_tail_a
-    fb, tb = cf_tail_b
-    if ta is not None and tb is not None and _same_number(ta, tb):
-        return fa <= fb
-    d = 8
-    while d <= 64:
-        lo_a, hi_a = (fa, fa) if ta is None else tuple(fa + x for x in alpha_bounds(ta, d))
-        lo_b, hi_b = (fb, fb) if tb is None else tuple(fb + x for x in alpha_bounds(tb, d))
-        if hi_a <= lo_b:
-            return True
-        if hi_b < lo_a:
-            return False
-        d *= 2
-    raise AssertionError("critical-exponent candidates did not separate")
+def _quotient_stream(value: Fraction, tail: ContinuedFraction | None) -> Iterator[int]:
+    """Continued-fraction quotients of value, or of value + tail for an
+    integer value: finite for a rational, eventually periodic otherwise."""
+    if tail is None:
+        num, den = value.numerator, value.denominator
+        while den:
+            b, r = divmod(num, den)
+            yield b
+            num, den = den, r
+    else:
+        yield int(value)
+        yield from tail.preperiod
+        yield from itertools.cycle(tail.period)
 
 
-def _same_number(a: ContinuedFraction, b: ContinuedFraction) -> bool:
-    return _primitive_rotation(a.period) == _primitive_rotation(b.period)
+def _candidate_le(a: tuple[Fraction, ContinuedFraction | None],
+                  b: tuple[Fraction, ContinuedFraction | None]) -> bool:
+    """Exact a <= b for candidates rational (+ purely periodic CF tail).
 
-
-def _primitive_rotation(period: tuple[int, ...]) -> tuple[int, ...]:
-    # Purely periodic expansions are equal iff their quotient streams are,
-    # i.e. iff the primitive periods coincide exactly.
-    n = len(period)
-    for d in range(1, n + 1):
-        if n % d == 0 and period == period[:d] * (n // d):
-            return period[:d]
-    return period
+    The first differing quotient decides: a larger quotient means a larger
+    number at even positions and a smaller one at odd positions, and a
+    finished stream counts as infinity.  Two periodic streams that agree
+    through both heads and a common period agree forever.
+    """
+    (fa, ta), (fb, tb) = a, b
+    limit = None
+    if ta is not None and tb is not None:
+        limit = (2 + max(len(ta.preperiod), len(tb.preperiod))
+                 + math.lcm(len(ta.period), len(tb.period)))
+    pairs = itertools.zip_longest(_quotient_stream(fa, ta), _quotient_stream(fb, tb))
+    for i, (x, y) in enumerate(pairs):
+        if i == limit:
+            break
+        if x != y:
+            a_larger = y is not None and (x is None or x > y)
+            return a_larger == (i % 2 == 1)
+    return True
 
 
 def critical_exponent(cf: ContinuedFraction, depth_bound: int) -> CriticalExponentResult:
@@ -470,8 +471,8 @@ def critical_exponent(cf: ContinuedFraction, depth_bound: int) -> CriticalExpone
     result is a certified lower bound.
 
     The supremum is finite for every eventually periodic or truncated
-    slope; it is infinite exactly for unbounded partial quotients, which
-    these inputs cannot express (the flag is reserved).
+    slope; it diverges exactly when the partial quotients grow without
+    limit, which these inputs cannot express.
     """
     require_normalized(cf)
     if depth_bound < 2:
@@ -496,7 +497,7 @@ def critical_exponent(cf: ContinuedFraction, depth_bound: int) -> CriticalExpone
         return CriticalExponentResult(
             slope=cf, depth=depth_bound, terms=terms, witness_k=best_k,
             attained=True, value_attained=best, limit_offset=None,
-            limit_tail=None, depth_limited=True, bounded=None,
+            limit_tail=None, depth_limited=True,
         )
 
     m = len(cf.preperiod)
@@ -526,17 +527,17 @@ def critical_exponent(cf: ContinuedFraction, depth_bound: int) -> CriticalExpone
 
     best = candidates[0]
     for cand in candidates[1:]:
-        if _candidate_le(cf_tail_a=(best[0], best[1]), cf_tail_b=(cand[0], cand[1])):
+        if _candidate_le(best[:2], cand[:2]):
             best = cand
     frac_part, tail, witness = best
     if tail is None:
         return CriticalExponentResult(
             slope=cf, depth=depth_bound, terms=terms, witness_k=witness,
             attained=True, value_attained=frac_part, limit_offset=None,
-            limit_tail=None, depth_limited=False, bounded=True,
+            limit_tail=None, depth_limited=False,
         )
     return CriticalExponentResult(
         slope=cf, depth=depth_bound, terms=terms, witness_k=witness,
         attained=False, value_attained=None, limit_offset=int(frac_part),
-        limit_tail=tail, depth_limited=False, bounded=True,
+        limit_tail=tail, depth_limited=False,
     )

@@ -17,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from sturmian.exactnum import (
+    ONE,
     ContinuedFraction,
     LinearForm,
     UndecidedError,
@@ -110,10 +111,6 @@ class KeyTable:
     def key(self, m: int) -> int:
         return self._keys[m + self.span]
 
-    def less(self, m1: int, m2: int) -> bool:
-        """Certified test {m1*alpha} < {m2*alpha} in [0, 1)."""
-        return self.key(m1) < self.key(m2)
-
     def floor_multiple(self, m: int) -> int:
         """floor(m*alpha), certified by the no-wrap margin of the table."""
         return (m * self.p - self.key(m)) // self.q
@@ -128,18 +125,29 @@ class KeyTable:
         return min(k, self.q - k)
 
 
-def _build_key_table(cf: ContinuedFraction, span: int) -> KeyTable:
+def _depth_search(cf: ContinuedFraction, reach: int,
+                  slack: int) -> Iterator[tuple[int, int, int, int]]:
+    """Candidate depths for certifying orbit indices |m| <= reach.
+
+    Yields (d, p_d, q_d, err) for even d, where err bounds in key units how
+    far m*p_d mod q_d may sit from {m*alpha}*q_d.  The search skips depths
+    with q_d*q_{d+1} < slack*reach^2, where the pairwise gaps (about
+    q_d/reach) cannot yet beat the errors (about reach/q_{d+1}), but always
+    offers the last usable depth.
+    """
     ctx = _ctx(cf)
-    d = 2
     top = cf.max_depth(None)
-    # Initial guess: pairwise gaps scale like 1/span, errors like span/q_{d+1}.
+    d = 2
     while d + 1 <= top:
         p, q = ctx.pair(d)
         q_next = ctx.pair(d + 1)[1]
-        if q * q_next < 128 * span * span and d + 1 < top:
-            d += 2
-            continue
-        err = span // q_next + 1
+        if q * q_next >= slack * reach * reach or d + 1 == top:
+            yield d, p, q, reach // q_next + 1
+        d += 2
+
+
+def _build_key_table(cf: ContinuedFraction, span: int) -> KeyTable:
+    for d, p, q, err in _depth_search(cf, span, 128):
         step = p % q
         keys = [0] * (2 * span + 1)
         cur = (-span * p) % q
@@ -153,9 +161,9 @@ def _build_key_table(cf: ContinuedFraction, span: int) -> KeyTable:
         wrap_ok = ordered[0] + q - ordered[-1] > 2 * err
         if gap_ok and wrap_ok:
             return KeyTable(cf, span, d, p, q, err, keys)
-        d += 2
     raise UndecidedError(
-        f"cannot certify {2 * span + 1} orbit points for slope {cf} within depth {top}"
+        f"cannot certify {2 * span + 1} orbit points for slope {cf} "
+        f"within depth {cf.max_depth(None)}"
     )
 
 
@@ -203,23 +211,14 @@ def coding_prefix(cf: ContinuedFraction, start: int, length: int,
     require_normalized(cf)
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    ctx = _ctx(cf)
-    top = cf.max_depth(None)
     max_j = max(abs(start), abs(start + length - 1), 1)
     left = convention is BoundaryConvention.LEFT_CLOSED
-    d = 2
-    while d + 1 <= top:
-        p, q = ctx.pair(d)
-        q_next = ctx.pair(d + 1)[1]
-        if q * q_next < 64 * max_j * max_j and d + 1 < top:
-            d += 2
-            continue
-        err2 = 2 * (max_j // q_next + 1)
+    for _, p, q, err in _depth_search(cf, max_j, 64):
+        err2 = 2 * err
         step = p % q
         boundary = (-p) % q  # key of {-alpha} = 1 - alpha
         out: list[str] = []
         cur = (start * p) % q
-        ok = True
         for t in range(length):
             j = start + t
             if j == 0:
@@ -229,15 +228,13 @@ def coding_prefix(cf: ContinuedFraction, start: int, length: int,
             else:
                 delta = cur - boundary
                 if cur < err2 or q - cur < err2 or -err2 < delta < err2:
-                    ok = False  # margin too small at this depth
-                    break
+                    break  # margin too small at this depth
                 out.append("0" if delta < 0 else "1")
             cur += step
             if cur >= q:
                 cur -= q
-        if ok:
+        else:
             return "".join(out)
-        d += 2
     raise UndecidedError(
         f"cannot certify a coding of length {length} from index {start} for slope {cf}"
     )
@@ -259,8 +256,25 @@ def characteristic_prefix(cf: ContinuedFraction, length: int) -> str:
 # factor intervals
 # ------------------------------------------------------------------
 
+def factors_of_length(cf: ContinuedFraction, n: int) -> list[tuple[str, FactorInterval]]:
+    """All n+1 factors of length n with their exact intervals.
+
+    Output follows the circular order of the intervals starting at 0.
+    """
+    return list(factor_interval_map(cf, n).items())
+
+
 @lru_cache(maxsize=None)
-def _factors_cached(cf: ContinuedFraction, n: int) -> tuple[tuple[str, FactorInterval], ...]:
+def factor_interval_map(cf: ContinuedFraction, n: int) -> dict[str, FactorInterval]:
+    """Word -> interval for the length-n factors, in circular order (cached).
+
+    The circle is split by the points {0, -alpha, ..., -n*alpha}; the word
+    of each interval is read off by comparing the shifted left endpoint
+    against the cut point {-alpha}, so no sample point is ever needed.
+    """
+    require_normalized(cf)
+    if n < 1:
+        raise ValueError(f"factor length must be >= 1, got {n}")
     table = key_table(cf, n)
     boundary = table.key(-1)
 
@@ -277,35 +291,14 @@ def _factors_cached(cf: ContinuedFraction, n: int) -> tuple[tuple[str, FactorInt
     bitstr = "".join(bits)
 
     order = sorted(range(n + 1), key=lambda i: table.key(-i))
-    out = []
+    out = {}
     for t, i in enumerate(order):
         nxt = order[(t + 1) % (n + 1)]
-        word = bitstr[n - i: 2 * n - i]
         length = table.position_form(-nxt) - table.position_form(-i)
         if t == n:
             length = length.shift(1)  # gap wraps past the point 1
-        out.append((word, FactorInterval(i, nxt, length)))
-    return tuple(out)
-
-
-def factors_of_length(cf: ContinuedFraction, n: int) -> list[tuple[str, FactorInterval]]:
-    """All n+1 factors of length n with their exact intervals.
-
-    The circle is split by the points {0, -alpha, ..., -n*alpha}; the word
-    of each interval is read off by comparing the shifted left endpoint
-    against the cut point {-alpha}, so no sample point is ever needed.
-    Output follows the circular order of the intervals starting at 0.
-    """
-    require_normalized(cf)
-    if n < 1:
-        raise ValueError(f"factor length must be >= 1, got {n}")
-    return list(_factors_cached(cf, n))
-
-
-@lru_cache(maxsize=None)
-def factor_interval_map(cf: ContinuedFraction, n: int) -> dict[str, FactorInterval]:
-    """Word -> interval lookup for the length-n factors (cached)."""
-    return {word: interval for word, interval in factors_of_length(cf, n)}
+        out[bitstr[n - i: 2 * n - i]] = FactorInterval(i, nxt, length)
+    return out
 
 
 def factor_containing_point(cf: ContinuedFraction, n: int, m: int) -> str:
@@ -320,7 +313,7 @@ def factor_containing_point(cf: ContinuedFraction, n: int, m: int) -> str:
     table = key_table(cf, max(n, abs(m)))
     target = table.key(m)
     best_word, best_key = None, -1
-    for word, interval in _factors_cached(cf, n):
+    for word, interval in factor_interval_map(cf, n).items():
         k = table.key(-interval.left_idx)
         if best_key < k <= target:
             best_word, best_key = word, k
@@ -345,31 +338,24 @@ def special_factors(cf: ContinuedFraction, n: int) -> tuple[str, str]:
 # word intervals by arc intersection
 # ------------------------------------------------------------------
 
-def word_interval(cf: ContinuedFraction, w: str) -> FactorInterval | None:
-    """Exact interval [w] of an arbitrary binary word, or None if w is not
-    a factor of the language.
+def _walk_arc(table: KeyTable, w: str) -> tuple[int, int, int]:
+    """Run the arc automaton [w_0..w_t] = [w_0..w_{t-1}] /\\ R^{-t}(I_{w_t}).
 
-    Runs the arc automaton [w_0..w_t] = [w_0..w_{t-1}] /\\ R^{-t}(I_{w_t});
-    endpoints stay named by orbit indices throughout, so the result is
-    exact.  The right endpoint index 0 may denote the point 1 (= 0 reached
-    from below); lengths account for the wrap.
+    Returns (t, lo_idx, hi_idx): the first t letters of w keep the arc
+    nonempty, so t == len(w) exactly when w is a factor, and then [w] runs
+    from {-lo_idx * alpha} to {-hi_idx * alpha}.  A right endpoint index 0
+    denotes the point 1 (= 0 reached from below).
     """
-    require_normalized(cf)
-    check_word(w)
-    n = len(w)
-    if n < 1:
-        raise ValueError("word must be nonempty")
-    table = key_table(cf, n)
     q = table.q
-
-    # Arc [lo, hi) in key space; *_idx name the endpoints as {-idx * alpha}.
+    key = table.key
+    y = key(-1)
     if w[0] == "0":
-        lo, lo_idx, hi, hi_idx = 0, 0, table.key(-1), 1
+        lo, lo_idx, hi, hi_idx = 0, 0, y, 1
     else:
-        lo, lo_idx, hi, hi_idx = table.key(-1), 1, q, 0  # hi is the point 1
+        lo, lo_idx, hi, hi_idx = y, 1, q, 0  # hi is the point 1
 
-    for t in range(1, n):
-        x, y = table.key(-t), table.key(-(t + 1))
+    for t in range(1, len(w)):
+        x, y = y, key(-(t + 1))
         if w[t] == "0":
             bs, bs_idx, be, be_idx = x, t, y, t + 1
         else:
@@ -381,14 +367,14 @@ def word_interval(cf: ContinuedFraction, w: str) -> FactorInterval | None:
             if be < hi:
                 hi, hi_idx = be, be_idx
             if lo >= hi:
-                return None
+                return t, lo_idx, hi_idx
         else:
             # B wraps: remove the complement gap G = [be, bs) from [lo, hi).
             if bs <= lo or be >= hi:
                 pass  # G misses the arc
             elif be <= lo:
                 if bs >= hi:
-                    return None
+                    return t, lo_idx, hi_idx
                 lo, lo_idx = bs, bs_idx
             elif bs >= hi:
                 hi, hi_idx = be, be_idx
@@ -397,14 +383,27 @@ def word_interval(cf: ContinuedFraction, w: str) -> FactorInterval | None:
                     f"arc split into two components at step {t} for {w!r}: "
                     "partition structure violated"
                 )
-    length = _endpoint_form(table, hi_idx, hi == q) - _endpoint_form(table, lo_idx, False)
-    return FactorInterval(lo_idx, hi_idx, length)
+    return len(w), lo_idx, hi_idx
 
 
-def _endpoint_form(table: KeyTable, idx: int, at_one: bool) -> LinearForm:
-    if at_one:
-        return LinearForm(0, -1)  # the point 1
-    return table.position_form(-idx)
+def word_interval(cf: ContinuedFraction, w: str) -> FactorInterval | None:
+    """Exact interval [w] of an arbitrary binary word, or None if w is not
+    a factor of the language.
+
+    Endpoints stay named by orbit indices throughout the arc automaton, so
+    the result is exact.
+    """
+    require_normalized(cf)
+    check_word(w)
+    n = len(w)
+    if n < 1:
+        raise ValueError("word must be nonempty")
+    table = key_table(cf, n)
+    t, lo_idx, hi_idx = _walk_arc(table, w)
+    if t < n:
+        return None
+    hi_form = ONE if hi_idx == 0 else table.position_form(-hi_idx)
+    return FactorInterval(lo_idx, hi_idx, hi_form - table.position_form(-lo_idx))
 
 
 def language_extension(cf: ContinuedFraction, base: str, ext: str) -> int:
@@ -415,43 +414,11 @@ def language_extension(cf: ContinuedFraction, base: str, ext: str) -> int:
     require_normalized(cf)
     check_word(base)
     check_word(ext)
-    total = len(base) + len(ext)
-    table = key_table(cf, total)
-    q = table.q
-
-    word = base
-    if word[0] == "0":
-        lo, hi = 0, table.key(-1)
-    else:
-        lo, hi = table.key(-1), q
-
-    def step(t: int, letter: str, lo: int, hi: int) -> tuple[int, int] | None:
-        x, y = table.key(-t), table.key(-(t + 1))
-        bs, be = (x, y) if letter == "0" else (y, x)
-        if bs < be:
-            lo2, hi2 = max(lo, bs), min(hi, be)
-            return (lo2, hi2) if lo2 < hi2 else None
-        if bs <= lo or be >= hi:
-            return (lo, hi)
-        if be <= lo:
-            return (bs, hi) if bs < hi else None
-        if bs >= hi:
-            return (lo, be)
-        raise AssertionError("arc split into two components")
-
-    for t in range(1, len(base)):
-        nxt = step(t, base[t], lo, hi)
-        if nxt is None:
-            raise ValueError(f"base word {base!r} is not a factor")
-        lo, hi = nxt
-    count = 0
-    for j, letter in enumerate(ext):
-        nxt = step(len(base) + j, letter, lo, hi)
-        if nxt is None:
-            break
-        lo, hi = nxt
-        count += 1
-    return count
+    word = base + ext
+    t = _walk_arc(key_table(cf, len(word)), word)[0]
+    if t < len(base):
+        raise ValueError(f"base word {base!r} is not a factor")
+    return t - len(base)
 
 
 # ------------------------------------------------------------------

@@ -323,9 +323,10 @@ def suite_cube_structure(slopes: list[ContinuedFraction], n_max: int = 100) -> S
             cube = reversal(standard_word(cf, k)) * 3
             rec.check(word_interval(cf, cube) is not None,
                       f"{cf}: no cube of period length q_{k}")
-        # Fourth powers need an index >= 4 somewhere, i.e. a quotient
-        # a_{k+1} >= 2 at some usable depth; all-ones tails forbid them.
-        if cf.is_periodic and max(cf.period) == 1 and cf.quotient(2) == 1:
+        # Fourth powers need an index >= 4 somewhere: a quotient a_k >= 2
+        # with k >= 2, or a_1 >= 4 (0^{a_1} is a factor).  Slopes with
+        # a_1 <= 3 and every later quotient 1 have none.
+        if cf.is_periodic and max(cf.preperiod[1:] + cf.period) == 1 and cf.quotient(1) <= 3:
             best, period = oracles.max_run_exponent(window, n_max)
             rec.check(best < 4,
                       f"{cf}: fourth power of period {period} found; exponent {best}")

@@ -172,7 +172,26 @@ def test_depth_limit_env(capsys, monkeypatch):
     assert json.loads(out)["depth"] == 32
 
 
-def test_seed_and_boundary_flags_accepted(capsys):
-    code, _, _ = run(capsys, "factors", "--slope", "[0;2,(1)]", "--n", "2",
-                     "--seed", "7", "--boundary", "right")
-    assert code == 0
+@pytest.mark.parametrize("argv", [
+    ["factors", "--slope", "[0;2,(1)]", "--n", "2", "--seed", "7"],
+    ["factors", "--slope", "[0;2,(1)]", "--n", "2", "--boundary", "right"],
+    ["factors", "--slope", "[0;2,(1)]", "--n", "2", "--depth", "10"],
+    ["verify", "--slope", "[0;2,(1)]", "--n-max", "5", "--depth", "10"],
+], ids=["seed", "boundary", "factors-depth", "verify-depth"])
+def test_removed_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("slope", ["[0;2,(1)]", "[0;3,(1,2)]"])
+@pytest.mark.parametrize("depth", ["150", "200"])
+def test_critical_exponent_deep_depth(capsys, slope, depth):
+    def supremum(d: str) -> dict:
+        code, out, _ = run(capsys, "critical-exponent", "--slope", slope,
+                           "--depth", d, "--format", "json")
+        assert code == 0
+        return json.loads(out)["results"][0]["supremum"]
+
+    assert supremum(depth) == supremum("30")

@@ -285,7 +285,6 @@ def test_critical_exponent_truncation_lower_bound():
     res = critical_exponent(parse_slope("[0;2,1,2,1,2]"), 10)
     assert res.depth_limited
     assert res.attained
-    assert res.bounded is None
     assert res.value_attained >= 2
 
 

@@ -21,6 +21,15 @@ def test_all_suites_pass_small_family(small_family):
         assert r.checks > 0
 
 
+@pytest.mark.parametrize("slope", ["[0;4,(1)]", "[0;5,(1)]", "[0;4,1,(1)]",
+                                   "[0;2,1,3,(1)]", "[0;3,1,2,(1)]"])
+def test_cube_structure_fourth_powers_off_all_ones_tails(slope):
+    # a_1 >= 4, or a later quotient >= 2 in the preperiod, makes a fourth
+    # power a factor even when the period is all ones.
+    [result] = verify.run_suites(names=["cube-structure"], slopes=[parse_slope(slope)])
+    assert result.passed, result.line()
+
+
 def test_fault_injection_is_detected(small_family):
     results = verify.run_suites(names=["power-classification"],
                                 slopes=small_family[:1], n_max=10,
