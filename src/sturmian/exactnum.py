@@ -267,16 +267,22 @@ class _Ctx:
     def pair(self, k: int) -> tuple[int, int]:
         if k == -1:
             return (1, 0)
-        while len(self.pairs) <= k:
-            j = len(self.pairs)
+        pairs = self.pairs
+        if k < len(pairs):
+            return pairs[k]
+        # Extend a private copy and publish it in one assignment, so a
+        # concurrent caller never sees (or appends to) a half-built list.
+        pairs = list(pairs)
+        for j in range(len(pairs), k + 1):
             a = self.cf.quotient(j)
             if j == 1:
-                self.pairs.append((1, a))
+                pairs.append((1, a))
             else:
-                p1, q1 = self.pairs[j - 1]
-                p2, q2 = self.pairs[j - 2]
-                self.pairs.append((a * p1 + p2, a * q1 + q2))
-        return self.pairs[k]
+                p1, q1 = pairs[j - 1]
+                p2, q2 = pairs[j - 2]
+                pairs.append((a * p1 + p2, a * q1 + q2))
+        self.pairs = pairs
+        return pairs[k]
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,11 @@
 """Independent brute-force oracles.
 
 Every formula in the package has a second, structurally different route:
-sorted orbit gaps instead of the three-distance counts, sliding-window
-scans of a coded prefix instead of interval-length index formulas,
-exhaustive multiples instead of convergent enumeration.  The verification
-suites and the test suite drive both routes against each other.
+sorted orbit gaps instead of the three-distance counts, bit-mask run scans
+and `find`-based power searches over a coded prefix instead of
+interval-length index formulas, exhaustive multiples instead of
+convergent enumeration.  The verification suites and the test suite drive
+both routes against each other.
 
 Scans work on plain strings (find() runs in C) or on big-integer bit
 masks, so the oracles stay fast without ever touching floating point.
@@ -12,7 +13,9 @@ masks, so the oracles stay fast without ever touching floating point.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from typing import Iterator
 
 from sturmian.exactnum import ContinuedFraction, LinearForm
 from sturmian.rotation import key_table
@@ -27,21 +30,24 @@ def gap_spectrum(cf: ContinuedFraction, n: int,
     """Count the actual gaps of {0, alpha, ..., n*alpha} per candidate length.
 
     The points are sorted by certified keys; each circular gap is then an
-    exact LinearForm (difference of neighbouring positions), and two forms
-    share a value at an irrational alpha only when they are identical, so
-    matching against the candidates is syntactic.  A gap matching no
-    candidate raises.
+    exact LinearForm (difference of neighbouring positions m*alpha -
+    floor(m*alpha), minus 1 on the gap that wraps past the point 1), and
+    two forms share a value at an irrational alpha only when they are
+    identical, so matching against the candidates is syntactic.  Gaps are
+    tallied as integer pairs first, and one form per distinct pair is
+    matched.  A gap matching no candidate raises.
     """
     table = key_table(cf, n)
     order = sorted(range(n + 1), key=table.key)
+    floors = list(map(table.floor_multiple, order))
+    tally = Counter(zip([b - a for a, b in zip(order, order[1:])],
+                        [b - a for a, b in zip(floors, floors[1:])]))
+    tally[order[0] - order[-1], floors[0] - floors[-1] - 1] += 1  # wrap past 1
     counts = [0] * len(candidates)
-    for t, m in enumerate(order):
-        nxt = order[(t + 1) % (n + 1)]
-        gap = table.position_form(nxt) - table.position_form(m)
-        if t == n:
-            gap = gap.shift(1)  # wrap past the point 1
+    for (q, p), count in tally.items():
+        gap = LinearForm(q, p)
         try:
-            counts[candidates.index(gap)] += 1
+            counts[candidates.index(gap)] += count
         except ValueError:
             raise AssertionError(f"orbit gap {gap} matched no candidate length") from None
     return counts
@@ -110,6 +116,16 @@ def _longest_run(mask: int) -> int:
     return total
 
 
+def _bits(text: str) -> int:
+    """text read as a binary number: text[0] is the most significant bit."""
+    return int(text, 2) if text else 0
+
+
+def _match_mask(bits: int, length: int, period: int) -> int:
+    """Bit length-1-period-i set iff text[i] == text[i + period], 0 <= i < length - period."""
+    return ~(bits ^ (bits >> period)) & ((1 << (length - period)) - 1)
+
+
 def max_run_exponent(text: str, max_period: int) -> tuple[Fraction, int]:
     """Largest (run + L)/L over periods L <= max_period, with its period.
 
@@ -117,13 +133,12 @@ def max_run_exponent(text: str, max_period: int) -> tuple[Fraction, int]:
     factor of length r + L with period L, i.e. a fractional power of
     exponent (r + L)/L of its length-L prefix.
     """
-    bits = int(text, 2) if text else 0
+    bits = _bits(text)
     length = len(text)
     best = Fraction(0)
     best_period = 0
     for period in range(1, min(max_period, length - 1) + 1):
-        mask = ~(bits ^ (bits >> period)) & ((1 << (length - period)) - 1)
-        run = _longest_run(mask)
+        run = _longest_run(_match_mask(bits, length, period))
         if run == 0:
             continue
         exponent = Fraction(run + period, period)
@@ -132,40 +147,61 @@ def max_run_exponent(text: str, max_period: int) -> tuple[Fraction, int]:
     return best, best_period
 
 
+def _run_starts(mask: int, r: int) -> int:
+    """Bit b set iff bits b .. b + r - 1 of mask are all set (-1 for r = 0)."""
+    starts, covered = -1, 0
+    runs, width = mask, 1  # runs: bit b set iff bits b .. b + width - 1 are
+    while True:
+        if r & 1:
+            starts &= runs >> covered
+            covered += width
+        r >>= 1
+        if not r or not starts:
+            return starts
+        runs &= runs >> width
+        width *= 2
+
+
+def _power_roots_of_length(text: str, bits: int, n: int, exponent: int) -> Iterator[str]:
+    """Distinct words w, |w| = n, with w^exponent a factor of text.
+
+    w^exponent starts at i exactly when text[j] == text[j + n] for the
+    (exponent - 1)*n positions j from i on, i.e. on a run of that many
+    bits of the period-n match mask.  The run starts are rendered as a
+    0/1 string indexed by i, so find() walks them in C.
+    """
+    length = len(text)
+    span = length - exponent * n + 1  # number of possible starts
+    if span <= 0:
+        return
+    starts = _run_starts(_match_mask(bits, length, n), (exponent - 1) * n)
+    marks = format(starts & ((1 << span) - 1), f"0{span}b")
+    seen: set[str] = set()
+    i = marks.find("1")
+    while i != -1:
+        w = text[i:i + n]
+        if w not in seen:
+            seen.add(w)
+            yield w
+        i = marks.find("1", i + 1)
+
+
 def square_root_lengths(text: str, n_max: int) -> set[int]:
     """Lengths of primitive words w with w*w a factor of text, |w| <= n_max."""
-    out = set()
-    for n in range(1, n_max + 1):
-        at = 0
-        while True:
-            # Any period-n repeat of length 2n is a square of its length-n prefix.
-            idx = _find_square(text, n, at)
-            if idx is None:
-                break
-            w = text[idx:idx + n]
-            if (w + w).find(w, 1) == len(w):
-                out.add(n)
-                break
-            at = idx + 1
-    return out
-
-
-def _find_square(text: str, n: int, start: int) -> int | None:
-    for i in range(start, len(text) - 2 * n + 1):
-        if text[i:i + n] == text[i + n:i + 2 * n]:
-            return i
-    return None
+    bits = _bits(text)
+    return {n for n in range(1, n_max + 1)
+            if any((w + w).find(w, 1) == n
+                   for w in _power_roots_of_length(text, bits, n, 2))}
 
 
 def power_roots(text: str, n_max: int, exponent: int) -> set[str]:
     """All primitive words w, |w| <= n_max, with w^exponent a factor of text."""
-    roots = set()
-    for n in range(1, n_max + 1):
-        for i in range(0, len(text) - exponent * n + 1):
-            w = text[i:i + n]
-            if text[i:i + exponent * n] == w * exponent and (w + w).find(w, 1) == n:
-                roots.add(w)
-    return roots
+    if exponent < 1:
+        raise ValueError(f"exponent must be >= 1, got {exponent}")
+    bits = _bits(text)
+    return {w for n in range(1, n_max + 1)
+            for w in _power_roots_of_length(text, bits, n, exponent)
+            if (w + w).find(w, 1) == n}
 
 
 # ------------------------------------------------------------------

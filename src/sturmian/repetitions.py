@@ -15,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
 from sturmian import oracles
@@ -141,8 +142,17 @@ def index_by_interval(cf: ContinuedFraction, w: str) -> int:
     intervals = factor_interval_map(cf, len(w))
     if w not in intervals:
         raise NotAFactorError(f"{w!r} is not a factor for slope {cf}")
-    length = intervals[w].length
-    dist = distance(cf, len(w))
+    return _index_of_length(cf, len(w), intervals[w].length)
+
+
+@lru_cache(maxsize=1 << 14)
+def _index_of_length(cf: ContinuedFraction, n: int, length: LinearForm) -> int:
+    """gamma + floor(length/||n a||) for an interval length at factor length n.
+
+    By the three-distance theorem each n has at most three interval
+    lengths, so the formula work is done once per (slope, n, length).
+    """
+    dist = distance(cf, n)
     gamma = 0 if length == dist else 1
     return gamma + floor_ratio(cf, length, dist)
 

@@ -15,7 +15,7 @@ Word = str
 
 
 def check_word(w: str) -> str:
-    if any(c not in "01" for c in w):
+    if w.strip("01"):
         raise ValueError(f"word must be over the alphabet {{0,1}}, got {w!r}")
     return w
 

@@ -66,6 +66,7 @@ def test_acceptance_2_power_classification():
     result = verify.suite_power_classification(verify.default_family(), n_max=150)
     assert result.passed, result.line()
     assert result.checks >= 12 * sum(n + 1 for n in range(1, 151))
+    assert result.checks == 137_700  # one check per factor, none skipped
     _report("2 power-classification formula/oracle n<=150", started, budget=60.0)
 
 
@@ -73,6 +74,7 @@ def test_acceptance_3_square_lengths():
     started = time.monotonic()
     result = verify.suite_square_lengths(verify.default_family(), n_max=150)
     assert result.passed, result.line()
+    assert result.checks == 12
     _report("3 square lengths = convergent/semiconvergent denominators", started,
             budget=30.0)
 
@@ -81,6 +83,7 @@ def test_acceptance_4_conjugacy_intervals():
     started = time.monotonic()
     result = verify.suite_conjugacy(verify.default_family(), n_max=150)
     assert result.passed, result.line()
+    assert result.checks == 218
     _report("4 conjugacy interval tags", started, budget=None)
 
 
@@ -128,8 +131,10 @@ def test_acceptance_7_number_theory_kernel():
     family = verify.default_family()
     best = verify.suite_best_approximations(family, q_max=500)
     assert best.passed, best.line()
+    assert best.checks == 379
     closest = verify.suite_closest_multiples(family, q_max=500)
     assert closest.passed, closest.line()
+    assert closest.checks == 514
     _report("7 number-theory kernel (best approx, closest multiples, "
             "recurrences)", started, budget=30.0)
 
@@ -138,4 +143,5 @@ def test_acceptance_8_three_distance():
     started = time.monotonic()
     result = verify.suite_three_distance(verify.default_family(), n_max=500)
     assert result.passed, result.line()
+    assert result.checks == 5_970
     _report("8 three-distance counts vs sorted gaps n<=500", started, budget=None)

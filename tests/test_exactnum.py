@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -420,3 +422,46 @@ def test_depth_limit_env_override(monkeypatch):
     monkeypatch.setenv("STURM_DEPTH_LIMIT", "zzz")
     with pytest.raises(ValueError):
         ex.depth_limit()
+
+
+# ------------------------------------------------------------------
+# thread safety of the per-slope convergent cache
+# ------------------------------------------------------------------
+
+def test_convergent_cache_is_thread_safe():
+    # Fresh slopes, so all threads race to extend the same empty cache: the
+    # contexts exist before the threads start, each slope is entered by
+    # every thread at once, the extension to depth 300 outlasts the wake-up
+    # of the other threads, and a tiny switch interval makes preemption
+    # inside pair() likely.
+    slopes = [ContinuedFraction((7, 1 + i % 5), (1 + i % 4, 1000 + i)) for i in range(200)]
+    depth, workers = 300, 8
+    expected = []
+    for cf in slopes:
+        ctx = ex._Ctx(cf)
+        expected.append([ctx.pair(k) for k in range(depth + 1)])
+        ex._ctx(cf)
+    barrier = threading.Barrier(workers)
+    seen: list[list[tuple[int, int]]] = [[] for _ in range(workers)]
+
+    def work(t: int) -> None:
+        for cf in slopes:
+            barrier.wait(timeout=60)
+            seen[t].append(ex._ctx(cf).pair(depth))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(workers)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(th.is_alive() for th in threads)
+    for t in range(workers):
+        assert seen[t] == [pairs[depth] for pairs in expected]
+    for cf, pairs in zip(slopes, expected):
+        ctx = ex._ctx(cf)
+        assert [ctx.pair(k) for k in range(depth + 1)] == pairs, cf

@@ -7,21 +7,25 @@ be enumerated.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from conftest import alpha_oracle
 from sturmian import oracles
+from sturmian.exactnum import LinearForm
 from sturmian.oracles import (
     _longest_run,
     best_denominator_scan,
+    gap_spectrum,
     max_fractional_power,
     max_power,
     max_run_exponent,
     power_roots,
     square_root_lengths,
 )
+from sturmian.rotation import characteristic_prefix, key_table, three_distance
 
 WORDS = ["0", "1", "01", "10", "00", "010", "001", "100", "0101", "0010"]
 
@@ -146,3 +150,114 @@ def test_best_denominator_scan_matches_independent_route(family):
                 best.append(b)
                 current = v
         assert best_denominator_scan(cf, 200) == best
+
+
+# ------------------------------------------------------------------
+# bit-mask power scans and the gap tally against naive references
+# ------------------------------------------------------------------
+
+def naive_square_root_lengths(text: str, n_max: int) -> set[int]:
+    """Slicing scan: every period-n repeat of length 2n, first primitive root wins."""
+    out = set()
+    for n in range(1, n_max + 1):
+        for i in range(len(text) - 2 * n + 1):
+            w = text[i:i + n]
+            if w == text[i + n:i + 2 * n] and (w + w).find(w, 1) == n:
+                out.add(n)
+                break
+    return out
+
+
+def naive_power_roots(text: str, n_max: int, exponent: int) -> set[str]:
+    roots = set()
+    for n in range(1, n_max + 1):
+        for i in range(0, len(text) - exponent * n + 1):
+            w = text[i:i + n]
+            if text[i:i + exponent * n] == w * exponent and (w + w).find(w, 1) == n:
+                roots.add(w)
+    return roots
+
+
+def naive_gap_spectrum(cf, n: int, candidates: list[LinearForm]) -> list[int]:
+    """One exact form per neighbouring pair of sorted orbit points."""
+    table = key_table(cf, n)
+    order = sorted(range(n + 1), key=table.key)
+    counts = [0] * len(candidates)
+    for t, m in enumerate(order):
+        nxt = order[(t + 1) % (n + 1)]
+        gap = table.position_form(nxt) - table.position_form(m)
+        if t == n:
+            gap = gap.shift(1)
+        try:
+            counts[candidates.index(gap)] += 1
+        except ValueError:
+            raise AssertionError(f"orbit gap {gap} matched no candidate length") from None
+    return counts
+
+
+ALL_SHORT_TEXTS = ["".join(bits) for length in range(13)
+                   for bits in itertools.product("01", repeat=length)]
+
+
+@pytest.mark.parametrize("n_max", range(1, 7))
+def test_power_scans_match_naive_on_all_short_texts(n_max):
+    # Includes the empty text and every text shorter than 2n.
+    for text in ALL_SHORT_TEXTS + TEXTS:
+        assert square_root_lengths(text, n_max) == \
+            naive_square_root_lengths(text, n_max), (text, n_max)
+        for exponent in (2, 3, 4):
+            assert power_roots(text, n_max, exponent) == \
+                naive_power_roots(text, n_max, exponent), (text, n_max, exponent)
+
+
+def test_power_roots_exponent_one_lists_primitive_factors():
+    for text in TEXTS + ["", "0"]:
+        assert power_roots(text, 5, 1) == naive_power_roots(text, 5, 1)
+    with pytest.raises(ValueError):
+        power_roots("0101", 2, 0)
+
+
+def test_power_scans_match_naive_on_family_windows(family):
+    for cf in family[::3]:
+        text = characteristic_prefix(cf, 400)
+        assert square_root_lengths(text, 40) == naive_square_root_lengths(text, 40)
+        for exponent in (2, 3):
+            assert power_roots(text, 30, exponent) == naive_power_roots(text, 30, exponent)
+
+
+def test_gap_spectrum_matches_naive(family):
+    for cf in family:
+        for n in range(cf.quotient(1) + 1, 201):
+            s = three_distance(cf, n)
+            candidates = [s.length_short, s.length_mid, s.length_long]
+            assert gap_spectrum(cf, n, candidates) == \
+                naive_gap_spectrum(cf, n, candidates), (cf, n)
+
+
+def test_gap_spectrum_missing_candidate_raises(family):
+    for cf in family:
+        s = three_distance(cf, 40)
+        lengths = [s.length_short, s.length_mid, s.length_long]
+        counts = gap_spectrum(cf, 40, lengths)
+        for drop, count in enumerate(counts):
+            if count:
+                with pytest.raises(AssertionError, match="matched no candidate"):
+                    gap_spectrum(cf, 40, lengths[:drop] + lengths[drop + 1:])
+
+
+def test_planted_square_in_non_sturmian_text_is_found():
+    # 0011 is unbalanced, so no Sturmian word contains this text.
+    plain = "0011" + "10110" + "0011"
+    planted = "0011" + "10110" * 2 + "0011"
+    assert 5 not in square_root_lengths(plain, 6)
+    assert 5 in square_root_lengths(planted, 6)
+    assert "10110" in power_roots(planted, 6, 2)
+    assert "10110" not in power_roots(plain, 6, 2)
+
+
+def test_non_primitive_root_is_not_reported():
+    text = "0101" * 2
+    assert "0101" not in power_roots(text, 4, 2)
+    assert power_roots(text, 4, 2) == {"01", "10"}
+    assert square_root_lengths(text, 4) == {2}
+    assert power_roots(text, 4, 4) == {"01"}

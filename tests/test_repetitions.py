@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 
 from sturmian import oracles
-from sturmian.exactnum import LinearForm, parse_slope
+from sturmian.exactnum import LinearForm, distance, floor_ratio, parse_slope
 from sturmian.repetitions import (
     NotAFactorError,
     PrefixTooShortError,
+    _index_of_length,
     classify_length,
     conjugacy_report,
     critical_exponent,
@@ -58,6 +59,23 @@ def test_index_formula_matches_oracle_small_sweep(family):
         for n in range(1, 30):
             for w, _ in factors_of_length(cf, n):
                 assert index_by_interval(cf, w) == index_oracle(cf, w)
+
+
+def test_index_memo_matches_direct_formula(family):
+    # The per-length memo must give, for every factor, what the formula
+    # gives when evaluated from scratch for that factor alone.
+    for cf in (family[0], family[5], family[10]):
+        for n in range(1, 61):
+            dist = distance(cf, n)
+            for w, interval in factors_of_length(cf, n):
+                gamma = 0 if interval.length == dist else 1
+                direct = gamma + floor_ratio(cf, interval.length, dist)
+                assert index_by_interval(cf, w) == direct, (cf, w)
+                assert index_by_interval(cf, w) == direct, (cf, w)  # memo hit
+
+
+def test_index_memo_is_bounded():
+    assert _index_of_length.cache_info().maxsize is not None
 
 
 # ------------------------------------------------------------------
