@@ -533,45 +533,54 @@ def approx_str(cf: ContinuedFraction, form: LinearForm, digits: int = 12) -> str
 
     Derived from certified enclosures only (never from a floating alpha):
     the enclosure is deepened until both endpoints round to the same string.
+    With alpha between a/b and c/d, the endpoints are (q*a - p*b)/b and
+    (q*c - p*d)/d, rendered in integers.
     """
-    if form.q == 0:
-        return _round_fraction(Fraction(-form.p), digits)
-    for d in _depth_schedule(cf, None):
-        enc = enclosure(cf, form, d)
-        lo_s = _round_fraction(enc.lo, digits)
-        hi_s = _round_fraction(enc.hi, digits)
-        if lo_s == hi_s:
+    q, p = form.q, form.p
+    if q == 0:
+        return _render(-p, 1, digits)
+    for depth in _depth_schedule(cf, None):
+        lo_a, hi_a = alpha_bounds(cf, depth)
+        lo_den, hi_den = lo_a.denominator, hi_a.denominator
+        lo_s = _render(q * lo_a.numerator - p * lo_den, lo_den, digits)
+        if lo_s == _render(q * hi_a.numerator - p * hi_den, hi_den, digits):
             return lo_s
     raise UndecidedError(f"cannot render {form} to {digits} digits for slope {cf}")
 
 
 def decimal_str(x: Fraction, digits: int = 12) -> str:
     """Deterministic decimal rendering of an exact rational."""
-    return _round_fraction(Fraction(x), digits)
+    x = Fraction(x)
+    return _render(x.numerator, x.denominator, digits)
 
 
-def _round_fraction(x: Fraction, digits: int) -> str:
-    if x == 0:
+def _render(num: int, den: int, digits: int) -> str:
+    """num/den (den > 0) to `digits` significant digits, rounding half up."""
+    if num == 0:
         return "0." + "0" * (digits - 1)
-    neg = x < 0
-    x = -x if neg else x
-    # Exponent e: number of digits before the decimal point (may be <= 0).
-    e = 0
-    while x >= 1:
-        x /= 10
+    neg = num < 0
+    num = -num if neg else num
+    # Exponent e with 10**(e-1) <= num/den < 10**e (the number of digits
+    # before the decimal point, may be <= 0).  num/den > 2**m, and
+    # m*log10(2) >= m*1233/4096 for m >= 0 and >= m*1234/4096 for m < 0,
+    # so counting up from that bound finds e.
+    m = num.bit_length() - den.bit_length() - 1
+    e = (m * (1233 if m >= 0 else 1234) >> 12) + 1
+    while _at_least_pow10(num, den, e):
         e += 1
-    while x < Fraction(1, 10):
-        x *= 10
-        e -= 1
-    # Now 1/10 <= x < 1; round to `digits` digits after the scaling point.
-    scaled = x * 10 ** digits
-    n = scaled.numerator // scaled.denominator
-    if 2 * (scaled.numerator % scaled.denominator) >= scaled.denominator:
+    # Round num/den * 10**(digits - e), which lies in [10**(digits-1), 10**digits).
+    shift = digits - e
+    if shift >= 0:
+        num *= 10 ** shift
+    else:
+        den *= 10 ** -shift
+    n, r = divmod(num, den)
+    if 2 * r >= den:
         n += 1
-    mantissa = str(n)
-    if len(mantissa) > digits:  # rounding overflow, e.g. 0.9999 -> 1.000
-        mantissa = mantissa[:digits]
+    if n == 10 ** digits:  # rounding overflow, e.g. 0.9999 -> 1.000
+        n //= 10
         e += 1
+    mantissa = str(n)
     body = ("-" if neg else "")
     if 0 < e <= digits:
         int_part = mantissa[:e]
@@ -580,3 +589,8 @@ def _round_fraction(x: Fraction, digits: int) -> str:
     if e <= 0 and e > -5:
         return body + "0." + "0" * (-e) + mantissa
     return body + mantissa[0] + "." + mantissa[1:] + f"e{e - 1:+d}"
+
+
+def _at_least_pow10(num: int, den: int, k: int) -> bool:
+    """num/den >= 10**k for positive num and den."""
+    return num >= den * 10 ** k if k >= 0 else num * 10 ** -k >= den

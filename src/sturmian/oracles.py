@@ -116,14 +116,23 @@ def _longest_run(mask: int) -> int:
     return total
 
 
-def _bits(text: str) -> int:
-    """text read as a binary number: text[0] is the most significant bit."""
-    return int(text, 2) if text else 0
+def _bits(text: str) -> tuple[int, int]:
+    """text and its complement read as binary numbers, text[0] the most significant bit."""
+    if not text:
+        return 0, 0
+    bits = int(text, 2)
+    return bits, bits ^ ((1 << len(text)) - 1)
 
 
-def _match_mask(bits: int, length: int, period: int) -> int:
-    """Bit length-1-period-i set iff text[i] == text[i + period], 0 <= i < length - period."""
-    return ~(bits ^ (bits >> period)) & ((1 << (length - period)) - 1)
+def _match_mask(bits: tuple[int, int], period: int) -> int:
+    """Bit length-1-period-i set iff text[i] == text[i + period], 0 <= i < length - period.
+
+    Only the bits below length - period are defined; the `period` bits
+    above them hold a copy of text[:period], so callers keep only the runs
+    that end below bit length - period.
+    """
+    text_bits, complement = bits
+    return text_bits ^ (complement >> period)
 
 
 def max_run_exponent(text: str, max_period: int) -> tuple[Fraction, int]:
@@ -131,38 +140,48 @@ def max_run_exponent(text: str, max_period: int) -> tuple[Fraction, int]:
 
     A run of r consecutive positions where text[i] == text[i+L] witnesses a
     factor of length r + L with period L, i.e. a fractional power of
-    exponent (r + L)/L of its length-L prefix.
+    exponent (r + L)/L of its length-L prefix.  Every period's mask covers
+    the whole text; it is first tested only for a run long enough to beat
+    the best exponent so far, num/den, which needs r > (num/den - 1)*L, and
+    measured only when it does.  Ties keep the smallest period.
     """
     bits = _bits(text)
     length = len(text)
-    best = Fraction(0)
-    best_period = 0
+    num, den, best_period = 1, 1, 0  # a run of 0 never counts
     for period in range(1, min(max_period, length - 1) + 1):
-        run = _longest_run(_match_mask(bits, length, period))
-        if run == 0:
-            continue
-        exponent = Fraction(run + period, period)
-        if exponent > best:
-            best, best_period = exponent, period
-    return best, best_period
+        need = (num - den) * period // den + 1
+        span = length - period - need + 1  # starts whose run of `need` is defined
+        if span <= 0:
+            break  # need only grows with the period while the best stands
+        mask = _match_mask(bits, period)
+        starts = _run_starts(mask, need)
+        if starts and starts & ((1 << span) - 1):
+            run = _longest_run(mask & ((1 << (length - period)) - 1))
+            num, den, best_period = run + period, period, period
+    return (Fraction(num, den) if best_period else Fraction(0)), best_period
 
 
 def _run_starts(mask: int, r: int) -> int:
-    """Bit b set iff bits b .. b + r - 1 of mask are all set (-1 for r = 0)."""
-    starts, covered = -1, 0
-    runs, width = mask, 1  # runs: bit b set iff bits b .. b + width - 1 are
-    while True:
-        if r & 1:
-            starts &= runs >> covered
-            covered += width
-        r >>= 1
-        if not r or not starts:
-            return starts
-        runs &= runs >> width
+    """Bit b set iff bits b .. b + r - 1 of mask are all set (-1 for r = 0).
+
+    Doubling: after the loop, bit b of mask is set iff a run of `width`
+    starts at b, and width <= r < 2*width; a run of r is then two runs of
+    width that start r - width apart.  Returns 0 as soon as no run of
+    `width` is left.
+    """
+    if r == 0:
+        return -1
+    width = 1
+    while 2 * width <= r:
+        mask &= mask >> width
+        if not mask:
+            return 0
         width *= 2
+    return mask & (mask >> (r - width)) if r > width else mask
 
 
-def _power_roots_of_length(text: str, bits: int, n: int, exponent: int) -> Iterator[str]:
+def _power_roots_of_length(text: str, bits: tuple[int, int], n: int,
+                           exponent: int) -> Iterator[str]:
     """Distinct words w, |w| = n, with w^exponent a factor of text.
 
     w^exponent starts at i exactly when text[j] == text[j + n] for the
@@ -174,7 +193,7 @@ def _power_roots_of_length(text: str, bits: int, n: int, exponent: int) -> Itera
     span = length - exponent * n + 1  # number of possible starts
     if span <= 0:
         return
-    starts = _run_starts(_match_mask(bits, length, n), (exponent - 1) * n)
+    starts = _run_starts(_match_mask(bits, n), (exponent - 1) * n)
     marks = format(starts & ((1 << span) - 1), f"0{span}b")
     seen: set[str] = set()
     i = marks.find("1")

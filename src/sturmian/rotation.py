@@ -14,6 +14,8 @@ positions.  Tables deepen automatically until certification succeeds.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -240,15 +242,27 @@ def coding_prefix(cf: ContinuedFraction, start: int, length: int,
     )
 
 
-_PREFIX_CACHE: dict[ContinuedFraction, str] = {}
+# The longest prefix coded so far for each of the most recently used slopes.
+_PREFIX_CACHE: OrderedDict[ContinuedFraction, str] = OrderedDict()
+_PREFIX_CACHE_SLOPES = 32
+_PREFIX_LOCK = threading.Lock()
 
 
 def characteristic_prefix(cf: ContinuedFraction, length: int) -> str:
     """Prefix of the characteristic word (orbit coding started at {alpha})."""
-    cached = _PREFIX_CACHE.get(cf, "")
-    if len(cached) < length:
-        cached = coding_prefix(cf, 1, max(length, 2 * len(cached), 1024))
-        _PREFIX_CACHE[cf] = cached
+    with _PREFIX_LOCK:
+        cached = _PREFIX_CACHE.get(cf, "")
+        if len(cached) >= length:
+            if cached:
+                _PREFIX_CACHE.move_to_end(cf)
+            return cached[:length]
+    cached = coding_prefix(cf, 1, max(length, 2 * len(cached), 1024))
+    with _PREFIX_LOCK:
+        if len(_PREFIX_CACHE.get(cf, "")) < len(cached):
+            _PREFIX_CACHE[cf] = cached
+        _PREFIX_CACHE.move_to_end(cf)
+        while len(_PREFIX_CACHE) > _PREFIX_CACHE_SLOPES:
+            _PREFIX_CACHE.popitem(last=False)
     return cached[:length]
 
 

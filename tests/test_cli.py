@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from sturmian.cli import main
+from sturmian.cli import _build_parser, main
+from test_golden import FIXTURE, invoke
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -195,3 +196,25 @@ def test_critical_exponent_deep_depth(capsys, slope, depth):
         return json.loads(out)["results"][0]["supremum"]
 
     assert supremum(depth) == supremum("30")
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+@pytest.mark.parametrize("bad", [
+    ["index", "--slope", "[0;2,(1,2)]", "--n", "3", "--word", "010"],
+    ["index", "--slope", "[0;2,(1,2)]", "--n", "0"],
+    ["index", "--slope", "[0;2,(1,2)]", "--format", "xml", "--n", "3"],
+    ["index", "--n", "3"],
+    ["nonsense"],
+], ids=["exclusive", "bad-int", "bad-choice", "missing-slope", "bad-command"])
+def test_usage_error_leaves_the_shared_parser_intact(bad, monkeypatch):
+    # The same parser object serves both calls, so the error must not
+    # leave anything behind that changes the next parse.
+    monkeypatch.delenv("STURM_DEPTH_LIMIT", raising=False)
+    good = ["index", "--word", "10010", "--slope", "[0;2,(1,2)]", "--format", "json"]
+    golden = {tuple(case["argv"]): case
+              for case in json.loads(FIXTURE.read_text(encoding="utf-8"))}
+    assert invoke(bad)["exit"] == 2
+    assert invoke(good) == golden[tuple(good)]

@@ -7,6 +7,8 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import alpha_oracle, form_bounds, form_sign_oracle, unroll
 from sturmian import exactnum as ex
@@ -409,6 +411,150 @@ def test_approx_str_deterministic(family):
     for cf in family:
         form = distance(cf, 37)
         assert ex.approx_str(cf, form) == ex.approx_str(cf, form)
+
+
+def reference_round_fraction(x: Fraction, digits: int) -> str:
+    """The Fraction-loop renderer that the integer one replaced."""
+    if x == 0:
+        return "0." + "0" * (digits - 1)
+    neg = x < 0
+    x = -x if neg else x
+    e = 0
+    while x >= 1:
+        x /= 10
+        e += 1
+    while x < Fraction(1, 10):
+        x *= 10
+        e -= 1
+    scaled = x * 10 ** digits
+    n = scaled.numerator // scaled.denominator
+    if 2 * (scaled.numerator % scaled.denominator) >= scaled.denominator:
+        n += 1
+    mantissa = str(n)
+    if len(mantissa) > digits:
+        mantissa = mantissa[:digits]
+        e += 1
+    body = ("-" if neg else "")
+    if 0 < e <= digits:
+        int_part = mantissa[:e]
+        frac_part = mantissa[e:]
+        return body + (int_part + ("." + frac_part if frac_part else ""))
+    if e <= 0 and e > -5:
+        return body + "0." + "0" * (-e) + mantissa
+    return body + mantissa[0] + "." + mantissa[1:] + f"e{e - 1:+d}"
+
+
+def reference_approx_str(cf: ContinuedFraction, form: LinearForm, digits: int) -> str:
+    """The renderer that rounded both ends of an `enclosure` at each depth."""
+    if form.q == 0:
+        return reference_round_fraction(Fraction(-form.p), digits)
+    for d in ex._depth_schedule(cf, None):
+        enc = enclosure(cf, form, d)
+        lo_s = reference_round_fraction(enc.lo, digits)
+        hi_s = reference_round_fraction(enc.hi, digits)
+        if lo_s == hi_s:
+            return lo_s
+    raise UndecidedError(f"cannot render {form} to {digits} digits for slope {cf}")
+
+
+def _outcome(render, *args) -> str:
+    try:
+        return render(*args)
+    except UndecidedError as exc:
+        return f"UndecidedError: {exc}"
+
+
+DIGITS = st.integers(1, 12)
+
+
+@st.composite
+def edge_rationals(draw) -> Fraction:
+    """Powers of ten, one below them, and values just under a rounding boundary."""
+    k = draw(st.integers(-12, 14))
+    j = draw(st.integers(1, 14))
+    scale = Fraction(10) ** k
+    value = draw(st.sampled_from([
+        scale,
+        scale - 1,
+        scale * Fraction(10 ** j - 1, 10 ** j),           # 0.99..9 * 10^k
+        scale * Fraction(2 * 10 ** j - 1, 2 * 10 ** j),   # 0.99..95: rounds up
+        scale * Fraction(2 * 10 ** j - 3, 2 * 10 ** j),   # 0.99..85: a digit lower
+    ]))
+    return -value if draw(st.booleans()) else value
+
+
+RATIONALS = st.one_of(
+    st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40)),
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 12)),
+    edge_rationals(),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(RATIONALS, DIGITS)
+@example(Fraction(0), 1)
+@example(Fraction(999999999999, 10 ** 12), 12)         # no overflow at 12 digits
+@example(Fraction(1999999999999, 2 * 10 ** 12), 12)    # overflow to 1.00000000000
+@example(Fraction(-1999999999999, 2 * 10 ** 17), 12)   # overflow lifts e from -5 to -4
+@example(Fraction(1999999999999, 2 * 10 ** 18), 12)    # overflow, exponent form kept
+@example(Fraction(10) ** 12, 12)                       # e = digits + 1
+@example(Fraction(10) ** 12 - 1, 12)                   # e = digits, exact
+@example(Fraction(10) ** 13 - 1, 12)                   # overflow past e = digits + 1
+@example(Fraction(1, 10 ** 5), 3)                      # smallest value without exponent
+@example(Fraction(999, 10 ** 8), 3)                    # e = -5, exponent form
+def test_decimal_str_matches_fraction_loop(x, digits):
+    assert ex.decimal_str(x, digits) == reference_round_fraction(x, digits)
+
+
+@pytest.mark.parametrize("x,expected", [
+    (Fraction(1, 10 ** 60000), "1.00000000000e-60000"),
+    (Fraction(10 ** 60000 - 1), "1.00000000000e+60000"),
+    (Fraction(-2, 3 * 10 ** 5000), "-6.66666666667e-5001"),
+    (Fraction(1, 2 ** 200000), "1.00199880541e-60206"),
+    (Fraction(2 ** 64 - 1, 2 ** 200015), "5.64075180832e-60192"),
+    (Fraction(2 ** 200000, 3), "3.32668393949e+60205"),
+])
+def test_decimal_str_far_exponents(x, expected):
+    # Too far for the Fraction loop, which divides by 10 once per decade.
+    # The powers of two check the bit-length bound on the exponent: with
+    # 1233/4096 for negative bit-length differences too, the bound would
+    # overshoot at (2**64 - 1) / 2**200015.  Expected strings from
+    # decimal.Context(prec=12, rounding=ROUND_HALF_UP).
+    assert ex.decimal_str(x) == expected
+
+
+@st.composite
+def slopes(draw) -> ContinuedFraction:
+    quotients = st.lists(st.integers(1, 9), min_size=1, max_size=3)
+    if draw(st.booleans()):
+        return ContinuedFraction(tuple(draw(st.lists(st.integers(1, 9), max_size=3))),
+                                 tuple(draw(quotients)))
+    return ContinuedFraction(tuple(draw(st.lists(st.integers(1, 9), min_size=1,
+                                                 max_size=14))))
+
+
+@st.composite
+def forms(draw) -> tuple[ContinuedFraction, LinearForm]:
+    """A slope and a form on it, half the time q*alpha minus a nearby integer."""
+    cf = draw(slopes())
+    q = draw(st.integers(-10 ** 7, 10 ** 7))
+    if draw(st.booleans()):
+        c = convergent(cf, cf.max_depth(8))
+        p = q * c.p // c.q + draw(st.integers(-1, 2))
+    else:
+        p = draw(st.integers(-10 ** 7, 10 ** 7))
+    return cf, LinearForm(q, p)
+
+
+@settings(max_examples=500, deadline=None)
+@given(forms(), DIGITS)
+@example((parse_slope("[0;3,1,4,1,5,9,2,6]"), LinearForm(5, 1)), 12)  # undecided
+@example((parse_slope("[0;2,(1,2)]"), LinearForm(0, 7)), 3)
+def test_approx_str_matches_enclosure_rendering(case, digits):
+    # Refusals must match too, message included.
+    cf, form = case
+    assert _outcome(ex.approx_str, cf, form, digits) == \
+        _outcome(reference_approx_str, cf, form, digits)
 
 
 # ------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import alpha_oracle
 from sturmian import oracles
-from sturmian.exactnum import LinearForm
+from sturmian.exactnum import LinearForm, parse_slope
 from sturmian.oracles import (
     _longest_run,
     best_denominator_scan,
@@ -261,3 +261,49 @@ def test_non_primitive_root_is_not_reported():
     assert power_roots(text, 4, 2) == {"01", "10"}
     assert square_root_lengths(text, 4) == {2}
     assert power_roots(text, 4, 4) == {"01"}
+
+
+# ------------------------------------------------------------------
+# the pruned run scan against the scan it replaced
+# ------------------------------------------------------------------
+
+def reference_max_run_exponent(text: str, max_period: int) -> tuple[Fraction, int]:
+    """The unpruned scan: the longest run of every period's match mask."""
+    bits = int(text, 2) if text else 0
+    length = len(text)
+    best = Fraction(0)
+    best_period = 0
+    for period in range(1, min(max_period, length - 1) + 1):
+        mask = ~(bits ^ (bits >> period)) & ((1 << (length - period)) - 1)
+        run = _longest_run(mask)
+        if run == 0:
+            continue
+        exponent = Fraction(run + period, period)
+        if exponent > best:
+            best, best_period = exponent, period
+    return best, best_period
+
+
+def test_max_run_exponent_matches_reference_on_all_short_texts():
+    # Every max_period from 0 to past the text's length.
+    for text in ALL_SHORT_TEXTS + TEXTS:
+        for max_period in range(len(text) + 2):
+            assert max_run_exponent(text, max_period) == \
+                reference_max_run_exponent(text, max_period), (text, max_period)
+
+
+@pytest.mark.parametrize("slope", ["[0;9,(1)]", "[0;2,(1)]", "[0;3,(1,2)]", "[0;2,(1,3)]"])
+def test_max_run_exponent_matches_reference_on_long_prefixes(slope):
+    text = characteristic_prefix(parse_slope(slope), 100_000)
+    got = max_run_exponent(text, 1200)
+    assert got == reference_max_run_exponent(text, 1200)
+    if slope == "[0;9,(1)]":
+        assert got == (9, 1)  # 0^8 opens the word, and nothing beats it
+
+
+def test_max_run_exponent_tie_keeps_smallest_period():
+    # (101)^3 comes first, (10)^3 later: both have exponent 3.
+    text = "101101101010"
+    assert reference_max_run_exponent(text, 12) == (3, 2)
+    assert max_run_exponent(text, 12) == (3, 2)
+    assert max_run_exponent(text[:9], 12) == (3, 3)

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 from conftest import form_bounds
-from sturmian import oracles
-from sturmian.exactnum import LinearForm, parse_slope
+from sturmian import oracles, rotation
+from sturmian.exactnum import ContinuedFraction, LinearForm, parse_slope
 from sturmian.rotation import (
     BoundaryConvention,
+    characteristic_prefix,
     coding_prefix,
     factor_containing_point,
     factor_interval_map,
@@ -116,7 +119,6 @@ def test_factors_small_other_slope():
 
 
 def test_factor_counts_and_window_consistency(family):
-    from sturmian.rotation import characteristic_prefix
     for cf in family:
         for n in (1, 2, 3, 5, 8, 13, 21, 40):
             factors = factors_of_length(cf, n)
@@ -272,3 +274,51 @@ def test_decomposition_uniqueness(family):
             q_prev2 = convergent(cf, k - 2).q
             assert n == l * q_prev + q_prev2 + r
             assert 2 <= k and 0 < l <= cf.quotient(k) and 0 <= r < q_prev
+
+
+# ------------------------------------------------------------------
+# the bounded prefix cache
+# ------------------------------------------------------------------
+
+def _fresh_slopes(count: int, tag: int) -> list[ContinuedFraction]:
+    return [ContinuedFraction((2 + i % 3,), (1 + i % 4, 500 + 100 * tag + i))
+            for i in range(count)]
+
+
+def test_prefix_cache_keeps_the_most_recent_slopes():
+    hot = parse_slope("[0;2,(1)]")
+    characteristic_prefix(hot, 2000)
+    fresh = _fresh_slopes(40, 0)
+    for cf in fresh:
+        assert characteristic_prefix(cf, 1500) == coding_prefix(cf, 1, 1500)
+        assert characteristic_prefix(hot, 10) == coding_prefix(hot, 1, 10)  # a use
+        assert len(rotation._PREFIX_CACHE) <= rotation._PREFIX_CACHE_SLOPES
+    assert hot in rotation._PREFIX_CACHE
+    assert len(rotation._PREFIX_CACHE[hot]) >= 2000  # the longest prefix is kept
+    recent = fresh[-(rotation._PREFIX_CACHE_SLOPES - 1):]
+    assert set(rotation._PREFIX_CACHE) == {hot, *recent}
+
+
+def test_prefix_cache_bound_holds_under_threads():
+    workers = 4
+    slopes = [_fresh_slopes(50, 1 + t) for t in range(workers)]
+    errors: list[str] = []
+
+    def work(t: int) -> None:
+        for cf in slopes[t]:
+            if characteristic_prefix(cf, 1024) != coding_prefix(cf, 1, 1024):
+                errors.append(str(cf))
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(workers)]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert len(rotation._PREFIX_CACHE) == rotation._PREFIX_CACHE_SLOPES
