@@ -23,6 +23,7 @@ from sturmian.exactnum import (
     LinearForm,
     SlopeSyntaxError,
     approx_str,
+    decimal_str,
     normalize_slope,
     parse_slope,
 )
@@ -290,10 +291,10 @@ def cmd_critical_exponent(args: argparse.Namespace) -> int:
             characteristic_prefix(cf, 100_000), 1200)
     except DepthError:
         scan_obs, scan_period = None, None  # truncation too shallow to code
-    sup_approx = approx_rational((lo + hi) / 2)
+    sup_approx = decimal_str((lo + hi) / 2)
     row = {
         "depth": depth,
-        "terms": [{"k": k, "value": _fraction_str(t), "approx": approx_rational(t)}
+        "terms": [{"k": k, "value": _fraction_str(t), "approx": decimal_str(t)}
                   for k, t in res.terms],
         "attained": res.attained,
         "depth_limited": res.depth_limited,
@@ -313,7 +314,7 @@ def cmd_critical_exponent(args: argparse.Namespace) -> int:
     }
     lines = [f"{'k':>4}  {'term':<16} approx"]
     for k, t in res.terms:
-        lines.append(f"{k:>4}  {_fraction_str(t):<16} {approx_rational(t)}")
+        lines.append(f"{k:>4}  {_fraction_str(t):<16} {decimal_str(t)}")
     if res.depth_limited:
         lines.append(f"supremum >= {sup_approx} (lower bound, depth-limited at {depth})")
     elif res.attained:
@@ -325,13 +326,9 @@ def cmd_critical_exponent(args: argparse.Namespace) -> int:
                      "never attained)")
     if scan_obs is not None:
         lines.append(f"scan lower bound: exponent {_fraction_str(scan_obs)} "
-                     f"~ {approx_rational(scan_obs)} at period {scan_period} "
+                     f"~ {decimal_str(scan_obs)} at period {scan_period} "
                      "(prefix of 100000 letters)")
     return _emit(args, cf, swapped, [row], lines)
-
-
-def approx_rational(x: Fraction, digits: int = 12) -> str:
-    return exactnum.decimal_str(Fraction(x), digits)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -317,12 +317,13 @@ def _semiconvergent_pair(cf: ContinuedFraction, k: int, l: int) -> tuple[int, in
 
 
 @lru_cache(maxsize=None)
-def alpha_bounds(cf: ContinuedFraction, d: int) -> tuple[Fraction, Fraction]:
-    """Certified rational bounds lo < alpha < hi at convergent depth d.
+def alpha_bounds(cf: ContinuedFraction, d: int) -> tuple[int, int, int, int]:
+    """Certified integer bracket (a, b, c, e) with a/b < alpha < c/e at depth d.
 
-    For periodic slopes any d >= 1 works.  For a truncation of depth m the
-    deepest usable d is m; there the bound is the cylinder of all reals
-    whose expansion starts with the known quotients.
+    The ends are p_d/q_d and p_{d+1}/q_{d+1}; at the last depth m of a
+    truncation, p_m/q_m and its mediant with p_{m-1}/q_{m-1} (the cylinder
+    of all reals whose expansion starts with the known quotients).  Even-index
+    convergents lie below alpha, so the parity of d orders the two ends.
     """
     if d < 1:
         raise ValueError(f"enclosure depth must be >= 1, got {d}")
@@ -330,29 +331,40 @@ def alpha_bounds(cf: ContinuedFraction, d: int) -> tuple[Fraction, Fraction]:
     m = cf.truncation_depth
     if m is not None and d > m:
         raise DepthExceededError(f"enclosure depth {d} exceeds truncation depth {m}")
+    p1, q1 = ctx.pair(d)
     if m is not None and d == m:
-        p1, q1 = ctx.pair(d)
-        p2, q2 = ctx.pair(d - 1)
-        a, b = Fraction(p1, q1), Fraction(p1 + p2, q1 + q2)
+        p0, q0 = ctx.pair(d - 1)
+        p2, q2 = p1 + p0, q1 + q0
     else:
-        p1, q1 = ctx.pair(d)
         p2, q2 = ctx.pair(d + 1)
-        a, b = Fraction(p1, q1), Fraction(p2, q2)
-    return (a, b) if a < b else (b, a)
+    return (p1, q1, p2, q2) if d % 2 == 0 else (p2, q2, p1, q1)
+
+
+def _form_bounds(cf: ContinuedFraction, form: LinearForm, d: int
+                 ) -> tuple[int, int, int, int]:
+    """Integers with ln/ld <= q*alpha - p <= hn/hd at depth d, ld and hd
+    positive; the bounds are strict unless q == 0."""
+    a, b, c, e = alpha_bounds(cf, d)
+    q, p = form.q, form.p
+    if q < 0:
+        a, b, c, e = c, e, a, b
+    return q * a - p * b, b, q * c - p * e, e
+
+
+def _deepen(cf: ContinuedFraction, form: LinearForm):
+    """The integer bounds of a form at each depth of the schedule, shallow first."""
+    for d in _depth_schedule(cf):
+        yield _form_bounds(cf, form, d)
 
 
 def enclosure(cf: ContinuedFraction, form: LinearForm, d: int) -> CertifiedEnclosure:
     """Enclosure of the value of form at convergent depth d."""
-    lo_a, hi_a = alpha_bounds(cf, d)
-    if form.q >= 0:
-        lo, hi = form.q * lo_a - form.p, form.q * hi_a - form.p
-    else:
-        lo, hi = form.q * hi_a - form.p, form.q * lo_a - form.p
-    return CertifiedEnclosure(lo, hi, d)
+    ln, ld, hn, hd = _form_bounds(cf, form, d)
+    return CertifiedEnclosure(Fraction(ln, ld), Fraction(hn, hd), d)
 
 
-def _depth_schedule(cf: ContinuedFraction, cap: int | None) -> list[int]:
-    top = cf.max_depth(cap)
+def _depth_schedule(cf: ContinuedFraction) -> list[int]:
+    top = cf.max_depth()
     ds, d = [], 4
     while d < top:
         ds.append(d)
@@ -361,7 +373,7 @@ def _depth_schedule(cf: ContinuedFraction, cap: int | None) -> list[int]:
     return ds
 
 
-def sign(cf: ContinuedFraction, form: LinearForm, cap: int | None = None) -> int:
+def sign(cf: ContinuedFraction, form: LinearForm) -> int:
     """Certified sign of q*alpha - p; 0 only for the identically zero form.
 
     A nonzero form always separates from 0 eventually because alpha is
@@ -370,27 +382,20 @@ def sign(cf: ContinuedFraction, form: LinearForm, cap: int | None = None) -> int
     """
     if form.q == 0:
         return 0 if form.p == 0 else (-1 if form.p > 0 else 1)
-    for d in _depth_schedule(cf, cap):
-        lo_a, hi_a = alpha_bounds(cf, d)
-        # Integer cross products avoid Fraction churn in hot loops.  The
-        # alpha bounds are strict, so equality at an endpoint decides too.
-        lo_n = form.q * (lo_a if form.q > 0 else hi_a).numerator
-        lo_d = (lo_a if form.q > 0 else hi_a).denominator
-        hi_n = form.q * (hi_a if form.q > 0 else lo_a).numerator
-        hi_d = (hi_a if form.q > 0 else lo_a).denominator
-        if lo_n - form.p * lo_d >= 0:
+    # The alpha bounds are strict, so equality at an endpoint decides too.
+    for ln, _, hn, _ in _deepen(cf, form):
+        if ln >= 0:
             return 1
-        if hi_n - form.p * hi_d <= 0:
+        if hn <= 0:
             return -1
     raise UndecidedError(
-        f"sign of {form} undecided within depth {cf.max_depth(cap)} for slope {cf}"
+        f"sign of {form} undecided within depth {cf.max_depth()} for slope {cf}"
     )
 
 
-def compare(cf: ContinuedFraction, a: LinearForm, b: LinearForm,
-            cap: int | None = None) -> Ordering:
+def compare(cf: ContinuedFraction, a: LinearForm, b: LinearForm) -> Ordering:
     """Certified ordering of two forms; EQ only for syntactically equal forms."""
-    return Ordering(sign(cf, a - b, cap))
+    return Ordering(sign(cf, a - b))
 
 
 # ------------------------------------------------------------------
@@ -401,15 +406,10 @@ def nearest_integer(cf: ContinuedFraction, n: int) -> int:
     """The integer closest to n*alpha (unique: alpha irrational)."""
     if n == 0:
         return 0
-    for d in _depth_schedule(cf, None):
-        lo_a, hi_a = alpha_bounds(cf, d)
-        if n > 0:
-            lo, hi = n * lo_a, n * hi_a
-        else:
-            lo, hi = n * hi_a, n * lo_a
-        p_lo = (2 * lo.numerator + lo.denominator) // (2 * lo.denominator)
-        p_hi = (2 * hi.numerator + hi.denominator) // (2 * hi.denominator)
-        if p_lo == p_hi:
+    for ln, ld, hn, hd in _deepen(cf, LinearForm(n, 0)):
+        # floor(x + 1/2) at both ends of the bounds on n*alpha.
+        p_lo = (2 * ln + ld) // (2 * ld)
+        if p_lo == (2 * hn + hd) // (2 * hd):
             return p_lo
     raise UndecidedError(f"nearest integer to {n}*alpha undecided for slope {cf}")
 
@@ -445,22 +445,19 @@ def convergent_distance(cf: ContinuedFraction, k: int) -> LinearForm:
     return LinearForm(s * q, s * p)
 
 
-def floor_ratio(cf: ContinuedFraction, num: LinearForm, den: LinearForm,
-                cap: int | None = None) -> int:
+def floor_ratio(cf: ContinuedFraction, num: LinearForm, den: LinearForm) -> int:
     """floor(num/den) for two forms with certified positive values."""
-    for d in _depth_schedule(cf, cap):
-        n_enc = enclosure(cf, num, d)
-        d_enc = enclosure(cf, den, d)
-        if d_enc.lo <= 0 or n_enc.lo < 0:
+    for (nln, nld, nhn, nhd), (dln, dld, dhn, dhd) in zip(_deepen(cf, num),
+                                                          _deepen(cf, den)):
+        if dln <= 0 or nln < 0:
             continue
-        m_lo = n_enc.lo // d_enc.hi
-        m_hi = n_enc.hi // d_enc.lo
+        m_lo = nln * dhd // (nld * dhn)
+        m_hi = nhn * dld // (nhd * dln)
         if m_lo == m_hi:
-            return int(m_lo)
+            return m_lo
         if m_hi == m_lo + 1:
             # Boundary case: decide num - m_hi*den exactly (0 means an exact multiple).
-            s = sign(cf, num - int(m_hi) * den, cap)
-            return int(m_hi) if s >= 0 else int(m_lo)
+            return m_hi if sign(cf, num - m_hi * den) >= 0 else m_lo
     raise UndecidedError(f"floor({num}/{den}) undecided for slope {cf}")
 
 
@@ -531,19 +528,15 @@ def closest_multiples(cf: ContinuedFraction, k: int, l: int) -> list[int]:
 def approx_str(cf: ContinuedFraction, form: LinearForm, digits: int = 12) -> str:
     """Deterministic decimal rendering with `digits` significant digits.
 
-    Derived from certified enclosures only (never from a floating alpha):
-    the enclosure is deepened until both endpoints round to the same string.
-    With alpha between a/b and c/d, the endpoints are (q*a - p*b)/b and
-    (q*c - p*d)/d, rendered in integers.
+    Derived from certified bounds only (never from a floating alpha): the
+    integer bounds on the form are deepened until both ends round to the
+    same string.
     """
-    q, p = form.q, form.p
-    if q == 0:
-        return _render(-p, 1, digits)
-    for depth in _depth_schedule(cf, None):
-        lo_a, hi_a = alpha_bounds(cf, depth)
-        lo_den, hi_den = lo_a.denominator, hi_a.denominator
-        lo_s = _render(q * lo_a.numerator - p * lo_den, lo_den, digits)
-        if lo_s == _render(q * hi_a.numerator - p * hi_den, hi_den, digits):
+    if form.q == 0:
+        return _render(-form.p, 1, digits)
+    for ln, ld, hn, hd in _deepen(cf, form):
+        lo_s = _render(ln, ld, digits)
+        if lo_s == _render(hn, hd, digits):
             return lo_s
     raise UndecidedError(f"cannot render {form} to {digits} digits for slope {cf}")
 

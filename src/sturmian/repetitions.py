@@ -116,8 +116,8 @@ class CriticalExponentResult:
         """Certified rational bounds for the supremum."""
         if self.value_attained is not None:
             return self.value_attained, self.value_attained
-        lo, hi = alpha_bounds(self.limit_tail, min(depth, self.limit_tail.max_depth(None)))
-        return self.limit_offset + lo, self.limit_offset + hi
+        a, b, c, e = alpha_bounds(self.limit_tail, min(depth, self.limit_tail.max_depth()))
+        return self.limit_offset + Fraction(a, b), self.limit_offset + Fraction(c, e)
 
 
 # ------------------------------------------------------------------

@@ -33,7 +33,6 @@ from sturmian.repetitions import (
     critical_exponent,
     fractional_index,
     index_by_interval,
-    index_oracle,
     oracle_window,
     square_lengths,
 )
@@ -241,7 +240,8 @@ def suite_power_classification(slopes: list[ContinuedFraction], n_max: int = 150
                 continue
             intervals = factor_interval_map(cf, n)
             dist = distance(cf, n)
-            window = oracle_window(cf, n)
+            # One oracle window per length, long enough to certify every scan.
+            text = characteristic_prefix(cf, oracle_window(cf, n))
             for report in reports:
                 formula = index_by_interval(cf, report.word)
                 if inject_fault == "flip-gamma":
@@ -249,9 +249,10 @@ def suite_power_classification(slopes: list[ContinuedFraction], n_max: int = 150
                     formula += 1 if gamma == 0 else -1
                 ok = report.integer_index == formula
                 if ok:
-                    scanned = index_oracle(cf, report.word, window)
+                    scanned = oracles.max_power(text, report.word)
                     if scanned != formula:
-                        scanned = index_oracle(cf, report.word, 2 * window)
+                        scanned = oracles.max_power(
+                            characteristic_prefix(cf, 2 * len(text)), report.word)
                     ok = scanned == formula
                     # The hottest check of the gate: format only on failure.
                     rec.check(ok, "" if ok else

@@ -448,7 +448,7 @@ def reference_approx_str(cf: ContinuedFraction, form: LinearForm, digits: int) -
     """The renderer that rounded both ends of an `enclosure` at each depth."""
     if form.q == 0:
         return reference_round_fraction(Fraction(-form.p), digits)
-    for d in ex._depth_schedule(cf, None):
+    for d in ex._depth_schedule(cf):
         enc = enclosure(cf, form, d)
         lo_s = reference_round_fraction(enc.lo, digits)
         hi_s = reference_round_fraction(enc.hi, digits)
@@ -457,9 +457,9 @@ def reference_approx_str(cf: ContinuedFraction, form: LinearForm, digits: int) -
     raise UndecidedError(f"cannot render {form} to {digits} digits for slope {cf}")
 
 
-def _outcome(render, *args) -> str:
+def _outcome(fn, *args):
     try:
-        return render(*args)
+        return fn(*args)
     except UndecidedError as exc:
         return f"UndecidedError: {exc}"
 
@@ -555,6 +555,150 @@ def test_approx_str_matches_enclosure_rendering(case, digits):
     cf, form = case
     assert _outcome(ex.approx_str, cf, form, digits) == \
         _outcome(reference_approx_str, cf, form, digits)
+
+
+# ------------------------------------------------------------------
+# integer deepening loop against the Fraction versions it replaced
+# ------------------------------------------------------------------
+
+def reference_alpha_bounds(cf: ContinuedFraction, d: int) -> tuple[Fraction, Fraction]:
+    """lo < alpha < hi from the convergents at depths d and d + 1, or from the
+    cylinder (p_d/q_d and its mediant with depth d - 1) at a truncation's end."""
+    a = convergent(cf, d).fraction
+    if d == cf.truncation_depth:
+        c, c1 = convergent(cf, d), convergent(cf, d - 1)
+        b = Fraction(c.p + c1.p, c.q + c1.q)
+    else:
+        b = convergent(cf, d + 1).fraction
+    return (a, b) if a < b else (b, a)
+
+
+def reference_enclosure(cf: ContinuedFraction, form: LinearForm, d: int
+                        ) -> tuple[Fraction, Fraction]:
+    lo_a, hi_a = reference_alpha_bounds(cf, d)
+    ends = (form.q * lo_a - form.p, form.q * hi_a - form.p)
+    return min(ends), max(ends)
+
+
+def reference_sign(cf: ContinuedFraction, form: LinearForm) -> int:
+    if form.q == 0:
+        return 0 if form.p == 0 else (-1 if form.p > 0 else 1)
+    for d in ex._depth_schedule(cf):
+        lo, hi = reference_enclosure(cf, form, d)
+        if lo >= 0:
+            return 1
+        if hi <= 0:
+            return -1
+    raise UndecidedError(
+        f"sign of {form} undecided within depth {cf.max_depth()} for slope {cf}")
+
+
+def reference_nearest_integer(cf: ContinuedFraction, n: int) -> int:
+    if n == 0:
+        return 0
+    for d in ex._depth_schedule(cf):
+        lo, hi = reference_enclosure(cf, LinearForm(n, 0), d)
+        p_lo = (2 * lo.numerator + lo.denominator) // (2 * lo.denominator)
+        p_hi = (2 * hi.numerator + hi.denominator) // (2 * hi.denominator)
+        if p_lo == p_hi:
+            return p_lo
+    raise UndecidedError(f"nearest integer to {n}*alpha undecided for slope {cf}")
+
+
+def reference_floor_ratio(cf: ContinuedFraction, num: LinearForm, den: LinearForm) -> int:
+    for d in ex._depth_schedule(cf):
+        n_lo, n_hi = reference_enclosure(cf, num, d)
+        d_lo, d_hi = reference_enclosure(cf, den, d)
+        if d_lo <= 0 or n_lo < 0:
+            continue
+        m_lo = n_lo // d_hi
+        m_hi = n_hi // d_lo
+        if m_lo == m_hi:
+            return int(m_lo)
+        if m_hi == m_lo + 1:
+            s = reference_sign(cf, num - int(m_hi) * den)
+            return int(m_hi) if s >= 0 else int(m_lo)
+    raise UndecidedError(f"floor({num}/{den}) undecided for slope {cf}")
+
+
+# [0;3,1,4,1,5,9,2] ends at depth 7 with p_6/q_6 = 321/1229, p_7/q_7 = 677/2592.
+# 5050a - 1319 puts 1319/5050 (the mediant of p_6/q_6 and the cylinder end
+# 998/3821) between p_6/q_6 and the cylinder: only the depth-7 cylinder
+# bound decides its sign.
+CYLINDER_ONLY = (parse_slope("[0;3,1,4,1,5,9,2]"), LinearForm(5050, 1319))
+
+
+@settings(max_examples=500, deadline=None)
+@given(forms())
+@example((parse_slope("[0;2,(1,2)]"), LinearForm(-11, -3)))     # negative q
+@example(CYLINDER_ONLY)
+@example((parse_slope("[0;3,1,4,1]"), LinearForm(23, 6)))       # 0 = lower end at depth 4
+@example((parse_slope("[0;3,1,4,1]"), LinearForm(-23, -6)))     # 0 = upper end at depth 4
+def test_sign_matches_fraction_reference(case):
+    cf, form = case
+    assert _outcome(ex.sign, cf, form) == _outcome(reference_sign, cf, form)
+
+
+def test_sign_decided_only_by_cylinder():
+    cf, form = CYLINDER_ONLY
+    assert ex._depth_schedule(cf) == [4, 7]
+    assert ex.sign(cf, form) == 1
+    # Bounded by p_6/q_6 instead of the mediant, depth 7 would not decide.
+    lo = Fraction(5050 * 321, 1229) - 1319
+    hi = Fraction(5050 * 677, 2592) - 1319
+    assert lo < 0 < hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(slopes(), st.integers(-10 ** 9, 10 ** 9))
+@example(parse_slope("[0;2,(1,2)]"), -7)
+def test_nearest_integer_matches_fraction_reference(cf, n):
+    assert _outcome(ex.nearest_integer, cf, n) == _outcome(reference_nearest_integer, cf, n)
+
+
+@st.composite
+def ratios(draw) -> tuple[ContinuedFraction, LinearForm, LinearForm]:
+    """A slope, den = q*alpha less the integer below it (by a convergent) and
+    num = k*den + a drawn form of either sign, zero included."""
+    cf = draw(slopes())
+    c = convergent(cf, cf.max_depth(8))
+
+    def near(q: int) -> LinearForm:
+        return LinearForm(q, q * c.p // c.q)
+
+    den = near(draw(st.integers(1, 10 ** 5)))
+    extra = draw(st.sampled_from([1, -1])) * near(draw(st.integers(0, 10 ** 5)))
+    return cf, draw(st.integers(0, 60)) * den + extra, den
+
+
+@settings(max_examples=500, deadline=None)
+@given(ratios())
+@example((parse_slope("[0;2,(1,2)]"), LinearForm(-15, -6), LinearForm(-5, -2)))  # 3 * den
+@example((parse_slope("[0;2,(1,2)]"), LinearForm(2, 1), LinearForm(3, 1)))  # num < 0
+def test_floor_ratio_matches_fraction_reference(case):
+    cf, num, den = case
+    assert _outcome(ex.floor_ratio, cf, num, den) == \
+        _outcome(reference_floor_ratio, cf, num, den)
+
+
+def test_floor_ratio_exact_multiple_takes_sign_zero_branch(example_slope):
+    den = distance(example_slope, 5)  # -5a + 2
+    num = 3 * den
+    for d in ex._depth_schedule(example_slope):  # the boundary case at every depth
+        n_enc, d_enc = enclosure(example_slope, num, d), enclosure(example_slope, den, d)
+        assert (n_enc.lo // d_enc.hi, n_enc.hi // d_enc.lo) == (2, 3)
+    assert ex.sign(example_slope, num - 3 * den) == 0
+    assert ex.floor_ratio(example_slope, num, den) == 3
+    assert reference_floor_ratio(example_slope, num, den) == 3
+
+
+def test_alpha_bounds_match_fraction_reference(family):
+    cfs = family + [parse_slope("[0;2,1,1]"), parse_slope("[0;3,1,4,1,5,9,2,6]")]
+    for cf in cfs:
+        for d in range(1, cf.max_depth(30) + 1):
+            a, b, c, e = ex.alpha_bounds(cf, d)
+            assert b > 0 and e > 0
+            assert (Fraction(a, b), Fraction(c, e)) == reference_alpha_bounds(cf, d)
 
 
 # ------------------------------------------------------------------

@@ -8,9 +8,19 @@ preperiod-dominated suprema, and deeper key tables.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sturmian import oracles
-from sturmian.exactnum import DepthExceededError, UndecidedError, distance, parse_slope
+from sturmian.exactnum import (
+    ContinuedFraction,
+    DepthError,
+    DepthExceededError,
+    UndecidedError,
+    approx_str,
+    distance,
+    parse_slope,
+)
 from sturmian.repetitions import (
     classify_length,
     critical_exponent,
@@ -18,7 +28,12 @@ from sturmian.repetitions import (
     index_oracle,
     square_lengths,
 )
-from sturmian.rotation import characteristic_prefix, factors_of_length, three_distance
+from sturmian.rotation import (
+    characteristic_prefix,
+    factor_interval_map,
+    factors_of_length,
+    three_distance,
+)
 
 TORTURE = ["[0;4,(5,1,2)]", "[0;2,7,1,(3,1,4)]", "[0;9,(1,1,2)]", "[0;2,(10)]"]
 
@@ -28,20 +43,28 @@ def slope(request):
     return parse_slope(request.param)
 
 
-def test_indices_match_oracle_off_family(slope):
-    for n in range(1, 41):
+def check_indices_match_oracle(slope, lengths):
+    for n in lengths:
         for report in classify_length(slope, n):
             formula = index_by_interval(slope, report.word)
             assert report.integer_index == formula
             assert index_oracle(slope, report.word) == formula
 
 
-def test_three_distance_off_family(slope):
-    for n in range(slope.quotient(1) + 1, 121):
+def check_three_distance_matches_spectrum(slope, lengths):
+    for n in lengths:
         s = three_distance(slope, n)
         counts = oracles.gap_spectrum(
             slope, n, [s.length_short, s.length_mid, s.length_long])
         assert counts == [s.count_short, s.count_mid, s.count_long]
+
+
+def test_indices_match_oracle_off_family(slope):
+    check_indices_match_oracle(slope, range(1, 41))
+
+
+def test_three_distance_off_family(slope):
+    check_three_distance_matches_spectrum(slope, range(slope.quotient(1) + 1, 121))
 
 
 def test_square_lengths_off_family(slope):
@@ -70,6 +93,77 @@ def test_preperiod_dominated_supremum():
     window = characteristic_prefix(res.slope, 60000)
     observed, _ = oracles.max_run_exponent(window, 800)
     assert observed <= hi
+
+
+# ------------------------------------------------------------------
+# drawn slopes: a_1 in 2..5, later quotients in 1..5
+# ------------------------------------------------------------------
+
+A1 = st.integers(2, 5)
+QUOTIENTS = st.integers(1, 5)
+
+
+def periodic_tails(max_preperiod: int):
+    return st.tuples(st.lists(QUOTIENTS, max_size=max_preperiod),
+                     st.lists(QUOTIENTS, min_size=1, max_size=3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(A1, periodic_tails(1), st.integers(1, 30))
+def test_formulas_match_oracles_on_drawn_slopes(a_1, tail, n):
+    # Preperiod a_1 plus at most one more quotient, period of at most 3.
+    pre, per = tail
+    slope = ContinuedFraction((a_1, *pre), tuple(per))
+    check_indices_match_oracle(slope, [n])
+    if n > a_1:
+        check_three_distance_matches_spectrum(slope, [n])
+
+
+def _query(cf: ContinuedFraction, kind: str, arg):
+    if kind == "distance":
+        return distance(cf, arg)
+    if kind == "approx":
+        return approx_str(cf, distance(cf, arg))
+    if kind == "three-distance":
+        return three_distance(cf, arg)
+    if kind == "factors":
+        return sorted(factor_interval_map(cf, arg).items())
+    return index_by_interval(cf, arg)
+
+
+def _answers(cf: ContinuedFraction, n_max: int) -> dict:
+    """(kind, argument) -> answer, or None where a DepthError refused it."""
+    out = {}
+
+    def ask(kind, arg):
+        try:
+            out[kind, arg] = _query(cf, kind, arg)
+        except DepthError:
+            out[kind, arg] = None
+
+    for n in range(1, n_max + 1):
+        for kind in ("distance", "approx", "three-distance", "factors"):
+            if kind != "three-distance" or n > cf.quotient(1):
+                ask(kind, n)
+        for w, _ in out["factors", n] or ():
+            ask("index", w)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(A1, st.lists(QUOTIENTS, min_size=5, max_size=11), periodic_tails(2),
+       periodic_tails(2))
+def test_truncation_answers_hold_for_extensions(a_1, rest, tail_1, tail_2):
+    # Whatever [0;a_1..a_m] answers must hold for every slope of its
+    # cylinder, here two periodic extensions; the rest must be refused.
+    known = (a_1, *rest)
+    truncation = ContinuedFraction(known)
+    answers = _answers(truncation, 16)
+    for pre, per in (tail_1, tail_2):
+        extension = ContinuedFraction(known + tuple(pre), tuple(per))
+        for key, got in answers.items():
+            if got is not None:
+                assert _query(extension, *key) == got, (str(truncation), str(extension), key)
 
 
 # ------------------------------------------------------------------
