@@ -47,18 +47,13 @@ from sturmian.rotation import (
     FactorInterval,
     PartitionSummary,
     coding_prefix,
-    factor_containing_point,
     factors_of_length,
-    point_order,
-    special_factors,
     three_distance,
     word_interval,
 )
 from sturmian.words import (
     conjugates,
     cyclic_shift,
-    is_primitive,
-    near_commutation_check,
     reversal,
     semistandard_word,
     standard_word,
@@ -94,22 +89,17 @@ __all__ = [
     "critical_exponent",
     "cyclic_shift",
     "distance",
-    "factor_containing_point",
     "factors_of_length",
     "fractional_index",
     "index_by_interval",
     "index_oracle",
-    "is_primitive",
     "length_case",
-    "near_commutation_check",
     "normalize_slope",
     "parse_slope",
-    "point_order",
     "recover_quotient",
     "reversal",
     "semiconvergent_den",
     "semistandard_word",
-    "special_factors",
     "square_lengths",
     "standard_word",
     "three_distance",

@@ -285,7 +285,8 @@ class _Ctx:
         return pairs[k]
 
 
-@lru_cache(maxsize=None)
+# `verify --n-max 150` reads 17 slopes; 256 also keep the recent slopes of a query stream.
+@lru_cache(maxsize=256)
 def _ctx(cf: ContinuedFraction) -> _Ctx:
     return _Ctx(cf)
 
@@ -316,7 +317,8 @@ def _semiconvergent_pair(cf: ContinuedFraction, k: int, l: int) -> tuple[int, in
     return (l * p1 + p2, l * q1 + q2)
 
 
-@lru_cache(maxsize=None)
+# Four integers per (slope, depth): `verify --n-max 150` needs 53, a CLI query about 2.
+@lru_cache(maxsize=1024)
 def alpha_bounds(cf: ContinuedFraction, d: int) -> tuple[int, int, int, int]:
     """Certified integer bracket (a, b, c, e) with a/b < alpha < c/e at depth d.
 

@@ -38,14 +38,16 @@ def gap_spectrum(cf: ContinuedFraction, n: int,
     matched.  A gap matching no candidate raises.
     """
     table = key_table(cf, n)
-    order = sorted(range(n + 1), key=table.key)
-    floors = list(map(table.floor_multiple, order))
+    p, q = table.p, table.q
+    keys = [m % q for m in range(0, (n + 1) * p, p)]  # keys[m] = key(m)
+    order = sorted(range(n + 1), key=keys.__getitem__)
+    floors = [m * p // q for m in order]  # floor(m*alpha), as in position_form
     tally = Counter(zip([b - a for a, b in zip(order, order[1:])],
                         [b - a for a, b in zip(floors, floors[1:])]))
     tally[order[0] - order[-1], floors[0] - floors[-1] - 1] += 1  # wrap past 1
     counts = [0] * len(candidates)
-    for (q, p), count in tally.items():
-        gap = LinearForm(q, p)
+    for form, count in tally.items():
+        gap = LinearForm(*form)
         try:
             counts[candidates.index(gap)] += count
         except ValueError:

@@ -19,7 +19,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Iterator
+from itertools import pairwise
+from typing import Iterator
 
 from sturmian.exactnum import (
     ONE,
@@ -94,32 +95,27 @@ class KeyTable:
     """Certified integer positions for orbit indices in [-span, span].
 
     key(m) = m*p_d mod q_d approximates {m*alpha}*q_d within `err` key
-    units, and the table is only built once every pairwise circular key
-    distance exceeds 2*err, so key order is certified position order.
+    units; depth d was certified by checking that every pairwise circular
+    key distance exceeds 2*err, so key order is certified position order.
+    The keys are a closed form, so the table stores only the certificate.
     """
 
-    __slots__ = ("cf", "span", "depth", "p", "q", "err", "_keys")
+    __slots__ = ("span", "depth", "p", "q", "err")
 
-    def __init__(self, cf: ContinuedFraction, span: int, depth: int,
-                 p: int, q: int, err: int, keys: list[int]) -> None:
-        self.cf = cf
+    def __init__(self, span: int, depth: int, p: int, q: int, err: int) -> None:
         self.span = span
         self.depth = depth
         self.p = p
         self.q = q
         self.err = err
-        self._keys = keys  # index m + span
 
     def key(self, m: int) -> int:
-        return self._keys[m + self.span]
-
-    def floor_multiple(self, m: int) -> int:
-        """floor(m*alpha), certified by the no-wrap margin of the table."""
-        return (m * self.p - self.key(m)) // self.q
+        return m * self.p % self.q
 
     def position_form(self, m: int) -> LinearForm:
-        """{m*alpha} as the exact form m*alpha - floor(m*alpha)."""
-        return LinearForm(m, self.floor_multiple(m))
+        """{m*alpha} as the exact form m*alpha - floor(m*alpha), where
+        floor(m*alpha) = floor(m*p/q) by the no-wrap margin of the table."""
+        return LinearForm(m, m * self.p // self.q)
 
     def norm_key(self, m: int) -> int:
         """Key-unit value of ||m*alpha||."""
@@ -150,26 +146,19 @@ def _depth_search(cf: ContinuedFraction, reach: int,
 
 def _build_key_table(cf: ContinuedFraction, span: int) -> KeyTable:
     for d, p, q, err in _depth_search(cf, span, 128):
-        step = p % q
-        keys = [0] * (2 * span + 1)
-        cur = (-span * p) % q
-        for i in range(2 * span + 1):
-            keys[i] = cur
-            cur += step
-            if cur >= q:
-                cur -= q
-        ordered = sorted(keys)
-        gap_ok = all(b - a > 2 * err for a, b in zip(ordered, ordered[1:]))
-        wrap_ok = ordered[0] + q - ordered[-1] > 2 * err
-        if gap_ok and wrap_ok:
-            return KeyTable(cf, span, d, p, q, err, keys)
+        keys = [m % q for m in range(-span * p, span * p + 1, p)]
+        keys.sort()
+        if (keys[0] + q - keys[-1] > 2 * err
+                and all(b - a > 2 * err for a, b in pairwise(keys))):
+            return KeyTable(span, d, p, q, err)
     raise UndecidedError(
         f"cannot certify {2 * span + 1} orbit points for slope {cf} "
         f"within depth {cf.max_depth(None)}"
     )
 
 
-@lru_cache(maxsize=None)
+# A table is five integers: `verify --n-max 150` needs 137, a CLI query about 1.
+@lru_cache(maxsize=1024)
 def _key_table_pow2(cf: ContinuedFraction, span_pow2: int) -> KeyTable:
     return _build_key_table(cf, span_pow2)
 
@@ -185,22 +174,8 @@ def key_table(cf: ContinuedFraction, span: int) -> KeyTable:
 
 
 # ------------------------------------------------------------------
-# orbit ordering and coding
+# orbit codings
 # ------------------------------------------------------------------
-
-def point_order(cf: ContinuedFraction, points: Iterable[int]) -> list[int]:
-    """Orbit indices sorted by circular position starting from 0.
-
-    Input indices m stand for {m*alpha} and must be distinct.
-    """
-    ms = list(points)
-    if len(set(ms)) != len(ms):
-        raise ValueError("orbit points must have distinct indices")
-    if not ms:
-        return []
-    table = key_table(cf, max(1, max(abs(m) for m in ms)))
-    return sorted(ms, key=table.key)
-
 
 def coding_prefix(cf: ContinuedFraction, start: int, length: int,
                   convention: BoundaryConvention = DEFAULT_CONVENTION) -> str:
@@ -278,7 +253,9 @@ def factors_of_length(cf: ContinuedFraction, n: int) -> list[tuple[str, FactorIn
     return list(factor_interval_map(cf, n).items())
 
 
-@lru_cache(maxsize=None)
+# An entry holds n + 1 words of length n.  `verify --n-max 150` reads 1,808
+# maps slope by slope; 256 keep the slope in use, so misses rise only to 1,973.
+@lru_cache(maxsize=256)
 def factor_interval_map(cf: ContinuedFraction, n: int) -> dict[str, FactorInterval]:
     """Word -> interval for the length-n factors, in circular order (cached).
 
@@ -290,21 +267,15 @@ def factor_interval_map(cf: ContinuedFraction, n: int) -> dict[str, FactorInterv
     if n < 1:
         raise ValueError(f"factor length must be >= 1, got {n}")
     table = key_table(cf, n)
-    boundary = table.key(-1)
+    p, q = table.p, table.q
+    # keys[j + n] = key(j) for -n <= j < n.  The point {j*alpha} gives letter
+    # t of the interval starting at {-i*alpha} for j = t - i: 0 iff it lies
+    # before the cut {-alpha}, so {0} reads 0 and the cut itself reads 1.
+    keys = [m % q for m in range(-n * p, n * p, p)]
+    boundary = keys[n - 1]
+    bitstr = "".join(["0" if k < boundary else "1" for k in keys])
 
-    # bits[j + n] codes which side of {-alpha} the point {j*alpha} lies on,
-    # which is letter t of the interval starting at {-i*alpha} for j = t - i.
-    bits = []
-    for j in range(-n, n):
-        if j == 0:
-            bits.append("0")
-        elif j == -1:
-            bits.append("1")
-        else:
-            bits.append("0" if table.key(j) < boundary else "1")
-    bitstr = "".join(bits)
-
-    order = sorted(range(n + 1), key=lambda i: table.key(-i))
+    order = sorted(range(n + 1), key=lambda i: keys[n - i])
     out = {}
     for t, i in enumerate(order):
         nxt = order[(t + 1) % (n + 1)]
@@ -313,39 +284,6 @@ def factor_interval_map(cf: ContinuedFraction, n: int) -> dict[str, FactorInterv
             length = length.shift(1)  # gap wraps past the point 1
         out[bitstr[n - i: 2 * n - i]] = FactorInterval(i, nxt, length)
     return out
-
-
-def factor_containing_point(cf: ContinuedFraction, n: int, m: int) -> str:
-    """The length-n factor whose interval contains the orbit point {m*alpha}.
-
-    The point must not be one of the partition points {0, ..., -n*alpha};
-    orbit indices outside [-n, 0] always qualify.
-    """
-    require_normalized(cf)
-    if -n <= m <= 0:
-        raise ValueError(f"{{{m}*alpha}} is a partition point at level {n}")
-    table = key_table(cf, max(n, abs(m)))
-    target = table.key(m)
-    best_word, best_key = None, -1
-    for word, interval in factor_interval_map(cf, n).items():
-        k = table.key(-interval.left_idx)
-        if best_key < k <= target:
-            best_word, best_key = word, k
-    assert best_word is not None  # left endpoint 0 has key 0 <= target
-    return best_word
-
-
-def special_factors(cf: ContinuedFraction, n: int) -> tuple[str, str]:
-    """(left special, right special) factors of length n.
-
-    The left special factor is the length-n prefix of the characteristic
-    word; the right special factor is its reversal.
-    """
-    require_normalized(cf)
-    if n < 1:
-        raise ValueError(f"length must be >= 1, got {n}")
-    left = characteristic_prefix(cf, n)
-    return left, left[::-1]
 
 
 # ------------------------------------------------------------------
@@ -361,15 +299,18 @@ def _walk_arc(table: KeyTable, w: str) -> tuple[int, int, int]:
     denotes the point 1 (= 0 reached from below).
     """
     q = table.q
-    key = table.key
-    y = key(-1)
+    step = -table.p % q  # key(-(t + 1)) = key(-t) + step mod q
+    y = step  # key(-1)
     if w[0] == "0":
         lo, lo_idx, hi, hi_idx = 0, 0, y, 1
     else:
         lo, lo_idx, hi, hi_idx = y, 1, q, 0  # hi is the point 1
 
     for t in range(1, len(w)):
-        x, y = y, key(-(t + 1))
+        x = y
+        y += step
+        if y >= q:
+            y -= q
         if w[t] == "0":
             bs, bs_idx, be, be_idx = x, t, y, t + 1
         else:

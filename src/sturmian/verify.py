@@ -250,9 +250,6 @@ def suite_power_classification(slopes: list[ContinuedFraction], n_max: int = 150
                 ok = report.integer_index == formula
                 if ok:
                     scanned = oracles.max_power(text, report.word)
-                    if scanned != formula:
-                        scanned = oracles.max_power(
-                            characteristic_prefix(cf, 2 * len(text)), report.word)
                     ok = scanned == formula
                     # The hottest check of the gate: format only on failure.
                     rec.check(ok, "" if ok else

@@ -1,4 +1,4 @@
-"""Finite binary words: standard and semistandard words, primitivity, conjugacy.
+"""Finite binary words: standard and semistandard words, conjugacy.
 
 Words are plain Python strings over the alphabet {'0', '1'}; equality is
 letterwise and no compression is attempted.  The standard sequence of a
@@ -51,14 +51,6 @@ def standard_or_semistandard(cf: ContinuedFraction, k: int, l: int) -> str:
     return semistandard_word(cf, k, l)
 
 
-def is_primitive(w: str) -> bool:
-    """True iff w occurs exactly twice as a factor of w*w."""
-    check_word(w)
-    if not w:
-        raise ValueError("primitivity is undefined for the empty word")
-    return (w + w).find(w, 1) == len(w)
-
-
 def cyclic_shift(w: str, i: int) -> str:
     """C^i(w), where C moves the last letter to the front."""
     if not 0 <= i < len(w):
@@ -75,12 +67,3 @@ def conjugates(w: str) -> list[str]:
 
 def reversal(w: str) -> str:
     return w[::-1]
-
-
-def near_commutation_check(cf: ContinuedFraction, k: int) -> bool:
-    """Whether s_k s_{k-1} and s_{k-1} s_k agree except for swapped final letters."""
-    if k < 2:
-        raise ValueError(f"near-commutation check needs k >= 2, got {k}")
-    u = standard_word(cf, k) + standard_word(cf, k - 1)
-    v = standard_word(cf, k - 1) + standard_word(cf, k)
-    return u[:-2] == v[:-2] and u[-2:] == v[-2:][::-1] and u[-1] != u[-2]

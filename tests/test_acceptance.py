@@ -15,7 +15,7 @@ from math import isqrt
 from sturmian import oracles, verify
 from sturmian.exactnum import LinearForm, parse_slope
 from sturmian.repetitions import conjugacy_report, critical_exponent
-from sturmian.rotation import characteristic_prefix, factors_of_length, special_factors, three_distance
+from sturmian.rotation import characteristic_prefix, factors_of_length, three_distance
 
 
 def _report(name: str, started: float, budget: float | None) -> None:
@@ -38,7 +38,10 @@ def test_acceptance_1_worked_example():
     factors = factors_of_length(cf, 5)
     assert sorted(w for w, _ in factors) == \
         ["00100", "00101", "01001", "01010", "10010", "10100"]
-    assert special_factors(cf, 5) == ("01001", "10010")
+    # The left special factor is the prefix of the characteristic word,
+    # the right special factor its reversal.
+    left = characteristic_prefix(cf, 5)
+    assert (left, left[::-1]) == ("01001", "10010")
 
     summary = three_distance(cf, 5)
     spectrum = {

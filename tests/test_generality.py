@@ -24,8 +24,10 @@ from sturmian.exactnum import (
 from sturmian.repetitions import (
     classify_length,
     critical_exponent,
+    fractional_index,
     index_by_interval,
     index_oracle,
+    oracle_window,
     square_lengths,
 )
 from sturmian.rotation import (
@@ -117,6 +119,11 @@ def test_formulas_match_oracles_on_drawn_slopes(a_1, tail, n):
     check_indices_match_oracle(slope, [n])
     if n > a_1:
         check_three_distance_matches_spectrum(slope, [n])
+    # A window certifying the power scans at every length up to n.
+    window = characteristic_prefix(slope, max(oracle_window(slope, m) for m in range(1, n + 1)))
+    assert square_lengths(slope, n) == oracles.square_root_lengths(window, n)
+    for w, _ in factors_of_length(slope, n):
+        assert fractional_index(slope, w) == oracles.max_fractional_power(window, w), w
 
 
 def _query(cf: ContinuedFraction, kind: str, arg):

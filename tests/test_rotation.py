@@ -2,25 +2,25 @@
 
 from __future__ import annotations
 
+import gc
+import random
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from conftest import form_bounds
-from sturmian import oracles, rotation
-from sturmian.exactnum import ContinuedFraction, LinearForm, parse_slope
+from conftest import FAMILY_SLOPES, form_bounds
+from sturmian import exactnum, oracles, repetitions, rotation
+from sturmian.exactnum import ContinuedFraction, LinearForm, UndecidedError, parse_slope
 from sturmian.rotation import (
     BoundaryConvention,
     characteristic_prefix,
     coding_prefix,
-    factor_containing_point,
     factor_interval_map,
     factors_of_length,
     key_table,
-    point_order,
-    special_factors,
     three_distance,
     three_distance_decomposition,
     word_interval,
@@ -42,15 +42,91 @@ def test_key_table_orders_match_oracle(example_slope):
         assert abs(key_frac - lo) < Fraction(2 * table.err + 1, table.q)
 
 
-def test_point_order_matches_circle_figure(example_slope):
+# The family plus a deep and a shallow truncation; the truncations refuse
+# the larger spans.
+KEY_TABLE_SLOPES = FAMILY_SLOPES + ["[0;3,1,4,1,5,9,2,6]", "[0;2,1,1]"]
+
+
+def _reference_key_table(cf: ContinuedFraction, span: int):
+    """The list-building certification: store all 2*span + 1 keys, stepping
+    by p mod q, and accept the first depth whose sorted keys keep every
+    circular gap above 2*err.  Returns ((depth, p, q, err), keys)."""
+    for d, p, q, err in rotation._depth_search(cf, span, 128):
+        step = p % q
+        keys = [0] * (2 * span + 1)
+        cur = (-span * p) % q
+        for i in range(2 * span + 1):
+            keys[i] = cur
+            cur += step
+            if cur >= q:
+                cur -= q
+        ordered = sorted(keys)
+        gap_ok = all(b - a > 2 * err for a, b in zip(ordered, ordered[1:]))
+        wrap_ok = ordered[0] + q - ordered[-1] > 2 * err
+        if gap_ok and wrap_ok:
+            return (d, p, q, err), keys
+    raise UndecidedError(
+        f"cannot certify {2 * span + 1} orbit points for slope {cf} "
+        f"within depth {cf.max_depth(None)}"
+    )
+
+
+def _check_against_reference(build, spans) -> int:
+    """Compare build(cf, span) with the reference on every slope and span;
+    returns the number of (equal) refusals."""
+    refusals = 0
+    for text in KEY_TABLE_SLOPES:
+        cf = parse_slope(text)
+        for span in spans:
+            try:
+                cert, keys = _reference_key_table(cf, span)
+            except UndecidedError as exc:
+                with pytest.raises(UndecidedError) as got:
+                    build(cf, span)
+                assert str(got.value) == str(exc)
+                refusals += 1
+                continue
+            table = build(cf, span)
+            assert (table.depth, table.p, table.q, table.err) == cert, (text, span)
+            assert table.span >= span
+            assert [table.key(m) for m in range(-span, span + 1)] == keys, (text, span)
+    return refusals
+
+
+def test_key_table_matches_list_reference_at_small_spans():
+    refusals = _check_against_reference(rotation._build_key_table, range(1, 129))
+    assert refusals >= 128  # "[0;2,1,1]" refuses every span
+
+
+def test_key_table_matches_list_reference_up_to_span_4096():
+    pow2 = [1 << k for k in range(13)]
+    others = sorted(random.Random(4096).sample(range(129, 4097), 24))
+    assert _check_against_reference(key_table, pow2) > 0
+    _check_against_reference(rotation._build_key_table, others)
+
+
+def test_key_table_matches_list_reference_at_span_65536():
+    assert _check_against_reference(key_table, [1 << 16]) > 0
+
+
+def test_key_table_retains_only_its_certificate():
+    cf = ContinuedFraction((2,), (3, 1, 4243))  # a slope no other test builds
+    gc.collect()
+    tracemalloc.start()
+    try:
+        table = key_table(cf, 1 << 16)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.span == 1 << 16
+    assert retained < 4096, retained
+
+
+def test_key_order_matches_circle_figure(example_slope):
     # alpha ~ 0.366: positions 0, .634, .268, .902, .536, .170 for 0..-5.
-    assert point_order(example_slope, [0, -1, -2, -3, -4, -5]) == [0, -5, -2, -4, -1, -3]
-
-
-def test_point_order_single_and_duplicates(example_slope):
-    assert point_order(example_slope, [0]) == [0]
-    with pytest.raises(ValueError):
-        point_order(example_slope, [3, 3])
+    table = key_table(example_slope, 5)
+    assert sorted([0, -1, -2, -3, -4, -5], key=table.key) == [0, -5, -2, -4, -1, -3]
 
 
 # ------------------------------------------------------------------
@@ -155,19 +231,34 @@ def test_factor_intervals_match_partition_lengths(example_slope):
             assert interval.length in allowed
 
 
+def _special_factors(cf: ContinuedFraction, n: int) -> tuple[str, str]:
+    """(left special, right special): the length-n prefix of the
+    characteristic word and its reversal."""
+    left = characteristic_prefix(cf, n)
+    return left, left[::-1]
+
+
+def _factor_containing_point(cf: ContinuedFraction, n: int, m: int) -> str:
+    """The length-n factor whose interval contains {m*alpha}, m outside [-n, 0]:
+    the one with the last left endpoint at or before it in key order."""
+    table = key_table(cf, max(n, abs(m)))
+    target = table.key(m)
+    lefts = {table.key(-iv.left_idx): w for w, iv in factor_interval_map(cf, n).items()}
+    return lefts[max(k for k in lefts if k <= target)]
+
+
 def test_special_factors_worked_example(example_slope):
-    assert special_factors(example_slope, 5) == ("01001", "10010")
+    assert _special_factors(example_slope, 5) == ("01001", "10010")
 
 
 def test_special_factors_length_one(example_slope):
-    assert special_factors(example_slope, 1) == ("0", "0")
+    assert _special_factors(example_slope, 1) == ("0", "0")
 
 
 def test_special_factors_mirror_and_membership(family):
     for cf in family:
         for n in (1, 3, 8, 21):
-            left, right = special_factors(cf, n)
-            assert right == left[::-1]
+            left, right = _special_factors(cf, n)
             words = {w for w, _ in factors_of_length(cf, n)}
             assert left in words and right in words
             # Both one-letter extensions of the left special occur.
@@ -178,13 +269,8 @@ def test_special_factors_mirror_and_membership(family):
 def test_right_special_interval_contains_next_point(family):
     for cf in family:
         for n in (2, 5, 13, 34):
-            _, right = special_factors(cf, n)
-            assert factor_containing_point(cf, n, -(n + 1)) == right
-
-
-def test_factor_containing_point_rejects_partition_points(example_slope):
-    with pytest.raises(ValueError):
-        factor_containing_point(example_slope, 5, -3)
+            _, right = _special_factors(cf, n)
+            assert _factor_containing_point(cf, n, -(n + 1)) == right
 
 
 # ------------------------------------------------------------------
@@ -322,3 +408,35 @@ def test_prefix_cache_bound_holds_under_threads():
     assert not any(th.is_alive() for th in threads)
     assert errors == []
     assert len(rotation._PREFIX_CACHE) == rotation._PREFIX_CACHE_SLOPES
+
+
+# ------------------------------------------------------------------
+# bounded slope-keyed caches
+# ------------------------------------------------------------------
+
+def test_slope_keyed_caches_are_bounded():
+    for cache in (exactnum._ctx, exactnum.alpha_bounds, rotation._key_table_pow2,
+                  rotation.factor_interval_map):
+        assert cache.cache_info().maxsize is not None, cache
+
+
+def test_many_fresh_slopes_keep_memory_bounded():
+    # 200 slopes no other test uses, 16 factor maps and 17 indices each.
+    # With every cache unbounded this retains about 10 MB; once the caches
+    # fill, their bounds hold it near 1.6 MB.
+    slopes = [ContinuedFraction((2 + i % 3, 1 + i % 5), (1 + i % 4, 900 + i))
+              for i in range(200)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for cf in slopes:
+            for n in range(1, 17):
+                factors = factors_of_length(cf, n)
+            for w, _ in factors:
+                repetitions.index_by_interval(cf, w)
+        del factors
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 4_000_000, retained

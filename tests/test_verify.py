@@ -38,6 +38,17 @@ def test_fault_injection_is_detected(small_family):
     assert results[0].failures
 
 
+def test_power_classification_fails_on_a_short_window(monkeypatch):
+    # The gate scans each length in one `oracle_window` prefix with no
+    # retry, so a window a quarter as long as the one it claims to need
+    # must show up as failures.
+    full = verify.oracle_window
+    monkeypatch.setattr(verify, "oracle_window", lambda cf, n: max(n, full(cf, n) // 4))
+    [result] = verify.run_suites(names=["power-classification"])
+    assert not result.passed
+    assert "scan" in result.failures[0]
+
+
 def test_unknown_suite_and_fault_rejected(small_family):
     with pytest.raises(ValueError):
         verify.run_suites(names=["nope"], slopes=small_family)
