@@ -2,10 +2,12 @@
 
 Every formula in the package has a second, structurally different route:
 sorted orbit gaps instead of the three-distance counts, bit-mask run scans
-and `find`-based power searches over a coded prefix instead of
-interval-length index formulas, exhaustive multiples instead of
-convergent enumeration.  The verification suites and the test suite drive
-both routes against each other.
+over a coded prefix instead of interval-length index formulas, exhaustive
+multiples instead of convergent enumeration.  The verification suites and
+the test suite drive both routes against each other.  Power-classification
+reads the index of every factor of length n from one period-n match mask
+(`max_powers`); `max_power`, a `find`-based search for one word, is the
+naive reference it is tested against.
 
 Scans work on plain strings (find() runs in C) or on big-integer bit
 masks, so the oracles stay fast without ever touching floating point.
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from sturmian.exactnum import ContinuedFraction, LinearForm
 from sturmian.rotation import key_table
@@ -182,20 +184,19 @@ def _run_starts(mask: int, r: int) -> int:
     return mask & (mask >> (r - width)) if r > width else mask
 
 
-def _power_roots_of_length(text: str, bits: tuple[int, int], n: int,
-                           exponent: int) -> Iterator[str]:
+def _power_roots_of_length(text: str, mask: int, n: int, exponent: int) -> Iterator[str]:
     """Distinct words w, |w| = n, with w^exponent a factor of text.
 
-    w^exponent starts at i exactly when text[j] == text[j + n] for the
-    (exponent - 1)*n positions j from i on, i.e. on a run of that many
-    bits of the period-n match mask.  The run starts are rendered as a
-    0/1 string indexed by i, so find() walks them in C.
+    mask is the period-n match mask of text.  w^exponent starts at i
+    exactly when text[j] == text[j + n] for the (exponent - 1)*n positions
+    j from i on, i.e. on a run of that many bits of the mask.  The run
+    starts are rendered as a 0/1 string indexed by i, so find() walks them
+    in C.
     """
-    length = len(text)
-    span = length - exponent * n + 1  # number of possible starts
+    span = len(text) - exponent * n + 1  # number of possible starts
     if span <= 0:
         return
-    starts = _run_starts(_match_mask(bits, n), (exponent - 1) * n)
+    starts = _run_starts(mask, (exponent - 1) * n)
     marks = format(starts & ((1 << span) - 1), f"0{span}b")
     seen: set[str] = set()
     i = marks.find("1")
@@ -207,12 +208,36 @@ def _power_roots_of_length(text: str, bits: tuple[int, int], n: int,
         i = marks.find("1", i + 1)
 
 
+def max_powers(text: str, words: Iterable[str]) -> dict[str, int]:
+    """max_power(text, w) for every w in words, all of one length n.
+
+    One period-n match mask serves every word: the words whose e-th power
+    is a factor, for e = 2, 3, ..., have index at least e, and the scan
+    stops at the first e with none.  A word never found that way has index
+    1 if it occurs in text at all, else 0.
+    """
+    words = set(words)
+    lengths = {len(w) for w in words}
+    if not lengths:
+        return {}
+    if len(lengths) > 1 or 0 in lengths:
+        raise ValueError(f"words must be nonempty and of one length, got lengths {sorted(lengths)}")
+    [n] = lengths
+    mask = _match_mask(_bits(text), n)
+    marked: dict[str, int] = {}
+    e = 2
+    while roots := set(_power_roots_of_length(text, mask, n, e)):
+        marked.update(dict.fromkeys(roots, e))
+        e += 1
+    return {w: marked.get(w) or int(w in text) for w in words}
+
+
 def square_root_lengths(text: str, n_max: int) -> set[int]:
     """Lengths of primitive words w with w*w a factor of text, |w| <= n_max."""
     bits = _bits(text)
     return {n for n in range(1, n_max + 1)
             if any((w + w).find(w, 1) == n
-                   for w in _power_roots_of_length(text, bits, n, 2))}
+                   for w in _power_roots_of_length(text, _match_mask(bits, n), n, 2))}
 
 
 def power_roots(text: str, n_max: int, exponent: int) -> set[str]:
@@ -221,7 +246,7 @@ def power_roots(text: str, n_max: int, exponent: int) -> set[str]:
         raise ValueError(f"exponent must be >= 1, got {exponent}")
     bits = _bits(text)
     return {w for n in range(1, n_max + 1)
-            for w in _power_roots_of_length(text, bits, n, exponent)
+            for w in _power_roots_of_length(text, _match_mask(bits, n), n, exponent)
             if (w + w).find(w, 1) == n}
 
 

@@ -231,7 +231,14 @@ def characteristic_prefix(cf: ContinuedFraction, length: int) -> str:
             if cached:
                 _PREFIX_CACHE.move_to_end(cf)
             return cached[:length]
-    cached = coding_prefix(cf, 1, max(length, 2 * len(cached), 1024))
+    ahead = max(length, 2 * len(cached), 1024)
+    try:
+        cached = coding_prefix(cf, 1, ahead)
+    except UndecidedError:
+        # A truncation may certify `length` letters but not the read-ahead.
+        if ahead == length:
+            raise
+        cached = coding_prefix(cf, 1, length)
     with _PREFIX_LOCK:
         if len(_PREFIX_CACHE.get(cf, "")) < len(cached):
             _PREFIX_CACHE[cf] = cached

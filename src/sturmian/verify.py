@@ -240,8 +240,10 @@ def suite_power_classification(slopes: list[ContinuedFraction], n_max: int = 150
                 continue
             intervals = factor_interval_map(cf, n)
             dist = distance(cf, n)
-            # One oracle window per length, long enough to certify every scan.
+            # One oracle window per length, long enough to certify every scan,
+            # and one scan of it for every word.
             text = characteristic_prefix(cf, oracle_window(cf, n))
+            scans = oracles.max_powers(text, [report.word for report in reports])
             for report in reports:
                 formula = index_by_interval(cf, report.word)
                 if inject_fault == "flip-gamma":
@@ -249,7 +251,7 @@ def suite_power_classification(slopes: list[ContinuedFraction], n_max: int = 150
                     formula += 1 if gamma == 0 else -1
                 ok = report.integer_index == formula
                 if ok:
-                    scanned = oracles.max_power(text, report.word)
+                    scanned = scans[report.word]
                     ok = scanned == formula
                     # The hottest check of the gate: format only on failure.
                     rec.check(ok, "" if ok else

@@ -47,10 +47,14 @@ def slope(request):
 
 def check_indices_match_oracle(slope, lengths):
     for n in lengths:
-        for report in classify_length(slope, n):
+        reports = classify_length(slope, n)
+        text = characteristic_prefix(slope, oracle_window(slope, n))
+        scans = oracles.max_powers(text, [report.word for report in reports])
+        for report in reports:
             formula = index_by_interval(slope, report.word)
             assert report.integer_index == formula
             assert index_oracle(slope, report.word) == formula
+            assert scans[report.word] == formula
 
 
 def check_three_distance_matches_spectrum(slope, lengths):

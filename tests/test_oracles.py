@@ -21,11 +21,18 @@ from sturmian.oracles import (
     gap_spectrum,
     max_fractional_power,
     max_power,
+    max_powers,
     max_run_exponent,
     power_roots,
     square_root_lengths,
 )
-from sturmian.rotation import characteristic_prefix, key_table, three_distance
+from sturmian.repetitions import oracle_window
+from sturmian.rotation import (
+    characteristic_prefix,
+    factors_of_length,
+    key_table,
+    three_distance,
+)
 
 WORDS = ["0", "1", "01", "10", "00", "010", "001", "100", "0101", "0010"]
 
@@ -215,6 +222,42 @@ def test_power_roots_exponent_one_lists_primitive_factors():
         assert power_roots(text, 5, 1) == naive_power_roots(text, 5, 1)
     with pytest.raises(ValueError):
         power_roots("0101", 2, 0)
+
+
+def _words_to_scan(text: str, n: int) -> set[str]:
+    """Every word of length n <= 3; beyond, every factor and its last letter flipped."""
+    if n <= 3:
+        return {"".join(bits) for bits in itertools.product("01", repeat=n)}
+    factors = {text[i:i + n] for i in range(len(text) - n + 1)} | {"0" * n}
+    return factors | {w[:-1] + "10"[int(w[-1])] for w in factors}
+
+
+def test_max_powers_match_max_power_on_all_short_texts():
+    # Every n from 1 to past the text's length, the empty text included.
+    for text in ALL_SHORT_TEXTS + TEXTS:
+        for n in range(1, len(text) + 3):
+            words = _words_to_scan(text, n)
+            assert max_powers(text, words) == \
+                {w: max_power(text, w) for w in words}, (text, n)
+
+
+def test_max_powers_match_max_power_on_family_windows(family):
+    # The gate's own windows, at every tenth length up to its n_max of 150.
+    for cf in family:
+        for n in range(10, 151, 10):
+            text = characteristic_prefix(cf, oracle_window(cf, n))
+            words = {w for w, _ in factors_of_length(cf, n)}
+            words |= {w[:-1] + "10"[int(w[-1])] for w in words}  # mostly absent
+            assert max_powers(text, words) == \
+                {w: max_power(text, w) for w in words}, (str(cf), n)
+
+
+def test_max_powers_rejects_mixed_or_empty_words():
+    assert max_powers("0101", []) == {}
+    with pytest.raises(ValueError):
+        max_powers("0101", ["0", "01"])
+    with pytest.raises(ValueError):
+        max_powers("0101", [""])
 
 
 def test_power_scans_match_naive_on_family_windows(family):

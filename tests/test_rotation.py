@@ -174,6 +174,36 @@ def test_coding_requires_normalized():
         coding_prefix(parse_slope("[0;(1)]"), 1, 5)
 
 
+def _coded(make):
+    try:
+        return make()
+    except UndecidedError:
+        return None
+
+
+@pytest.mark.parametrize("slope", ["[0;3,1,4,1,5,9,2,6]", "[0;2,1,1]"])
+def test_characteristic_prefix_answers_what_a_truncation_certifies(slope, monkeypatch):
+    # The cache reads ahead to 1024 letters; a truncation that certifies
+    # fewer must still answer every prefix it certifies.
+    cf = parse_slope(slope)
+    with rotation._PREFIX_LOCK:
+        rotation._PREFIX_CACHE.pop(cf, None)
+    for length in range(1, 201):
+        assert (_coded(lambda: characteristic_prefix(cf, length))
+                == _coded(lambda: coding_prefix(cf, 1, length))), length
+    # A request no shorter than the read-ahead is coded once, not retried.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return coding_prefix(*args)
+
+    monkeypatch.setattr(rotation, "coding_prefix", counted)
+    with pytest.raises(UndecidedError):
+        characteristic_prefix(cf, 100_000)
+    assert calls == [(cf, 1, 100_000)]
+
+
 # ------------------------------------------------------------------
 # factors of a given length
 # ------------------------------------------------------------------
