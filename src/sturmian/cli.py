@@ -15,6 +15,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from sturmian import exactnum, oracles, verify
 from sturmian.exactnum import (
@@ -140,8 +141,13 @@ def _slope_of(args: argparse.Namespace) -> tuple[ContinuedFraction, bool]:
     return normalize_slope(cf)
 
 
-def _form_json(cf: ContinuedFraction, form: LinearForm) -> dict:
-    return {"q": form.q, "p": form.p, "approx": approx_str(cf, form)}
+def _renderer(cf: ContinuedFraction) -> Callable[[LinearForm], str]:
+    """approx_str for one answer: each distinct form is rendered once, on first use."""
+    return functools.cache(functools.partial(approx_str, cf))
+
+
+def _form_json(form: LinearForm, render: Callable[[LinearForm], str]) -> dict:
+    return {"q": form.q, "p": form.p, "approx": render(form)}
 
 
 def _emit(args: argparse.Namespace, cf: ContinuedFraction, swapped: bool,
@@ -175,6 +181,7 @@ def _fraction_str(x: Fraction) -> str:
 
 def cmd_factors(args: argparse.Namespace) -> int:
     cf, swapped = _slope_of(args)
+    render = _renderer(cf)
     rows = []
     lines = [f"{'word':<{args.n + 2}} {'left':>5} {'right':>5}  length"]
     for word, interval in factors_of_length(cf, args.n):
@@ -182,10 +189,10 @@ def cmd_factors(args: argparse.Namespace) -> int:
             "word": word,
             "left_idx": interval.left_idx,
             "right_idx": interval.right_idx,
-            "length": _form_json(cf, interval.length),
+            "length": _form_json(interval.length, render),
         })
         lines.append(f"{word:<{args.n + 2}} {interval.left_idx:>5} "
-                     f"{interval.right_idx:>5}  {approx_str(cf, interval.length)}"
+                     f"{interval.right_idx:>5}  {render(interval.length)}"
                      f"  [{interval.length}]")
     return _emit(args, cf, swapped, rows, lines)
 
@@ -224,20 +231,17 @@ def cmd_index(args: argparse.Namespace) -> int:
 def cmd_three_distance(args: argparse.Namespace) -> int:
     cf, swapped = _slope_of(args)
     s = three_distance(cf, args.n)
+    render = _renderer(cf)
+    gaps = [(s.count_short, s.length_short), (s.count_mid, s.length_mid),
+            (s.count_long, s.length_long)]
     row = {
         "n": s.n, "k": s.k, "l": s.l, "r": s.r,
-        "gaps": [
-            {"count": s.count_short, "length": _form_json(cf, s.length_short)},
-            {"count": s.count_mid, "length": _form_json(cf, s.length_mid)},
-            {"count": s.count_long, "length": _form_json(cf, s.length_long)},
-        ],
+        "gaps": [{"count": count, "length": _form_json(form, render)} for count, form in gaps],
     }
     lines = [
         f"n = {s.n} decomposes as {s.l}*q_{s.k - 1} + q_{s.k - 2} + {s.r}",
         f"{'count':>6}  length",
-        f"{s.count_short:>6}  {approx_str(cf, s.length_short)}  [{s.length_short}]",
-        f"{s.count_mid:>6}  {approx_str(cf, s.length_mid)}  [{s.length_mid}]",
-        f"{s.count_long:>6}  {approx_str(cf, s.length_long)}  [{s.length_long}]",
+        *(f"{count:>6}  {render(form)}  [{form}]" for count, form in gaps),
     ]
     return _emit(args, cf, swapped, [row], lines)
 
@@ -257,6 +261,7 @@ def cmd_standard_word(args: argparse.Namespace) -> int:
 def cmd_conjugacy(args: argparse.Namespace) -> int:
     cf, swapped = _slope_of(args)
     rep = conjugacy_report(cf, args.k, args.l)
+    render = _renderer(cf)
     rows = []
     lines = [f"conjugates of {rep.base} (length {len(rep.base)}):",
              f"{'pos':>4}  {'word':<{len(rep.base) + 2}} interval length"]
@@ -265,18 +270,18 @@ def cmd_conjugacy(args: argparse.Namespace) -> int:
         form = rep.wide_length if wide else rep.narrow_length
         rows.append({
             "position": i, "word": w,
-            "interval_length": _form_json(cf, form),
+            "interval_length": _form_json(form, render),
             "block": "wide" if wide else "narrow",
         })
         lines.append(f"{i:>4}  {w:<{len(rep.base) + 2}} "
-                     f"{approx_str(cf, form)}  [{form}]  ({'wide' if wide else 'narrow'})")
+                     f"{render(form)}  [{form}]  ({'wide' if wide else 'narrow'})")
     rows.append({
         "position": None, "word": rep.leftover,
-        "interval_length": _form_json(cf, rep.leftover_length),
+        "interval_length": _form_json(rep.leftover_length, render),
         "block": "outside-class",
     })
     lines.append(f"{'-':>4}  {rep.leftover:<{len(rep.base) + 2}} "
-                 f"{approx_str(cf, rep.leftover_length)}  [{rep.leftover_length}]  "
+                 f"{render(rep.leftover_length)}  [{rep.leftover_length}]  "
                  "(outside the class)")
     return _emit(args, cf, swapped, rows, lines)
 

@@ -160,7 +160,6 @@ class LinearForm:
         return f"{head}{-self.p:+d}"
 
 
-ZERO = LinearForm(0, 0)
 ONE = LinearForm(0, -1)
 ALPHA = LinearForm(1, 0)
 

@@ -83,7 +83,6 @@ def max_fractional_power(text: str, w: str) -> Fraction:
         at = text.find(w, at + 1)
     if not occ:
         return Fraction(0)
-    occ_set = set(occ)
     chain: dict[int, int] = {}
     best = Fraction(0)
     for pos in reversed(occ):

@@ -15,7 +15,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator
 
 from sturmian import oracles
@@ -41,6 +40,7 @@ from sturmian.rotation import (
 from sturmian.words import (
     check_word,
     conjugates,
+    cyclic_shift,
     reversal,
     standard_or_semistandard,
     standard_word,
@@ -53,9 +53,6 @@ class NotAFactorError(ValueError):
 
 class PrefixTooShortError(ValueError):
     """An oracle scan window shorter than its certified requirement."""
-
-
-CASE_TAGS = ("i", "ii", "iii", "iv", "v", "vi", "vii")
 
 
 @dataclass(frozen=True)
@@ -139,22 +136,27 @@ def index_by_interval(cf: ContinuedFraction, w: str) -> int:
     check_word(w)
     if not w:
         raise NotAFactorError("the empty word has no index")
-    intervals = factor_interval_map(cf, len(w))
-    if w not in intervals:
+    if w not in factor_interval_map(cf, len(w)):
         raise NotAFactorError(f"{w!r} is not a factor for slope {cf}")
-    return _index_of_length(cf, len(w), intervals[w].length)
+    return indices_by_interval(cf, len(w))[w]
 
 
-@lru_cache(maxsize=1 << 14)
-def _index_of_length(cf: ContinuedFraction, n: int, length: LinearForm) -> int:
-    """gamma + floor(length/||n a||) for an interval length at factor length n.
+def indices_by_interval(cf: ContinuedFraction, n: int) -> dict[str, int]:
+    """index_by_interval of every factor of length n, in circular order.
 
-    By the three-distance theorem each n has at most three interval
-    lengths, so the formula work is done once per (slope, n, length).
+    The n + 1 intervals take at most three lengths (three-distance
+    theorem), so the formula runs once per distinct length, in the order
+    the lengths first appear around the circle.
     """
+    intervals = factor_interval_map(cf, n)
     dist = distance(cf, n)
-    gamma = 0 if length == dist else 1
-    return gamma + floor_ratio(cf, length, dist)
+    by_length: dict[LinearForm, int] = {}
+    for interval in intervals.values():
+        length = interval.length
+        if length not in by_length:
+            gamma = 0 if length == dist else 1
+            by_length[length] = gamma + floor_ratio(cf, length, dist)
+    return {w: by_length[interval.length] for w, interval in intervals.items()}
 
 
 def oracle_window(cf: ContinuedFraction, n: int) -> int:
@@ -289,7 +291,7 @@ def classify_length(cf: ContinuedFraction, n: int,
         first = (cf.quotient(k + 1) + 2) // m
         rest = (cf.quotient(k + 1) + 1) // m
         for i in range(q_k):
-            c = _shift_power(root, m, i)
+            c = cyclic_shift(root, i) * m
             assigned[c] = (first if i < q_prev - 1 else rest, i)
         for w in factors:
             if w not in assigned:
@@ -302,18 +304,13 @@ def classify_length(cf: ContinuedFraction, n: int,
         raise AssertionError(
             f"case {tag} did not account for the factors of length {n} for {cf}"
         )
+    formula = indices_by_interval(cf, n) if with_fractional else None
     out = []
     for w in factors:
         idx, pos = assigned[w]
-        frac = fractional_index(cf, w) if with_fractional else None
+        frac = None if formula is None else _extended_power(cf, w, formula[w])
         out.append(IndexReport(w, n, idx, tag, pos, frac))
     return out
-
-
-def _shift_power(root: str, m: int, i: int) -> str:
-    """C^i(root^m) = C^i(root)^m for i < |root|."""
-    shifted = root[-i:] + root[:-i] if i else root
-    return shifted * m
 
 
 # ------------------------------------------------------------------
@@ -411,7 +408,11 @@ def fractional_index(cf: ContinuedFraction, w: str) -> Fraction:
     proper prefix of w that still extends w^ind inside the language;
     computed by exact interval iteration.
     """
-    ind = index_by_interval(cf, w)
+    return _extended_power(cf, w, index_by_interval(cf, w))
+
+
+def _extended_power(cf: ContinuedFraction, w: str, ind: int) -> Fraction:
+    """ind + j/|w| for the longest proper prefix w[:j] that extends w^ind."""
     if len(w) == 1:
         return Fraction(ind)
     j = language_extension(cf, w * ind, w[:-1])

@@ -14,8 +14,6 @@ positions.  Tables deepen automatically until certification succeeds.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -217,20 +215,21 @@ def coding_prefix(cf: ContinuedFraction, start: int, length: int,
     )
 
 
-# The longest prefix coded so far for each of the most recently used slopes.
-_PREFIX_CACHE: OrderedDict[ContinuedFraction, str] = OrderedDict()
-_PREFIX_CACHE_SLOPES = 32
-_PREFIX_LOCK = threading.Lock()
+# For each of the 32 most recently used slopes, a one-element list that
+# holds the longest prefix coded so far.
+@lru_cache(maxsize=32)
+def _prefix_holder(cf: ContinuedFraction) -> list[str]:
+    return [""]
 
 
 def characteristic_prefix(cf: ContinuedFraction, length: int) -> str:
     """Prefix of the characteristic word (orbit coding started at {alpha})."""
-    with _PREFIX_LOCK:
-        cached = _PREFIX_CACHE.get(cf, "")
-        if len(cached) >= length:
-            if cached:
-                _PREFIX_CACHE.move_to_end(cf)
-            return cached[:length]
+    if length < 0:
+        raise ValueError(f"length must be >= 0, got {length}")
+    holder = _prefix_holder(cf)
+    cached = holder[0]
+    if len(cached) >= length:
+        return cached[:length]
     ahead = max(length, 2 * len(cached), 1024)
     try:
         cached = coding_prefix(cf, 1, ahead)
@@ -239,12 +238,10 @@ def characteristic_prefix(cf: ContinuedFraction, length: int) -> str:
         if ahead == length:
             raise
         cached = coding_prefix(cf, 1, length)
-    with _PREFIX_LOCK:
-        if len(_PREFIX_CACHE.get(cf, "")) < len(cached):
-            _PREFIX_CACHE[cf] = cached
-        _PREFIX_CACHE.move_to_end(cf)
-        while len(_PREFIX_CACHE) > _PREFIX_CACHE_SLOPES:
-            _PREFIX_CACHE.popitem(last=False)
+    # Published in one assignment, so a concurrent caller reads the old
+    # prefix or the new one; a race at worst keeps the shorter of two.
+    if len(holder[0]) < len(cached):
+        holder[0] = cached
     return cached[:length]
 
 

@@ -32,7 +32,7 @@ from sturmian.repetitions import (
     conjugacy_report,
     critical_exponent,
     fractional_index,
-    index_by_interval,
+    indices_by_interval,
     oracle_window,
     square_lengths,
 )
@@ -234,33 +234,32 @@ def suite_power_classification(slopes: list[ContinuedFraction], n_max: int = 150
     for cf in slopes:
         for n in range(1, n_max + 1):
             try:
-                reports = classify_length(cf, n)
+                cases = {r.word: r.integer_index for r in classify_length(cf, n)}
             except AssertionError as exc:  # double case match
                 rec.check(False, f"{cf}: {exc}")
                 continue
-            intervals = factor_interval_map(cf, n)
-            dist = distance(cf, n)
+            formulas = indices_by_interval(cf, n)
+            if inject_fault == "flip-gamma":
+                intervals = factor_interval_map(cf, n)
+                dist = distance(cf, n)
+                formulas = {w: index + (1 if intervals[w].length == dist else -1)
+                            for w, index in formulas.items()}
             # One oracle window per length, long enough to certify every scan,
             # and one scan of it for every word.
             text = characteristic_prefix(cf, oracle_window(cf, n))
-            scans = oracles.max_powers(text, [report.word for report in reports])
-            for report in reports:
-                formula = index_by_interval(cf, report.word)
-                if inject_fault == "flip-gamma":
-                    gamma = 0 if intervals[report.word].length == dist else 1
-                    formula += 1 if gamma == 0 else -1
-                ok = report.integer_index == formula
-                if ok:
-                    scanned = scans[report.word]
+            scans = oracles.max_powers(text, cases)
+            for w, case in cases.items():
+                formula = formulas[w]
+                if case == formula:
+                    scanned = scans[w]
                     ok = scanned == formula
                     # The hottest check of the gate: format only on failure.
                     rec.check(ok, "" if ok else
-                              f"{cf}: n={n} {report.word}: case index "
-                              f"{report.integer_index}, formula {formula}, "
-                              f"scan {scanned}")
+                              f"{cf}: n={n} {w}: case index {case}, "
+                              f"formula {formula}, scan {scanned}")
                 else:
-                    rec.check(False, f"{cf}: n={n} {report.word}: case index "
-                                     f"{report.integer_index} != formula {formula}")
+                    rec.check(False, f"{cf}: n={n} {w}: case index {case} "
+                                     f"!= formula {formula}")
                 if len(rec.failures) > 20:
                     return _finish("power-classification", rec, start)
     return _finish("power-classification", rec, start)

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from sturmian.exactnum import ContinuedFraction
 
-Word = str
-
 
 def check_word(w: str) -> str:
     if w.strip("01"):

@@ -5,17 +5,26 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sturmian import oracles
-from sturmian.exactnum import LinearForm, distance, floor_ratio, parse_slope
+from sturmian.exactnum import (
+    ContinuedFraction,
+    DepthError,
+    LinearForm,
+    distance,
+    floor_ratio,
+    parse_slope,
+)
 from sturmian.repetitions import (
     NotAFactorError,
     PrefixTooShortError,
-    _index_of_length,
     classify_length,
     conjugacy_report,
     critical_exponent,
     fractional_index,
+    indices_by_interval,
     index_by_interval,
     index_oracle,
     length_case,
@@ -61,21 +70,48 @@ def test_index_formula_matches_oracle_small_sweep(family):
                 assert index_by_interval(cf, w) == index_oracle(cf, w)
 
 
-def test_index_memo_matches_direct_formula(family):
-    # The per-length memo must give, for every factor, what the formula
-    # gives when evaluated from scratch for that factor alone.
+def _direct_indices(cf, n) -> dict[str, int | None]:
+    """The formula evaluated from scratch for each factor alone (None where
+    a truncation refuses it)."""
+    out = {}
+    for w, interval in factors_of_length(cf, n):
+        try:
+            dist = distance(cf, n)
+            gamma = 0 if interval.length == dist else 1
+            out[w] = gamma + floor_ratio(cf, interval.length, dist)
+        except DepthError:
+            out[w] = None
+    return out
+
+
+def test_indices_by_interval_match_direct_formula(family):
+    # One formula evaluation per interval length must give, for every
+    # factor, what the formula gives for that factor alone.
     for cf in (family[0], family[5], family[10]):
         for n in range(1, 61):
-            dist = distance(cf, n)
-            for w, interval in factors_of_length(cf, n):
-                gamma = 0 if interval.length == dist else 1
-                direct = gamma + floor_ratio(cf, interval.length, dist)
-                assert index_by_interval(cf, w) == direct, (cf, w)
-                assert index_by_interval(cf, w) == direct, (cf, w)  # memo hit
+            indices = indices_by_interval(cf, n)
+            assert list(indices) == [w for w, _ in factors_of_length(cf, n)]
+            assert indices == _direct_indices(cf, n), (cf, n)
+            for w, index in indices.items():
+                assert index_by_interval(cf, w) == index
 
 
-def test_index_memo_is_bounded():
-    assert _index_of_length.cache_info().maxsize is not None
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.lists(st.integers(1, 5), min_size=1, max_size=11))
+def test_indices_by_interval_on_drawn_truncations(a_1, rest):
+    # On a truncation the map answers exactly when every factor's formula
+    # answers, and then gives the same indices.
+    cf = ContinuedFraction((a_1, *rest))
+    for n in range(1, 41):
+        try:
+            direct = _direct_indices(cf, n)
+        except DepthError:  # no certified factor map at this length
+            continue
+        if None in direct.values():
+            with pytest.raises(DepthError):
+                indices_by_interval(cf, n)
+        else:
+            assert indices_by_interval(cf, n) == direct, (str(cf), n)
 
 
 # ------------------------------------------------------------------

@@ -186,8 +186,7 @@ def test_characteristic_prefix_answers_what_a_truncation_certifies(slope, monkey
     # The cache reads ahead to 1024 letters; a truncation that certifies
     # fewer must still answer every prefix it certifies.
     cf = parse_slope(slope)
-    with rotation._PREFIX_LOCK:
-        rotation._PREFIX_CACHE.pop(cf, None)
+    rotation._prefix_holder.cache_clear()
     for length in range(1, 201):
         assert (_coded(lambda: characteristic_prefix(cf, length))
                 == _coded(lambda: coding_prefix(cf, 1, length))), length
@@ -202,6 +201,18 @@ def test_characteristic_prefix_answers_what_a_truncation_certifies(slope, monkey
     with pytest.raises(UndecidedError):
         characteristic_prefix(cf, 100_000)
     assert calls == [(cf, 1, 100_000)]
+
+
+def test_characteristic_prefix_rejects_negative_lengths():
+    cf = parse_slope("[0;2,(1,3)]")
+    rotation._prefix_holder.cache_clear()
+    with pytest.raises(ValueError):
+        characteristic_prefix(cf, -3)  # nothing cached
+    assert characteristic_prefix(cf, 10) == coding_prefix(cf, 1, 10)
+    assert len(rotation._prefix_holder(cf)[0]) == 1024  # the read-ahead
+    with pytest.raises(ValueError):
+        characteristic_prefix(cf, -3)  # 1,024 letters cached
+    assert characteristic_prefix(cf, 0) == ""
 
 
 # ------------------------------------------------------------------
@@ -401,18 +412,34 @@ def _fresh_slopes(count: int, tag: int) -> list[ContinuedFraction]:
             for i in range(count)]
 
 
-def test_prefix_cache_keeps_the_most_recent_slopes():
+def test_prefix_cache_keeps_the_most_recent_slopes(monkeypatch):
+    holder = rotation._prefix_holder
+    holder.cache_clear()
+    slots = holder.cache_info().maxsize
     hot = parse_slope("[0;2,(1)]")
     characteristic_prefix(hot, 2000)
     fresh = _fresh_slopes(40, 0)
     for cf in fresh:
         assert characteristic_prefix(cf, 1500) == coding_prefix(cf, 1, 1500)
         assert characteristic_prefix(hot, 10) == coding_prefix(hot, 1, 10)  # a use
-        assert len(rotation._PREFIX_CACHE) <= rotation._PREFIX_CACHE_SLOPES
-    assert hot in rotation._PREFIX_CACHE
-    assert len(rotation._PREFIX_CACHE[hot]) >= 2000  # the longest prefix is kept
-    recent = fresh[-(rotation._PREFIX_CACHE_SLOPES - 1):]
-    assert set(rotation._PREFIX_CACHE) == {hot, *recent}
+        assert holder.cache_info().currsize <= slots
+    assert holder.cache_info().currsize == slots
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return coding_prefix(*args)
+
+    monkeypatch.setattr(rotation, "coding_prefix", counted)
+    # The hot slope keeps its longest prefix and the most recent slopes
+    # keep theirs: none of them is coded again.
+    characteristic_prefix(hot, 2000)
+    for cf in fresh[-(slots - 1):]:
+        characteristic_prefix(cf, 1500)
+    assert calls == []
+    # An evicted slope is coded again.
+    assert characteristic_prefix(fresh[0], 1500) == coding_prefix(fresh[0], 1, 1500)
+    assert calls == [(fresh[0], 1, 1500)]
 
 
 def test_prefix_cache_bound_holds_under_threads():
@@ -437,7 +464,8 @@ def test_prefix_cache_bound_holds_under_threads():
         sys.setswitchinterval(old_interval)
     assert not any(th.is_alive() for th in threads)
     assert errors == []
-    assert len(rotation._PREFIX_CACHE) == rotation._PREFIX_CACHE_SLOPES
+    info = rotation._prefix_holder.cache_info()
+    assert info.currsize == info.maxsize
 
 
 # ------------------------------------------------------------------
@@ -446,14 +474,14 @@ def test_prefix_cache_bound_holds_under_threads():
 
 def test_slope_keyed_caches_are_bounded():
     for cache in (exactnum._ctx, exactnum.alpha_bounds, rotation._key_table_pow2,
-                  rotation.factor_interval_map):
+                  rotation.factor_interval_map, rotation._prefix_holder):
         assert cache.cache_info().maxsize is not None, cache
 
 
 def test_many_fresh_slopes_keep_memory_bounded():
     # 200 slopes no other test uses, 16 factor maps and 17 indices each.
-    # With every cache unbounded this retains about 10 MB; once the caches
-    # fill, their bounds hold it near 1.6 MB.
+    # With every cache unbounded this retains about 9 MB; once the caches
+    # fill, their bounds hold it near 1.2 MB.
     slopes = [ContinuedFraction((2 + i % 3, 1 + i % 5), (1 + i % 4, 900 + i))
               for i in range(200)]
     gc.collect()
