@@ -40,7 +40,7 @@ from sturmian.rotation import (
     factors_of_length,
     three_distance,
 )
-from sturmian.words import semistandard_word, standard_word
+from sturmian.words import check_word, semistandard_word, standard_word
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -126,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", action="append", default=None,
                    help="run only the named suite (repeatable)")
     p.add_argument("--inject-fault", choices=list(verify.FAULT_MODES), default=None,
-                   help="negative-control hook: corrupt one formula on purpose")
+                   help="negative control: corrupt power-classification's index formula")
     p.set_defaults(handler=cmd_verify)
 
     return parser
@@ -200,6 +200,7 @@ def cmd_factors(args: argparse.Namespace) -> int:
 def cmd_index(args: argparse.Namespace) -> int:
     cf, swapped = _slope_of(args)
     if args.word is not None:
+        check_word(args.word)
         n = len(args.word)
         reports = [r for r in classify_length(cf, n) if r.word == args.word]
         if not reports:
@@ -337,6 +338,8 @@ def cmd_critical_exponent(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.inject_fault and args.suite and "power-classification" not in args.suite:
+        raise ValueError(f"{args.inject_fault} corrupts only power-classification, not selected")
     slopes = None
     if args.slope is not None:
         cf, _ = normalize_slope(parse_slope(args.slope))

@@ -245,69 +245,53 @@ def length_case(cf: ContinuedFraction, n: int) -> tuple[str, dict]:
     return "vii", {}
 
 
+def _case_pattern(cf: ContinuedFraction, n: int, tag: str,
+                  params: dict) -> tuple[str, int, int, int, int, int]:
+    """(root, m, split, first, rest, other) of the length's case.
+
+    Quotients are read only where the case uses them, so a truncation
+    answers every length its known quotients decide.
+    """
+    if tag == "i":
+        return "1" + "0" * (n - 1), 1, 0, 1, 1, cf.quotient(1) // n
+    if tag == "ii":
+        index = cf.quotient(2) + 1
+        return reversal(standard_word(cf, 1)), 1, 0, index, index, 1
+    if tag == "vii":
+        return "", 1, 0, 1, 1, 1
+    k = params.get("k", 1)
+    split = convergent(cf, k - 1).q - 1
+    if tag == "iv":
+        return reversal(standard_or_semistandard(cf, k, params["l"])), 1, split, 2, 1, 1
+    m = params.get("m", 1)
+    a = cf.quotient(k + 1)
+    return reversal(standard_word(cf, k)), m, split, (a + 2) // m, (a + 1) // m, 1
+
+
 def classify_length(cf: ContinuedFraction, n: int,
                     with_fractional: bool = False) -> list[IndexReport]:
     """IndexReport for every factor of length n, per the length's case.
 
-    Indices are assigned by the positional pattern of the case (conjugate
-    numbering against the reversed standard word); the interval formula
-    and the scan oracle provide two independent cross-checks in the
+    One positional rule covers all seven cases (Damanik-Lenz): with the
+    case's (root, m, split, first, rest, other) from `_case_pattern`, the
+    factor C^i(root)^m, i < |root|, has conjugate position i and index
+    `first` if i < split, else `rest`; every other factor has `other`.
+    The interval formula and the scan oracle cross-check the rule in the
     verification suites.  Fractional indices are filled only on request.
     """
     tag, params = length_case(cf, n)
-    factors = list(factor_interval_map(cf, n))
-    a1 = cf.quotient(1)
-
-    assigned: dict[str, tuple[int, int | None]] = {}
-    if tag == "i":
-        base = reversal("0" * (n - 1) + "1")
-        for i, c in enumerate(conjugates(base)):
-            assigned[c] = (1, i)
-        assigned["0" * n] = (a1 // n, None)
-    elif tag == "ii":
-        base = reversal(standard_word(cf, 1))
-        for i, c in enumerate(conjugates(base)):
-            assigned[c] = (cf.quotient(2) + 1, i)
-        assigned["0" * a1] = (1, None)
-    elif tag in ("iii", "iv"):
-        k = params["k"]
-        l = params.get("l", cf.quotient(k))
-        base = reversal(standard_or_semistandard(cf, k, l))
-        q_prev = convergent(cf, k - 1).q
-        first = cf.quotient(k + 1) + 2 if tag == "iii" else 2
-        rest = cf.quotient(k + 1) + 1 if tag == "iii" else 1
-        for i, c in enumerate(conjugates(base)):
-            assigned[c] = (first if i < q_prev - 1 else rest, i)
-        leftover = set(factors) - set(assigned)
-        if len(leftover) != 1:
-            raise AssertionError(f"expected one non-conjugate factor at n={n}, got {leftover}")
-        assigned[leftover.pop()] = (1, None)
-    elif tag in ("v", "vi"):
-        k = params.get("k", 1)
-        m = params["m"]
-        root = reversal(standard_word(cf, k))
-        q_k = convergent(cf, k).q
-        q_prev = convergent(cf, k - 1).q
-        first = (cf.quotient(k + 1) + 2) // m
-        rest = (cf.quotient(k + 1) + 1) // m
-        for i in range(q_k):
-            c = cyclic_shift(root, i) * m
-            assigned[c] = (first if i < q_prev - 1 else rest, i)
-        for w in factors:
-            if w not in assigned:
-                assigned[w] = (1, None)
-    else:
-        for w in factors:
-            assigned[w] = (1, None)
-
-    if set(assigned) != set(factors):
+    factors = factor_interval_map(cf, n)
+    root, m, split, first, rest, other = _case_pattern(cf, n, tag, params)
+    shifts = {cyclic_shift(root, i) * m: i for i in range(len(root))}
+    if len(shifts) != len(root) or not shifts.keys() <= factors.keys():
         raise AssertionError(
-            f"case {tag} did not account for the factors of length {n} for {cf}"
+            f"case {tag}: the shifts of {root!r} are not distinct factors of length {n} for {cf}"
         )
     formula = indices_by_interval(cf, n) if with_fractional else None
     out = []
     for w in factors:
-        idx, pos = assigned[w]
+        pos = shifts.get(w)
+        idx = other if pos is None else first if pos < split else rest
         frac = None if formula is None else _extended_power(cf, w, formula[w])
         out.append(IndexReport(w, n, idx, tag, pos, frac))
     return out
@@ -465,21 +449,26 @@ def _candidate_le(a: tuple[Fraction, ContinuedFraction | None],
     return True
 
 
+def _term(cf: ContinuedFraction, k: int) -> Fraction:
+    """t_k = a_{k+1} + 2 + (q_{k-1} - 2)/q_k for k >= 0, with q_{-1} = 0."""
+    ctx = _ctx(cf)
+    return cf.quotient(k + 1) + 2 + Fraction(ctx.pair(k - 1)[1] - 2, ctx.pair(k)[1])
+
+
 def critical_exponent(cf: ContinuedFraction, depth_bound: int) -> CriticalExponentResult:
     """sup over factors of the fractional index, from the slope alone.
 
-    The candidates are: a_1 (witnessed by the letter 0); the exact
-    fractional indices of the length-q_1 conjugacy class; and for each
-    k >= 2 the fractional index of the k-th standard word,
+    The paper's formula: the sup over every k >= 0 of
 
-        t_k = a_{k+1} + 2 + (q_{k-1} - 2)/q_k,
+        t_k = a_{k+1} + 2 + (q_{k-1} - 2)/q_k,    q_{-1} = 0,
 
-    which dominates every other factor of comparable length.  For a
-    periodic slope the per-class limits of the t_k are 2 + a_{k+1} plus a
-    purely periodic continued fraction, so the supremum is reported
-    exactly: either attained by a rational candidate or equal to the best
-    class limit.  For truncations only finitely many terms exist and the
-    result is a certified lower bound.
+    the largest fractional index of a factor of length q_k (t_0 = a_1,
+    t_1 = a_2 + 2 - 1/a_1).  For a periodic slope the per-class limits of
+    the t_k are 2 + a_{k+1} plus a purely periodic continued fraction, so
+    the supremum is exact: attained by a term or equal to the best class
+    limit.  A truncation [0;a_1..a_m] knows t_0..t_{m-1}, which hold for
+    every slope of its cylinder, so their best is a certified lower bound.
+    `terms` lists t_2 up to t_{depth_bound}.
 
     The supremum is finite for every eventually periodic or truncated
     slope; it diverges exactly when the partial quotients grow without
@@ -488,67 +477,38 @@ def critical_exponent(cf: ContinuedFraction, depth_bound: int) -> CriticalExpone
     require_normalized(cf)
     if depth_bound < 2:
         raise ValueError(f"depth bound must be >= 2, got {depth_bound}")
-    ctx = _ctx(cf)
-
-    def term(k: int) -> Fraction:
-        return cf.quotient(k + 1) + 2 + Fraction(ctx.pair(k - 1)[1] - 2, ctx.pair(k)[1])
-
-    a1 = Fraction(cf.quotient(1))
-    if not cf.is_periodic:
-        top = min(depth_bound, len(cf.preperiod) - 1)
-        terms = tuple((k, term(k)) for k in range(2, top + 1))
-        # The length-q_1 class reaches at least its integer index a_2 + 1.
-        q1_value = Fraction(cf.quotient(2) + 1) if len(cf.preperiod) >= 2 else a1
-        best_k, best = 0, a1
-        if q1_value > best:
-            best_k, best = 1, q1_value
-        for k, t in terms:
-            if t > best:
-                best_k, best = k, t
-        return CriticalExponentResult(
-            slope=cf, depth=depth_bound, terms=terms, witness_k=best_k,
-            attained=True, value_attained=best, limit_offset=None,
-            limit_tail=None, depth_limited=True,
-        )
-
     m = len(cf.preperiod)
     period = len(cf.period)
-    # Beyond the horizon every term sits strictly below its class limit:
-    # the term and the limit share s = k - m reversed quotients, so they
-    # differ by at most 1/d_s^2 (d_s the shared continuant), while the
-    # term loses a full 2/q_k <= 2/(2 q_m d_s); once d_s >= q_m the slack
-    # wins.  Continuants grow at least like Fibonacci numbers.
-    q_m = ctx.pair(m)[1] if m else 1
-    s, fib_a, fib_b = 1, 1, 1  # fib_b = Fib(s + 1) <= any continuant of s terms
-    while fib_b < q_m:
-        fib_a, fib_b = fib_b, fib_a + fib_b
-        s += 1
-    horizon = max(m + period + 1, m + s + 1, depth_bound)
+    if cf.is_periodic:
+        # Beyond the horizon every term sits strictly below its class
+        # limit: the term and the limit share s = k - m reversed quotients,
+        # so they differ by at most 1/d_s^2 (d_s the shared continuant),
+        # while the term loses a full 2/q_k <= 2/(2 q_m d_s); once
+        # d_s >= q_m the slack wins.  Continuants grow at least like
+        # Fibonacci numbers.
+        q_m = convergent(cf, m).q
+        s, fib_a, fib_b = 1, 1, 1  # fib_b = Fib(s + 1) <= any continuant of s terms
+        while fib_b < q_m:
+            fib_a, fib_b = fib_b, fib_a + fib_b
+            s += 1
+        last = max(m + period + 1, m + s + 1, depth_bound)
+    else:
+        last = min(depth_bound, m - 1)
 
-    terms = tuple((k, term(k)) for k in range(2, depth_bound + 1))
-    candidates: list[tuple[Fraction, ContinuedFraction | None, int]] = [(a1, None, 0)]
-    for w in set(conjugates(reversal(standard_word(cf, 1)))):
-        candidates.append((fractional_index(cf, w), None, 1))
-    for k in range(2, horizon + 1):
-        candidates.append((term(k), None, k))
-    for c in range(period):
-        k0 = m + period + 1 + c
-        tail = _class_limit_tail(cf, k0)
-        candidates.append((Fraction(2 + cf.quotient(k0 + 1)), tail, k0))
+    candidates: list[tuple[Fraction, ContinuedFraction | None, int]] = [
+        (_term(cf, k), None, k) for k in range(last + 1)]
+    terms = tuple((k, t) for t, _, k in candidates[2:depth_bound + 1])
+    for k0 in range(m + period + 1, m + 2 * period + 1):
+        candidates.append((Fraction(2 + cf.quotient(k0 + 1)), _class_limit_tail(cf, k0), k0))
 
     best = candidates[0]
     for cand in candidates[1:]:
         if _candidate_le(best[:2], cand[:2]):
             best = cand
-    frac_part, tail, witness = best
-    if tail is None:
-        return CriticalExponentResult(
-            slope=cf, depth=depth_bound, terms=terms, witness_k=witness,
-            attained=True, value_attained=frac_part, limit_offset=None,
-            limit_tail=None, depth_limited=False,
-        )
+    value, tail, witness = best
     return CriticalExponentResult(
         slope=cf, depth=depth_bound, terms=terms, witness_k=witness,
-        attained=False, value_attained=None, limit_offset=int(frac_part),
-        limit_tail=tail, depth_limited=False,
+        attained=tail is None, value_attained=value if tail is None else None,
+        limit_offset=None if tail is None else int(value), limit_tail=tail,
+        depth_limited=not cf.is_periodic,
     )

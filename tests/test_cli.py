@@ -70,6 +70,14 @@ def test_index_unknown_word_fails(capsys):
     assert "not a factor" in err
 
 
+def test_index_non_binary_word_reports_the_alphabet(capsys):
+    code, out, err = run(capsys, "index", "--slope", "[0;2,(1)]", "--word", "012")
+    assert code == 1
+    assert out == ""
+    assert "alphabet" in err
+    assert "not a factor" not in err
+
+
 def test_index_requires_exactly_one_selector(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["index", "--slope", "[0;2,(1)]", "--n", "3", "--word", "010"])
@@ -153,6 +161,16 @@ def test_verify_fault_injection_fails(capsys):
                        "--inject-fault", "flip-gamma")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_fault_injection_needs_power_classification(capsys):
+    # flip-gamma corrupts only power-classification; without that suite
+    # the negative control would pass silently, so it is refused.
+    code, out, err = run(capsys, "verify", "--n-max", "5", "--suite", "three-distance",
+                         "--inject-fault", "flip-gamma")
+    assert code == 1
+    assert out == ""
+    assert "power-classification" in err
 
 
 def test_verify_json_format(capsys):

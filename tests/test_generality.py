@@ -7,6 +7,8 @@ preperiod-dominated suprema, and deeper key tables.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from sturmian.exactnum import (
     parse_slope,
 )
 from sturmian.repetitions import (
+    _term,
     classify_length,
     critical_exponent,
     fractional_index,
@@ -36,6 +39,7 @@ from sturmian.rotation import (
     factors_of_length,
     three_distance,
 )
+from sturmian.words import conjugates, reversal, standard_word
 
 TORTURE = ["[0;4,(5,1,2)]", "[0;2,7,1,(3,1,4)]", "[0;9,(1,1,2)]", "[0;2,(10)]"]
 
@@ -128,6 +132,38 @@ def test_formulas_match_oracles_on_drawn_slopes(a_1, tail, n):
     assert square_lengths(slope, n) == oracles.square_root_lengths(window, n)
     for w, _ in factors_of_length(slope, n):
         assert fractional_index(slope, w) == oracles.max_fractional_power(window, w), w
+    for report in classify_length(slope, n, with_fractional=True):
+        expected = oracles.max_fractional_power(window, report.word)
+        assert report.fractional_index == expected, report
+
+
+# ------------------------------------------------------------------
+# the first terms of the critical-exponent formula
+# ------------------------------------------------------------------
+
+def check_first_terms(slope):
+    # t_0 is the index of the letter 0; t_1 is the best fractional index
+    # of the length-q_1 class, by interval iteration and by a scan.
+    assert _term(slope, 0) == slope.quotient(1) == fractional_index(slope, "0")
+    q_1 = slope.quotient(1)
+    window = characteristic_prefix(slope, oracle_window(slope, q_1))
+    words = set(conjugates(reversal(standard_word(slope, 1))))
+    t_1 = _term(slope, 1)
+    assert t_1 == slope.quotient(2) + 2 - Fraction(1, q_1)
+    assert t_1 == max(fractional_index(slope, w) for w in words)
+    assert t_1 == max(oracles.max_fractional_power(window, w) for w in words)
+
+
+def test_first_terms_on_the_family(family):
+    for slope in family:
+        check_first_terms(slope)
+
+
+@settings(max_examples=40, deadline=None)
+@given(A1, periodic_tails(2))
+def test_first_terms_on_drawn_slopes(a_1, tail):
+    pre, per = tail
+    check_first_terms(ContinuedFraction((a_1, *pre), tuple(per)))
 
 
 def _query(cf: ContinuedFraction, kind: str, arg):
@@ -170,11 +206,30 @@ def test_truncation_answers_hold_for_extensions(a_1, rest, tail_1, tail_2):
     known = (a_1, *rest)
     truncation = ContinuedFraction(known)
     answers = _answers(truncation, 16)
+    # The critical exponent of the truncation is the best term it knows,
+    # t_0..t_{m-1}: at least the older bound max(a_1, a_2 + 1, t_2..), and
+    # at most the supremum of every slope in the cylinder.
+    terms = _terms_by_hand(known)
+    lower = critical_exponent(truncation, 16).value_attained
+    assert lower == max(terms)
+    assert lower >= max(a_1, known[1] + 1, *terms[2:])
     for pre, per in (tail_1, tail_2):
         extension = ContinuedFraction(known + tuple(pre), tuple(per))
         for key, got in answers.items():
             if got is not None:
                 assert _query(extension, *key) == got, (str(truncation), str(extension), key)
+        assert lower <= critical_exponent(extension, 16).bounds()[1], str(extension)
+
+
+def _terms_by_hand(quotients: tuple[int, ...]) -> list[Fraction]:
+    """t_k = a_{k+1} + 2 + (q_{k-1} - 2)/q_k for k < len(quotients), from
+    q_{-1} = 0, q_0 = 1 and the denominator recurrence."""
+    q_prev, q = 0, 1
+    out = []
+    for a_next in quotients:
+        out.append(a_next + 2 + Fraction(q_prev - 2, q))
+        q_prev, q = q, a_next * q + q_prev
+    return out
 
 
 # ------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sturmian import oracles
+from sturmian import oracles, repetitions
 from sturmian.exactnum import (
     ContinuedFraction,
     DepthError,
@@ -190,6 +190,14 @@ def test_classify_with_fractional(fib_slope):
         assert 0 <= r.fractional_index - r.integer_index < 1
 
 
+@pytest.mark.parametrize("root", ["11", "1010"])
+def test_classify_refuses_a_root_without_distinct_factor_shifts(monkeypatch, fib_slope, root):
+    # 11 is not a factor; 1010 has only two distinct shifts.
+    monkeypatch.setattr(repetitions, "_case_pattern", lambda *_: (root, 1, 0, 1, 1, 1))
+    with pytest.raises(AssertionError, match="not distinct factors"):
+        classify_length(fib_slope, len(root))
+
+
 def test_classify_cases_exhaustive(family):
     for cf in family:
         for n in range(1, 120):
@@ -340,6 +348,23 @@ def test_critical_exponent_truncation_lower_bound():
     assert res.depth_limited
     assert res.attained
     assert res.value_attained >= 2
+
+
+def test_critical_exponent_truncation_reaches_t1():
+    # [0;3,5] knows t_0 = 3 and t_1 = a_2 + 2 - 1/a_1 = 20/3, the best
+    # fractional index of its length-3 class in every slope it stands for.
+    res = critical_exponent(parse_slope("[0;3,5]"), 10)
+    assert res.depth_limited and res.attained
+    assert res.terms == ()
+    assert (res.value_attained, res.witness_k) == (Fraction(20, 3), 1)
+    assert critical_exponent(parse_slope("[0;3,5,(1)]"), 10).value_attained == Fraction(20, 3)
+
+
+def test_critical_exponent_truncation_uses_its_last_term():
+    # t_4 = a_5 + 2 + (q_3 - 2)/q_4 = 11 + 3/8 is the last term [0;2,1,1,1,9] knows.
+    res = critical_exponent(parse_slope("[0;2,1,1,1,9]"), 10)
+    assert [k for k, _ in res.terms] == [2, 3, 4]
+    assert (res.value_attained, res.witness_k) == (Fraction(91, 8), 4)
 
 
 def test_critical_exponent_depth_validation(fib_slope):
