@@ -121,8 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, slope=False)
     p.add_argument("--slope", default=None,
                    help="verify a single slope instead of the default family")
-    p.add_argument("--n-max", type=_positive_int, default=150,
-                   help="sweep bound for the power-classification suite")
+    p.add_argument("--n-max", type=_positive_int, default=None,
+                   help="sweep bound for the power-classification suite (default 150)")
     p.add_argument("--suite", action="append", default=None,
                    help="run only the named suite (repeatable)")
     p.add_argument("--inject-fault", choices=list(verify.FAULT_MODES), default=None,
@@ -338,13 +338,18 @@ def cmd_critical_exponent(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.inject_fault and args.suite and "power-classification" not in args.suite:
-        raise ValueError(f"{args.inject_fault} corrupts only power-classification, not selected")
+    if args.suite and "power-classification" not in args.suite:
+        if args.inject_fault:
+            raise ValueError(f"{args.inject_fault} corrupts only power-classification, "
+                             "not selected")
+        if args.n_max is not None:
+            raise ValueError("--n-max bounds only power-classification, not selected")
     slopes = None
     if args.slope is not None:
         cf, _ = normalize_slope(parse_slope(args.slope))
         slopes = [cf]
-    results = verify.run_suites(names=args.suite, slopes=slopes, n_max=args.n_max,
+    results = verify.run_suites(names=args.suite, slopes=slopes,
+                                n_max=150 if args.n_max is None else args.n_max,
                                 inject_fault=args.inject_fault)
     all_pass = all(r.passed for r in results)
     if args.format == "json":

@@ -175,6 +175,25 @@ def key_table(cf: ContinuedFraction, span: int) -> KeyTable:
 # orbit codings
 # ------------------------------------------------------------------
 
+_LETTERS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _margins_hold(start: int, stop: int, p: int, q: int, err2: int) -> bool:
+    """Whether every j in [start, stop), save 0 and -1, has key(j) and
+    key(j + 1) in [err2, q - err2]."""
+    inv = pow(p, -1, q)
+    # The 2*err2 - 1 residues r, each once if they cover the whole circle.
+    for r in range(q) if 2 * err2 > q else range(1 - err2, err2):
+        # i runs over the indices in [start, stop] with key(i) = r mod q;
+        # each rules out the letters j = i - 1 and j = i.
+        i = start + (r * inv - start) % q
+        while i <= stop:
+            if (start < i and i not in (0, 1)) or (i < stop and i not in (0, -1)):
+                return False
+            i += q
+    return True
+
+
 def coding_prefix(cf: ContinuedFraction, start: int, length: int,
                   convention: BoundaryConvention = DEFAULT_CONVENTION) -> str:
     """First `length` letters of the coding of the orbit of {start*alpha}.
@@ -182,37 +201,40 @@ def coding_prefix(cf: ContinuedFraction, start: int, length: int,
     Letter t is 0 iff {(start+t)*alpha} lies in I_0 under the convention.
     The convention only matters when the orbit passes through 0 or
     {-alpha}, i.e. for start <= 0.
+
+    At depth d, letter j = start + t (j not 0 or -1) is certified when
+    key(j) = j*p_d mod q_d sits at least 2*err from 0 and from the cut
+    key(-1) = q_d - p_d.  As key(j + 1) = key(j) - (q_d - p_d) mod q_d,
+    that asks both key(j) and key(j + 1) to lie in [2*err, q_d - 2*err].
+    A key within 2*err of 0 is key(i) for i = r/p_d mod q_d with
+    |r| < 2*err, so the check visits those few residues, not the letters.
+    A certified letter j is 1 exactly when floor(j*p_d/q_d) steps up at
+    j + 1, so the 1s are placed at the floor increments.
     """
     require_normalized(cf)
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    max_j = max(abs(start), abs(start + length - 1), 1)
-    left = convention is BoundaryConvention.LEFT_CLOSED
+    stop = start + length
+    max_j = max(abs(start), abs(stop - 1), 1)
     for _, p, q, err in _depth_search(cf, max_j, 64):
-        err2 = 2 * err
-        step = p % q
-        boundary = (-p) % q  # key of {-alpha} = 1 - alpha
-        out: list[str] = []
-        cur = (start * p) % q
-        for t in range(length):
-            j = start + t
-            if j == 0:
-                out.append("0" if left else "1")
-            elif j == -1:
-                out.append("1" if left else "0")
-            else:
-                delta = cur - boundary
-                if cur < err2 or q - cur < err2 or -err2 < delta < err2:
-                    break  # margin too small at this depth
-                out.append("0" if delta < 0 else "1")
-            cur += step
-            if cur >= q:
-                cur -= q
-        else:
-            return "".join(out)
-    raise UndecidedError(
-        f"cannot certify a coding of length {length} from index {start} for slope {cf}"
-    )
+        if _margins_hold(start, stop, p, q, 2 * err):
+            break
+    else:
+        raise UndecidedError(
+            f"cannot certify a coding of length {length} from index {start} for slope {cf}"
+        )
+    # Letter j is 1 when floor((j + 1)*p/q) reaches a new value m, which
+    # happens at j = (m*q - 1) // p: byte (m*q - 1 - start*p) // p here.
+    letters = bytearray(length)
+    base = start * p
+    for x in range((base // q + 1) * q - 1 - base, stop * p // q * q - base, q):
+        letters[x // p] = 1
+    # 0 and {-alpha} are the cut points: the convention decides their letters.
+    left = convention is BoundaryConvention.LEFT_CLOSED
+    for j, letter in ((0, not left), (-1, left)):
+        if start <= j < stop:
+            letters[j - start] = letter
+    return letters.translate(_LETTERS).decode("ascii")
 
 
 # For each of the 32 most recently used slopes, a one-element list that

@@ -173,8 +173,17 @@ def test_verify_fault_injection_needs_power_classification(capsys):
     assert "power-classification" in err
 
 
+def test_verify_n_max_needs_power_classification(capsys):
+    # --n-max bounds only power-classification; without that suite it
+    # would be accepted and ignored, so it is refused.
+    code, out, err = run(capsys, "verify", "--n-max", "5", "--suite", "three-distance")
+    assert code == 1
+    assert out == ""
+    assert "power-classification" in err
+
+
 def test_verify_json_format(capsys):
-    code, out, _ = run(capsys, "verify", "--slope", "[0;2,(1)]", "--n-max", "10",
+    code, out, _ = run(capsys, "verify", "--slope", "[0;2,(1)]",
                        "--suite", "best-approximations", "--format", "json")
     assert code == 0
     doc = json.loads(out)

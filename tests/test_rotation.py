@@ -10,6 +10,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FAMILY_SLOPES, form_bounds
 from sturmian import exactnum, oracles, repetitions, rotation
@@ -172,6 +174,128 @@ def test_coding_convention_differs_on_special_orbit(example_slope):
 def test_coding_requires_normalized():
     with pytest.raises(ValueError):
         coding_prefix(parse_slope("[0;(1)]"), 1, 5)
+
+
+def reference_coding_prefix(cf: ContinuedFraction, start: int, length: int,
+                            convention: BoundaryConvention = BoundaryConvention.LEFT_CLOSED
+                            ) -> str:
+    """The naive coding: step key(j) = j*p mod q by p one letter at a time,
+    certify each letter by its margins to 0 and to the cut key(-1), and read
+    it off the side of the cut.  Same depths and refusal as coding_prefix."""
+    rotation.require_normalized(cf)
+    max_j = max(abs(start), abs(start + length - 1), 1)
+    left = convention is BoundaryConvention.LEFT_CLOSED
+    for _, p, q, err in rotation._depth_search(cf, max_j, 64):
+        err2 = 2 * err
+        boundary = (-p) % q
+        out = []
+        cur = (start * p) % q
+        for j in range(start, start + length):
+            if j == 0:
+                out.append("0" if left else "1")
+            elif j == -1:
+                out.append("1" if left else "0")
+            else:
+                delta = cur - boundary
+                if cur < err2 or q - cur < err2 or -err2 < delta < err2:
+                    break  # margin too small at this depth
+                out.append("0" if delta < 0 else "1")
+            cur = (cur + p) % q
+        else:
+            return "".join(out)
+    raise UndecidedError(
+        f"cannot certify a coding of length {length} from index {start} for slope {cf}"
+    )
+
+
+def _coding_or_refusal(code, *args):
+    try:
+        return code(*args)
+    except UndecidedError as exc:
+        return ("refused", str(exc))
+
+
+# A periodic slope, a truncation that codes short windows only (d = 6
+# certifies reach <= 222 except near +-q_5 = +-134) and one that codes
+# almost nothing: only windows inside the exempt indices {-1, 0}.
+CODING_SLOPES = ["[0;2,(1,3)]", "[0;3,1,4,1,5,9,2,6]", "[0;2,1,1]"]
+
+
+@pytest.mark.parametrize("slope", CODING_SLOPES)
+def test_coding_prefix_matches_reference_near_zero(slope):
+    cf = parse_slope(slope)
+    refusals = 0
+    for start in range(-40, 41):
+        for convention in BoundaryConvention:
+            for length in range(1, 301):
+                expected = _coding_or_refusal(reference_coding_prefix,
+                                              cf, start, length, convention)
+                got = _coding_or_refusal(coding_prefix, cf, start, length, convention)
+                assert got == expected, (start, length, convention)
+                refusals += isinstance(expected, tuple)
+    if slope == "[0;3,1,4,1,5,9,2,6]":
+        assert 0 < refusals < 81 * 2 * 300
+    elif slope == "[0;2,1,1]":
+        assert refusals == 81 * 2 * 300 - 2 * 3  # (-1, 1), (-1, 2), (0, 1)
+    else:
+        assert refusals == 0
+
+
+@pytest.mark.parametrize("slope", CODING_SLOPES)
+def test_coding_prefix_matches_reference_near_convergent_indices(slope):
+    # key(q_k) and key(-q_k) are -1 and +1 (in some order) at depth k + 1:
+    # windows around both signs reach both ends of the residue window.
+    cf = parse_slope(slope)
+    for k in range(1, cf.max_depth(None)):
+        q_k = exactnum.convergent(cf, k).q
+        if q_k > 300:
+            break
+        for centre in (q_k, -q_k):
+            for start in range(centre - 20, centre + 1):
+                for length in range(1, 41):
+                    for convention in BoundaryConvention:
+                        args = (cf, start, length, convention)
+                        assert (_coding_or_refusal(coding_prefix, *args)
+                                == _coding_or_refusal(reference_coding_prefix, *args)), \
+                            (k, start, length, convention)
+
+
+@pytest.mark.parametrize("slope", [*CODING_SLOPES, "[0;4,(1,5)]"])
+@pytest.mark.parametrize("start", [-40, -1, 0, 1, 40])
+def test_coding_prefix_matches_reference_at_100k(slope, start):
+    cf = parse_slope(slope)
+    for convention in BoundaryConvention:
+        expected = _coding_or_refusal(reference_coding_prefix,
+                                      cf, start, 100_000, convention)
+        assert _coding_or_refusal(coding_prefix, cf, start, 100_000, convention) \
+            == expected
+        assert isinstance(expected, tuple) == ("(" not in slope)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 5), st.lists(st.integers(1, 9), min_size=1, max_size=24),
+       st.booleans(), st.integers(-5000, 5000), st.integers(1, 5000),
+       st.sampled_from(BoundaryConvention))
+def test_coding_prefix_matches_reference_on_drawn_slopes(a_1, rest, periodic, start,
+                                                         length, convention):
+    cf = (ContinuedFraction((a_1,), tuple(rest[:3])) if periodic
+          else ContinuedFraction((a_1, *rest)))
+    assert (_coding_or_refusal(coding_prefix, cf, start, length, convention)
+            == _coding_or_refusal(reference_coding_prefix, cf, start, length, convention))
+
+
+@pytest.mark.parametrize("slope", ["[0;2,3]", "[0;2,1,1]"])
+def test_shallow_truncation_refuses_100k_letters_at_once(slope):
+    # No depth certifies the window, so nothing of its size is built.
+    cf = parse_slope(slope)
+    tracemalloc.start()
+    try:
+        with pytest.raises(UndecidedError, match="cannot certify a coding of length 100000"):
+            coding_prefix(cf, 1, 100_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000, peak
 
 
 def _coded(make):
