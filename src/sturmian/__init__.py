@@ -32,7 +32,6 @@ from sturmian.repetitions import (
     CriticalExponentResult,
     IndexReport,
     NotAFactorError,
-    PrefixTooShortError,
     classify_length,
     conjugacy_report,
     critical_exponent,
@@ -75,7 +74,6 @@ __all__ = [
     "NotAFactorError",
     "Ordering",
     "PartitionSummary",
-    "PrefixTooShortError",
     "SlopeSyntaxError",
     "UndecidedError",
     "best_approximations",

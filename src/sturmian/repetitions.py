@@ -51,10 +51,6 @@ class NotAFactorError(ValueError):
     """The queried word does not belong to the language of the slope."""
 
 
-class PrefixTooShortError(ValueError):
-    """An oracle scan window shorter than its certified requirement."""
-
-
 @dataclass(frozen=True)
 class IndexReport:
     """Classification of one factor: its integer index and case."""
@@ -181,26 +177,15 @@ def oracle_window(cf: ContinuedFraction, n: int) -> int:
     return longest + ctx.pair(big_k + 1)[1] + ctx.pair(big_k + 2)[1] + 1
 
 
-def index_oracle(cf: ContinuedFraction, w: str, prefix_len: int | None = None) -> int:
-    """Largest p with w^p inside a coded prefix (0 if w never occurs).
-
-    With a window at least as long as `oracle_window` the result equals
-    the true index; shorter windows than the hard minimum raise.
-    """
+def index_oracle(cf: ContinuedFraction, w: str) -> int:
+    """Largest p with w^p inside the coded prefix of `oracle_window` letters
+    (0 if w never occurs); that window is long enough for the true index."""
     require_normalized(cf)
     check_word(w)
     n = len(w)
     if n == 0:
         raise NotAFactorError("the empty word has no index")
-    if prefix_len is None:
-        prefix_len = oracle_window(cf, n)
-    minimum = (cf.quotient(_convergent_index_of(cf, n) + 1) + 4) * n
-    if prefix_len < minimum:
-        raise PrefixTooShortError(
-            f"prefix of {prefix_len} letters cannot certify indices at length {n}; "
-            f"need at least {minimum}"
-        )
-    return oracles.max_power(characteristic_prefix(cf, prefix_len), w)
+    return oracles.max_power(characteristic_prefix(cf, oracle_window(cf, n)), w)
 
 
 # ------------------------------------------------------------------

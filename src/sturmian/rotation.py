@@ -5,11 +5,14 @@ named by integer indices: index m stands for {m*alpha}, so negative indices
 give the partition points {-i*alpha} that cut the circle into the intervals
 of the length-n factors.
 
-All positions are handled through certified integer keys: at convergent
-depth d the point {m*alpha} sits within |m|/q_{d+1} key units of
-(m*p_d mod q_d), so once every pairwise circular key distance exceeds twice
-that error, every comparison of keys is a certified comparison of the true
-positions.  Tables deepen automatically until certification succeeds.
+All positions are handled through certified integer keys.  A key table for
+the indices |m| <= span takes the mediant p/q of the first bracket of
+`alpha_bounds` whose denominators sum past 2*span: no fraction with
+denominator <= 2*span lies between p/q and alpha, so key(m) = m*p mod q
+orders the points {m*alpha} exactly and floor(m*p/q) = floor(m*alpha),
+with no error bound and no sort.  Codings certify their letters against
+the convergent keys m*p_d mod q_d, whose error is at most |m|/q_{d+1} key
+units, residue by residue near the cuts.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import pairwise
 from typing import Iterator
 
 from sturmian.exactnum import (
@@ -26,6 +28,7 @@ from sturmian.exactnum import (
     LinearForm,
     UndecidedError,
     _ctx,
+    alpha_bounds,
     convergent_distance,
     semiconvergent_distance,
 )
@@ -92,27 +95,33 @@ def require_normalized(cf: ContinuedFraction) -> None:
 class KeyTable:
     """Certified integer positions for orbit indices in [-span, span].
 
-    key(m) = m*p_d mod q_d approximates {m*alpha}*q_d within `err` key
-    units; depth d was certified by checking that every pairwise circular
-    key distance exceeds 2*err, so key order is certified position order.
-    The keys are a closed form, so the table stores only the certificate.
+    p/q is the mediant of the depth-d bracket a/b < alpha < c/e of
+    `alpha_bounds`, and q = b + e > 2*span.  The two ends are Farey
+    neighbours, so no fraction strictly between them has a denominator below
+    b + e; hence no fraction with denominator <= 2*span lies between p/q and
+    alpha.  Two points {i*x} and {j*x} with |i|, |j| <= span change order, and
+    floor(m*x) changes value, only as x crosses such a fraction, so
+    key(m) = m*p mod q orders the points as at alpha, and floor(m*p/q) is
+    floor(m*alpha), for every alpha in the bracket: on a truncation, its
+    whole cylinder.  The keys are a closed form, so the table stores only
+    the certificate.
     """
 
-    __slots__ = ("span", "depth", "p", "q", "err")
+    __slots__ = ("span", "depth", "p", "q")
 
-    def __init__(self, span: int, depth: int, p: int, q: int, err: int) -> None:
+    def __init__(self, span: int, depth: int, p: int, q: int) -> None:
         self.span = span
         self.depth = depth
         self.p = p
         self.q = q
-        self.err = err
 
     def key(self, m: int) -> int:
         return m * self.p % self.q
 
     def position_form(self, m: int) -> LinearForm:
         """{m*alpha} as the exact form m*alpha - floor(m*alpha), where
-        floor(m*alpha) = floor(m*p/q) by the no-wrap margin of the table."""
+        floor(m*alpha) = floor(m*p/q) as no fraction of denominator
+        <= span lies between p/q and alpha."""
         return LinearForm(m, m * self.p // self.q)
 
     def norm_key(self, m: int) -> int:
@@ -121,13 +130,36 @@ class KeyTable:
         return min(k, self.q - k)
 
 
-def _depth_search(cf: ContinuedFraction, reach: int,
-                  slack: int) -> Iterator[tuple[int, int, int, int]]:
+# A table is four integers.  `verify --n-max 150` asks for 8,454 tables,
+# 8,151 of them new; a CLI query asks for a few.
+@lru_cache(maxsize=1024)
+def key_table(cf: ContinuedFraction, span: int) -> KeyTable:
+    """Certified table covering orbit indices [-span, span] (cached).
+
+    Takes the first depth whose bracket denominators sum past 2*span.
+    """
+    if span < 1:
+        raise ValueError(f"span must be >= 1, got {span}")
+    top = cf.max_depth(None)
+    for d in range(1, top + 1):
+        a, b, c, e = alpha_bounds(cf, d)
+        if b + e > 2 * span:
+            return KeyTable(span, d, a + c, b + e)
+    raise UndecidedError(
+        f"cannot certify {2 * span + 1} orbit points for slope {cf} "
+        f"within depth {top}"
+    )
+
+
+_CODING_SLACK = 64
+
+
+def _depth_search(cf: ContinuedFraction, reach: int) -> Iterator[tuple[int, int, int, int]]:
     """Candidate depths for certifying orbit indices |m| <= reach.
 
     Yields (d, p_d, q_d, err) for even d, where err bounds in key units how
     far m*p_d mod q_d may sit from {m*alpha}*q_d.  The search skips depths
-    with q_d*q_{d+1} < slack*reach^2, where the pairwise gaps (about
+    with q_d*q_{d+1} < _CODING_SLACK*reach^2, where the key margins (about
     q_d/reach) cannot yet beat the errors (about reach/q_{d+1}), but always
     offers the last usable depth.
     """
@@ -137,38 +169,9 @@ def _depth_search(cf: ContinuedFraction, reach: int,
     while d + 1 <= top:
         p, q = ctx.pair(d)
         q_next = ctx.pair(d + 1)[1]
-        if q * q_next >= slack * reach * reach or d + 1 == top:
+        if q * q_next >= _CODING_SLACK * reach * reach or d + 1 == top:
             yield d, p, q, reach // q_next + 1
         d += 2
-
-
-def _build_key_table(cf: ContinuedFraction, span: int) -> KeyTable:
-    for d, p, q, err in _depth_search(cf, span, 128):
-        keys = [m % q for m in range(-span * p, span * p + 1, p)]
-        keys.sort()
-        if (keys[0] + q - keys[-1] > 2 * err
-                and all(b - a > 2 * err for a, b in pairwise(keys))):
-            return KeyTable(span, d, p, q, err)
-    raise UndecidedError(
-        f"cannot certify {2 * span + 1} orbit points for slope {cf} "
-        f"within depth {cf.max_depth(None)}"
-    )
-
-
-# A table is five integers: `verify --n-max 150` needs 137, a CLI query about 1.
-@lru_cache(maxsize=1024)
-def _key_table_pow2(cf: ContinuedFraction, span_pow2: int) -> KeyTable:
-    return _build_key_table(cf, span_pow2)
-
-
-def key_table(cf: ContinuedFraction, span: int) -> KeyTable:
-    """Certified table covering orbit indices [-span, span] (cached)."""
-    if span < 1:
-        raise ValueError(f"span must be >= 1, got {span}")
-    pow2 = 1
-    while pow2 < span:
-        pow2 *= 2
-    return _key_table_pow2(cf, pow2)
 
 
 # ------------------------------------------------------------------
@@ -216,7 +219,7 @@ def coding_prefix(cf: ContinuedFraction, start: int, length: int,
         raise ValueError(f"length must be >= 1, got {length}")
     stop = start + length
     max_j = max(abs(start), abs(stop - 1), 1)
-    for _, p, q, err in _depth_search(cf, max_j, 64):
+    for _, p, q, err in _depth_search(cf, max_j):
         if _margins_hold(start, stop, p, q, 2 * err):
             break
     else:

@@ -54,6 +54,15 @@ def test_index_by_length(capsys):
     assert indices == [1, 2, 2, 3]
 
 
+def test_index_by_length_on_shallow_truncations(capsys):
+    # The cylinders of [0;2] and [0;2,1,1] certify the 3 and 5 orbit points.
+    for slope, n, indices in (("[0;2]", "1", [2, 1]), ("[0;2,1,1]", "2", [1, 2, 2])):
+        code, out, _ = run(capsys, "index", "--slope", slope, "--n", n)
+        assert code == 0
+        rows = [line for line in out.splitlines() if line and not line.startswith("word")]
+        assert [int(line.split()[1]) for line in rows] == indices
+
+
 def test_index_by_word(capsys):
     code, out, _ = run(capsys, "index", "--slope", "[0;2,(1,2)]", "--word", "10010",
                        "--format", "json")

@@ -198,7 +198,7 @@ def _answers(cf: ContinuedFraction, n_max: int) -> dict:
 
 
 @settings(max_examples=60, deadline=None)
-@given(A1, st.lists(QUOTIENTS, min_size=5, max_size=11), periodic_tails(2),
+@given(A1, st.lists(QUOTIENTS, min_size=1, max_size=11), periodic_tails(2),
        periodic_tails(2))
 def test_truncation_answers_hold_for_extensions(a_1, rest, tail_1, tail_2):
     # Whatever [0;a_1..a_m] answers must hold for every slope of its

@@ -19,7 +19,6 @@ from sturmian.exactnum import (
 )
 from sturmian.repetitions import (
     NotAFactorError,
-    PrefixTooShortError,
     classify_length,
     conjugacy_report,
     critical_exponent,
@@ -56,11 +55,6 @@ def test_index_oracle_examples(example_slope, fib_slope):
     assert index_oracle(example_slope, "00") == 1      # 0^{a_1}
     assert index_oracle(example_slope, "1") == 1       # 11 never occurs
     assert index_oracle(fib_slope, "010") == 3
-
-
-def test_index_oracle_prefix_too_short(example_slope):
-    with pytest.raises(PrefixTooShortError):
-        index_oracle(example_slope, "10010", prefix_len=20)
 
 
 def test_index_formula_matches_oracle_small_sweep(family):

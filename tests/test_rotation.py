@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FAMILY_SLOPES, form_bounds
+from conftest import FAMILY_SLOPES, alpha_oracle, form_bounds
 from sturmian import exactnum, oracles, repetitions, rotation
 from sturmian.exactnum import ContinuedFraction, LinearForm, UndecidedError, parse_slope
 from sturmian.rotation import (
@@ -36,83 +36,121 @@ from sturmian.words import standard_word
 
 def test_key_table_orders_match_oracle(example_slope):
     table = key_table(example_slope, 16)
-    for m in range(-16, 17):
-        lo, hi = form_bounds(example_slope, table.position_form(m))
-        # position_form must land in [0, 1) and match the key within error.
-        assert 0 <= lo and hi < 1
-        key_frac = Fraction(table.key(m), table.q)
-        assert abs(key_frac - lo) < Fraction(2 * table.err + 1, table.q)
+    bounds = {m: form_bounds(example_slope, table.position_form(m)) for m in range(-16, 17)}
+    # position_form must land in [0, 1), and the keys must sort the points
+    # as their disjoint oracle intervals do.
+    assert all(0 <= lo and hi < 1 for lo, hi in bounds.values())
+    by_oracle = sorted(bounds, key=lambda m: bounds[m][0])
+    assert all(bounds[i][1] < bounds[j][0] for i, j in zip(by_oracle, by_oracle[1:]))
+    assert sorted(range(-16, 17), key=table.key) == by_oracle
 
 
-# The family plus a deep and a shallow truncation; the truncations refuse
-# the larger spans.
-KEY_TABLE_SLOPES = FAMILY_SLOPES + ["[0;3,1,4,1,5,9,2,6]", "[0;2,1,1]"]
+KEY_SPANS = [*range(1, 129), *sorted(random.Random(4096).sample(range(129, 4097), 24)),
+             1 << 16]
+A1 = st.integers(2, 5)
+QUOTIENTS = st.integers(1, 5)
+TAILS = st.tuples(st.lists(QUOTIENTS, max_size=2), st.lists(QUOTIENTS, min_size=1, max_size=3))
 
 
-def _reference_key_table(cf: ContinuedFraction, span: int):
-    """The list-building certification: store all 2*span + 1 keys, stepping
-    by p mod q, and accept the first depth whose sorted keys keep every
-    circular gap above 2*err.  Returns ((depth, p, q, err), keys)."""
-    for d, p, q, err in rotation._depth_search(cf, span, 128):
-        step = p % q
-        keys = [0] * (2 * span + 1)
-        cur = (-span * p) % q
-        for i in range(2 * span + 1):
-            keys[i] = cur
-            cur += step
-            if cur >= q:
-                cur -= q
-        ordered = sorted(keys)
-        gap_ok = all(b - a > 2 * err for a, b in zip(ordered, ordered[1:]))
-        wrap_ok = ordered[0] + q - ordered[-1] > 2 * err
-        if gap_ok and wrap_ok:
-            return (d, p, q, err), keys
-    raise UndecidedError(
-        f"cannot certify {2 * span + 1} orbit points for slope {cf} "
-        f"within depth {cf.max_depth(None)}"
-    )
+def _oracle_order(cf: ContinuedFraction, span: int) -> tuple[list[int], list[int]]:
+    """The indices m in [-span, span] sorted by {m*alpha}, and floor(m*alpha)
+    per m, at both ends of the independent bracket `alpha_oracle(cf, 40)`.
+    Both ends must agree; then every point between, alpha included, has
+    the same floors (they are monotone) and the same order (each {m*x} is
+    then linear in x)."""
+    ms = range(-span, span + 1)
+    ends = []
+    for end in alpha_oracle(cf, 40):
+        num, den = end.numerator, end.denominator
+        ends.append((sorted(ms, key=lambda m: m * num % den), [m * num // den for m in ms]))
+    assert ends[0] == ends[1], (str(cf), span)
+    return ends[0]
 
 
-def _check_against_reference(build, spans) -> int:
-    """Compare build(cf, span) with the reference on every slope and span;
-    returns the number of (equal) refusals."""
-    refusals = 0
-    for text in KEY_TABLE_SLOPES:
+def _check_table(table: rotation.KeyTable, span: int, cf: ContinuedFraction) -> None:
+    """The table's keys order [-span, span] as the oracle does at cf, with no
+    tie, and its position forms carry the oracle's floors."""
+    order, floors = _oracle_order(cf, span)
+    ms = range(-span, span + 1)
+    assert table.span == span
+    assert len({table.key(m) for m in ms}) == 2 * span + 1, (str(cf), span)
+    assert sorted(ms, key=table.key) == order, (str(cf), span)
+    assert [table.position_form(m).p for m in ms] == floors, (str(cf), span)
+
+
+def test_key_tables_match_oracle_on_family():
+    for text in FAMILY_SLOPES:
         cf = parse_slope(text)
-        for span in spans:
-            try:
-                cert, keys = _reference_key_table(cf, span)
-            except UndecidedError as exc:
-                with pytest.raises(UndecidedError) as got:
-                    build(cf, span)
-                assert str(got.value) == str(exc)
-                refusals += 1
-                continue
-            table = build(cf, span)
-            assert (table.depth, table.p, table.q, table.err) == cert, (text, span)
-            assert table.span >= span
-            assert [table.key(m) for m in range(-span, span + 1)] == keys, (text, span)
-    return refusals
+        for span in KEY_SPANS:
+            _check_table(key_table(cf, span), span, cf)
 
 
-def test_key_table_matches_list_reference_at_small_spans():
-    refusals = _check_against_reference(rotation._build_key_table, range(1, 129))
-    assert refusals >= 128  # "[0;2,1,1]" refuses every span
+@settings(max_examples=10, deadline=None)
+@given(A1, TAILS)
+def test_key_tables_match_oracle_on_drawn_slopes(a_1, tail):
+    pre, per = tail
+    cf = ContinuedFraction((a_1, *pre), tuple(per))
+    for span in KEY_SPANS:
+        _check_table(key_table(cf, span), span, cf)
 
 
-def test_key_table_matches_list_reference_up_to_span_4096():
-    pow2 = [1 << k for k in range(13)]
-    others = sorted(random.Random(4096).sample(range(129, 4097), 24))
-    assert _check_against_reference(key_table, pow2) > 0
-    _check_against_reference(rotation._build_key_table, others)
+def _smallest_denominator_inside(quotients: tuple[int, ...]) -> int:
+    """Smallest k such that some j/k lies strictly inside the cylinder of
+    [0;a_1..a_m], whose ends p_m/q_m and (p_m + p_{m-1})/(q_m + q_{m-1})
+    come from the convergent recurrence by hand; found by trying every k."""
+    p_prev, q_prev, p, q = 1, 0, 0, 1
+    for a in quotients:
+        p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
+    (ln, ld), (hn, hd) = sorted([(p, q), (p + p_prev, q + q_prev)],
+                                key=lambda f: Fraction(*f))
+    k = 1
+    while (ln * k // ld + 1) * hd >= hn * k:  # the first j/k above lo is not below hi
+        k += 1
+    return k
 
 
-def test_key_table_matches_list_reference_at_span_65536():
-    assert _check_against_reference(key_table, [1 << 16]) > 0
+def check_truncation_key_tables(known: tuple[int, ...], extensions, spans) -> list[int]:
+    """key_table on [0;known] answers exactly the spans whose 2*span + 1
+    points no fraction inside the cylinder can collide (2*span below its
+    smallest denominator), and each answer holds at both extensions.
+    Returns the answered spans."""
+    truncation = ContinuedFraction(known)
+    k_min = _smallest_denominator_inside(known)
+    answered = []
+    for span in spans:
+        if 2 * span >= k_min:
+            with pytest.raises(UndecidedError, match=f"cannot certify {2 * span + 1} orbit"):
+                key_table(truncation, span)
+            continue
+        table = key_table(truncation, span)
+        for pre, per in extensions:
+            _check_table(table, span, ContinuedFraction(known + tuple(pre), tuple(per)))
+        answered.append(span)
+    return answered
+
+
+@pytest.mark.parametrize("text, answered", [
+    ("[0;3,1,4,1,5,9,2,6]", KEY_SPANS[:-1]),  # all but 65,536
+    ("[0;2,1,1]", [1, 2, 3, 4, 5, 6]),
+    ("[0;2]", [1, 2]),
+])
+def test_key_tables_on_truncations_hold_for_extensions(text, answered):
+    known = parse_slope(text).preperiod
+    assert check_truncation_key_tables(known, [((), (1,)), ((7,), (2, 1))], KEY_SPANS) == answered
+
+
+@settings(max_examples=40, deadline=None)
+@given(A1, st.lists(QUOTIENTS, max_size=8), TAILS, TAILS)
+def test_key_tables_on_drawn_truncations_hold_for_extensions(a_1, rest, tail_1, tail_2):
+    check_truncation_key_tables((a_1, *rest), (tail_1, tail_2), KEY_SPANS[:128])
 
 
 def test_key_table_retains_only_its_certificate():
     cf = ContinuedFraction((2,), (3, 1, 4243))  # a slope no other test builds
+    # A cache dict that grows its table inside the measurement would count
+    # tens of KB, depending on how full earlier tests left it: start empty.
+    for cache in (exactnum._ctx, exactnum.alpha_bounds, key_table):
+        cache.cache_clear()
     gc.collect()
     tracemalloc.start()
     try:
@@ -185,7 +223,7 @@ def reference_coding_prefix(cf: ContinuedFraction, start: int, length: int,
     rotation.require_normalized(cf)
     max_j = max(abs(start), abs(start + length - 1), 1)
     left = convention is BoundaryConvention.LEFT_CLOSED
-    for _, p, q, err in rotation._depth_search(cf, max_j, 64):
+    for _, p, q, err in rotation._depth_search(cf, max_j):
         err2 = 2 * err
         boundary = (-p) % q
         out = []
@@ -597,7 +635,7 @@ def test_prefix_cache_bound_holds_under_threads():
 # ------------------------------------------------------------------
 
 def test_slope_keyed_caches_are_bounded():
-    for cache in (exactnum._ctx, exactnum.alpha_bounds, rotation._key_table_pow2,
+    for cache in (exactnum._ctx, exactnum.alpha_bounds, rotation.key_table,
                   rotation.factor_interval_map, rotation._prefix_holder):
         assert cache.cache_info().maxsize is not None, cache
 
