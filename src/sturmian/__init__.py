@@ -42,7 +42,6 @@ from sturmian.repetitions import (
     square_lengths,
 )
 from sturmian.rotation import (
-    BoundaryConvention,
     FactorInterval,
     PartitionSummary,
     coding_prefix,
@@ -61,7 +60,6 @@ from sturmian.words import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryConvention",
     "ConjugacyReport",
     "ContinuedFraction",
     "Convergent",

@@ -9,18 +9,15 @@ All positions are handled through certified integer keys.  A key table for
 the indices |m| <= span takes the mediant p/q of the first bracket of
 `alpha_bounds` whose denominators sum past 2*span: no fraction with
 denominator <= 2*span lies between p/q and alpha, so key(m) = m*p mod q
-orders the points {m*alpha} exactly and floor(m*p/q) = floor(m*alpha),
-with no error bound and no sort.  Codings certify their letters against
-the convergent keys m*p_d mod q_d, whose error is at most |m|/q_{d+1} key
-units, residue by residue near the cuts.
+orders the points {m*alpha} exactly and floor(m*p/q) = floor(m*alpha)
+for every |m| < q, with no error bound and no sort.  Codings read their
+letters off those floors: letter j is floor((j+1)*alpha) - floor(j*alpha).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
-from typing import Iterator
 
 from sturmian.exactnum import (
     ONE,
@@ -33,16 +30,6 @@ from sturmian.exactnum import (
     semiconvergent_distance,
 )
 from sturmian.words import check_word
-
-
-class BoundaryConvention(Enum):
-    """Which side of the cut points 0 and 1-alpha belongs to I_0."""
-
-    LEFT_CLOSED = "left"    # I_0 = [0, 1-alpha), I_1 = [1-alpha, 1)
-    RIGHT_CLOSED = "right"  # I_0 = (0, 1-alpha], I_1 = (1-alpha, 1]
-
-
-DEFAULT_CONVENTION = BoundaryConvention.LEFT_CLOSED
 
 
 @dataclass(frozen=True)
@@ -99,12 +86,14 @@ class KeyTable:
     `alpha_bounds`, and q = b + e > 2*span.  The two ends are Farey
     neighbours, so no fraction strictly between them has a denominator below
     b + e; hence no fraction with denominator <= 2*span lies between p/q and
-    alpha.  Two points {i*x} and {j*x} with |i|, |j| <= span change order, and
-    floor(m*x) changes value, only as x crosses such a fraction, so
-    key(m) = m*p mod q orders the points as at alpha, and floor(m*p/q) is
-    floor(m*alpha), for every alpha in the bracket: on a truncation, its
-    whole cylinder.  The keys are a closed form, so the table stores only
-    the certificate.
+    alpha.  Two points {i*x} and {j*x} with |i|, |j| <= span change order
+    only as x crosses such a fraction, so key(m) = m*p mod q orders the
+    points as at alpha.  floor(m*x) changes value only at fractions of
+    denominator |m|, none of them inside the bracket for |m| < q, so
+    floor(m*p/q) is floor(m*alpha) for every |m| < q, which codings use.
+    Both hold for every alpha in the bracket: on a truncation, its whole
+    cylinder.  The keys are a closed form, so the table stores only the
+    certificate.
     """
 
     __slots__ = ("span", "depth", "p", "q")
@@ -120,8 +109,7 @@ class KeyTable:
 
     def position_form(self, m: int) -> LinearForm:
         """{m*alpha} as the exact form m*alpha - floor(m*alpha), where
-        floor(m*alpha) = floor(m*p/q) as no fraction of denominator
-        <= span lies between p/q and alpha."""
+        floor(m*alpha) = floor(m*p/q) as |m| < q."""
         return LinearForm(m, m * self.p // self.q)
 
     def norm_key(self, m: int) -> int:
@@ -130,8 +118,8 @@ class KeyTable:
         return min(k, self.q - k)
 
 
-# A table is four integers.  `verify --n-max 150` asks for 8,454 tables,
-# 8,151 of them new; a CLI query asks for a few.
+# A table is four integers.  `verify --n-max 150` asks for 8,478 tables,
+# 8,179 of them new, codings included; a CLI query asks for a few.
 @lru_cache(maxsize=1024)
 def key_table(cf: ContinuedFraction, span: int) -> KeyTable:
     """Certified table covering orbit indices [-span, span] (cached).
@@ -151,92 +139,35 @@ def key_table(cf: ContinuedFraction, span: int) -> KeyTable:
     )
 
 
-_CODING_SLACK = 64
-
-
-def _depth_search(cf: ContinuedFraction, reach: int) -> Iterator[tuple[int, int, int, int]]:
-    """Candidate depths for certifying orbit indices |m| <= reach.
-
-    Yields (d, p_d, q_d, err) for even d, where err bounds in key units how
-    far m*p_d mod q_d may sit from {m*alpha}*q_d.  The search skips depths
-    with q_d*q_{d+1} < _CODING_SLACK*reach^2, where the key margins (about
-    q_d/reach) cannot yet beat the errors (about reach/q_{d+1}), but always
-    offers the last usable depth.
-    """
-    ctx = _ctx(cf)
-    top = cf.max_depth(None)
-    d = 2
-    while d + 1 <= top:
-        p, q = ctx.pair(d)
-        q_next = ctx.pair(d + 1)[1]
-        if q * q_next >= _CODING_SLACK * reach * reach or d + 1 == top:
-            yield d, p, q, reach // q_next + 1
-        d += 2
-
-
-# ------------------------------------------------------------------
-# orbit codings
-# ------------------------------------------------------------------
-
 _LETTERS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _margins_hold(start: int, stop: int, p: int, q: int, err2: int) -> bool:
-    """Whether every j in [start, stop), save 0 and -1, has key(j) and
-    key(j + 1) in [err2, q - err2]."""
-    inv = pow(p, -1, q)
-    # The 2*err2 - 1 residues r, each once if they cover the whole circle.
-    for r in range(q) if 2 * err2 > q else range(1 - err2, err2):
-        # i runs over the indices in [start, stop] with key(i) = r mod q;
-        # each rules out the letters j = i - 1 and j = i.
-        i = start + (r * inv - start) % q
-        while i <= stop:
-            if (start < i and i not in (0, 1)) or (i < stop and i not in (0, -1)):
-                return False
-            i += q
-    return True
-
-
-def coding_prefix(cf: ContinuedFraction, start: int, length: int,
-                  convention: BoundaryConvention = DEFAULT_CONVENTION) -> str:
+def coding_prefix(cf: ContinuedFraction, start: int, length: int) -> str:
     """First `length` letters of the coding of the orbit of {start*alpha}.
 
-    Letter t is 0 iff {(start+t)*alpha} lies in I_0 under the convention.
-    The convention only matters when the orbit passes through 0 or
-    {-alpha}, i.e. for start <= 0.
-
-    At depth d, letter j = start + t (j not 0 or -1) is certified when
-    key(j) = j*p_d mod q_d sits at least 2*err from 0 and from the cut
-    key(-1) = q_d - p_d.  As key(j + 1) = key(j) - (q_d - p_d) mod q_d,
-    that asks both key(j) and key(j + 1) to lie in [2*err, q_d - 2*err].
-    A key within 2*err of 0 is key(i) for i = r/p_d mod q_d with
-    |r| < 2*err, so the check visits those few residues, not the letters.
-    A certified letter j is 1 exactly when floor(j*p_d/q_d) steps up at
-    j + 1, so the 1s are placed at the floor increments.
+    Letter t is 0 iff {(start+t)*alpha} lies in [0, 1-alpha), that is,
+    letter j = start + t is floor((j+1)*alpha) - floor(j*alpha).  The key
+    table for the indices |m| <= max(|start|, |start + length|) makes each
+    of those floors floor(m*p/q), on a truncation for its whole cylinder,
+    so {0} codes 0 and {-alpha} codes 1 with no special case.
     """
     require_normalized(cf)
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     stop = start + length
-    max_j = max(abs(start), abs(stop - 1), 1)
-    for _, p, q, err in _depth_search(cf, max_j):
-        if _margins_hold(start, stop, p, q, 2 * err):
-            break
-    else:
+    try:
+        table = key_table(cf, max(abs(start), abs(stop)))
+    except UndecidedError as exc:
         raise UndecidedError(
             f"cannot certify a coding of length {length} from index {start} for slope {cf}"
-        )
+        ) from exc
+    p, q = table.p, table.q
     # Letter j is 1 when floor((j + 1)*p/q) reaches a new value m, which
     # happens at j = (m*q - 1) // p: byte (m*q - 1 - start*p) // p here.
     letters = bytearray(length)
     base = start * p
     for x in range((base // q + 1) * q - 1 - base, stop * p // q * q - base, q):
         letters[x // p] = 1
-    # 0 and {-alpha} are the cut points: the convention decides their letters.
-    left = convention is BoundaryConvention.LEFT_CLOSED
-    for j, letter in ((0, not left), (-1, left)):
-        if start <= j < stop:
-            letters[j - start] = letter
     return letters.translate(_LETTERS).decode("ascii")
 
 

@@ -139,6 +139,24 @@ def test_critical_exponent_report(capsys):
     assert "scan lower bound" in out
 
 
+def _scan_lines(out: str) -> list[str]:
+    return [line for line in out.splitlines() if line.startswith("scan lower bound")]
+
+
+def test_critical_exponent_truncation_scans_what_its_cylinder_codes(capsys):
+    # The cylinder's bracket p_7/q_7, (p_7 + p_6)/(q_7 + q_6) has
+    # 2*111,950 + 21,909 > 2*100,001: its key table codes the scan's 100,000
+    # letters, so the truncation prints the scan line of every slope in it.
+    code, out, _ = run(capsys, "critical-exponent", "--slope", "[0;2,1,9,9,9,9,5]")
+    assert code == 0
+    scans = _scan_lines(out)
+    assert scans == ["scan lower bound: exponent 977/88 ~ 11.1022727273 at period 264 "
+                     "(prefix of 100000 letters)"]
+    for extension in ("[0;2,1,9,9,9,9,5,(1)]", "[0;2,1,9,9,9,9,5,(7,2)]"):
+        code, out, _ = run(capsys, "critical-exponent", "--slope", extension)
+        assert code == 0 and _scan_lines(out) == scans, extension
+
+
 def test_critical_exponent_truncated_slope(capsys):
     code, out, _ = run(capsys, "critical-exponent", "--slope", "[0;2,1,2,1,2]",
                        "--depth", "10")

@@ -35,6 +35,7 @@ from sturmian.repetitions import (
 )
 from sturmian.rotation import (
     characteristic_prefix,
+    coding_prefix,
     factor_interval_map,
     factors_of_length,
     three_distance,
@@ -175,6 +176,10 @@ def _query(cf: ContinuedFraction, kind: str, arg):
         return three_distance(cf, arg)
     if kind == "factors":
         return sorted(factor_interval_map(cf, arg).items())
+    if kind == "coding":
+        return coding_prefix(cf, *arg)
+    if kind == "prefix":
+        return characteristic_prefix(cf, arg)
     return index_by_interval(cf, arg)
 
 
@@ -194,6 +199,10 @@ def _answers(cf: ContinuedFraction, n_max: int) -> dict:
                 ask(kind, n)
         for w, _ in out["factors", n] or ():
             ask("index", w)
+    for length in (1, 7, 60, 500, 4000):
+        for start in (-300, -40, -1, 0, 1, 25):
+            ask("coding", (start, length))
+        ask("prefix", length)
     return out
 
 
@@ -201,8 +210,9 @@ def _answers(cf: ContinuedFraction, n_max: int) -> dict:
 @given(A1, st.lists(QUOTIENTS, min_size=1, max_size=11), periodic_tails(2),
        periodic_tails(2))
 def test_truncation_answers_hold_for_extensions(a_1, rest, tail_1, tail_2):
-    # Whatever [0;a_1..a_m] answers must hold for every slope of its
-    # cylinder, here two periodic extensions; the rest must be refused.
+    # Whatever [0;a_1..a_m] answers, codings included, must hold for every
+    # slope of its cylinder, here two periodic extensions; the rest must be
+    # refused.
     known = (a_1, *rest)
     truncation = ContinuedFraction(known)
     answers = _answers(truncation, 16)

@@ -17,7 +17,6 @@ from conftest import FAMILY_SLOPES, alpha_oracle, form_bounds
 from sturmian import exactnum, oracles, repetitions, rotation
 from sturmian.exactnum import ContinuedFraction, LinearForm, UndecidedError, parse_slope
 from sturmian.rotation import (
-    BoundaryConvention,
     characteristic_prefix,
     coding_prefix,
     factor_interval_map,
@@ -177,9 +176,8 @@ def test_coding_prefix_left_special(example_slope):
     assert coding_prefix(example_slope, 1, 5) == "01001"
 
 
-def test_coding_prefix_start_zero_conventions(example_slope):
+def test_coding_prefix_start_zero(example_slope):
     assert coding_prefix(example_slope, 0, 1) == "0"
-    assert coding_prefix(example_slope, 0, 1, BoundaryConvention.RIGHT_CLOSED) == "1"
 
 
 def test_coding_matches_standard_word(fib_slope):
@@ -192,21 +190,12 @@ def test_coding_matches_standard_words_sweep(family):
         assert coding_prefix(cf, 1, len(w)) == w
 
 
-def test_coding_conventions_agree_off_boundary(family):
-    for cf in family[:4]:
-        for start in (1, 2, 7):
-            left = coding_prefix(cf, start, 200, BoundaryConvention.LEFT_CLOSED)
-            right = coding_prefix(cf, start, 200, BoundaryConvention.RIGHT_CLOSED)
-            assert left == right
-
-
-def test_coding_convention_differs_on_special_orbit(example_slope):
-    # The orbit of 0 passes through both cut points; the codings differ
-    # exactly at those two steps.
-    left = coding_prefix(example_slope, -6, 10, BoundaryConvention.LEFT_CLOSED)
-    right = coding_prefix(example_slope, -6, 10, BoundaryConvention.RIGHT_CLOSED)
-    diffs = [t for t in range(10) if left[t] != right[t]]
-    assert diffs == [5, 6]  # j = 0 at t = 6, j = -1 at t = 5
+def test_coding_of_special_orbit(example_slope):
+    # The orbit of 0 passes through both cut points: {-alpha} at t = 5 lies
+    # in I_1 = [1-alpha, 1) and codes 1, {0} at t = 6 lies in
+    # I_0 = [0, 1-alpha) and codes 0.  alpha ~ 0.366 puts {-6a}, ..., {3a}
+    # at .804, .170, .536, .902, .268, .634, 0, .366, .732, .098.
+    assert coding_prefix(example_slope, -6, 10) == "1001010010"
 
 
 def test_coding_requires_normalized():
@@ -214,25 +203,39 @@ def test_coding_requires_normalized():
         coding_prefix(parse_slope("[0;(1)]"), 1, 5)
 
 
-def reference_coding_prefix(cf: ContinuedFraction, start: int, length: int,
-                            convention: BoundaryConvention = BoundaryConvention.LEFT_CLOSED
-                            ) -> str:
-    """The naive coding: step key(j) = j*p mod q by p one letter at a time,
-    certify each letter by its margins to 0 and to the cut key(-1), and read
-    it off the side of the cut.  Same depths and refusal as coding_prefix."""
+def _reference_depths(cf: ContinuedFraction, reach: int):
+    """Candidate depths for certifying orbit indices |m| <= reach.
+
+    Yields (p_d, q_d, err) for even d, where err bounds in key units how far
+    m*p_d mod q_d may sit from {m*alpha}*q_d.  Skips depths with
+    q_d*q_{d+1} < 64*reach^2, where the key margins (about q_d/reach)
+    cannot yet beat the errors (about reach/q_{d+1}), but always offers the
+    last usable depth."""
+    top = cf.max_depth(None)
+    for d in range(2, top, 2):
+        conv = exactnum.convergent(cf, d)
+        q_next = exactnum.convergent(cf, d + 1).q
+        if conv.q * q_next >= 64 * reach * reach or d + 1 == top:
+            yield conv.p, conv.q, reach // q_next + 1
+
+
+def reference_coding_prefix(cf: ContinuedFraction, start: int, length: int) -> str:
+    """The convergent-margin coding: step key(j) = j*p_d mod q_d by p_d one
+    letter at a time, certify each letter by its margins to 0 and to the cut
+    key(-1), and read it off the side of the cut.  The cut points j = 0 and
+    j = -1 code 0 and 1 (I_0 = [0, 1-alpha))."""
     rotation.require_normalized(cf)
     max_j = max(abs(start), abs(start + length - 1), 1)
-    left = convention is BoundaryConvention.LEFT_CLOSED
-    for _, p, q, err in rotation._depth_search(cf, max_j):
+    for p, q, err in _reference_depths(cf, max_j):
         err2 = 2 * err
         boundary = (-p) % q
         out = []
         cur = (start * p) % q
         for j in range(start, start + length):
             if j == 0:
-                out.append("0" if left else "1")
+                out.append("0")
             elif j == -1:
-                out.append("1" if left else "0")
+                out.append("1")
             else:
                 delta = cur - boundary
                 if cur < err2 or q - cur < err2 or -err2 < delta < err2:
@@ -253,30 +256,40 @@ def _coding_or_refusal(code, *args):
         return ("refused", str(exc))
 
 
-# A periodic slope, a truncation that codes short windows only (d = 6
-# certifies reach <= 222 except near +-q_5 = +-134) and one that codes
-# almost nothing: only windows inside the exempt indices {-1, 0}.
+def check_against_reference(cf: ContinuedFraction, start: int, length: int) -> bool:
+    """coding_prefix agrees with the reference wherever the reference
+    answers, refuses only what the reference refuses (with the same
+    message), and answers more only on a truncation.  Returns whether the
+    window is such a gain."""
+    expected = _coding_or_refusal(reference_coding_prefix, cf, start, length)
+    got = _coding_or_refusal(coding_prefix, cf, start, length)
+    gained = isinstance(expected, tuple) and not isinstance(got, tuple)
+    assert got == expected or gained, (str(cf), start, length)
+    assert not (gained and cf.period), (str(cf), start, length)
+    return gained
+
+
+# A periodic slope, a truncation that codes short windows only (its key
+# tables stop at span 2,592, and the reference's depth 6 certifies reach
+# <= 222 except near +-q_5 = +-134) and one that codes almost nothing:
+# spans 1-6 for the key tables, only windows inside the exempt indices
+# {-1, 0} for the reference.
 CODING_SLOPES = ["[0;2,(1,3)]", "[0;3,1,4,1,5,9,2,6]", "[0;2,1,1]"]
 
 
-@pytest.mark.parametrize("slope", CODING_SLOPES)
-def test_coding_prefix_matches_reference_near_zero(slope):
+# Windows the key tables code and the reference refuses.  [0;2,1,1] codes
+# the 78 windows with max(|start|, |start + length|) <= 6, the reference 3
+# of them.
+@pytest.mark.parametrize("slope, gains", [
+    ("[0;2,(1,3)]", 0),
+    ("[0;3,1,4,1,5,9,2,6]", 13_527),
+    ("[0;2,1,1]", 78 - 3),
+])
+def test_coding_prefix_matches_reference_near_zero(slope, gains):
     cf = parse_slope(slope)
-    refusals = 0
-    for start in range(-40, 41):
-        for convention in BoundaryConvention:
-            for length in range(1, 301):
-                expected = _coding_or_refusal(reference_coding_prefix,
-                                              cf, start, length, convention)
-                got = _coding_or_refusal(coding_prefix, cf, start, length, convention)
-                assert got == expected, (start, length, convention)
-                refusals += isinstance(expected, tuple)
-    if slope == "[0;3,1,4,1,5,9,2,6]":
-        assert 0 < refusals < 81 * 2 * 300
-    elif slope == "[0;2,1,1]":
-        assert refusals == 81 * 2 * 300 - 2 * 3  # (-1, 1), (-1, 2), (0, 1)
-    else:
-        assert refusals == 0
+    gained = sum(check_against_reference(cf, start, length)
+                 for start in range(-40, 41) for length in range(1, 301))
+    assert gained == gains
 
 
 @pytest.mark.parametrize("slope", CODING_SLOPES)
@@ -291,40 +304,30 @@ def test_coding_prefix_matches_reference_near_convergent_indices(slope):
         for centre in (q_k, -q_k):
             for start in range(centre - 20, centre + 1):
                 for length in range(1, 41):
-                    for convention in BoundaryConvention:
-                        args = (cf, start, length, convention)
-                        assert (_coding_or_refusal(coding_prefix, *args)
-                                == _coding_or_refusal(reference_coding_prefix, *args)), \
-                            (k, start, length, convention)
+                    check_against_reference(cf, start, length)
 
 
 @pytest.mark.parametrize("slope", [*CODING_SLOPES, "[0;4,(1,5)]"])
 @pytest.mark.parametrize("start", [-40, -1, 0, 1, 40])
 def test_coding_prefix_matches_reference_at_100k(slope, start):
     cf = parse_slope(slope)
-    for convention in BoundaryConvention:
-        expected = _coding_or_refusal(reference_coding_prefix,
-                                      cf, start, 100_000, convention)
-        assert _coding_or_refusal(coding_prefix, cf, start, 100_000, convention) \
-            == expected
-        assert isinstance(expected, tuple) == ("(" not in slope)
+    assert not check_against_reference(cf, start, 100_000)
+    refused = isinstance(_coding_or_refusal(coding_prefix, cf, start, 100_000), tuple)
+    assert refused == ("(" not in slope)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 5), st.lists(st.integers(1, 9), min_size=1, max_size=24),
-       st.booleans(), st.integers(-5000, 5000), st.integers(1, 5000),
-       st.sampled_from(BoundaryConvention))
-def test_coding_prefix_matches_reference_on_drawn_slopes(a_1, rest, periodic, start,
-                                                         length, convention):
+       st.booleans(), st.integers(-5000, 5000), st.integers(1, 5000))
+def test_coding_prefix_matches_reference_on_drawn_slopes(a_1, rest, periodic, start, length):
     cf = (ContinuedFraction((a_1,), tuple(rest[:3])) if periodic
           else ContinuedFraction((a_1, *rest)))
-    assert (_coding_or_refusal(coding_prefix, cf, start, length, convention)
-            == _coding_or_refusal(reference_coding_prefix, cf, start, length, convention))
+    check_against_reference(cf, start, length)
 
 
 @pytest.mark.parametrize("slope", ["[0;2,3]", "[0;2,1,1]"])
 def test_shallow_truncation_refuses_100k_letters_at_once(slope):
-    # No depth certifies the window, so nothing of its size is built.
+    # No key table covers the window, so nothing of its size is built.
     cf = parse_slope(slope)
     tracemalloc.start()
     try:
