@@ -5,13 +5,12 @@ named by integer indices: index m stands for {m*alpha}, so negative indices
 give the partition points {-i*alpha} that cut the circle into the intervals
 of the length-n factors.
 
-All positions are handled through certified integer keys.  A key table for
-the indices |m| <= span takes the mediant p/q of the first bracket of
-`alpha_bounds` whose denominators sum past 2*span: no fraction with
-denominator <= 2*span lies between p/q and alpha, so key(m) = m*p mod q
-orders the points {m*alpha} exactly and floor(m*p/q) = floor(m*alpha)
-for every |m| < q, with no error bound and no sort.  Codings read their
-letters off those floors: letter j is floor((j+1)*alpha) - floor(j*alpha).
+All positions are certified integers: keys m*p mod q and floors m*p//q,
+where p/q lies in a bracket of alpha holding no fraction that could tell
+the two apart (`_farey_bracket`), with no error bound and no sort.  Codings
+read their letters off the floors, letter j being
+floor((j+1)*alpha) - floor(j*alpha), and the interval [w] of a word is one
+running max and min of its heights (counts of 1s in prefixes) in key units.
 """
 
 from __future__ import annotations
@@ -82,18 +81,12 @@ def require_normalized(cf: ContinuedFraction) -> None:
 class KeyTable:
     """Certified integer positions for orbit indices in [-span, span].
 
-    p/q is the mediant of the depth-d bracket a/b < alpha < c/e of
-    `alpha_bounds`, and q = b + e > 2*span.  The two ends are Farey
-    neighbours, so no fraction strictly between them has a denominator below
-    b + e; hence no fraction with denominator <= 2*span lies between p/q and
-    alpha.  Two points {i*x} and {j*x} with |i|, |j| <= span change order
-    only as x crosses such a fraction, so key(m) = m*p mod q orders the
-    points as at alpha.  floor(m*x) changes value only at fractions of
-    denominator |m|, none of them inside the bracket for |m| < q, so
-    floor(m*p/q) is floor(m*alpha) for every |m| < q, which codings use.
-    Both hold for every alpha in the bracket: on a truncation, its whole
-    cylinder.  The keys are a closed form, so the table stores only the
-    certificate.
+    p/q is the mediant that `_farey_bracket(cf, 1, 2*span)` finds at depth
+    d: no fraction with denominator <= 2*span lies between p/q and alpha.
+    Two points {i*x} and {j*x} with |i|, |j| <= span change order only as
+    x crosses such a fraction, so key(m) = m*p mod q orders the points as
+    at alpha, and floor(m*p/q) is floor(m*alpha) for every |m| < q.  The
+    keys are a closed form, so the table stores only the certificate.
     """
 
     __slots__ = ("span", "depth", "p", "q")
@@ -108,8 +101,7 @@ class KeyTable:
         return m * self.p % self.q
 
     def position_form(self, m: int) -> LinearForm:
-        """{m*alpha} as the exact form m*alpha - floor(m*alpha), where
-        floor(m*alpha) = floor(m*p/q) as |m| < q."""
+        """{m*alpha} as the exact form m*alpha - floor(m*p/q), |m| < q."""
         return LinearForm(m, m * self.p // self.q)
 
     def norm_key(self, m: int) -> int:
@@ -118,25 +110,40 @@ class KeyTable:
         return min(k, self.q - k)
 
 
-# A table is four integers.  `verify --n-max 150` asks for 8,478 tables,
-# 8,179 of them new, codings included; a CLI query asks for a few.
+def _farey_bracket(cf: ContinuedFraction, lo: int, hi: int) -> tuple[int, int, int] | None:
+    """(d, p, q) for the first depth d whose bracket a/b < alpha < c/e of
+    `alpha_bounds` holds no fraction with a denominator in [lo, hi], and its
+    mediant p/q = (a + c)/(b + e); None if no depth does.  The ends are
+    Farey neighbours, so the fractions between them are (i*a + j*c)/m,
+    m = i*b + j*e with i, j >= 1: floor(m*x) with lo <= |m| <= hi is
+    constant on the bracket (a truncation's cylinder at its last depth)
+    exactly when no such m exists.  Every m > b*e is one; below that, m is
+    one exactly when i = m/b mod e, taken in [1, e], leaves j >= 1.
+    """
+    for d in range(1, cf.max_depth(None) + 1):
+        a, b, c, e = alpha_bounds(cf, d)
+        q = b + e  # the least such m
+        if q > hi:
+            return d, a + c, q
+        if q < lo and hi <= b * e:
+            inv = pow(b, -1, e)
+            if not any((m * inv % e or e) * b + e <= m for m in range(lo, hi + 1)):
+                return d, a + c, q
+    return None
+
+
+# A table is four integers.  `verify --n-max 150` asks for 8,454 tables,
+# 8,151 of them new (codings take no table); a CLI query asks for a few.
 @lru_cache(maxsize=1024)
 def key_table(cf: ContinuedFraction, span: int) -> KeyTable:
-    """Certified table covering orbit indices [-span, span] (cached).
-
-    Takes the first depth whose bracket denominators sum past 2*span.
-    """
+    """Certified table covering orbit indices [-span, span] (cached)."""
     if span < 1:
         raise ValueError(f"span must be >= 1, got {span}")
-    top = cf.max_depth(None)
-    for d in range(1, top + 1):
-        a, b, c, e = alpha_bounds(cf, d)
-        if b + e > 2 * span:
-            return KeyTable(span, d, a + c, b + e)
-    raise UndecidedError(
-        f"cannot certify {2 * span + 1} orbit points for slope {cf} "
-        f"within depth {top}"
-    )
+    bracket = _farey_bracket(cf, 1, 2 * span)
+    if bracket is None:
+        raise UndecidedError(f"cannot certify {2 * span + 1} orbit points for slope {cf} "
+                             f"within depth {cf.max_depth(None)}")
+    return KeyTable(span, *bracket)
 
 
 _LETTERS = bytes.maketrans(b"\x00\x01", b"01")
@@ -145,23 +152,21 @@ _LETTERS = bytes.maketrans(b"\x00\x01", b"01")
 def coding_prefix(cf: ContinuedFraction, start: int, length: int) -> str:
     """First `length` letters of the coding of the orbit of {start*alpha}.
 
-    Letter t is 0 iff {(start+t)*alpha} lies in [0, 1-alpha), that is,
-    letter j = start + t is floor((j+1)*alpha) - floor(j*alpha).  The key
-    table for the indices |m| <= max(|start|, |start + length|) makes each
-    of those floors floor(m*p/q), on a truncation for its whole cylinder,
-    so {0} codes 0 and {-alpha} codes 1 with no special case.
+    Letter j = start + t is floor((j+1)*alpha) - floor(j*alpha): 0 iff
+    {j*alpha} lies in [0, 1-alpha).  Those floors, lo <= |m| <= reach =
+    max(|start|, |stop|), are floor(m*p/q) on the bracket `_farey_bracket`
+    finds (lo = 1, and then q > reach, unless the window keeps to one side
+    of 0): a truncation codes exactly the windows its cylinder fixes.
     """
     require_normalized(cf)
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     stop = start + length
-    try:
-        table = key_table(cf, max(abs(start), abs(stop)))
-    except UndecidedError as exc:
-        raise UndecidedError(
-            f"cannot certify a coding of length {length} from index {start} for slope {cf}"
-        ) from exc
-    p, q = table.p, table.q
+    bracket = _farey_bracket(cf, max(1, start, -stop), max(abs(start), abs(stop)))
+    if bracket is None:
+        raise UndecidedError(f"cannot certify a coding of length {length} "
+                             f"from index {start} for slope {cf}")
+    _, p, q = bracket
     # Letter j is 1 when floor((j + 1)*p/q) reaches a new value m, which
     # happens at j = (m*q - 1) // p: byte (m*q - 1 - start*p) // p here.
     letters = bytearray(length)
@@ -247,74 +252,48 @@ def factor_interval_map(cf: ContinuedFraction, n: int) -> dict[str, FactorInterv
 
 
 # ------------------------------------------------------------------
-# word intervals by arc intersection
+# word intervals from height bounds
 # ------------------------------------------------------------------
 
-def _walk_arc(table: KeyTable, w: str) -> tuple[int, int, int]:
-    """Run the arc automaton [w_0..w_t] = [w_0..w_{t-1}] /\\ R^{-t}(I_{w_t}).
-
-    Returns (t, lo_idx, hi_idx): the first t letters of w keep the arc
-    nonempty, so t == len(w) exactly when w is a factor, and then [w] runs
-    from {-lo_idx * alpha} to {-hi_idx * alpha}.  A right endpoint index 0
-    denotes the point 1 (= 0 reached from below).
+def _height_walk(table: KeyTable, w: str) -> tuple[int, int, int]:
+    """(t, lo_idx, hi_idx): w[:t] is the longest prefix of w that is a
+    factor, and [w[:t]] runs from {-lo_idx * alpha} to {-hi_idx * alpha},
+    hi_idx 0 naming the point 1.  With h_t the number of 1s in w[:t], the
+    coding from x in [0, 1) starts with w exactly when
+    h_t <= x + t*alpha < h_t + 1 for every t <= len(w).  In key units
+    v_t = h_t*q - t*p, so [w] runs from top = max v_t to
+    bottom + q = min v_t + q, and it is nonempty while top - bottom < q.
+    Each comparison sets some (s - t)*alpha, |s - t| <= span < q, against an
+    integer, so p/q signs it as alpha does, with no tie (gcd(p, q) = 1).
     """
-    q = table.q
-    step = -table.p % q  # key(-(t + 1)) = key(-t) + step mod q
-    y = step  # key(-1)
-    if w[0] == "0":
-        lo, lo_idx, hi, hi_idx = 0, 0, y, 1
-    else:
-        lo, lo_idx, hi, hi_idx = y, 1, q, 0  # hi is the point 1
-
-    for t in range(1, len(w)):
-        x = y
-        y += step
-        if y >= q:
-            y -= q
-        if w[t] == "0":
-            bs, bs_idx, be, be_idx = x, t, y, t + 1
+    p, q, up = table.p, table.q, table.q - table.p
+    v = top = bottom = top_idx = bottom_idx = 0
+    for t, letter in enumerate(w, 1):
+        if letter == "1":
+            v += up
+            if v > top:
+                if v - bottom >= q:
+                    return t - 1, top_idx, bottom_idx
+                top, top_idx = v, t
         else:
-            bs, bs_idx, be, be_idx = y, t + 1, x, t
-        if bs < be:
-            # B is a plain arc: intersect directly.
-            if bs > lo:
-                lo, lo_idx = bs, bs_idx
-            if be < hi:
-                hi, hi_idx = be, be_idx
-            if lo >= hi:
-                return t, lo_idx, hi_idx
-        else:
-            # B wraps: remove the complement gap G = [be, bs) from [lo, hi).
-            if bs <= lo or be >= hi:
-                pass  # G misses the arc
-            elif be <= lo:
-                if bs >= hi:
-                    return t, lo_idx, hi_idx
-                lo, lo_idx = bs, bs_idx
-            elif bs >= hi:
-                hi, hi_idx = be, be_idx
-            else:
-                raise AssertionError(
-                    f"arc split into two components at step {t} for {w!r}: "
-                    "partition structure violated"
-                )
-    return len(w), lo_idx, hi_idx
+            v -= p
+            if v < bottom:
+                if top - v >= q:
+                    return t - 1, top_idx, bottom_idx
+                bottom, bottom_idx = v, t
+    return len(w), top_idx, bottom_idx
 
 
 def word_interval(cf: ContinuedFraction, w: str) -> FactorInterval | None:
-    """Exact interval [w] of an arbitrary binary word, or None if w is not
-    a factor of the language.
-
-    Endpoints stay named by orbit indices throughout the arc automaton, so
-    the result is exact.
-    """
+    """Exact interval [w] of a binary word, its ends named by orbit
+    indices, or None if w is not a factor of the language."""
     require_normalized(cf)
     check_word(w)
     n = len(w)
     if n < 1:
         raise ValueError("word must be nonempty")
     table = key_table(cf, n)
-    t, lo_idx, hi_idx = _walk_arc(table, w)
+    t, lo_idx, hi_idx = _height_walk(table, w)
     if t < n:
         return None
     hi_form = ONE if hi_idx == 0 else table.position_form(-hi_idx)
@@ -322,15 +301,13 @@ def word_interval(cf: ContinuedFraction, w: str) -> FactorInterval | None:
 
 
 def language_extension(cf: ContinuedFraction, base: str, ext: str) -> int:
-    """Longest j such that base + ext[:j] stays in the language.
-
-    base itself must be a factor; returns 0 if no extension letter fits.
-    """
+    """Longest j such that base + ext[:j] stays in the language (0 if no
+    letter of ext fits); base itself must be a factor."""
     require_normalized(cf)
     check_word(base)
     check_word(ext)
     word = base + ext
-    t = _walk_arc(key_table(cf, len(word)), word)[0]
+    t = _height_walk(key_table(cf, len(word)), word)[0]
     if t < len(base):
         raise ValueError(f"base word {base!r} is not a factor")
     return t - len(base)

@@ -39,6 +39,7 @@ from sturmian.rotation import (
     factor_interval_map,
     factors_of_length,
     three_distance,
+    word_interval,
 )
 from sturmian.words import conjugates, reversal, standard_word
 
@@ -180,6 +181,11 @@ def _query(cf: ContinuedFraction, kind: str, arg):
         return coding_prefix(cf, *arg)
     if kind == "prefix":
         return characteristic_prefix(cf, arg)
+    if kind == "interval":
+        interval = word_interval(cf, arg)
+        return "not a factor" if interval is None else interval
+    if kind == "fractional":
+        return fractional_index(cf, arg)
     return index_by_interval(cf, arg)
 
 
@@ -198,7 +204,9 @@ def _answers(cf: ContinuedFraction, n_max: int) -> dict:
             if kind != "three-distance" or n > cf.quotient(1):
                 ask(kind, n)
         for w, _ in out["factors", n] or ():
-            ask("index", w)
+            for kind, arg in (("index", w), ("interval", w), ("interval", w + w),
+                              ("fractional", w)):
+                ask(kind, arg)
     for length in (1, 7, 60, 500, 4000):
         for start in (-300, -40, -1, 0, 1, 25):
             ask("coding", (start, length))
@@ -210,9 +218,9 @@ def _answers(cf: ContinuedFraction, n_max: int) -> dict:
 @given(A1, st.lists(QUOTIENTS, min_size=1, max_size=11), periodic_tails(2),
        periodic_tails(2))
 def test_truncation_answers_hold_for_extensions(a_1, rest, tail_1, tail_2):
-    # Whatever [0;a_1..a_m] answers, codings included, must hold for every
-    # slope of its cylinder, here two periodic extensions; the rest must be
-    # refused.
+    # Whatever [0;a_1..a_m] answers, codings, word intervals and fractional
+    # indices included, must hold for every slope of its cylinder, here two
+    # periodic extensions; the rest must be refused.
     known = (a_1, *rest)
     truncation = ContinuedFraction(known)
     answers = _answers(truncation, 16)

@@ -22,6 +22,7 @@ from sturmian.rotation import (
     factor_interval_map,
     factors_of_length,
     key_table,
+    language_extension,
     three_distance,
     three_distance_decomposition,
     word_interval,
@@ -93,15 +94,21 @@ def test_key_tables_match_oracle_on_drawn_slopes(a_1, tail):
         _check_table(key_table(cf, span), span, cf)
 
 
-def _smallest_denominator_inside(quotients: tuple[int, ...]) -> int:
-    """Smallest k such that some j/k lies strictly inside the cylinder of
-    [0;a_1..a_m], whose ends p_m/q_m and (p_m + p_{m-1})/(q_m + q_{m-1})
-    come from the convergent recurrence by hand; found by trying every k."""
+def _cylinder_ends(quotients: tuple[int, ...]) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The ends p_m/q_m and (p_m + p_{m-1})/(q_m + q_{m-1}) of the cylinder
+    of [0;a_1..a_m] as (numerator, denominator), lower end first, from the
+    convergent recurrence by hand."""
     p_prev, q_prev, p, q = 1, 0, 0, 1
     for a in quotients:
         p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
-    (ln, ld), (hn, hd) = sorted([(p, q), (p + p_prev, q + q_prev)],
-                                key=lambda f: Fraction(*f))
+    lower, upper = sorted([(p, q), (p + p_prev, q + q_prev)], key=lambda f: Fraction(*f))
+    return lower, upper
+
+
+def _smallest_denominator_inside(quotients: tuple[int, ...]) -> int:
+    """Smallest k such that some j/k lies strictly inside the cylinder of
+    [0;a_1..a_m]; found by trying every k."""
+    (ln, ld), (hn, hd) = _cylinder_ends(quotients)
     k = 1
     while (ln * k // ld + 1) * hd >= hn * k:  # the first j/k above lo is not below hi
         k += 1
@@ -270,20 +277,21 @@ def check_against_reference(cf: ContinuedFraction, start: int, length: int) -> b
 
 
 # A periodic slope, a truncation that codes short windows only (its key
-# tables stop at span 2,592, and the reference's depth 6 certifies reach
-# <= 222 except near +-q_5 = +-134) and one that codes almost nothing:
-# spans 1-6 for the key tables, only windows inside the exempt indices
-# {-1, 0} for the reference.
+# tables stop at span 18,076 and its codings through 0 at reach 36,153, and
+# the reference's depth 6 certifies reach <= 222 except near +-q_5 = +-134)
+# and one that codes almost nothing: reach up to 12 (key-table spans 1-6),
+# only windows inside the exempt indices {-1, 0} for the reference.
 CODING_SLOPES = ["[0;2,(1,3)]", "[0;3,1,4,1,5,9,2,6]", "[0;2,1,1]"]
 
 
-# Windows the key tables code and the reference refuses.  [0;2,1,1] codes
-# the 78 windows with max(|start|, |start + length|) <= 6, the reference 3
-# of them.
+# Windows coding_prefix codes and the reference refuses.  [0;2,1,1] codes
+# the 316 windows its cylinder fixes: the 300 with
+# max(|start|, |start + length|) <= 12 and 16 to one side of 0, such as
+# start 14, length 3.  The reference codes 3 of them.
 @pytest.mark.parametrize("slope, gains", [
     ("[0;2,(1,3)]", 0),
     ("[0;3,1,4,1,5,9,2,6]", 13_527),
-    ("[0;2,1,1]", 78 - 3),
+    ("[0;2,1,1]", 316 - 3),
 ])
 def test_coding_prefix_matches_reference_near_zero(slope, gains):
     cf = parse_slope(slope)
@@ -323,6 +331,24 @@ def test_coding_prefix_matches_reference_on_drawn_slopes(a_1, rest, periodic, st
     cf = (ContinuedFraction((a_1,), tuple(rest[:3])) if periodic
           else ContinuedFraction((a_1, *rest)))
     check_against_reference(cf, start, length)
+
+
+@settings(max_examples=200, deadline=None)
+@given(A1, st.lists(st.integers(1, 9), min_size=1, max_size=8), st.integers(-3000, 3000),
+       st.one_of(st.integers(1, 4), st.integers(1, 3000)))
+def test_coding_prefix_answers_what_the_cylinder_fixes(a_1, rest, start, length):
+    # A truncation codes a window exactly when floor(m*x), m in
+    # [start, start + length], is constant on its open cylinder: no integer
+    # lies strictly between |m| times its two ends.  Then the coding holds
+    # for a slope of the cylinder.
+    known = (a_1, *rest)
+    (ln, ld), (hn, hd) = _cylinder_ends(known)
+    fixed = all(-(-m * hn // hd) - m * ln // ld == 1
+                for m in map(abs, range(start, start + length + 1)) if m)
+    got = _coding_or_refusal(coding_prefix, ContinuedFraction(known), start, length)
+    assert isinstance(got, str) == fixed, (known, start, length)
+    if fixed:
+        assert got == coding_prefix(ContinuedFraction(known, (1, 2)), start, length)
 
 
 @pytest.mark.parametrize("slope", ["[0;2,3]", "[0;2,1,1]"])
@@ -480,17 +506,108 @@ def test_right_special_interval_contains_next_point(family):
 
 
 # ------------------------------------------------------------------
-# word intervals via the arc automaton
+# word intervals from height bounds
 # ------------------------------------------------------------------
+
+def reference_walk_arc(table: rotation.KeyTable, w: str) -> tuple[int, int, int]:
+    """The arc automaton [w_0..w_t] = [w_0..w_{t-1}] /\\ R^{-t}(I_{w_t}) on
+    the circle: a second route to [w], independent of the height bounds.
+
+    Returns (t, lo_idx, hi_idx): the first t letters of w keep the arc
+    nonempty, and the arc runs from {-lo_idx * alpha} to {-hi_idx * alpha}
+    (index 0 on the right is the point 1).  When t < len(w) the indices
+    are those of the step that emptied it.
+    """
+    q = table.q
+    step = -table.p % q  # key(-(t + 1)) = key(-t) + step mod q
+    y = step  # key(-1)
+    if w[0] == "0":
+        lo, lo_idx, hi, hi_idx = 0, 0, y, 1
+    else:
+        lo, lo_idx, hi, hi_idx = y, 1, q, 0  # hi is the point 1
+
+    for t in range(1, len(w)):
+        x = y
+        y += step
+        if y >= q:
+            y -= q
+        if w[t] == "0":
+            bs, bs_idx, be, be_idx = x, t, y, t + 1
+        else:
+            bs, bs_idx, be, be_idx = y, t + 1, x, t
+        if bs < be:
+            # B is a plain arc: intersect directly.
+            if bs > lo:
+                lo, lo_idx = bs, bs_idx
+            if be < hi:
+                hi, hi_idx = be, be_idx
+            if lo >= hi:
+                return t, lo_idx, hi_idx
+        else:
+            # B wraps: remove the complement gap G = [be, bs) from [lo, hi).
+            if bs <= lo or be >= hi:
+                pass  # G misses the arc
+            elif be <= lo:
+                if bs >= hi:
+                    return t, lo_idx, hi_idx
+                lo, lo_idx = bs, bs_idx
+            elif bs >= hi:
+                hi, hi_idx = be, be_idx
+            else:
+                raise AssertionError(f"arc split into two components at step {t} for {w!r}")
+    return len(w), lo_idx, hi_idx
+
+
+# The family, two truncations (one certifying key tables up to span 6
+# only) and two slopes with long runs of 0.
+WALK_SLOPES = [*FAMILY_SLOPES, "[0;3,1,4,1,5,9,2,6]", "[0;2,1,1]", "[0;5,(1,7)]", "[0;9,(2)]"]
+
+
+@pytest.mark.parametrize("slope", WALK_SLOPES)
+def test_height_walk_matches_arc_automaton(slope):
+    # Every binary word up to length 12: the same longest factor prefix
+    # w[:t], and the same endpoints of [w[:t]] as the automaton gives on
+    # w[:t] itself (on w, when w is a factor).
+    cf = parse_slope(slope)
+    for n in range(1, 7 if slope == "[0;2,1,1]" else 13):  # its spans stop at 6
+        table = key_table(cf, n)
+        for bits in range(1 << n):
+            w = format(bits, f"0{n}b")
+            t, lo_idx, hi_idx = rotation._height_walk(table, w)
+            assert t == reference_walk_arc(table, w)[0], (slope, w)
+            assert (t, lo_idx, hi_idx) == reference_walk_arc(table, w[:t]), (slope, w)
+
+
+def test_language_extension_matches_arc_automaton_on_power_extensions(family):
+    # The fractional index's calls: how far w^ind extends along w[:-1].
+    for cf in family:
+        for n in range(1, 41):
+            for w, ind in repetitions.indices_by_interval(cf, n).items():
+                base, word = w * ind, w * ind + w[:-1]
+                t = reference_walk_arc(key_table(cf, len(word)), word)[0]
+                assert language_extension(cf, base, w[:-1]) == t - len(base), (str(cf), w)
+
+
+def test_language_extension_rejects_a_base_outside_the_language(example_slope):
+    with pytest.raises(ValueError, match="not a factor"):
+        language_extension(example_slope, "11", "0")
+    with pytest.raises(ValueError, match="not a factor"):
+        language_extension(example_slope, "01001" * 3, "")
+    # (01001)^2 extends by one letter of 0100, as a scan of the coding shows.
+    text = characteristic_prefix(example_slope, 20_000)
+    base = "01001" * 2
+    scanned = max(j for j in range(5) if base + "0100"[:j] in text)
+    assert language_extension(example_slope, base, "0100") == scanned == 1
+
 
 def test_word_interval_agrees_with_partition(family):
     for cf in family:
         for n in (1, 2, 5, 9, 14):
             for w, interval in factors_of_length(cf, n):
-                via_arc = word_interval(cf, w)
-                assert via_arc is not None
-                assert via_arc.length == interval.length
-                assert {via_arc.left_idx, via_arc.right_idx} == \
+                via_heights = word_interval(cf, w)
+                assert via_heights is not None
+                assert via_heights.length == interval.length
+                assert {via_heights.left_idx, via_heights.right_idx} == \
                     {interval.left_idx, interval.right_idx}
 
 
