@@ -30,9 +30,10 @@ from sturmian.exactnum import (
     semiconvergent_distance,
 )
 from sturmian.rotation import (
+    _period_exit,
     characteristic_prefix,
     factor_interval_map,
-    language_extension,
+    key_table,
     require_normalized,
     three_distance_decomposition,
     word_interval,
@@ -262,7 +263,9 @@ def classify_length(cf: ContinuedFraction, n: int,
     factor C^i(root)^m, i < |root|, has conjugate position i and index
     `first` if i < split, else `rest`; every other factor has `other`.
     The interval formula and the scan oracle cross-check the rule in the
-    verification suites.  Fractional indices are filled only on request.
+    verification suites.  Fractional indices are filled only on request,
+    and the floor of each, read off where w^inf leaves the language, must
+    equal the positional index: two independent routes meet on every word.
     """
     tag, params = length_case(cf, n)
     factors = factor_interval_map(cf, n)
@@ -272,12 +275,15 @@ def classify_length(cf: ContinuedFraction, n: int,
         raise AssertionError(
             f"case {tag}: the shifts of {root!r} are not distinct factors of length {n} for {cf}"
         )
-    formula = indices_by_interval(cf, n) if with_fractional else None
+    fractions = fractional_indices(cf, n) if with_fractional else {}
     out = []
     for w in factors:
         pos = shifts.get(w)
         idx = other if pos is None else first if pos < split else rest
-        frac = None if formula is None else _extended_power(cf, w, formula[w])
+        frac = fractions.get(w)
+        if frac is not None and math.floor(frac) != idx:
+            raise AssertionError(f"case {tag}: {w!r} has index {idx} but fractional "
+                                 f"index {frac} for {cf}")
         out.append(IndexReport(w, n, idx, tag, pos, frac))
     return out
 
@@ -370,22 +376,40 @@ def conjugacy_report(cf: ContinuedFraction, k: int, l: int) -> ConjugacyReport:
 # fractional index and the critical exponent
 # ------------------------------------------------------------------
 
+def _exit_modulus(cf: ContinuedFraction, n: int, ind: int) -> tuple[int, int]:
+    """(p, q) signing every comparison of `_period_exit` for a factor of
+    length n and index at most ind.  w^(ind+1) is not a factor, so the exit
+    comes by t = (ind+1)*n, and a table for half of that spans every
+    difference of two positions up to it."""
+    table = key_table(cf, ((ind + 1) * n + 1) // 2)
+    return table.p, table.q
+
+
 def fractional_index(cf: ContinuedFraction, w: str) -> Fraction:
     """sup of exponents e with w^e a factor, as an exact rational.
 
-    Equals ind + j/|w| where ind is the integer index and j is the longest
-    proper prefix of w that still extends w^ind inside the language;
-    computed by exact interval iteration.
+    Equals (t - 1)/|w| for the first prefix length t of w^inf that is not
+    a factor (`_period_exit`), from keys of a table sized by w's own index.
     """
-    return _extended_power(cf, w, index_by_interval(cf, w))
+    ind = index_by_interval(cf, w)
+    n = len(w)
+    i = factor_interval_map(cf, n)[w].left_idx
+    p, q = _exit_modulus(cf, n, ind)
+    keys = [m * p % q for m in range(-i, n - i + 1)]
+    return Fraction(_period_exit(keys, q) - 1, n)
 
 
-def _extended_power(cf: ContinuedFraction, w: str, ind: int) -> Fraction:
-    """ind + j/|w| for the longest proper prefix w[:j] that extends w^ind."""
-    if len(w) == 1:
-        return Fraction(ind)
-    j = language_extension(cf, w * ind, w[:-1])
-    return Fraction(ind * len(w) + j, len(w))
+def fractional_indices(cf: ContinuedFraction, n: int) -> dict[str, Fraction]:
+    """fractional_index of every factor of length n, in circular order.
+
+    One key list K(-n), ..., K(n) from a table sized by the length's
+    largest index; each word reads its window [K(-i), ..., K(n-i)].
+    """
+    intervals = factor_interval_map(cf, n)
+    p, q = _exit_modulus(cf, n, max(indices_by_interval(cf, n).values()))
+    keys = [m % q for m in range(-n * p, (n + 1) * p, p)]
+    return {w: Fraction(_period_exit(keys[n - iv.left_idx: 2 * n + 1 - iv.left_idx], q) - 1, n)
+            for w, iv in intervals.items()}
 
 
 def _class_limit_tail(cf: ContinuedFraction, k0: int) -> ContinuedFraction:

@@ -11,6 +11,8 @@ the two apart (`_farey_bracket`), with no error bound and no sort.  Codings
 read their letters off the floors, letter j being
 floor((j+1)*alpha) - floor(j*alpha), and the interval [w] of a word is one
 running max and min of its heights (counts of 1s in prefixes) in key units.
+The heights of the periodic word w^inf drift by a fixed amount per period,
+so where it leaves the language has a closed form (`_period_exit`).
 """
 
 from __future__ import annotations
@@ -240,13 +242,13 @@ def factor_interval_map(cf: ContinuedFraction, n: int) -> dict[str, FactorInterv
     boundary = keys[n - 1]
     bitstr = "".join(["0" if k < boundary else "1" for k in keys])
 
+    # {-i*alpha} is the form -i*alpha - floors[i]; the last gap wraps past 1.
+    floors = [m // q for m in range(0, -(n + 1) * p, -p)]
     order = sorted(range(n + 1), key=lambda i: keys[n - i])
     out = {}
     for t, i in enumerate(order):
         nxt = order[(t + 1) % (n + 1)]
-        length = table.position_form(-nxt) - table.position_form(-i)
-        if t == n:
-            length = length.shift(1)  # gap wraps past the point 1
+        length = LinearForm(i - nxt, floors[nxt] - floors[i] - (t == n))
         out[bitstr[n - i: 2 * n - i]] = FactorInterval(i, nxt, length)
     return out
 
@@ -311,6 +313,38 @@ def language_extension(cf: ContinuedFraction, base: str, ext: str) -> int:
     if t < len(base):
         raise ValueError(f"base word {base!r} is not a factor")
     return t - len(base)
+
+
+def _period_exit(keys: list[int], q: int) -> int:
+    """Least t such that the prefix of length t of w^inf is not a factor.
+
+    keys = [K(-i), ..., K(n-i)], K(m) = m*p mod q, for a factor w of
+    length n whose interval [w] starts at {-i*alpha}.  The heights of
+    `_height_walk` are v_s = K(-i) - K(s-i) for s <= n (exact, as
+    |s - i| < q), and along w^inf they drift: v_{t+n} = v_t + delta with
+    delta = K(-i) - K(n-i), nonzero as q > n.  For delta > 0 the bottom
+    stays the least height of the first period, K(-i) - hi with hi the
+    largest of keys[:n], and the walk first fails at t = k*n + s with v_t
+    reaching it plus q: k is the least period in which the smallest key
+    lo gets there, k = ceil((q - hi + lo)/delta) >= 1 (hi - lo < q since w
+    is a factor), and s is the first index of that period that does.
+    delta < 0 mirrors it with the top.  Each comparison sets some
+    (t - s)*alpha against an integer, so a table whose span covers half
+    of t signs all of them as alpha does; keys are distinct, so there is
+    no tie.
+    """
+    n = len(keys) - 1
+    head = keys[:n]
+    hi, lo = max(head), min(head)
+    drift = keys[0] - keys[n]
+    k = -((hi - lo - q) // abs(drift))
+    if drift > 0:
+        bound = hi - q + k * drift
+        s = next(s for s, key in enumerate(head) if key <= bound)
+    else:
+        bound = lo + q + k * drift
+        s = next(s for s, key in enumerate(head) if key >= bound)
+    return k * n + s
 
 
 # ------------------------------------------------------------------

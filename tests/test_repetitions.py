@@ -23,6 +23,7 @@ from sturmian.repetitions import (
     conjugacy_report,
     critical_exponent,
     fractional_index,
+    fractional_indices,
     indices_by_interval,
     index_by_interval,
     index_oracle,
@@ -30,7 +31,12 @@ from sturmian.repetitions import (
     oracle_window,
     square_lengths,
 )
-from sturmian.rotation import characteristic_prefix, factors_of_length
+from sturmian.rotation import (
+    characteristic_prefix,
+    factor_interval_map,
+    factors_of_length,
+    language_extension,
+)
 from sturmian.words import reversal, standard_word
 
 
@@ -192,6 +198,21 @@ def test_classify_refuses_a_root_without_distinct_factor_shifts(monkeypatch, fib
         classify_length(fib_slope, len(root))
 
 
+def test_classify_with_fractional_refuses_a_wrong_index(monkeypatch, fib_slope):
+    # Length 3 is case iii with first = 3 and rest = 2: flipping them gives
+    # positional indices that the fractional indices' floors contradict.
+    case_pattern = repetitions._case_pattern
+
+    def flipped(*args):
+        root, m, split, first, rest, other = case_pattern(*args)
+        return root, m, split, rest, first, other
+
+    monkeypatch.setattr(repetitions, "_case_pattern", flipped)
+    classify_length(fib_slope, 3)  # without fractional indices nothing checks
+    with pytest.raises(AssertionError, match="fractional index"):
+        classify_length(fib_slope, 3, with_fractional=True)
+
+
 def test_classify_cases_exhaustive(family):
     for cf in family:
         for n in range(1, 120):
@@ -264,6 +285,60 @@ def test_conjugacy_range_errors(example_slope):
 # ------------------------------------------------------------------
 # fractional index
 # ------------------------------------------------------------------
+
+def reference_fractional_index(cf, w) -> Fraction:
+    """The per-letter route: w^ind, then `language_extension` along w[:-1]."""
+    ind = index_by_interval(cf, w)
+    if len(w) == 1:
+        return Fraction(ind)
+    return Fraction(ind * len(w) + language_extension(cf, w * ind, w[:-1]), len(w))
+
+
+def test_fractional_indices_match_the_walk(family):
+    words = 0
+    for cf in (*family, parse_slope("[0;5,(1,7)]"), parse_slope("[0;9,(2)]")):
+        for n in range(1, 41):
+            expected = {w: reference_fractional_index(cf, w) for w in factor_interval_map(cf, n)}
+            got = fractional_indices(cf, n)
+            assert list(got) == list(expected)
+            assert got == expected, (str(cf), n)
+            words += len(got)
+    assert words == 12_040
+
+
+def test_fractional_index_matches_the_walk_on_truncations():
+    # Where the walk answers, the exit answers the same; it refuses only
+    # where the walk refuses too, as its table is half the walk's span.
+    answered = 0
+    for cf in (parse_slope("[0;3,1,4,1,5,9,2,6]"), parse_slope("[0;2,1,1]")):
+        for n in range(1, 41):
+            try:
+                words = list(factor_interval_map(cf, n))
+            except DepthError:
+                continue
+            for w in words:
+                try:
+                    expected = reference_fractional_index(cf, w)
+                except DepthError:
+                    continue
+                assert fractional_index(cf, w) == expected, (str(cf), w)
+                answered += 1
+    assert answered == 865
+
+
+def test_fractional_index_on_a_shallow_cylinder():
+    # (01)^3 is not a factor, so the exit comes by t = 6: [0;2,1] certifies
+    # the 7 orbit points a table of span 3 needs, not the walk's 11.
+    cf = parse_slope("[0;2,1]")
+    assert fractional_index(cf, "01") == Fraction(5, 2)
+    assert fractional_index(cf, "10") == 2
+    with pytest.raises(DepthError):
+        reference_fractional_index(cf, "01")
+    for extension in ("[0;2,1,(1)]", "[0;2,1,(6)]", "[0;2,1,2,(3,1)]"):
+        ext = parse_slope(extension)
+        assert fractional_index(ext, "01") == reference_fractional_index(ext, "01") == Fraction(5, 2)
+        assert fractional_index(ext, "10") == reference_fractional_index(ext, "10") == 2
+
 
 def test_fractional_index_standard_words(fib_slope):
     assert fractional_index(fib_slope, "010") == 3           # 3 + (q_1 - 2)/q_2
