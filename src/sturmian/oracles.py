@@ -4,10 +4,13 @@ Every formula in the package has a second, structurally different route:
 sorted orbit gaps instead of the three-distance counts, bit-mask run scans
 over a coded prefix instead of interval-length index formulas, exhaustive
 multiples instead of convergent enumeration.  The verification suites and
-the test suite drive both routes against each other.  Power-classification
-reads the index of every factor of length n from one period-n match mask
-(`max_powers`); `max_power`, a `find`-based search for one word, is the
-naive reference it is tested against.
+the test suite drive both routes against each other.  The three-distance
+suite reads the gap tally of every level from one key table per slope,
+inserting one orbit point at a time (`gap_spectra`); `gap_spectrum`, which
+sorts the points of one level afresh, is its single-n reference.
+Power-classification reads the index of every factor of length n from one
+period-n match mask (`max_powers`); `max_power`, a `find`-based search for
+one word, is the naive reference it is tested against.
 
 Scans work on plain strings (find() runs in C) or on big-integer bit
 masks, so the oracles stay fast without ever touching floating point.
@@ -15,17 +18,37 @@ masks, so the oracles stay fast without ever touching floating point.
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from sturmian.exactnum import ContinuedFraction, LinearForm
 from sturmian.rotation import key_table
 
 
 # ------------------------------------------------------------------
-# sorted-gap spectrum of an orbit prefix
+# gap spectra of orbit prefixes
 # ------------------------------------------------------------------
+
+def match_gaps(tally: Mapping[tuple[int, int], int],
+               candidates: list[LinearForm]) -> list[int]:
+    """Counts per candidate length of a gap tally.
+
+    The tally maps (index difference, floor difference) pairs to counts.
+    Two forms share a value at an irrational alpha only when they are
+    identical, so matching is syntactic.  A gap matching no candidate
+    raises.
+    """
+    counts = [0] * len(candidates)
+    for form, count in tally.items():
+        gap = LinearForm(*form)
+        try:
+            counts[candidates.index(gap)] += count
+        except ValueError:
+            raise AssertionError(f"orbit gap {gap} matched no candidate length") from None
+    return counts
+
 
 def gap_spectrum(cf: ContinuedFraction, n: int,
                  candidates: list[LinearForm]) -> list[int]:
@@ -33,11 +56,9 @@ def gap_spectrum(cf: ContinuedFraction, n: int,
 
     The points are sorted by certified keys; each circular gap is then an
     exact LinearForm (difference of neighbouring positions m*alpha -
-    floor(m*alpha), minus 1 on the gap that wraps past the point 1), and
-    two forms share a value at an irrational alpha only when they are
-    identical, so matching against the candidates is syntactic.  Gaps are
-    tallied as integer pairs first, and one form per distinct pair is
-    matched.  A gap matching no candidate raises.
+    floor(m*alpha), minus 1 on the gap that wraps past the point 1),
+    tallied as an integer pair and matched by `match_gaps`.  This sorts
+    all n + 1 points: it is the single-n reference for `gap_spectra`.
     """
     table = key_table(cf, n)
     p, q = table.p, table.q
@@ -47,14 +68,39 @@ def gap_spectrum(cf: ContinuedFraction, n: int,
     tally = Counter(zip([b - a for a, b in zip(order, order[1:])],
                         [b - a for a, b in zip(floors, floors[1:])]))
     tally[order[0] - order[-1], floors[0] - floors[-1] - 1] += 1  # wrap past 1
-    counts = [0] * len(candidates)
-    for form, count in tally.items():
-        gap = LinearForm(*form)
-        try:
-            counts[candidates.index(gap)] += count
-        except ValueError:
-            raise AssertionError(f"orbit gap {gap} matched no candidate length") from None
-    return counts
+    return match_gaps(tally, candidates)
+
+
+def gap_spectra(cf: ContinuedFraction, n_lo: int,
+                n_max: int) -> Iterator[tuple[int, Counter[tuple[int, int]]]]:
+    """(n, gap tally of {0, alpha, ..., n*alpha}) for n_lo <= n <= n_max.
+
+    One certified key_table(cf, n_max) orders every level.  Point n goes
+    into the sorted key list by bisection and splits the gap between its
+    neighbours: the tally loses that gap's pair and gains its two halves.
+    A gap whose left key exceeds its right key wraps past 1 and takes -1
+    on its floor difference.  Each tally is a snapshot, for `match_gaps`.
+    """
+    if not 0 <= n_lo <= n_max:
+        raise ValueError(f"need 0 <= n_lo <= n_max, got {n_lo} and {n_max}")
+    table = key_table(cf, n_max)
+    p, q = table.p, table.q
+    keys, points = [0], [0]  # sorted keys and their orbit indices
+    tally = Counter({(0, -1): 1})  # the one point 0: one gap, the whole circle
+    for n in range(n_max + 1):
+        if n:
+            key = n * p % q
+            at = bisect(keys, key)
+            left, right = points[at - 1], points[at % n]
+            wrap = at == n  # point n has the largest key: right is point 0
+            fl_left, fl_n, fl_right = left * p // q, n * p // q, right * p // q
+            tally[right - left, fl_right - fl_left - wrap] -= 1
+            tally[n - left, fl_n - fl_left] += 1
+            tally[right - n, fl_right - fl_n - wrap] += 1
+            keys.insert(at, key)
+            points.insert(at, n)
+        if n >= n_lo:
+            yield n, +tally
 
 
 # ------------------------------------------------------------------

@@ -134,8 +134,8 @@ def _farey_bracket(cf: ContinuedFraction, lo: int, hi: int) -> tuple[int, int, i
     return None
 
 
-# A table is four integers.  `verify --n-max 150` asks for 8,454 tables,
-# 8,151 of them new (codings take no table); a CLI query asks for a few.
+# A table is four integers.  `verify --n-max 150` asks for 2,496 tables,
+# 2,096 of them new (codings take no table); a CLI query asks for a few.
 @lru_cache(maxsize=1024)
 def key_table(cf: ContinuedFraction, span: int) -> KeyTable:
     """Certified table covering orbit indices [-span, span] (cached)."""

@@ -157,14 +157,14 @@ def suite_closest_multiples(slopes: list[ContinuedFraction],
 
 def suite_three_distance(slopes: list[ContinuedFraction],
                          n_max: int = 500) -> SuiteResult:
-    """Formulaic gap counts vs the sorted-gap oracle for every level."""
+    """Formulaic gap counts vs the incremental gap oracle for every level."""
     start = time.monotonic()
     rec = _Recorder()
     for cf in slopes:
-        for n in range(cf.quotient(1) + 1, n_max + 1):
+        for n, tally in oracles.gap_spectra(cf, cf.quotient(1) + 1, n_max):
             s = three_distance(cf, n)
-            counts = oracles.gap_spectrum(
-                cf, n, [s.length_short, s.length_mid, s.length_long])
+            counts = oracles.match_gaps(
+                tally, [s.length_short, s.length_mid, s.length_long])
             ok = counts == [s.count_short, s.count_mid, s.count_long]
             rec.check(ok, f"{cf}: gap counts at n={n}: formula "
                           f"{[s.count_short, s.count_mid, s.count_long]} vs actual {counts}")

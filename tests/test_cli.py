@@ -209,6 +209,23 @@ def test_verify_n_max_needs_power_classification(capsys):
     assert "power-classification" in err
 
 
+def test_verify_three_distance_on_a_truncation(capsys):
+    # One table of span 500 certifies every level n <= 500 of this cylinder.
+    code, out, _ = run(capsys, "verify", "--suite", "three-distance",
+                       "--slope", "[0;3,1,4,1,5,9,2,6]")
+    assert code == 0
+    assert "three-distance           PASS  (497 checks)" in out.splitlines()
+
+
+def test_verify_three_distance_on_a_shallow_truncation_refuses(capsys):
+    # Depth 3 cannot order the 1001 points of the span-500 table.
+    code, out, err = run(capsys, "verify", "--suite", "three-distance",
+                         "--slope", "[0;2,1,1]")
+    assert code == 1
+    assert out == ""
+    assert err == "error: cannot certify 1001 orbit points for slope [0;2,1,1] within depth 3\n"
+
+
 def test_verify_json_format(capsys):
     code, out, _ = run(capsys, "verify", "--slope", "[0;2,(1)]",
                        "--suite", "best-approximations", "--format", "json")

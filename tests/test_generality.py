@@ -42,6 +42,7 @@ from sturmian.rotation import (
     word_interval,
 )
 from sturmian.words import conjugates, reversal, standard_word
+from test_oracles import check_gap_spectra
 
 TORTURE = ["[0;4,(5,1,2)]", "[0;2,7,1,(3,1,4)]", "[0;9,(1,1,2)]", "[0;2,(10)]"]
 
@@ -77,6 +78,7 @@ def test_indices_match_oracle_off_family(slope):
 
 def test_three_distance_off_family(slope):
     check_three_distance_matches_spectrum(slope, range(slope.quotient(1) + 1, 121))
+    check_gap_spectra(slope, 120)
 
 
 def test_square_lengths_off_family(slope):
@@ -129,6 +131,7 @@ def test_formulas_match_oracles_on_drawn_slopes(a_1, tail, n):
     check_indices_match_oracle(slope, [n])
     if n > a_1:
         check_three_distance_matches_spectrum(slope, [n])
+    check_gap_spectra(slope, 4 * n)
     # A window certifying the power scans at every length up to n.
     window = characteristic_prefix(slope, max(oracle_window(slope, m) for m in range(1, n + 1)))
     assert square_lengths(slope, n) == oracles.square_root_lengths(window, n)

@@ -18,7 +18,9 @@ from sturmian.exactnum import LinearForm, parse_slope
 from sturmian.oracles import (
     _longest_run,
     best_denominator_scan,
+    gap_spectra,
     gap_spectrum,
+    match_gaps,
     max_fractional_power,
     max_power,
     max_powers,
@@ -286,6 +288,57 @@ def test_gap_spectrum_missing_candidate_raises(family):
             if count:
                 with pytest.raises(AssertionError, match="matched no candidate"):
                     gap_spectrum(cf, 40, lengths[:drop] + lengths[drop + 1:])
+
+
+def check_gap_spectra(cf, n_max: int) -> None:
+    """gap_spectra equals gap_spectrum, pair for pair, at every n <= n_max.
+
+    The tallies are collected first, so a live tally shared between levels
+    would show.  Each level's own pairs serve as the candidates: a pair
+    gap_spectrum finds and the tally lacks raises, a count that differs
+    fails the equality.
+    """
+    spectra = list(gap_spectra(cf, 0, n_max))
+    assert [n for n, _ in spectra] == list(range(n_max + 1))
+    assert spectra[0][1] == {(0, -1): 1}  # one point: the whole circle
+    for n, tally in spectra[1:]:
+        assert all(count > 0 for count in tally.values()), (str(cf), n)
+        forms = [LinearForm(*pair) for pair in tally]
+        assert gap_spectrum(cf, n, forms) == list(tally.values()), (str(cf), n)
+
+
+def test_gap_spectra_match_gap_spectrum(family):
+    # The gate's own range, n <= 500, on every slope of the family.
+    for cf in family:
+        check_gap_spectra(cf, 500)
+
+
+@pytest.mark.parametrize("slope", ["[0;5,(1,7)]", "[0;9,(2)]", "[0;3,1,4,1,5,9,2,6]"])
+def test_gap_spectra_match_gap_spectrum_off_family(slope):
+    # Large quotients, and a truncation whose cylinder certifies n <= 500.
+    check_gap_spectra(parse_slope(slope), 500)
+
+
+def test_gap_spectra_start_at_n_lo_and_refuse_bad_ranges(family):
+    cf = family[0]
+    assert [n for n, _ in gap_spectra(cf, 7, 9)] == [7, 8, 9]
+    assert [n for n, _ in gap_spectra(cf, 4, 4)] == [4]
+    for n_lo, n_max in [(-1, 5), (6, 5)]:
+        with pytest.raises(ValueError):
+            next(gap_spectra(cf, n_lo, n_max))
+
+
+def test_gap_spectra_missing_candidate_raises(family):
+    for cf in family:
+        for n, tally in gap_spectra(cf, cf.quotient(1) + 1, 60):
+            s = three_distance(cf, n)
+            lengths = [s.length_short, s.length_mid, s.length_long]
+            counts = match_gaps(tally, lengths)
+            assert counts == [s.count_short, s.count_mid, s.count_long], (str(cf), n)
+            for drop, count in enumerate(counts):
+                if count:
+                    with pytest.raises(AssertionError, match="matched no candidate"):
+                        match_gaps(tally, lengths[:drop] + lengths[drop + 1:])
 
 
 def test_planted_square_in_non_sturmian_text_is_found():

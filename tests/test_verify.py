@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from sturmian import verify
+from sturmian import oracles, verify
 from sturmian.exactnum import parse_slope
 
 
@@ -61,3 +61,19 @@ def test_default_family_has_twelve_slopes():
     assert len(family) == 12
     assert len({str(cf) for cf in family}) == 12
     assert all(cf.quotient(1) in (2, 3) for cf in family)
+
+
+def test_three_distance_takes_one_oracle_key_table_per_slope(monkeypatch):
+    # The oracle orders every level n <= 500 from one table of span 500.
+    calls = []
+    real = oracles.key_table
+
+    def counting(cf, span):
+        calls.append((str(cf), span))
+        return real(cf, span)
+
+    monkeypatch.setattr(oracles, "key_table", counting)
+    family = verify.default_family()
+    result = verify.suite_three_distance(family)
+    assert result.passed and result.checks == 5970
+    assert calls == [(str(cf), 500) for cf in family]
