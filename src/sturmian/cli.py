@@ -1,10 +1,12 @@
 """Command-line front end: deterministic tables and JSON reports.
 
-Every number printed comes from certified enclosures (12 significant
-digits) or exact integers/rationals; two runs with the same arguments
-produce byte-identical output.  Exit codes: 0 success / all checks pass,
-1 verification or domain failure (e.g. a word that is not a factor),
-2 usage errors including malformed slopes.
+Each command builds its rows once, and `_emit` prints them as JSON or as a
+table.  Every decimal has 12 significant digits, from the certified
+deepening loop of `exactnum.approx_str` (a critical exponent's class limit
+included) or from an exact rational; two runs with the same arguments
+print the same bytes.  Exit codes: 0 success / all checks pass, 1
+verification or domain failure (e.g. a word that is not a factor), 2 usage
+errors including malformed slopes.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ import dataclasses
 import functools
 import json
 import sys
-from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from sturmian import exactnum, oracles, verify
 from sturmian.exactnum import (
@@ -44,16 +45,12 @@ from sturmian.words import check_word, semistandard_word, standard_word
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except SlopeSyntaxError as exc:
+    except (DepthError, ValueError) as exc:  # SlopeSyntaxError and NotAFactorError too
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NotAFactorError, DepthError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, SlopeSyntaxError) else 1
 
 
 def _positive_int(text: str) -> int:
@@ -123,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="verify a single slope instead of the default family")
     p.add_argument("--n-max", type=_positive_int, default=None,
                    help="sweep bound for the power-classification suite (default 150)")
-    p.add_argument("--suite", action="append", default=None,
+    p.add_argument("--suite", action="append", choices=list(verify.SUITES), default=None,
                    help="run only the named suite (repeatable)")
     p.add_argument("--inject-fault", choices=list(verify.FAULT_MODES), default=None,
                    help="negative control: corrupt power-classification's index formula")
@@ -137,42 +134,46 @@ def _build_parser() -> argparse.ArgumentParser:
 # ------------------------------------------------------------------
 
 def _slope_of(args: argparse.Namespace) -> tuple[ContinuedFraction, bool]:
-    cf = parse_slope(args.slope)
-    return normalize_slope(cf)
+    return normalize_slope(parse_slope(args.slope))
 
 
-def _renderer(cf: ContinuedFraction) -> Callable[[LinearForm], str]:
-    """approx_str for one answer: each distinct form is rendered once, on first use."""
-    return functools.cache(functools.partial(approx_str, cf))
+def _form_encoder(cf: ContinuedFraction) -> Callable[[LinearForm], dict]:
+    """A form's JSON object for one answer: each distinct form is rendered once."""
+    return functools.cache(lambda form: {"q": form.q, "p": form.p,
+                                         "approx": approx_str(cf, form)})
 
 
-def _form_json(form: LinearForm, render: Callable[[LinearForm], str]) -> dict:
-    return {"q": form.q, "p": form.p, "approx": render(form)}
+def _form_cell(form: dict) -> str:
+    """The table cell of a form's JSON object: its decimal, then the form."""
+    return f"{form['approx']}  [{LinearForm(form['q'], form['p'])}]"
 
 
-def _emit(args: argparse.Namespace, cf: ContinuedFraction, swapped: bool,
-          results: list, table_lines: list[str]) -> int:
+def _dash(value: object) -> str:
+    return "-" if value is None else str(value)
+
+
+def _emit(args: argparse.Namespace, slope: object, rows: list,
+          table: Callable[[], Iterable[str]], swapped: bool | None = None) -> int:
+    """The CLI's only output site: the rows as one JSON document, or a table.
+
+    `table` reads the rows into lines; only --format table calls it.
+    `swapped` is None for `verify`, whose head has no letters_swapped_from_input.
+    """
     if args.format == "json":
         depth = getattr(args, "depth", None)  # only critical-exponent takes --depth
-        doc = {
-            "slope": str(cf),
-            "depth": exactnum.depth_limit() if depth is None else depth,
-            "command": args.command,
-            "letters_swapped_from_input": swapped,
-            "results": results,
-        }
-        print(json.dumps(doc, indent=2))
+        head = {"slope": str(slope),
+                "depth": exactnum.depth_limit() if depth is None else depth,
+                "command": args.command}
+        if swapped is not None:
+            head["letters_swapped_from_input"] = swapped
+        print(json.dumps({**head, "results": rows}, indent=2))
     else:
         if swapped:
-            print(f"# slope normalized to {cf}; letters 0/1 are swapped "
+            print(f"# slope normalized to {slope}; letters 0/1 are swapped "
                   "relative to the input slope")
-        for line in table_lines:
+        for line in table():
             print(line)
     return 0
-
-
-def _fraction_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 # ------------------------------------------------------------------
@@ -181,70 +182,53 @@ def _fraction_str(x: Fraction) -> str:
 
 def cmd_factors(args: argparse.Namespace) -> int:
     cf, swapped = _slope_of(args)
-    render = _renderer(cf)
-    rows = []
-    lines = [f"{'word':<{args.n + 2}} {'left':>5} {'right':>5}  length"]
-    for word, interval in factors_of_length(cf, args.n):
-        rows.append({
-            "word": word,
-            "left_idx": interval.left_idx,
-            "right_idx": interval.right_idx,
-            "length": _form_json(interval.length, render),
-        })
-        lines.append(f"{word:<{args.n + 2}} {interval.left_idx:>5} "
-                     f"{interval.right_idx:>5}  {render(interval.length)}"
-                     f"  [{interval.length}]")
-    return _emit(args, cf, swapped, rows, lines)
+    encode = _form_encoder(cf)
+    rows = [{"word": word, "left_idx": interval.left_idx, "right_idx": interval.right_idx,
+             "length": encode(interval.length)}
+            for word, interval in factors_of_length(cf, args.n)]
+    width = args.n + 2
+    return _emit(args, cf, rows, lambda: [
+        f"{'word':<{width}} {'left':>5} {'right':>5}  length",
+        *(f"{r['word']:<{width}} {r['left_idx']:>5} {r['right_idx']:>5}  "
+          f"{_form_cell(r['length'])}" for r in rows)], swapped)
 
 
 def cmd_index(args: argparse.Namespace) -> int:
     cf, swapped = _slope_of(args)
     if args.word is not None:
         check_word(args.word)
-        n = len(args.word)
-        reports = [r for r in classify_length(cf, n) if r.word == args.word]
+        reports = [r for r in classify_length(cf, len(args.word)) if r.word == args.word]
         if not reports:
             raise NotAFactorError(f"{args.word!r} is not a factor for slope {cf}")
         reports[0] = dataclasses.replace(
             reports[0], fractional_index=fractional_index(cf, args.word))
     else:
         reports = classify_length(cf, args.n)
-    rows = []
+    rows = [{"word": r.word, "n": r.n, "integer_index": r.integer_index, "case": r.case_tag,
+             "conjugate_position": r.conjugate_position,
+             "fractional_index": None if r.fractional_index is None
+             else str(r.fractional_index)}
+            for r in reports]
     width = max(len(r.word) for r in reports) + 2
-    lines = [f"{'word':<{width}} {'index':>5}  case  conj  fractional"]
-    for r in reports:
-        rows.append({
-            "word": r.word,
-            "n": r.n,
-            "integer_index": r.integer_index,
-            "case": r.case_tag,
-            "conjugate_position": r.conjugate_position,
-            "fractional_index": None if r.fractional_index is None
-            else _fraction_str(r.fractional_index),
-        })
-        conj = "-" if r.conjugate_position is None else str(r.conjugate_position)
-        frac = "-" if r.fractional_index is None else _fraction_str(r.fractional_index)
-        lines.append(f"{r.word:<{width}} {r.integer_index:>5}  {r.case_tag:<4}  "
-                     f"{conj:>4}  {frac}")
-    return _emit(args, cf, swapped, rows, lines)
+    return _emit(args, cf, rows, lambda: [
+        f"{'word':<{width}} {'index':>5}  case  conj  fractional",
+        *(f"{r['word']:<{width}} {r['integer_index']:>5}  {r['case']:<4}  "
+          f"{_dash(r['conjugate_position']):>4}  {_dash(r['fractional_index'])}"
+          for r in rows)], swapped)
 
 
 def cmd_three_distance(args: argparse.Namespace) -> int:
     cf, swapped = _slope_of(args)
     s = three_distance(cf, args.n)
-    render = _renderer(cf)
-    gaps = [(s.count_short, s.length_short), (s.count_mid, s.length_mid),
-            (s.count_long, s.length_long)]
-    row = {
-        "n": s.n, "k": s.k, "l": s.l, "r": s.r,
-        "gaps": [{"count": count, "length": _form_json(form, render)} for count, form in gaps],
-    }
-    lines = [
+    encode = _form_encoder(cf)
+    gaps = [{"count": count, "length": encode(form)}
+            for count, form in ((s.count_short, s.length_short), (s.count_mid, s.length_mid),
+                                (s.count_long, s.length_long))]
+    row = {"n": s.n, "k": s.k, "l": s.l, "r": s.r, "gaps": gaps}
+    return _emit(args, cf, [row], lambda: [
         f"n = {s.n} decomposes as {s.l}*q_{s.k - 1} + q_{s.k - 2} + {s.r}",
         f"{'count':>6}  length",
-        *(f"{count:>6}  {render(form)}  [{form}]" for count, form in gaps),
-    ]
-    return _emit(args, cf, swapped, [row], lines)
+        *(f"{gap['count']:>6}  {_form_cell(gap['length'])}" for gap in gaps)], swapped)
 
 
 def cmd_standard_word(args: argparse.Namespace) -> int:
@@ -256,85 +240,79 @@ def cmd_standard_word(args: argparse.Namespace) -> int:
         word = semistandard_word(cf, args.k, args.l)
         label = f"s_({args.k},{args.l})"
     row = {"k": args.k, "l": args.l, "word": word, "length": len(word)}
-    return _emit(args, cf, swapped, [row], [f"{label} = {word}  (length {len(word)})"])
+    return _emit(args, cf, [row], lambda: [f"{label} = {word}  (length {len(word)})"], swapped)
 
 
 def cmd_conjugacy(args: argparse.Namespace) -> int:
     cf, swapped = _slope_of(args)
     rep = conjugacy_report(cf, args.k, args.l)
-    render = _renderer(cf)
-    rows = []
-    lines = [f"conjugates of {rep.base} (length {len(rep.base)}):",
-             f"{'pos':>4}  {'word':<{len(rep.base) + 2}} interval length"]
-    for i, w in enumerate(rep.conjugates):
-        wide = i < rep.wide_count
-        form = rep.wide_length if wide else rep.narrow_length
-        rows.append({
-            "position": i, "word": w,
-            "interval_length": _form_json(form, render),
-            "block": "wide" if wide else "narrow",
-        })
-        lines.append(f"{i:>4}  {w:<{len(rep.base) + 2}} "
-                     f"{render(form)}  [{form}]  ({'wide' if wide else 'narrow'})")
-    rows.append({
-        "position": None, "word": rep.leftover,
-        "interval_length": _form_json(rep.leftover_length, render),
-        "block": "outside-class",
-    })
-    lines.append(f"{'-':>4}  {rep.leftover:<{len(rep.base) + 2}} "
-                 f"{render(rep.leftover_length)}  [{rep.leftover_length}]  "
-                 "(outside the class)")
-    return _emit(args, cf, swapped, rows, lines)
+    encode = _form_encoder(cf)
+    blocks = ([("wide", rep.wide_length)] * rep.wide_count
+              + [("narrow", rep.narrow_length)] * rep.narrow_count)
+    rows = [{"position": i, "word": w, "interval_length": encode(form), "block": block}
+            for i, (w, (block, form)) in enumerate(zip(rep.conjugates, blocks))]
+    rows.append({"position": None, "word": rep.leftover,
+                 "interval_length": encode(rep.leftover_length), "block": "outside-class"})
+    width = len(rep.base) + 2
+    return _emit(args, cf, rows, lambda: [
+        f"conjugates of {rep.base} (length {len(rep.base)}):",
+        f"{'pos':>4}  {'word':<{width}} interval length",
+        *(f"{_dash(r['position']):>4}  {r['word']:<{width}} {_form_cell(r['interval_length'])}"
+          f"  ({'outside the class' if r['position'] is None else r['block']})"
+          for r in rows)], swapped)
 
 
 def cmd_critical_exponent(args: argparse.Namespace) -> int:
     cf, swapped = _slope_of(args)
     depth = args.depth if args.depth is not None else 30
     res = critical_exponent(cf, depth)
-    lo, hi = res.bounds()
     try:
         scan_obs, scan_period = oracles.max_run_exponent(
             characteristic_prefix(cf, 100_000), 1200)
     except DepthError:
         scan_obs, scan_period = None, None  # truncation too shallow to code
-    sup_approx = decimal_str((lo + hi) / 2)
+    if res.limit_tail is None:
+        sup_approx = decimal_str(res.value_attained)
+    else:  # the class limit: the tail slope's form a + limit_offset
+        sup_approx = approx_str(res.limit_tail, LinearForm(1, -res.limit_offset))
     row = {
         "depth": depth,
-        "terms": [{"k": k, "value": _fraction_str(t), "approx": decimal_str(t)}
-                  for k, t in res.terms],
+        "terms": [{"k": k, "value": str(t), "approx": decimal_str(t)} for k, t in res.terms],
         "attained": res.attained,
         "depth_limited": res.depth_limited,
         "witness_k": res.witness_k,
         "supremum": {
-            "exact": None if res.value_attained is None
-            else _fraction_str(res.value_attained),
+            "exact": None if res.value_attained is None else str(res.value_attained),
             "limit_offset": res.limit_offset,
             "limit_tail": None if res.limit_tail is None else str(res.limit_tail),
             "approx": sup_approx,
         },
         "scan_lower_bound": None if scan_obs is None else {
-            "exponent": _fraction_str(scan_obs),
+            "exponent": str(scan_obs),
             "period": scan_period,
             "window": 100_000,
         },
     }
-    lines = [f"{'k':>4}  {'term':<16} approx"]
-    for k, t in res.terms:
-        lines.append(f"{k:>4}  {_fraction_str(t):<16} {decimal_str(t)}")
-    if res.depth_limited:
-        lines.append(f"supremum >= {sup_approx} (lower bound, depth-limited at {depth})")
-    elif res.attained:
-        lines.append(f"supremum = {_fraction_str(res.value_attained)} = {sup_approx} "
-                     f"(attained, witness k = {res.witness_k})")
-    else:
-        lines.append(f"supremum = {res.limit_offset} + {res.limit_tail} = {sup_approx} "
-                     f"(approached along the depth class of k = {res.witness_k}, "
-                     "never attained)")
-    if scan_obs is not None:
-        lines.append(f"scan lower bound: exponent {_fraction_str(scan_obs)} "
-                     f"~ {decimal_str(scan_obs)} at period {scan_period} "
-                     "(prefix of 100000 letters)")
-    return _emit(args, cf, swapped, [row], lines)
+
+    def table() -> Iterator[str]:
+        sup = row["supremum"]
+        yield f"{'k':>4}  {'term':<16} approx"
+        for term in row["terms"]:
+            yield f"{term['k']:>4}  {term['value']:<16} {term['approx']}"
+        if res.depth_limited:
+            yield f"supremum >= {sup_approx} (lower bound, depth-limited at {depth})"
+        elif res.attained:
+            yield (f"supremum = {sup['exact']} = {sup_approx} "
+                   f"(attained, witness k = {res.witness_k})")
+        else:
+            yield (f"supremum = {res.limit_offset} + {sup['limit_tail']} = {sup_approx} "
+                   f"(approached along the depth class of k = {res.witness_k}, "
+                   "never attained)")
+        if scan_obs is not None:
+            yield (f"scan lower bound: exponent {row['scan_lower_bound']['exponent']} "
+                   f"~ {decimal_str(scan_obs)} at period {scan_period} "
+                   "(prefix of 100000 letters)")
+    return _emit(args, cf, [row], table, swapped)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -344,30 +322,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
                              "not selected")
         if args.n_max is not None:
             raise ValueError("--n-max bounds only power-classification, not selected")
-    slopes = None
-    if args.slope is not None:
-        cf, _ = normalize_slope(parse_slope(args.slope))
-        slopes = [cf]
-    results = verify.run_suites(names=args.suite, slopes=slopes,
+    results = verify.run_suites(names=args.suite,
+                                slopes=None if args.slope is None else [_slope_of(args)[0]],
                                 n_max=150 if args.n_max is None else args.n_max,
                                 inject_fault=args.inject_fault)
     all_pass = all(r.passed for r in results)
-    if args.format == "json":
-        doc = {
-            "slope": args.slope or "default-family",
-            "depth": exactnum.depth_limit(),
-            "command": "verify",
-            "results": [
-                {"suite": r.name, "passed": r.passed, "checks": r.checks,
-                 "failures": r.failures[:20]}
-                for r in results
-            ],
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        for r in results:
-            print(r.line())
-        print("ALL SUITES PASS" if all_pass else "VERIFICATION FAILED")
+    rows = [{"suite": r.name, "passed": r.passed, "checks": r.checks,
+             "failures": r.failures[:20]}
+            for r in results]
+    _emit(args, args.slope or "default-family", rows, lambda: [
+        *(r.line() for r in results), "ALL SUITES PASS" if all_pass else "VERIFICATION FAILED"])
     return 0 if all_pass else 1
 
 

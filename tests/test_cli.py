@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import re
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sturmian.cli import _build_parser, main
-from test_golden import FIXTURE, invoke
+from sturmian.exactnum import LinearForm
+from test_golden import FIXTURE, cases, invoke
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -279,7 +284,8 @@ def test_parser_is_built_once():
     ["index", "--slope", "[0;2,(1,2)]", "--format", "xml", "--n", "3"],
     ["index", "--n", "3"],
     ["nonsense"],
-], ids=["exclusive", "bad-int", "bad-choice", "missing-slope", "bad-command"])
+    ["verify", "--suite", "nope"],
+], ids=["exclusive", "bad-int", "bad-choice", "missing-slope", "bad-command", "bad-suite"])
 def test_usage_error_leaves_the_shared_parser_intact(bad, monkeypatch):
     # The same parser object serves both calls, so the error must not
     # leave anything behind that changes the next parse.
@@ -289,3 +295,154 @@ def test_usage_error_leaves_the_shared_parser_intact(bad, monkeypatch):
               for case in json.loads(FIXTURE.read_text(encoding="utf-8"))}
     assert invoke(bad)["exit"] == 2
     assert invoke(good) == golden[tuple(good)]
+
+
+# ------------------------------------------------------------------
+# the supremum's decimal against an independent surd
+# ------------------------------------------------------------------
+
+def _periodic_tail_surd(period: list[int]) -> tuple[int, int, int]:
+    """(P, D, Q) with [0; (b_1, ..., b_p)] = (P + sqrt(D))/Q.
+
+    y = [b_1; b_2, ..., b_p, y] is fixed by the matrix product
+    [[A, B], [C, D]] of the [[b, 1], [1, 0]], so C y^2 + (D - A) y - B = 0,
+    and the tail 1/y is (D - A + sqrt((A - D)^2 + 4BC)) / (2B).
+    """
+    a, b, c, d = 1, 0, 0, 1
+    for q in period:
+        a, b, c, d = a * q + b, a, c * q + d, c
+    return d - a, (a - d) ** 2 + 4 * b * c, 2 * b
+
+
+def _twelve_digits(x: Decimal) -> str:
+    """x to 12 significant digits, rounding half up."""
+    exp = x.adjusted() - 11
+    out = x.quantize(Decimal(1).scaleb(exp), rounding=ROUND_HALF_UP)
+    if out.adjusted() != x.adjusted():  # rounded up to the next power of ten
+        out = out.quantize(Decimal(1).scaleb(exp + 1), rounding=ROUND_HALF_UP)
+    return str(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       st.lists(st.integers(1, 6), min_size=1, max_size=3))
+def test_printed_class_limit_matches_its_surd(preperiod, period):
+    slope = "[0;" + ",".join(map(str, preperiod)) + ",(" + ",".join(map(str, period)) + ")]"
+    case = invoke(["critical-exponent", "--slope", slope, "--depth", "2", "--format", "json"])
+    assert case["exit"] == 0, case["stderr"]
+    sup = json.loads(case["stdout"])["results"][0]["supremum"]
+    assume(sup["limit_tail"] is not None)
+    assert sup["exact"] is None
+    tail = re.fullmatch(r"\[0;\(([\d,]+)\)\]", sup["limit_tail"])
+    p, d, q = _periodic_tail_surd([int(b) for b in tail.group(1).split(",")])
+    with localcontext() as ctx:
+        ctx.prec = 50
+        value = sup["limit_offset"] + (p + Decimal(d).sqrt()) / q
+    assert sup["approx"] == _twelve_digits(value)
+
+
+def test_class_limit_too_shallow_to_render_is_refused(capsys, monkeypatch):
+    # Depth 16 brackets 3 + [0;(1)] too loosely for 12 digits: an error,
+    # never an uncertified decimal such as 3.61803393456.
+    monkeypatch.setenv("STURM_DEPTH_LIMIT", "16")
+    code, out, err = run(capsys, "critical-exponent", "--slope", "[0;2,(1)]", "--depth", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: cannot render a+3 to 12 digits for slope [0;(1)]\n"
+
+# ------------------------------------------------------------------
+# table and JSON say the same thing
+# ------------------------------------------------------------------
+
+_CELL = r"(\S+)  \[(\S+)\]"  # a form's decimal, then the form
+
+
+def _cell(form: dict) -> tuple[str, str]:
+    return form["approx"], str(LinearForm(form["q"], form["p"]))
+
+
+def _dash(value) -> str:
+    return "-" if value is None else str(value)
+
+
+def _matches(pattern: str, lines: list[str]) -> list[tuple]:
+    found = [re.fullmatch(pattern, line) for line in lines]
+    assert all(found), [line for line, m in zip(lines, found) if m is None]
+    return [m.groups() for m in found]
+
+
+def _supremum_line(row: dict) -> str:
+    sup = row["supremum"]
+    if row["depth_limited"]:
+        return f"supremum >= {sup['approx']} (lower bound, depth-limited at {row['depth']})"
+    if row["attained"]:
+        return (f"supremum = {sup['exact']} = {sup['approx']} "
+                f"(attained, witness k = {row['witness_k']})")
+    return (f"supremum = {sup['limit_offset']} + {sup['limit_tail']} = {sup['approx']} "
+            f"(approached along the depth class of k = {row['witness_k']}, never attained)")
+
+
+def _same_answer(command: str, lines: list[str], rows: list[dict]) -> None:
+    """Assert that the table `lines` state what the JSON `rows` state."""
+    if command == "factors":
+        assert _matches(rf"(\S+) +(\d+) +(\d+)  {_CELL}", lines[1:]) == [
+            (r["word"], str(r["left_idx"]), str(r["right_idx"]), *_cell(r["length"]))
+            for r in rows]
+    elif command == "index":
+        assert _matches(r"(\S+) +(\d+)  (\S+) +(\S+)  (\S+)", lines[1:]) == [
+            (r["word"], str(r["integer_index"]), r["case"], _dash(r["conjugate_position"]),
+             _dash(r["fractional_index"])) for r in rows]
+    elif command == "conjugacy":
+        assert _matches(rf" *(\S+)  (\S+) +{_CELL}  \((.+)\)", lines[2:]) == [
+            (_dash(r["position"]), r["word"], *_cell(r["interval_length"]),
+             "outside the class" if r["position"] is None else r["block"]) for r in rows]
+    elif command == "three-distance":
+        (row,) = rows
+        assert _matches(r"n = (\d+) decomposes as (\d+)\*q_(\S+) \+ q_(\S+) \+ (\d+)",
+                        lines[:1]) == [tuple(map(str, (row["n"], row["l"], row["k"] - 1,
+                                                       row["k"] - 2, row["r"])))]
+        assert _matches(rf" *(\d+)  {_CELL}", lines[2:]) == [
+            (str(g["count"]), *_cell(g["length"])) for g in row["gaps"]]
+    elif command == "standard-word":
+        (row,) = rows
+        assert _matches(r"s_\S+ = ([01]+)  \(length (\d+)\)", lines) == [
+            (row["word"], str(row["length"]))]
+    elif command == "critical-exponent":
+        (row,) = rows
+        terms = len(row["terms"])
+        assert _matches(r" *(\d+)  (\S+) +(\S+)", lines[1:terms + 1]) == [
+            (str(t["k"]), t["value"], t["approx"]) for t in row["terms"]]
+        assert lines[terms + 1] == _supremum_line(row)
+        scan = row["scan_lower_bound"]
+        assert _matches(r"scan lower bound: exponent (\S+) ~ \S+ at period (\d+) "
+                        r"\(prefix of (\d+) letters\)", lines[terms + 2:]) == (
+            [] if scan is None else
+            [(scan["exponent"], str(scan["period"]), str(scan["window"]))])
+    elif command == "verify":
+        suites = [line for line in lines[:-1] if not line.startswith("    ")]
+        assert _matches(r"(\S+) +(PASS|FAIL)  \((\d+) checks\)", suites) == [
+            (r["suite"], "PASS" if r["passed"] else "FAIL", str(r["checks"])) for r in rows]
+        assert lines[-1] == ("ALL SUITES PASS" if all(r["passed"] for r in rows)
+                             else "VERIFICATION FAILED")
+    else:
+        raise AssertionError(f"no table reader for {command}")
+
+
+def _answered_in_both_formats() -> list[list[str]]:
+    exits = {tuple(case["argv"]): case["exit"]
+             for case in json.loads(FIXTURE.read_text(encoding="utf-8"))}
+    return [argv for argv in cases() if argv[-1] == "table"
+            and exits[tuple(argv)] == exits[tuple(argv[:-1] + ["json"])] == 0]
+
+
+@pytest.mark.parametrize("argv", _answered_in_both_formats(), ids=" ".join)
+def test_table_and_json_say_the_same(argv, monkeypatch):
+    monkeypatch.delenv("STURM_DEPTH_LIMIT", raising=False)
+    table, doc = invoke(argv), invoke(argv[:-1] + ["json"])
+    assert table["exit"] == doc["exit"] == 0
+    doc = json.loads(doc["stdout"])
+    lines = table["stdout"].splitlines()
+    if doc.get("letters_swapped_from_input"):
+        assert lines.pop(0) == (f"# slope normalized to {doc['slope']}; letters 0/1 "
+                                "are swapped relative to the input slope")
+    assert doc["command"] == argv[0]
+    _same_answer(argv[0], lines, doc["results"])
