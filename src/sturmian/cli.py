@@ -47,6 +47,7 @@ from sturmian.words import check_word, semistandard_word, standard_word
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        exactnum.depth_limit()  # a bad STURM_DEPTH_LIMIT is refused by every command
         return args.handler(args)
     except (DepthError, ValueError) as exc:  # SlopeSyntaxError and NotAFactorError too
         print(f"error: {exc}", file=sys.stderr)
@@ -112,6 +113,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--depth", type=int, default=None,
                    help="depth bound: the last term index k listed (default 30)")
+    p.add_argument("--scan", action="store_true",
+                   help=f"also print an oracle's lower bound: the longest run, over "
+                        f"periods up to {verify.SCAN_MAX_PERIOD}, in the first "
+                        f"{verify.SCAN_LETTERS} letters of the characteristic word")
     p.set_defaults(handler=cmd_critical_exponent)
 
     p = sub.add_parser("verify", help="run the formula-vs-oracle verification suites")
@@ -266,11 +271,6 @@ def cmd_critical_exponent(args: argparse.Namespace) -> int:
     cf, swapped = _slope_of(args)
     depth = args.depth if args.depth is not None else 30
     res = critical_exponent(cf, depth)
-    try:
-        scan_obs, scan_period = oracles.max_run_exponent(
-            characteristic_prefix(cf, 100_000), 1200)
-    except DepthError:
-        scan_obs, scan_period = None, None  # truncation too shallow to code
     if res.limit_tail is None:
         sup_approx = decimal_str(res.value_attained)
     else:  # the class limit: the tail slope's form a + limit_offset
@@ -287,12 +287,16 @@ def cmd_critical_exponent(args: argparse.Namespace) -> int:
             "limit_tail": None if res.limit_tail is None else str(res.limit_tail),
             "approx": sup_approx,
         },
-        "scan_lower_bound": None if scan_obs is None else {
-            "exponent": str(scan_obs),
-            "period": scan_period,
-            "window": 100_000,
-        },
     }
+    if args.scan:
+        try:
+            text = characteristic_prefix(cf, verify.SCAN_LETTERS)
+        except DepthError:  # the cylinder cannot code the window: null, a "none" line
+            row["scan_lower_bound"] = None
+        else:
+            scan_obs, scan_period = oracles.max_run_exponent(text, verify.SCAN_MAX_PERIOD)
+            row["scan_lower_bound"] = {"exponent": str(scan_obs), "period": scan_period,
+                                       "window": verify.SCAN_LETTERS}
 
     def table() -> Iterator[str]:
         sup = row["supremum"]
@@ -308,10 +312,14 @@ def cmd_critical_exponent(args: argparse.Namespace) -> int:
             yield (f"supremum = {res.limit_offset} + {sup['limit_tail']} = {sup_approx} "
                    f"(approached along the depth class of k = {res.witness_k}, "
                    "never attained)")
-        if scan_obs is not None:
-            yield (f"scan lower bound: exponent {row['scan_lower_bound']['exponent']} "
-                   f"~ {decimal_str(scan_obs)} at period {scan_period} "
-                   "(prefix of 100000 letters)")
+        if not args.scan:
+            return
+        if row["scan_lower_bound"] is None:
+            yield (f"scan lower bound: none (the cylinder of depth {cf.max_depth(None)} "
+                   f"does not fix {verify.SCAN_LETTERS} letters)")
+        else:
+            yield (f"scan lower bound: exponent {scan_obs} ~ {decimal_str(scan_obs)} "
+                   f"at period {scan_period} (prefix of {verify.SCAN_LETTERS} letters)")
     return _emit(args, cf, [row], table, swapped)
 
 
