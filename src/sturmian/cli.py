@@ -18,7 +18,7 @@ import json
 import sys
 from typing import Callable, Iterable, Iterator
 
-from sturmian import exactnum, oracles, verify
+from sturmian import exactnum, verify
 from sturmian.exactnum import (
     ContinuedFraction,
     DepthError,
@@ -37,7 +37,6 @@ from sturmian.repetitions import (
     fractional_index,
 )
 from sturmian.rotation import (
-    characteristic_prefix,
     factors_of_length,
     three_distance,
 )
@@ -113,10 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--depth", type=int, default=None,
                    help="depth bound: the last term index k listed (default 30)")
-    p.add_argument("--scan", action="store_true",
-                   help=f"also print an oracle's lower bound: the longest run, over "
-                        f"periods up to {verify.SCAN_MAX_PERIOD}, in the first "
-                        f"{verify.SCAN_LETTERS} letters of the characteristic word")
     p.set_defaults(handler=cmd_critical_exponent)
 
     p = sub.add_parser("verify", help="run the formula-vs-oracle verification suites")
@@ -288,15 +283,6 @@ def cmd_critical_exponent(args: argparse.Namespace) -> int:
             "approx": sup_approx,
         },
     }
-    if args.scan:
-        try:
-            text = characteristic_prefix(cf, verify.SCAN_LETTERS)
-        except DepthError:  # the cylinder cannot code the window: null, a "none" line
-            row["scan_lower_bound"] = None
-        else:
-            scan_obs, scan_period = oracles.max_run_exponent(text, verify.SCAN_MAX_PERIOD)
-            row["scan_lower_bound"] = {"exponent": str(scan_obs), "period": scan_period,
-                                       "window": verify.SCAN_LETTERS}
 
     def table() -> Iterator[str]:
         sup = row["supremum"]
@@ -312,14 +298,6 @@ def cmd_critical_exponent(args: argparse.Namespace) -> int:
             yield (f"supremum = {res.limit_offset} + {sup['limit_tail']} = {sup_approx} "
                    f"(approached along the depth class of k = {res.witness_k}, "
                    "never attained)")
-        if not args.scan:
-            return
-        if row["scan_lower_bound"] is None:
-            yield (f"scan lower bound: none (the cylinder of depth {cf.max_depth(None)} "
-                   f"does not fix {verify.SCAN_LETTERS} letters)")
-        else:
-            yield (f"scan lower bound: exponent {scan_obs} ~ {decimal_str(scan_obs)} "
-                   f"at period {scan_period} (prefix of {verify.SCAN_LETTERS} letters)")
     return _emit(args, cf, [row], table, swapped)
 
 

@@ -51,12 +51,6 @@ DEFAULT_FAMILY = (
 
 FAULT_MODES = ("flip-gamma",)
 
-# The run scan of the critical-exponent suite, and of `critical-exponent
-# --scan`: the longest run, over periods up to SCAN_MAX_PERIOD, in the
-# first SCAN_LETTERS letters of the characteristic word.
-SCAN_LETTERS = 100_000
-SCAN_MAX_PERIOD = 1200
-
 
 @dataclass
 class SuiteResult:
@@ -272,7 +266,7 @@ def suite_power_classification(slopes: list[ContinuedFraction], n_max: int = 150
 
 
 def suite_critical_exponent(slopes: list[ContinuedFraction], depth: int = 30,
-                            scan_len: int = SCAN_LETTERS) -> SuiteResult:
+                            scan_len: int = 100_000) -> SuiteResult:
     """The supremum dominates every term, every exactly computed
     fractional index of a standard word, and every repetition found by
     an unstructured run scan of a long prefix."""
@@ -290,7 +284,7 @@ def suite_critical_exponent(slopes: list[ContinuedFraction], depth: int = 30,
                           f"{cf}: standard-word fractional index at k={k}: "
                           f"interval route {exact} != term {t}")
         window = characteristic_prefix(cf, scan_len)
-        observed, period = oracles.max_run_exponent(window, SCAN_MAX_PERIOD)
+        observed, period = oracles.max_run_exponent(window, 1200)
         rec.check(observed <= hi,
                   f"{cf}: scanned repetition of exponent {observed} (period {period}) "
                   f"exceeds the supremum bound {hi}")

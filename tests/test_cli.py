@@ -5,13 +5,12 @@ from __future__ import annotations
 import json
 import re
 from decimal import ROUND_HALF_UP, Decimal, localcontext
-from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sturmian import cli, oracles
+from sturmian import oracles, rotation
 from sturmian.cli import _build_parser, main
 from sturmian.exactnum import LinearForm
 from test_golden import FIXTURE, cases, invoke
@@ -139,73 +138,28 @@ def test_conjugacy_table(capsys):
 
 def test_critical_exponent_report(capsys):
     code, out, _ = run(capsys, "critical-exponent", "--slope", "[0;2,(1)]",
-                       "--depth", "10", "--scan")
+                       "--depth", "10")
     assert code == 0
     assert "3.61803398875" in out
     assert "never attained" in out
-    assert "scan lower bound" in out
-
-
-def _scan_lines(out: str) -> list[str]:
-    return [line for line in out.splitlines() if line.startswith("scan lower bound")]
-
-
-def test_critical_exponent_truncation_scans_what_its_cylinder_codes(capsys):
-    # The cylinder's bracket p_7/q_7, (p_7 + p_6)/(q_7 + q_6) has
-    # 2*111,950 + 21,909 > 2*100,001: its key table codes the scan's 100,000
-    # letters, so the truncation prints the scan line of every slope in it.
-    code, out, _ = run(capsys, "critical-exponent", "--slope", "[0;2,1,9,9,9,9,5]", "--scan")
-    assert code == 0
-    scans = _scan_lines(out)
-    assert scans == ["scan lower bound: exponent 977/88 ~ 11.1022727273 at period 264 "
-                     "(prefix of 100000 letters)"]
-    for extension in ("[0;2,1,9,9,9,9,5,(1)]", "[0;2,1,9,9,9,9,5,(7,2)]"):
-        code, out, _ = run(capsys, "critical-exponent", "--slope", extension, "--scan")
-        assert code == 0 and _scan_lines(out) == scans, extension
-
-
-def test_critical_exponent_scan_on_a_shallow_truncation_says_none(capsys):
-    # Depth 8 cannot code 100,000 letters: --scan says so, in both formats.
-    slope = "[0;3,1,4,1,5,9,2,6]"
-    code, out, _ = run(capsys, "critical-exponent", "--slope", slope, "--scan")
-    assert code == 0
-    assert _scan_lines(out) == [
-        "scan lower bound: none (the cylinder of depth 8 does not fix 100000 letters)"]
-    code, out, _ = run(capsys, "critical-exponent", "--slope", slope, "--scan",
-                       "--format", "json")
-    assert code == 0
-    assert json.loads(out)["results"][0]["scan_lower_bound"] is None
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
 @pytest.mark.parametrize("slope", ["[0;2,(1)]", "[0;2,(1,2)]", "[0;2,1,9,9,9,9,5]",
                                    "[0;3,1,4,1,5,9,2,6]"])
-def test_critical_exponent_scans_only_with_scan(capsys, monkeypatch, slope, fmt):
+def test_critical_exponent_runs_no_scan(capsys, monkeypatch, slope, fmt):
+    # The answer is the formula's alone; the run scan is the verify suite's.
     def refuse(*args):
-        raise AssertionError("the run scan ran without --scan")
+        raise AssertionError("critical-exponent ran the run scan")
 
     monkeypatch.setattr(oracles, "max_run_exponent", refuse)
-    monkeypatch.setattr(cli, "characteristic_prefix", refuse)
+    monkeypatch.setattr(rotation, "characteristic_prefix", refuse)
     code, out, _ = run(capsys, "critical-exponent", "--slope", slope, "--format", fmt)
     assert code == 0
     if fmt == "json":
         assert "scan_lower_bound" not in json.loads(out)["results"][0]
     else:
-        assert _scan_lines(out) == []
-
-
-def test_critical_exponent_scan_runs_once(capsys, monkeypatch):
-    calls = []
-
-    def counted(text, max_period):
-        calls.append((len(text), max_period))
-        return Fraction(3), 1
-
-    monkeypatch.setattr(oracles, "max_run_exponent", counted)
-    code, out, _ = run(capsys, "critical-exponent", "--slope", "[0;2,(1)]", "--scan")
-    assert code == 0 and calls == [(100_000, 1200)]
-    assert _scan_lines(out) == ["scan lower bound: exponent 3 ~ 3.00000000000 at period 1 "
-                                "(prefix of 100000 letters)"]
+        assert "scan lower bound" not in out
 
 
 def test_critical_exponent_truncated_slope(capsys):
@@ -474,16 +428,7 @@ def _same_answer(command: str, lines: list[str], rows: list[dict]) -> None:
         terms = len(row["terms"])
         assert _matches(r" *(\d+)  (\S+) +(\S+)", lines[1:terms + 1]) == [
             (str(t["k"]), t["value"], t["approx"]) for t in row["terms"]]
-        assert lines[terms + 1] == _supremum_line(row)
-        if "scan_lower_bound" not in row:  # no --scan: no scan line
-            assert lines[terms + 2:] == []
-        elif row["scan_lower_bound"] is None:
-            assert _matches(r"scan lower bound: none \(.*\)", lines[terms + 2:]) == [()]
-        else:
-            scan = row["scan_lower_bound"]
-            assert _matches(r"scan lower bound: exponent (\S+) ~ \S+ at period (\d+) "
-                            r"\(prefix of (\d+) letters\)", lines[terms + 2:]) == [
-                (scan["exponent"], str(scan["period"]), str(scan["window"]))]
+        assert lines[terms + 1:] == [_supremum_line(row)]
     elif command == "verify":
         suites = [line for line in lines[:-1] if not line.startswith("    ")]
         assert _matches(r"(\S+) +(PASS|FAIL)  \((\d+) checks\)", suites) == [

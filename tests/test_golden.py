@@ -52,12 +52,6 @@ VERIFY = (
      "--suite", "power-classification", "--inject-fault", "flip-gamma"],
 )
 
-# --scan pins the run scan's line: two periodic slopes, a truncation whose
-# cylinder codes the 100,000 letters, and one whose cylinder does not.
-SCAN = tuple(["critical-exponent", "--scan", "--slope", slope]
-             for slope in ("[0;2,(1)]", "[0;2,(1,2)]", "[0;2,1,9,9,9,9,5]",
-                           "[0;3,1,4,1,5,9,2,6]"))
-
 
 def cases() -> list[list[str]]:
     out = []
@@ -65,7 +59,7 @@ def cases() -> list[list[str]]:
         for slope in SLOPES:
             for args in PER_SLOPE:
                 out.append(args + ["--slope", slope, "--format", fmt])
-        for args in VERIFY + SCAN:
+        for args in VERIFY:
             out.append(args + ["--format", fmt])
     return out
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from sturmian import oracles, verify
@@ -28,6 +30,26 @@ def test_cube_structure_fourth_powers_off_all_ones_tails(slope):
     # power a factor even when the period is all ones.
     [result] = verify.run_suites(names=["cube-structure"], slopes=[parse_slope(slope)])
     assert result.passed, result.line()
+
+
+def test_critical_exponent_suite_scans_what_a_truncation_cylinder_codes(monkeypatch):
+    # The cylinder's bracket p_7/q_7, (p_7 + p_6)/(q_7 + q_6) has
+    # 2*111,950 + 21,909 > 2*100,001: its key table codes the suite's
+    # 100,000-letter scan window, so the truncation scans the same runs as
+    # every slope in it.
+    scans = []
+    scan = oracles.max_run_exponent
+
+    def recorded(text, max_period):
+        scans.append(scan(text, max_period))
+        return scans[-1]
+
+    monkeypatch.setattr(oracles, "max_run_exponent", recorded)
+    slopes = [parse_slope(s) for s in ("[0;2,1,9,9,9,9,5]", "[0;2,1,9,9,9,9,5,(1)]",
+                                       "[0;2,1,9,9,9,9,5,(7,2)]")]
+    [result] = verify.run_suites(names=["critical-exponent"], slopes=slopes)
+    assert result.passed, result.line()
+    assert scans == [(Fraction(977, 88), 264)] * 3
 
 
 def test_fault_injection_is_detected(small_family):
