@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 DEFAULT_DEPTH_LIMIT = 64
 _DEPTH_ENV = "STURM_DEPTH_LIMIT"
@@ -302,6 +303,21 @@ def semiconvergent_den(cf: ContinuedFraction, k: int, l: int) -> int:
     """Denominator q_{k,l} = l*q_{k-1} + q_{k-2} for k >= 2 and 0 <= l <= a_k."""
     p, q = _semiconvergent_pair(cf, k, l)
     return q
+
+
+def semiconvergents(cf: ContinuedFraction, n_max: int) -> Iterator[tuple[int, int, int]]:
+    """(k, l, q_{k,l}) for k >= 2 and 0 < l <= a_k, in increasing order of
+    q_{k,l}, while q_{k,l} <= n_max.  With q_0 and q_1 these are every
+    standard and semistandard length; a_k is read once q_{k-1} <= n_max."""
+    ctx = _ctx(cf)
+    k = 2
+    while (q1 := ctx.pair(k - 1)[1]) <= n_max:
+        q2 = ctx.pair(k - 2)[1]
+        for l in range(1, cf.quotient(k) + 1):
+            if l * q1 + q2 > n_max:
+                return
+            yield k, l, l * q1 + q2
+        k += 1
 
 
 def _semiconvergent_pair(cf: ContinuedFraction, k: int, l: int) -> tuple[int, int]:

@@ -11,11 +11,9 @@ twice: by exact interval formulas and by scanning coded prefixes.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from sturmian import oracles
 from sturmian.exactnum import (
@@ -28,6 +26,7 @@ from sturmian.exactnum import (
     distance,
     floor_ratio,
     semiconvergent_distance,
+    semiconvergents,
 )
 from sturmian.rotation import (
     _period_exit,
@@ -86,6 +85,10 @@ class ConjugacyReport:
     leftover_length: LinearForm
 
 
+# Depth of the tail's convergent bracket in CriticalExponentResult.bounds().
+_BOUNDS_DEPTH = 40
+
+
 @dataclass(frozen=True)
 class CriticalExponentResult:
     """The supremum of fractional indices over all factors.
@@ -106,11 +109,11 @@ class CriticalExponentResult:
     limit_tail: ContinuedFraction | None
     depth_limited: bool
 
-    def bounds(self, depth: int = 40) -> tuple[Fraction, Fraction]:
+    def bounds(self) -> tuple[Fraction, Fraction]:
         """Certified rational bounds for the supremum."""
         if self.value_attained is not None:
             return self.value_attained, self.value_attained
-        a, b, c, e = alpha_bounds(self.limit_tail, min(depth, self.limit_tail.max_depth()))
+        a, b, c, e = alpha_bounds(self.limit_tail, min(_BOUNDS_DEPTH, self.limit_tail.max_depth()))
         return self.limit_offset + Fraction(a, b), self.limit_offset + Fraction(c, e)
 
 
@@ -302,21 +305,8 @@ def square_lengths(cf: ContinuedFraction, n_max: int) -> set[int]:
     require_normalized(cf)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    out: dict[int, str] = {}
-    k = 0
-    while True:
-        q = convergent(cf, k).q
-        if q > n_max:
-            break
-        out[q] = standard_word(cf, k)
-        k += 1
-    j = 2
-    while convergent(cf, j - 1).q + convergent(cf, j - 2).q <= n_max:
-        for l in range(1, cf.quotient(j)):
-            q = l * convergent(cf, j - 1).q + convergent(cf, j - 2).q
-            if q <= n_max:
-                out[q] = standard_or_semistandard(cf, j, l)
-        j += 1
+    out = {q: standard_word(cf, k) for k in (0, 1) if (q := convergent(cf, k).q) <= n_max}
+    out.update((q, standard_or_semistandard(cf, k, l)) for k, l, q in semiconvergents(cf, n_max))
     for q, w in out.items():
         if word_interval(cf, w * 2) is None:
             raise AssertionError(f"square of {w!r} (length {q}) unexpectedly missing")
@@ -412,50 +402,36 @@ def fractional_indices(cf: ContinuedFraction, n: int) -> dict[str, Fraction]:
             for w, iv in intervals.items()}
 
 
-def _class_limit_tail(cf: ContinuedFraction, k0: int) -> ContinuedFraction:
-    """Purely periodic tail [0; (a_{k0}, a_{k0-1}, ..., back one period)]."""
-    period = len(cf.period)
-    block = tuple(cf.quotient(k0 - j) for j in range(period))
-    return ContinuedFraction((), block)
+def _class_limit(cf: ContinuedFraction, k0: int
+                 ) -> tuple[Fraction, Fraction, int, ContinuedFraction]:
+    """(A, B, D, tail): the limit 2 + a_{k0+1} + tail of the terms t_k along
+    k = k0 mod the period is A + B*sqrt(D), with the purely periodic tail
+    x = [0; (a_{k0}, a_{k0-1}, ..., back one period)].
 
-
-def _quotient_stream(value: Fraction, tail: ContinuedFraction | None) -> Iterator[int]:
-    """Continued-fraction quotients of value, or of value + tail for an
-    integer value: finite for a rational, eventually periodic otherwise."""
-    if tail is None:
-        num, den = value.numerator, value.denominator
-        while den:
-            b, r = divmod(num, den)
-            yield b
-            num, den = den, r
-    else:
-        yield int(value)
-        yield from tail.preperiod
-        yield from itertools.cycle(tail.period)
-
-
-def _candidate_le(a: tuple[Fraction, ContinuedFraction | None],
-                  b: tuple[Fraction, ContinuedFraction | None]) -> bool:
-    """Exact a <= b for candidates rational (+ purely periodic CF tail).
-
-    The first differing quotient decides: a larger quotient means a larger
-    number at even positions and a smaller one at odd positions, and a
-    finished stream counts as infinity.  Two periodic streams that agree
-    through both heads and a common period agree forever.
+    x = (p_P + p_{P-1} x)/(q_P + q_{P-1} x) for the tail's convergents, so
+    q_{P-1} x^2 + (q_P - p_{P-1}) x - p_P = 0 and x = (p_{P-1} - q_P +
+    sqrt(D))/(2 q_{P-1}), with D = tr^2 - 4 det of the period matrix.  The
+    tails of one slope are rotations of the reversed period, whose period
+    matrices are conjugate: D is the same for every class limit of a slope.
     """
-    (fa, ta), (fb, tb) = a, b
-    limit = None
-    if ta is not None and tb is not None:
-        limit = (2 + max(len(ta.preperiod), len(tb.preperiod))
-                 + math.lcm(len(ta.period), len(tb.period)))
-    pairs = itertools.zip_longest(_quotient_stream(fa, ta), _quotient_stream(fb, tb))
-    for i, (x, y) in enumerate(pairs):
-        if i == limit:
-            break
-        if x != y:
-            a_larger = y is not None and (x is None or x > y)
-            return a_larger == (i % 2 == 1)
-    return True
+    period = len(cf.period)
+    tail = ContinuedFraction((), tuple(cf.quotient(k0 - j) for j in range(period)))
+    ctx = _ctx(tail)
+    p1, q1 = ctx.pair(period)
+    p0, q0 = ctx.pair(period - 1)
+    d = (p0 + q1) ** 2 - 4 * (p0 * q1 - p1 * q0)
+    return 2 + cf.quotient(k0 + 1) + Fraction(p0 - q1, 2 * q0), Fraction(1, 2 * q0), d, tail
+
+
+def _surd_le(x: tuple[Fraction, Fraction], y: tuple[Fraction, Fraction], d: int) -> bool:
+    """Exact x <= y for numbers A + B*sqrt(d) given as (A, B), sqrt(d)
+    irrational: the sign of a + b*sqrt(d), (a, b) = y - x."""
+    a, b = y[0] - x[0], y[1] - x[1]
+    if b == 0:
+        return a >= 0
+    if a * b < 0 and a * a > b * b * d:
+        return a > 0
+    return b > 0
 
 
 def _term(cf: ContinuedFraction, k: int) -> Fraction:
@@ -504,20 +480,23 @@ def critical_exponent(cf: ContinuedFraction, depth_bound: int) -> CriticalExpone
     else:
         last = min(depth_bound, m - 1)
 
-    candidates: list[tuple[Fraction, ContinuedFraction | None, int]] = [
-        (_term(cf, k), None, k) for k in range(last + 1)]
-    terms = tuple((k, t) for t, _, k in candidates[2:depth_bound + 1])
+    # Every candidate is A + B*sqrt(d): a term t_k is (t_k, 0).
+    candidates: list[tuple[Fraction, Fraction, ContinuedFraction | None, int]] = [
+        (_term(cf, k), Fraction(0), None, k) for k in range(last + 1)]
+    terms = tuple((k, t) for t, _, _, k in candidates[2:depth_bound + 1])
+    d = 0
     for k0 in range(m + period + 1, m + 2 * period + 1):
-        candidates.append((Fraction(2 + cf.quotient(k0 + 1)), _class_limit_tail(cf, k0), k0))
+        a, b, d, tail = _class_limit(cf, k0)
+        candidates.append((a, b, tail, k0))
 
     best = candidates[0]
     for cand in candidates[1:]:
-        if _candidate_le(best[:2], cand[:2]):
+        if _surd_le(best[:2], cand[:2], d):
             best = cand
-    value, tail, witness = best
+    value, _, tail, witness = best
     return CriticalExponentResult(
         slope=cf, depth=depth_bound, terms=terms, witness_k=witness,
         attained=tail is None, value_attained=value if tail is None else None,
-        limit_offset=None if tail is None else int(value), limit_tail=tail,
+        limit_offset=None if tail is None else 2 + cf.quotient(witness + 1), limit_tail=tail,
         depth_limited=not cf.is_periodic,
     )

@@ -26,6 +26,7 @@ from sturmian.exactnum import (
     recover_quotient,
     semiconvergent_den,
     semiconvergent_distance,
+    semiconvergents,
 )
 from sturmian.repetitions import (
     classify_length,
@@ -126,28 +127,22 @@ def suite_closest_multiples(slopes: list[ContinuedFraction],
     start = time.monotonic()
     rec = _Recorder()
     for cf in slopes:
-        k = 2
-        while semiconvergent_den(cf, k, 0) + convergent(cf, k - 1).q <= q_max:
-            for l in range(1, cf.quotient(k) + 1):
-                q_kl = semiconvergent_den(cf, k, l)
-                if q_kl > q_max:
-                    continue
-                got = closest_multiples(cf, k, l)
-                scan = oracles.closer_multiples_scan(
-                    cf, q_kl, semiconvergent_den(cf, k, l - 1))
-                rec.check(got == scan, f"{cf}: closest multiples ({k},{l}) {got} != {scan}")
-                lhs = semiconvergent_distance(cf, k, l)
-                rhs = semiconvergent_distance(cf, k, l - 1) - convergent_distance(cf, k - 1)
-                rec.check(lhs == rhs, f"{cf}: distance recurrence broken at ({k},{l})")
-                rec.check(distance(cf, q_kl) == lhs,
-                          f"{cf}: nearest-integer distance disagrees at q_({k},{l})")
-            a_k = cf.quotient(k)
-            prev = convergent_distance(cf, k - 1)
-            prev2 = convergent_distance(cf, k - 2)
-            ok = (compare(cf, a_k * prev, prev2) is Ordering.LT
-                  and compare(cf, prev2, (a_k + 1) * prev) is Ordering.LT)
-            rec.check(ok, f"{cf}: quotient sandwich fails at k={k}")
-            k += 1
+        for k, l, q_kl in semiconvergents(cf, q_max):
+            got = closest_multiples(cf, k, l)
+            scan = oracles.closer_multiples_scan(cf, q_kl, semiconvergent_den(cf, k, l - 1))
+            rec.check(got == scan, f"{cf}: closest multiples ({k},{l}) {got} != {scan}")
+            lhs = semiconvergent_distance(cf, k, l)
+            rhs = semiconvergent_distance(cf, k, l - 1) - convergent_distance(cf, k - 1)
+            rec.check(lhs == rhs, f"{cf}: distance recurrence broken at ({k},{l})")
+            rec.check(distance(cf, q_kl) == lhs,
+                      f"{cf}: nearest-integer distance disagrees at q_({k},{l})")
+            if l == 1:
+                a_k = cf.quotient(k)
+                prev = convergent_distance(cf, k - 1)
+                prev2 = convergent_distance(cf, k - 2)
+                ok = (compare(cf, a_k * prev, prev2) is Ordering.LT
+                      and compare(cf, prev2, (a_k + 1) * prev) is Ordering.LT)
+                rec.check(ok, f"{cf}: quotient sandwich fails at k={k}")
     return _finish("closest-multiples", rec, start)
 
 
@@ -194,30 +189,24 @@ def suite_conjugacy(slopes: list[ContinuedFraction], n_max: int = 150) -> SuiteR
     start = time.monotonic()
     rec = _Recorder()
     for cf in slopes:
-        k = 2
-        while semiconvergent_den(cf, k, 1) <= n_max:
-            for l in range(1, cf.quotient(k) + 1):
-                n = semiconvergent_den(cf, k, l)
-                if n > n_max:
-                    continue
-                rep = conjugacy_report(cf, k, l)  # self-certifies vs intervals
-                summary = three_distance(cf, n)
-                pairs = {
-                    (summary.count_short, summary.length_short),
-                    (summary.count_mid, summary.length_mid),
-                    (summary.count_long, summary.length_long),
-                }
-                expected = {
-                    (rep.wide_count, rep.wide_length),
-                    (rep.narrow_count, rep.narrow_length),
-                    (1, rep.leftover_length),
-                }
-                rec.check(pairs == expected,
-                          f"{cf}: class ({k},{l}) tags disagree with the partition")
-                rec.check(rep.conjugates[convergent(cf, k - 1).q - 2] ==
-                          standard_or_semistandard(cf, k, l),
-                          f"{cf}: rotation identity fails at ({k},{l})")
-            k += 1
+        for k, l, n in semiconvergents(cf, n_max):
+            rep = conjugacy_report(cf, k, l)  # self-certifies vs intervals
+            summary = three_distance(cf, n)
+            pairs = {
+                (summary.count_short, summary.length_short),
+                (summary.count_mid, summary.length_mid),
+                (summary.count_long, summary.length_long),
+            }
+            expected = {
+                (rep.wide_count, rep.wide_length),
+                (rep.narrow_count, rep.narrow_length),
+                (1, rep.leftover_length),
+            }
+            rec.check(pairs == expected,
+                      f"{cf}: class ({k},{l}) tags disagree with the partition")
+            rec.check(rep.conjugates[convergent(cf, k - 1).q - 2] ==
+                      standard_or_semistandard(cf, k, l),
+                      f"{cf}: rotation identity fails at ({k},{l})")
     return _finish("conjugacy-intervals", rec, start)
 
 
@@ -336,19 +325,11 @@ def suite_cube_structure(slopes: list[ContinuedFraction], n_max: int = 100) -> S
 
 def _standard_conjugates(cf: ContinuedFraction, n_max: int,
                          include_semis: bool) -> set[str]:
-    out: set[str] = set()
-    k = 0 if include_semis else 1
-    while convergent(cf, k).q <= n_max:
-        out.update(conjugates(standard_word(cf, k)))
-        k += 1
-    if include_semis:
-        j = 2
-        while convergent(cf, j - 1).q + convergent(cf, j - 2).q <= n_max:
-            for l in range(1, cf.quotient(j)):
-                if semiconvergent_den(cf, j, l) <= n_max:
-                    out.update(conjugates(standard_or_semistandard(cf, j, l)))
-            j += 1
-    return out
+    words = [standard_word(cf, k) for k in range(0 if include_semis else 1, 2)
+             if convergent(cf, k).q <= n_max]
+    words += [standard_or_semistandard(cf, k, l) for k, l, _ in semiconvergents(cf, n_max)
+              if include_semis or l == cf.quotient(k)]
+    return {c for w in words for c in conjugates(w)}
 
 
 # ------------------------------------------------------------------

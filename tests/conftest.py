@@ -56,6 +56,19 @@ def form_sign_oracle(cf: ContinuedFraction, form: LinearForm, depth: int = 40) -
     raise AssertionError(f"oracle bounds for {form} did not separate at depth {depth}")
 
 
+def periodic_tail_surd(period: list[int]) -> tuple[int, int, int]:
+    """(P, D, Q) with [0; (b_1, ..., b_p)] = (P + sqrt(D))/Q.
+
+    y = [b_1; b_2, ..., b_p, y] is fixed by the matrix product
+    [[A, B], [C, D]] of the [[b, 1], [1, 0]], so C y^2 + (D - A) y - B = 0,
+    and the tail 1/y is (D - A + sqrt((A - D)^2 + 4BC)) / (2B).
+    """
+    a, b, c, d = 1, 0, 0, 1
+    for q in period:
+        a, b, c, d = a * q + b, a, c * q + d, c
+    return d - a, (a - d) ** 2 + 4 * b * c, 2 * b
+
+
 # The default verification family: a_1 in {2, 3} x six short periods.
 FAMILY_SLOPES = [
     "[0;2,(1)]", "[0;2,(2)]", "[0;2,(3)]", "[0;2,(1,2)]", "[0;2,(2,1)]", "[0;2,(1,3)]",

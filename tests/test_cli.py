@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import periodic_tail_surd
 from sturmian import oracles, rotation
 from sturmian.cli import _build_parser, main
 from sturmian.exactnum import LinearForm
@@ -318,19 +319,6 @@ def test_usage_error_leaves_the_shared_parser_intact(bad, monkeypatch):
 # the supremum's decimal against an independent surd
 # ------------------------------------------------------------------
 
-def _periodic_tail_surd(period: list[int]) -> tuple[int, int, int]:
-    """(P, D, Q) with [0; (b_1, ..., b_p)] = (P + sqrt(D))/Q.
-
-    y = [b_1; b_2, ..., b_p, y] is fixed by the matrix product
-    [[A, B], [C, D]] of the [[b, 1], [1, 0]], so C y^2 + (D - A) y - B = 0,
-    and the tail 1/y is (D - A + sqrt((A - D)^2 + 4BC)) / (2B).
-    """
-    a, b, c, d = 1, 0, 0, 1
-    for q in period:
-        a, b, c, d = a * q + b, a, c * q + d, c
-    return d - a, (a - d) ** 2 + 4 * b * c, 2 * b
-
-
 def _twelve_digits(x: Decimal) -> str:
     """x to 12 significant digits, rounding half up."""
     exp = x.adjusted() - 11
@@ -351,7 +339,7 @@ def test_printed_class_limit_matches_its_surd(preperiod, period):
     assume(sup["limit_tail"] is not None)
     assert sup["exact"] is None
     tail = re.fullmatch(r"\[0;\(([\d,]+)\)\]", sup["limit_tail"])
-    p, d, q = _periodic_tail_surd([int(b) for b in tail.group(1).split(",")])
+    p, d, q = periodic_tail_surd([int(b) for b in tail.group(1).split(",")])
     with localcontext() as ctx:
         ctx.prec = 50
         value = sup["limit_offset"] + (p + Decimal(d).sqrt()) / q
@@ -365,6 +353,26 @@ def test_class_limit_too_shallow_to_render_is_refused(capsys, monkeypatch):
     code, out, err = run(capsys, "critical-exponent", "--slope", "[0;2,(1)]", "--depth", "2")
     assert (code, out) == (1, "")
     assert err == "error: cannot render a+3 to 12 digits for slope [0;(1)]\n"
+
+
+@pytest.mark.parametrize("suite, checks", [("square-lengths", None),
+                                           ("conjugacy-intervals", 22),
+                                           ("closest-multiples", 47),
+                                           ("cube-structure", 162)])
+def test_semiconvergent_suites_on_truncations(capsys, monkeypatch, suite, checks):
+    # The four suites that walk the standard family read a_k only while
+    # q_{k-1} is within their bound.
+    monkeypatch.delenv("STURM_DEPTH_LIMIT", raising=False)
+    code, out, err = run(capsys, "verify", "--slope", "[0;2,1,1,1]", "--suite", suite)
+    assert (code, out) == (1, "")
+    assert err == "error: quotient a_5 requested but expansion is only valid to depth 4\n"
+    code, out, err = run(capsys, "verify", "--slope", "[0;3,1,4,1,5,9,2,6]", "--suite", suite)
+    if checks is None:
+        assert (code, out) == (1, "")
+        assert err == "error: quotient a_9 requested but expansion is only valid to depth 8\n"
+    else:
+        assert (code, err) == (0, "")
+        assert out == f"{suite:<24} PASS  ({checks} checks)\nALL SUITES PASS\n"
 
 # ------------------------------------------------------------------
 # table and JSON say the same thing

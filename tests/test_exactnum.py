@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import alpha_oracle, form_bounds, form_sign_oracle, unroll
+from conftest import FAMILY_SLOPES, alpha_oracle, form_bounds, form_sign_oracle, unroll
 from sturmian import exactnum as ex
 from sturmian.exactnum import (
     ContinuedFraction,
@@ -31,6 +31,7 @@ from sturmian.exactnum import (
     recover_quotient,
     semiconvergent_den,
     semiconvergent_distance,
+    semiconvergents,
 )
 
 
@@ -162,6 +163,38 @@ def test_semiconvergent_range_errors(example_slope):
         semiconvergent_den(example_slope, 3, 3)
     with pytest.raises(ValueError):
         semiconvergent_den(example_slope, 1, 0)
+
+
+def check_semiconvergents_brute_force(cf: ContinuedFraction) -> None:
+    """semiconvergents(cf, N) lists every (k, l) with q_{k,l} <= N, by length."""
+    found = sorted(((k, l, semiconvergent_den(cf, k, l))
+                    for k in range(2, 21) for l in range(1, cf.quotient(k) + 1)),
+                   key=lambda t: t[2])
+    for n_max in range(1, 501):
+        assert list(semiconvergents(cf, n_max)) == [t for t in found if t[2] <= n_max]
+
+
+@pytest.mark.parametrize("slope", FAMILY_SLOPES)
+def test_semiconvergents_brute_force(slope):
+    check_semiconvergents_brute_force(parse_slope(slope))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6), st.lists(st.integers(1, 6), max_size=4),
+       st.lists(st.integers(1, 6), min_size=1, max_size=4))
+def test_semiconvergents_brute_force_on_drawn_slopes(a1, preperiod, period):
+    check_semiconvergents_brute_force(ContinuedFraction((a1, *preperiod), tuple(period)))
+
+
+@pytest.mark.parametrize("slope, answered, lengths, refused", [
+    ("[0;2,1,1,1]", 7, [3, 5], 8),  # q_4 = 8 needs a_5 next
+    ("[0;70]", 69, [], 70),         # q_1 = 70 needs a_2 next
+])
+def test_semiconvergents_read_a_k_once_q_k_minus_1_is_in_bound(slope, answered, lengths, refused):
+    cf = parse_slope(slope)
+    assert [q for _, _, q in semiconvergents(cf, answered)] == lengths
+    with pytest.raises(DepthExceededError):
+        list(semiconvergents(cf, refused))
 
 
 # ------------------------------------------------------------------

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import FAMILY_SLOPES, periodic_tail_surd
 from sturmian import oracles, repetitions
 from sturmian.exactnum import (
     ContinuedFraction,
@@ -410,6 +414,94 @@ def test_critical_exponent_dominates_observed_powers(family):
         window = characteristic_prefix(cf, 30000)
         observed, _ = oracles.max_run_exponent(window, 500)
         assert observed <= hi
+
+
+@pytest.mark.parametrize("slope, offset, tail", [("[0;2,(1,1)]", 3, "[0;(1,1)]"),
+                                                 ("[0;3,(2,2)]", 4, "[0;(2,2)]")])
+def test_critical_exponent_tie_keeps_the_later_class(slope, offset, tail):
+    # Both class limits of a doubled period are equal; the later one wins.
+    res = critical_exponent(parse_slope(slope), 30)
+    assert not res.attained
+    assert (res.witness_k, res.limit_offset, str(res.limit_tail)) == (5, offset, tail)
+
+
+# ------------------------------------------------------------------
+# the order of the critical exponent's candidates
+# ------------------------------------------------------------------
+
+def reference_quotient_stream(value: Fraction, tail: ContinuedFraction | None
+                              ) -> Iterator[int]:
+    """Continued-fraction quotients of value, or of value + tail for an
+    integer value: finite for a rational, eventually periodic otherwise."""
+    if tail is None:
+        num, den = value.numerator, value.denominator
+        while den:
+            b, r = divmod(num, den)
+            yield b
+            num, den = den, r
+    else:
+        yield int(value)
+        yield from tail.preperiod
+        yield from itertools.cycle(tail.period)
+
+
+def reference_candidate_le(a: tuple[Fraction, ContinuedFraction | None],
+                           b: tuple[Fraction, ContinuedFraction | None]) -> bool:
+    """Exact a <= b for candidates rational (+ purely periodic CF tail).
+
+    The first differing quotient decides: a larger quotient means a larger
+    number at even positions and a smaller one at odd positions, and a
+    finished stream counts as infinity.  Two periodic streams that agree
+    through both heads and a common period agree forever.
+    """
+    (fa, ta), (fb, tb) = a, b
+    limit = None
+    if ta is not None and tb is not None:
+        limit = (2 + max(len(ta.preperiod), len(tb.preperiod))
+                 + math.lcm(len(ta.period), len(tb.period)))
+    pairs = itertools.zip_longest(reference_quotient_stream(fa, ta),
+                                  reference_quotient_stream(fb, tb))
+    for i, (x, y) in enumerate(pairs):
+        if i == limit:
+            break
+        if x != y:
+            a_larger = y is not None and (x is None or x > y)
+            return a_larger == (i % 2 == 1)
+    return True
+
+
+def check_candidate_order(cf: ContinuedFraction) -> None:
+    """The sign test orders every pair of terms and class limits of a
+    periodic slope as the quotient streams do, ties included, and each
+    class limit A + B*sqrt(D) is its tail's surd plus 2 + a_{k0+1}."""
+    m, period = len(cf.preperiod), len(cf.period)
+    cands = [((repetitions._term(cf, k), Fraction(0)), (repetitions._term(cf, k), None))
+             for k in range(m + 2 * period + 3)]
+    shared = set()
+    for k0 in range(m + period + 1, m + 2 * period + 1):
+        a, b, d, tail = repetitions._class_limit(cf, k0)
+        ref_tail = ContinuedFraction((), tuple(cf.quotient(k0 - j) for j in range(period)))
+        offset = 2 + cf.quotient(k0 + 1)
+        p, surd_d, q = periodic_tail_surd(list(ref_tail.period))
+        assert (a, b, d, tail) == (offset + Fraction(p, q), Fraction(1, q), surd_d, ref_tail)
+        shared.add(d)
+        cands.append(((a, b), (Fraction(offset), ref_tail)))
+    assert len(shared) == 1, (str(cf), shared)
+    d = shared.pop()
+    for (x, x_ref), (y, y_ref) in itertools.product(cands, repeat=2):
+        assert repetitions._surd_le(x, y, d) == reference_candidate_le(x_ref, y_ref), \
+            (str(cf), x_ref, y_ref)
+
+
+@pytest.mark.parametrize("slope", FAMILY_SLOPES + ["[0;2,(1,1)]", "[0;3,(2,2)]"])
+def test_candidate_order_matches_the_quotient_streams(slope):
+    check_candidate_order(parse_slope(slope))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 6), max_size=4), st.lists(st.integers(1, 6), min_size=1, max_size=4))
+def test_candidate_order_matches_the_quotient_streams_on_drawn_slopes(preperiod, period):
+    check_candidate_order(ContinuedFraction(tuple(preperiod), tuple(period)))
 
 
 def test_critical_exponent_truncation_lower_bound():

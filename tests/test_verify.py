@@ -52,6 +52,17 @@ def test_critical_exponent_suite_scans_what_a_truncation_cylinder_codes(monkeypa
     assert scans == [(Fraction(977, 88), 264)] * 3
 
 
+@pytest.mark.parametrize("suite", ["conjugacy-intervals", "closest-multiples"])
+def test_standard_family_suites_answer_what_a_truncation_cylinder_fixes(suite):
+    # q_9 = 584 exceeds both suites' bounds, so a_1..a_9 fix every length
+    # they visit: the truncation runs the same checks as its extensions.
+    results = [verify.SUITES[suite]([parse_slope(s)])
+               for s in ("[0;2,1,1,1,1,1,1,1,10]", "[0;2,1,1,1,1,1,1,1,10,(1)]",
+                         "[0;2,1,1,1,1,1,1,1,10,(7,2)]")]
+    assert all(r.passed for r in results), [r.line() for r in results]
+    assert len({r.checks for r in results}) == 1
+
+
 def test_fault_injection_is_detected(small_family):
     results = verify.run_suites(names=["power-classification"],
                                 slopes=small_family[:1], n_max=10,
