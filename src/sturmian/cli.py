@@ -313,8 +313,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
                                 n_max=150 if args.n_max is None else args.n_max,
                                 inject_fault=args.inject_fault)
     all_pass = all(r.passed for r in results)
+    # Only a refused suite's row has a "refusal" key, so other rows keep their bytes.
     rows = [{"suite": r.name, "passed": r.passed, "checks": r.checks,
-             "failures": r.failures[:20]}
+             "failures": r.failures[:20],
+             **({} if r.refusal is None else {"refusal": r.refusal})}
             for r in results]
     _emit(args, args.slope or "default-family", rows, lambda: [
         *(r.line() for r in results), "ALL SUITES PASS" if all_pass else "VERIFICATION FAILED"])

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple, NoReturn
 
 DEFAULT_DEPTH_LIMIT = 64
 _DEPTH_ENV = "STURM_DEPTH_LIMIT"
@@ -127,12 +127,24 @@ class Convergent:
         return Fraction(self.p, self.q)
 
 
-@dataclass(frozen=True)
-class LinearForm:
-    """Exact value q*alpha - p with integer q and p."""
+def _unordered(self: tuple, other: object) -> NoReturn:
+    """Order slot of a tuple-backed value type, which is not ordered as a
+    tuple: a form is ordered only through `compare`."""
+    raise TypeError(f"{type(self).__name__} values are not ordered")
+
+
+class LinearForm(NamedTuple):
+    """Exact value q*alpha - p with integer q and p.
+
+    A tuple, so equality and hashing run in C; it equals the plain tuple
+    (q, p).  Arithmetic is the form's, not the tuple's (3 * f scales f),
+    and ordering raises TypeError.
+    """
 
     q: int
     p: int
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     def __add__(self, other: "LinearForm") -> "LinearForm":
         return LinearForm(self.q + other.q, self.p + other.p)

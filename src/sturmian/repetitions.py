@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from sturmian import oracles
 from sturmian.exactnum import (
@@ -386,20 +387,34 @@ def fractional_index(cf: ContinuedFraction, w: str) -> Fraction:
     i = factor_interval_map(cf, n)[w].left_idx
     p, q = _exit_modulus(cf, n, ind)
     keys = [m * p % q for m in range(-i, n - i + 1)]
-    return Fraction(_period_exit(keys, q) - 1, n)
+    head = keys[:n]
+    return Fraction(_period_exit(keys, 0, n, max(head), min(head), q) - 1, n)
 
 
 def fractional_indices(cf: ContinuedFraction, n: int) -> dict[str, Fraction]:
     """fractional_index of every factor of length n, in circular order.
 
     One key list K(-n), ..., K(n) from a table sized by the length's
-    largest index; each word reads its window [K(-i), ..., K(n-i)].
+    largest index; the word whose interval starts at {-i*alpha} reads the
+    window from a = n - i.  Its first n keys are left[a:] + right[:a] for
+    the halves left = keys[:n] and right = keys[n:2n], so running maxima
+    and minima of the two halves give every window's extremes in O(n).
     """
     intervals = factor_interval_map(cf, n)
     p, q = _exit_modulus(cf, n, max(indices_by_interval(cf, n).values()))
     keys = [m % q for m in range(-n * p, (n + 1) * p, p)]
-    return {w: Fraction(_period_exit(keys[n - iv.left_idx: 2 * n + 1 - iv.left_idx], q) - 1, n)
-            for w, iv in intervals.items()}
+    left, right = keys[:n], keys[n:2 * n]
+    # his[a] and los[a] for a = 0..n; keys lie in [0, q), so -1 and q
+    # stand in for the empty suffix left[n:] and the empty prefix right[:0].
+    his = list(map(max, [*accumulate(reversed(left), max)][::-1] + [-1],
+                   [-1, *accumulate(right, max)]))
+    los = list(map(min, [*accumulate(reversed(left), min)][::-1] + [q],
+                   [q, *accumulate(right, min)]))
+    out = {}
+    for w, iv in intervals.items():
+        a = n - iv.left_idx
+        out[w] = Fraction(_period_exit(keys, a, n, his[a], los[a], q) - 1, n)
+    return out
 
 
 def _class_limit(cf: ContinuedFraction, k0: int

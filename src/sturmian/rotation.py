@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from sturmian.exactnum import (
     ONE,
@@ -26,6 +27,7 @@ from sturmian.exactnum import (
     LinearForm,
     UndecidedError,
     _ctx,
+    _unordered,
     alpha_bounds,
     convergent_distance,
     semiconvergent_distance,
@@ -33,17 +35,19 @@ from sturmian.exactnum import (
 from sturmian.words import check_word
 
 
-@dataclass(frozen=True)
-class FactorInterval:
+class FactorInterval(NamedTuple):
     """Arc of a length-n factor, endpoints named as orbit indices.
 
     left_idx = i means the counterclockwise start of the arc is {-i*alpha};
-    right_idx names its end the same way.  The length is exact.
+    right_idx names its end the same way.  The length is exact.  A tuple,
+    like `LinearForm`, and likewise not ordered.
     """
 
     left_idx: int
     right_idx: int
     length: LinearForm
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
 
 @dataclass(frozen=True)
@@ -244,7 +248,7 @@ def factor_interval_map(cf: ContinuedFraction, n: int) -> dict[str, FactorInterv
 
     # {-i*alpha} is the form -i*alpha - floors[i]; the last gap wraps past 1.
     floors = [m // q for m in range(0, -(n + 1) * p, -p)]
-    order = sorted(range(n + 1), key=lambda i: keys[n - i])
+    order = sorted(range(n + 1), key=keys[n::-1].__getitem__)
     out = {}
     for t, i in enumerate(order):
         nxt = order[(t + 1) % (n + 1)]
@@ -315,36 +319,33 @@ def language_extension(cf: ContinuedFraction, base: str, ext: str) -> int:
     return t - len(base)
 
 
-def _period_exit(keys: list[int], q: int) -> int:
+def _period_exit(keys: list[int], a: int, n: int, hi: int, lo: int, q: int) -> int:
     """Least t such that the prefix of length t of w^inf is not a factor.
 
-    keys = [K(-i), ..., K(n-i)], K(m) = m*p mod q, for a factor w of
-    length n whose interval [w] starts at {-i*alpha}.  The heights of
+    keys[a:a + n + 1] = [K(-i), ..., K(n-i)], K(m) = m*p mod q, for a
+    factor w of length n whose interval [w] starts at {-i*alpha}, and hi
+    and lo are the largest and smallest of keys[a:a + n].  The heights of
     `_height_walk` are v_s = K(-i) - K(s-i) for s <= n (exact, as
     |s - i| < q), and along w^inf they drift: v_{t+n} = v_t + delta with
     delta = K(-i) - K(n-i), nonzero as q > n.  For delta > 0 the bottom
-    stays the least height of the first period, K(-i) - hi with hi the
-    largest of keys[:n], and the walk first fails at t = k*n + s with v_t
-    reaching it plus q: k is the least period in which the smallest key
-    lo gets there, k = ceil((q - hi + lo)/delta) >= 1 (hi - lo < q since w
-    is a factor), and s is the first index of that period that does.
-    delta < 0 mirrors it with the top.  Each comparison sets some
-    (t - s)*alpha against an integer, so a table whose span covers half
-    of t signs all of them as alpha does; keys are distinct, so there is
-    no tie.
+    stays the least height of the first period, K(-i) - hi, and the walk
+    first fails at t = k*n + s with v_t reaching it plus q: k is the least
+    period in which the smallest key lo gets there,
+    k = ceil((q - hi + lo)/delta) >= 1 (hi - lo < q since w is a factor),
+    and s is the first index of that period that does.  delta < 0 mirrors
+    it with the top.  Each comparison sets some (t - s)*alpha against an
+    integer, so a table whose span covers half of t signs all of them as
+    alpha does; keys are distinct, so there is no tie.
     """
-    n = len(keys) - 1
-    head = keys[:n]
-    hi, lo = max(head), min(head)
-    drift = keys[0] - keys[n]
+    drift = keys[a] - keys[a + n]
     k = -((hi - lo - q) // abs(drift))
     if drift > 0:
         bound = hi - q + k * drift
-        s = next(s for s, key in enumerate(head) if key <= bound)
+        s = next(s for s in range(a, a + n) if keys[s] <= bound)
     else:
         bound = lo + q + k * drift
-        s = next(s for s, key in enumerate(head) if key >= bound)
-    return k * n + s
+        s = next(s for s in range(a, a + n) if keys[s] >= bound)
+    return k * n + s - a
 
 
 # ------------------------------------------------------------------

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from sturmian import oracles
 from sturmian.exactnum import (
     ContinuedFraction,
+    DepthError,
     Ordering,
     best_approximations,
     closest_multiples,
@@ -55,15 +56,22 @@ FAULT_MODES = ("flip-gamma",)
 
 @dataclass
 class SuiteResult:
+    """One suite's outcome.  A suite whose slope is too shallow for one of
+    its answers is refused: `refusal` holds the message, and it neither
+    passes nor fails."""
+
     name: str
     passed: bool
     checks: int
     seconds: float
     failures: list[str] = field(default_factory=list)
+    refusal: str | None = None
 
     def line(self) -> str:
         # Times are kept out of the line so that CLI output stays
         # byte-identical across runs.
+        if self.refusal is not None:
+            return f"{self.name:<24} REFUSED  {self.refusal}"
         status = "PASS" if self.passed else "FAIL"
         out = f"{self.name:<24} {status}  ({self.checks} checks)"
         for f in self.failures[:5]:
@@ -356,7 +364,8 @@ def run_suites(names: list[str] | None = None,
 
     n_max scales only the power-classification sweep; the other suites
     keep their own bounds (500 for the kernel and gap suites, 150 for
-    squares and conjugacy, 100 for roots).
+    squares and conjugacy, 100 for roots).  A suite that raises
+    DepthError is reported as refused, and the others still run.
     """
     if inject_fault is not None and inject_fault not in FAULT_MODES:
         raise ValueError(f"unknown fault mode {inject_fault!r}; known: {FAULT_MODES}")
@@ -368,8 +377,13 @@ def run_suites(names: list[str] | None = None,
     for name in names or list(SUITES):
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
-        if name == "power-classification":
-            results.append(SUITES[name](slopes, n_max=n_max, inject_fault=inject_fault))
-        else:
-            results.append(SUITES[name](slopes))
+        start = time.monotonic()
+        try:
+            if name == "power-classification":
+                results.append(SUITES[name](slopes, n_max=n_max, inject_fault=inject_fault))
+            else:
+                results.append(SUITES[name](slopes))
+        except DepthError as exc:
+            results.append(SuiteResult(name, False, 0, time.monotonic() - start,
+                                       refusal=str(exc)))
     return results

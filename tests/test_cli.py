@@ -224,12 +224,33 @@ def test_verify_three_distance_on_a_truncation(capsys):
 
 
 def test_verify_three_distance_on_a_shallow_truncation_refuses(capsys):
-    # Depth 3 cannot order the 1001 points of the span-500 table.
+    # Depth 3 cannot order the 1001 points of the span-500 table: the
+    # suite's own line says so, and the gate exits 1.
     code, out, err = run(capsys, "verify", "--suite", "three-distance",
                          "--slope", "[0;2,1,1]")
-    assert code == 1
-    assert out == ""
-    assert err == "error: cannot certify 1001 orbit points for slope [0;2,1,1] within depth 3\n"
+    assert (code, err) == (1, "")
+    assert out == ("three-distance           REFUSED  cannot certify 1001 orbit points "
+                   "for slope [0;2,1,1] within depth 3\nVERIFICATION FAILED\n")
+
+
+def test_verify_reports_each_refusal_and_runs_the_rest(capsys):
+    argv = ("verify", "--slope", "[0;3,1,4,1,5,9,2,6]")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[0] == ("best-approximations      REFUSED  floor(-2592a+677/16781a-4383) "
+                        "undecided for slope [0;3,1,4,1,5,9,2,6]")
+    assert [line.split()[1] for line in lines[:-1]] == [
+        "REFUSED", "PASS", "PASS", "REFUSED", "PASS", "REFUSED", "REFUSED", "PASS"]
+    assert lines[-1] == "VERIFICATION FAILED"
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (1, "")
+    for row, line in zip(json.loads(out)["results"], lines):
+        # Only a refused row has the key, so passing rows keep their bytes.
+        assert ("refusal" in row) == ("REFUSED" in line)
+        if "refusal" in row:
+            assert (row["passed"], row["checks"], row["failures"]) == (False, 0, [])
+            assert line.endswith("REFUSED  " + row["refusal"])
 
 
 def test_verify_json_format(capsys):
@@ -364,12 +385,14 @@ def test_semiconvergent_suites_on_truncations(capsys, monkeypatch, suite, checks
     # q_{k-1} is within their bound.
     monkeypatch.delenv("STURM_DEPTH_LIMIT", raising=False)
     code, out, err = run(capsys, "verify", "--slope", "[0;2,1,1,1]", "--suite", suite)
-    assert (code, out) == (1, "")
-    assert err == "error: quotient a_5 requested but expansion is only valid to depth 4\n"
+    assert (code, err) == (1, "")
+    assert out == (f"{suite:<24} REFUSED  quotient a_5 requested but expansion is only "
+                   "valid to depth 4\nVERIFICATION FAILED\n")
     code, out, err = run(capsys, "verify", "--slope", "[0;3,1,4,1,5,9,2,6]", "--suite", suite)
     if checks is None:
-        assert (code, out) == (1, "")
-        assert err == "error: quotient a_9 requested but expansion is only valid to depth 8\n"
+        assert (code, err) == (1, "")
+        assert out == (f"{suite:<24} REFUSED  quotient a_9 requested but expansion is only "
+                       "valid to depth 8\nVERIFICATION FAILED\n")
     else:
         assert (code, err) == (0, "")
         assert out == f"{suite:<24} PASS  ({checks} checks)\nALL SUITES PASS\n"

@@ -244,6 +244,32 @@ def test_enclosure_depth_error_on_truncation():
 # sign / compare
 # ------------------------------------------------------------------
 
+def test_linear_form_is_a_value_tuple(example_slope):
+    # A form is a tuple for equality and hashing only: arithmetic is the
+    # form's (3 * f scales, not repeats), and forms are not ordered.
+    f, g = LinearForm(3, 1), LinearForm(-2, -1)
+    assert 3 * f == f * 3 == LinearForm(9, 3)
+    assert (-f, f + g, f - g, f.shift(2)) == (
+        LinearForm(-3, -1), LinearForm(1, 0), LinearForm(5, 2), LinearForm(3, -1))
+    assert {type(x) for x in (3 * f, f * 3, -f, f + g, f - g, f.shift(2))} == {LinearForm}
+    assert [str(x) for x in (f, g, LinearForm(1, 0), LinearForm(0, -2))] == ["3a-1", "-2a+1",
+                                                                          "a", "2"]
+    assert repr(LinearForm(1, 0)) == "LinearForm(q=1, p=0)"
+    for less in (lambda: f < g, lambda: f <= g, lambda: f > g, lambda: f >= g,
+                 lambda: f < (4, 0), lambda: (4, 0) > f, lambda: sorted([f, g])):
+        with pytest.raises(TypeError):
+            less()
+    # Equal forms hash alike, and a form equals the plain tuple (q, p).
+    assert hash(f) == hash(LinearForm(3, 1)) == hash((3, 1)) and f == (3, 1)
+    lookup = {f: "f", g: "g"}
+    assert lookup[LinearForm(3, 1)] == lookup[(3, 1)] == "f" and lookup[-(-g)] == "g"
+    # The quotient sandwich of the closest-multiples suite scales by a_k on the left.
+    prev, prev2 = convergent_distance(example_slope, 2), convergent_distance(example_slope, 1)
+    a_3 = example_slope.quotient(3)
+    assert compare(example_slope, a_3 * prev, prev2) is Ordering.LT
+    assert compare(example_slope, prev2, (a_3 + 1) * prev) is Ordering.LT
+
+
 def test_compare_identical_is_eq(example_slope):
     x = LinearForm(3, 1)
     assert compare(example_slope, x, x) is Ordering.EQ

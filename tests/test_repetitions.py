@@ -310,6 +310,49 @@ def test_fractional_indices_match_the_walk(family):
     assert words == 12_040
 
 
+def reference_period_exit(keys: list[int], q: int) -> int:
+    """The exit rule on one word's own window keys[:n + 1], with the max and
+    min of its first n keys taken afresh: the per-word slice route, kept
+    apart from `_period_exit` so that a fault in either shows."""
+    n = len(keys) - 1
+    head = keys[:n]
+    hi, lo = max(head), min(head)
+    drift = keys[0] - keys[n]
+    k = -((hi - lo - q) // abs(drift))
+    if drift > 0:
+        bound = hi - q + k * drift
+        s = next(s for s, key in enumerate(head) if key <= bound)
+    else:
+        bound = lo + q + k * drift
+        s = next(s for s, key in enumerate(head) if key >= bound)
+    return k * n + s
+
+
+def reference_fractional_indices(cf, n) -> list[tuple[str, Fraction]]:
+    """Every word's window sliced from the shared key list, in circular order."""
+    intervals = factor_interval_map(cf, n)
+    p, q = repetitions._exit_modulus(cf, n, max(indices_by_interval(cf, n).values()))
+    keys = [m % q for m in range(-n * p, (n + 1) * p, p)]
+    return [(w, Fraction(reference_period_exit(keys[n - i: 2 * n + 1 - i], q) - 1, n))
+            for w, (i, _, _) in intervals.items()]
+
+
+def test_fractional_indices_match_the_slice_route(family):
+    # The truncation's cylinder certifies every length here as well.
+    for cf in (*family, *map(parse_slope, ("[0;5,(1,7)]", "[0;9,(2)]", "[0;3,1,4,1,5,9,2,6]"))):
+        for n in range(1, 151):
+            assert list(fractional_indices(cf, n).items()) == \
+                reference_fractional_indices(cf, n), (str(cf), n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 9), st.lists(st.integers(1, 9), max_size=3),
+       st.lists(st.integers(1, 9), min_size=1, max_size=4), st.integers(1, 150))
+def test_fractional_indices_match_the_slice_route_on_drawn_slopes(a_1, preperiod, period, n):
+    cf = ContinuedFraction((a_1, *preperiod), tuple(period))
+    assert list(fractional_indices(cf, n).items()) == reference_fractional_indices(cf, n)
+
+
 def test_fractional_index_matches_the_walk_on_truncations():
     # Where the walk answers, the exit answers the same; it refuses only
     # where the walk refuses too, as its table is half the walk's span.

@@ -445,6 +445,22 @@ def test_factors_circular_chain(example_slope):
     assert factors[-1][1].right_idx == factors[0][1].left_idx
 
 
+def test_factor_interval_is_a_value_tuple(example_slope):
+    got = factor_interval_map(example_slope, 3)
+    assert repr(got["101"]) == ("FactorInterval(left_idx=3, right_idx=0, "
+                                "length=LinearForm(q=3, p=1))")
+    for w, interval in got.items():
+        again = word_interval(example_slope, w)
+        assert again == interval and hash(again) == hash(interval)
+        assert interval == (interval.left_idx, interval.right_idx, interval.length)
+    # Two words share |[w]| = ||2a||; their intervals differ but are not ordered.
+    assert got["001"].length == got["100"].length and got["001"] != got["100"]
+    lookup = {interval: w for w, interval in got.items()}
+    assert [lookup[word_interval(example_slope, w)] for w in got] == list(got)
+    with pytest.raises(TypeError):
+        sorted(got.values())
+
+
 def test_factor_interval_lengths_sum_to_one(family):
     for cf in family:
         for n in (1, 4, 9, 30):

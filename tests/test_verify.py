@@ -110,3 +110,26 @@ def test_three_distance_takes_one_oracle_key_table_per_slope(monkeypatch):
     result = verify.suite_three_distance(family)
     assert result.passed and result.checks == 5970
     assert calls == [(str(cf), 500) for cf in family]
+
+
+def test_a_refused_suite_does_not_end_the_gate():
+    # a_1..a_8 of this truncation cannot settle four suites; each is refused
+    # on its own line, with the message, and the other four still run.
+    results = verify.run_suites(slopes=[parse_slope("[0;3,1,4,1,5,9,2,6]")])
+    assert [r.name for r in results] == list(verify.SUITES)
+    refused = {r.name: r.refusal for r in results if r.refusal is not None}
+    assert refused == {
+        "best-approximations":
+            "floor(-2592a+677/16781a-4383) undecided for slope [0;3,1,4,1,5,9,2,6]",
+        "square-lengths": "quotient a_9 requested but expansion is only valid to depth 8",
+        "power-classification":
+            "quotient a_9 requested but expansion is only valid to depth 8",
+        "critical-exponent":
+            "cannot certify a coding of length 100000 from index 1 for slope [0;3,1,4,1,5,9,2,6]",
+    }
+    for r in results:
+        if r.refusal is None:
+            assert r.passed and r.checks > 0, r.line()
+        else:
+            assert not r.passed and (r.checks, r.failures) == (0, [])
+            assert r.line() == f"{r.name:<24} REFUSED  {r.refusal}"
