@@ -99,13 +99,10 @@ class ContinuedFraction:
             )
         return self.period[(k - len(self.preperiod) - 1) % len(self.period)]
 
-    def max_depth(self, cap: int | None = None) -> int:
-        """Deepest usable quotient index under cap (default env/64)."""
-        if cap is None:
-            cap = depth_limit()
-        if self.period:
-            return cap
-        return min(cap, len(self.preperiod))
+    def max_depth(self) -> int:
+        """Deepest usable quotient index under the depth limit (env/64)."""
+        cap = depth_limit()
+        return cap if self.period else min(cap, len(self.preperiod))
 
     def __str__(self) -> str:
         parts = [str(a) for a in self.preperiod]

@@ -126,7 +126,7 @@ def _farey_bracket(cf: ContinuedFraction, lo: int, hi: int) -> tuple[int, int, i
     exactly when no such m exists.  Every m > b*e is one; below that, m is
     one exactly when i = m/b mod e, taken in [1, e], leaves j >= 1.
     """
-    for d in range(1, cf.max_depth(None) + 1):
+    for d in range(1, cf.max_depth() + 1):
         a, b, c, e = alpha_bounds(cf, d)
         q = b + e  # the least such m
         if q > hi:
@@ -148,7 +148,7 @@ def key_table(cf: ContinuedFraction, span: int) -> KeyTable:
     bracket = _farey_bracket(cf, 1, 2 * span)
     if bracket is None:
         raise UndecidedError(f"cannot certify {2 * span + 1} orbit points for slope {cf} "
-                             f"within depth {cf.max_depth(None)}")
+                             f"within depth {cf.max_depth()}")
     return KeyTable(span, *bracket)
 
 

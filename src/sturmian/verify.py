@@ -1,8 +1,11 @@
 """Verification suites: every structural claim checked against an oracle.
 
-Each suite runs a formula route and an independent brute-force route over
-a family of slopes and reports pass/fail with counters.  The suites back
-the `verify` CLI subcommand and the acceptance tests; `inject_fault`
+Each suite is a generator of checks on one slope: it runs a formula route
+and an independent brute-force route and yields (ok, message) pairs.
+`run_suites` owns the rest: it loops over the slopes, counts the checks,
+prefixes each failure with its slope, stops a suite at its 21st failure,
+times it, and reports a DepthError as a refusal.  The suites back the
+`verify` CLI subcommand and the acceptance tests; `inject_fault`
 deliberately corrupts one formula (negative control) to prove the suites
 can fail.
 """
@@ -11,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from sturmian import oracles
 from sturmian.exactnum import (
@@ -53,6 +57,11 @@ DEFAULT_FAMILY = (
 
 FAULT_MODES = ("flip-gamma",)
 
+# A suite stops at its 21st failure, one more than a JSON row shows.
+_MAX_FAILURES = 21
+
+Checks = Iterator[tuple[bool, str]]
+
 
 @dataclass
 class SuiteResult:
@@ -61,11 +70,14 @@ class SuiteResult:
     passes nor fails."""
 
     name: str
-    passed: bool
     checks: int
     seconds: float
     failures: list[str] = field(default_factory=list)
     refusal: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.refusal is None and not self.failures
 
     def line(self) -> str:
         # Times are kept out of the line so that CLI output stays
@@ -81,22 +93,6 @@ class SuiteResult:
         return out
 
 
-class _Recorder:
-    def __init__(self) -> None:
-        self.checks = 0
-        self.failures: list[str] = []
-
-    def check(self, ok: bool, message: str) -> None:
-        self.checks += 1
-        if not ok:
-            self.failures.append(message)
-
-
-def _finish(name: str, rec: _Recorder, start: float) -> SuiteResult:
-    return SuiteResult(name, not rec.failures, rec.checks, time.monotonic() - start,
-                       rec.failures)
-
-
 def default_family() -> list[ContinuedFraction]:
     return [parse_slope(s) for s in DEFAULT_FAMILY]
 
@@ -105,230 +101,175 @@ def default_family() -> list[ContinuedFraction]:
 # number-theory kernel
 # ------------------------------------------------------------------
 
-def suite_best_approximations(slopes: list[ContinuedFraction],
-                              q_max: int = 500) -> SuiteResult:
+def suite_best_approximations(cf: ContinuedFraction) -> Checks:
     """Best approximations = convergents (exhaustive scan), recovered
     quotients, and the minimum-distance property."""
-    start = time.monotonic()
-    rec = _Recorder()
-    for cf in slopes:
-        got = [c.q for c in best_approximations(cf, q_max)]
-        scan = oracles.best_denominator_scan(cf, q_max)
-        rec.check(got == scan, f"{cf}: best approximations {got} != scan {scan}")
-        for k in range(1, 26):
-            rec.check(recover_quotient(cf, k) == cf.quotient(k),
-                      f"{cf}: recovered a_{k} mismatch")
-        for k in range(2, 8):
-            qk = convergent(cf, k).q
-            if qk > q_max:
-                break
-            closer = oracles.closer_multiples_scan(cf, qk, convergent(cf, k - 1).q)
-            rec.check(closer == [],
-                      f"{cf}: some n < q_{k} beats ||q_{k - 1} alpha||: {closer}")
-    return _finish("best-approximations", rec, start)
+    got = [c.q for c in best_approximations(cf, 500)]
+    scan = oracles.best_denominator_scan(cf, 500)
+    yield got == scan, f"best approximations {got} != scan {scan}"
+    # A truncation's cylinder fixes a_1..a_m only.
+    for k in range(1, min(25, cf.truncation_depth or 25) + 1):
+        yield recover_quotient(cf, k) == cf.quotient(k), f"recovered a_{k} mismatch"
+    for k in range(2, 8):
+        qk = convergent(cf, k).q
+        if qk > 500:
+            break
+        closer = oracles.closer_multiples_scan(cf, qk, convergent(cf, k - 1).q)
+        yield closer == [], f"some n < q_{k} beats ||q_{k - 1} alpha||: {closer}"
 
 
-def suite_closest_multiples(slopes: list[ContinuedFraction],
-                            q_max: int = 500) -> SuiteResult:
+def suite_closest_multiples(cf: ContinuedFraction) -> Checks:
     """Closest-multiple structure below q_{k,l}, the distance recurrence
     as a form identity, and the quotient sandwich."""
-    start = time.monotonic()
-    rec = _Recorder()
-    for cf in slopes:
-        for k, l, q_kl in semiconvergents(cf, q_max):
-            got = closest_multiples(cf, k, l)
-            scan = oracles.closer_multiples_scan(cf, q_kl, semiconvergent_den(cf, k, l - 1))
-            rec.check(got == scan, f"{cf}: closest multiples ({k},{l}) {got} != {scan}")
-            lhs = semiconvergent_distance(cf, k, l)
-            rhs = semiconvergent_distance(cf, k, l - 1) - convergent_distance(cf, k - 1)
-            rec.check(lhs == rhs, f"{cf}: distance recurrence broken at ({k},{l})")
-            rec.check(distance(cf, q_kl) == lhs,
-                      f"{cf}: nearest-integer distance disagrees at q_({k},{l})")
-            if l == 1:
-                a_k = cf.quotient(k)
-                prev = convergent_distance(cf, k - 1)
-                prev2 = convergent_distance(cf, k - 2)
-                ok = (compare(cf, a_k * prev, prev2) is Ordering.LT
-                      and compare(cf, prev2, (a_k + 1) * prev) is Ordering.LT)
-                rec.check(ok, f"{cf}: quotient sandwich fails at k={k}")
-    return _finish("closest-multiples", rec, start)
+    for k, l, q_kl in semiconvergents(cf, 500):
+        got = closest_multiples(cf, k, l)
+        scan = oracles.closer_multiples_scan(cf, q_kl, semiconvergent_den(cf, k, l - 1))
+        yield got == scan, f"closest multiples ({k},{l}) {got} != {scan}"
+        lhs = semiconvergent_distance(cf, k, l)
+        rhs = semiconvergent_distance(cf, k, l - 1) - convergent_distance(cf, k - 1)
+        yield lhs == rhs, f"distance recurrence broken at ({k},{l})"
+        yield distance(cf, q_kl) == lhs, f"nearest-integer distance disagrees at q_({k},{l})"
+        if l == 1:
+            a_k = cf.quotient(k)
+            prev = convergent_distance(cf, k - 1)
+            prev2 = convergent_distance(cf, k - 2)
+            ok = (compare(cf, a_k * prev, prev2) is Ordering.LT
+                  and compare(cf, prev2, (a_k + 1) * prev) is Ordering.LT)
+            yield ok, f"quotient sandwich fails at k={k}"
 
 
 # ------------------------------------------------------------------
 # geometry
 # ------------------------------------------------------------------
 
-def suite_three_distance(slopes: list[ContinuedFraction],
-                         n_max: int = 500) -> SuiteResult:
+def suite_three_distance(cf: ContinuedFraction) -> Checks:
     """Formulaic gap counts vs the incremental gap oracle for every level."""
-    start = time.monotonic()
-    rec = _Recorder()
-    for cf in slopes:
-        for n, tally in oracles.gap_spectra(cf, cf.quotient(1) + 1, n_max):
-            s = three_distance(cf, n)
-            counts = oracles.match_gaps(
-                tally, [s.length_short, s.length_mid, s.length_long])
-            ok = counts == [s.count_short, s.count_mid, s.count_long]
-            rec.check(ok, f"{cf}: gap counts at n={n}: formula "
-                          f"{[s.count_short, s.count_mid, s.count_long]} vs actual {counts}")
-            if not ok and len(rec.failures) > 10:
-                return _finish("three-distance", rec, start)
-    return _finish("three-distance", rec, start)
+    for n, tally in oracles.gap_spectra(cf, cf.quotient(1) + 1, 500):
+        s = three_distance(cf, n)
+        expected = [s.count_short, s.count_mid, s.count_long]
+        counts = oracles.match_gaps(tally, [s.length_short, s.length_mid, s.length_long])
+        yield counts == expected, f"gap counts at n={n}: formula {expected} vs actual {counts}"
 
 
-def suite_square_lengths(slopes: list[ContinuedFraction],
-                         n_max: int = 150) -> SuiteResult:
+def suite_square_lengths(cf: ContinuedFraction) -> Checks:
     """Square lengths: construction gives every q_k and q_{k,l}; a scan of
     a certified window finds nothing else."""
-    start = time.monotonic()
-    rec = _Recorder()
-    for cf in slopes:
-        formula = square_lengths(cf, n_max)  # internally certifies each witness
-        window = characteristic_prefix(cf, oracle_window(cf, n_max))
-        scanned = oracles.square_root_lengths(window, n_max)
-        rec.check(scanned == formula,
-                  f"{cf}: square lengths scan {sorted(scanned)} != formula {sorted(formula)}")
-    return _finish("square-lengths", rec, start)
+    formula = square_lengths(cf, 150)  # internally certifies each witness
+    window = characteristic_prefix(cf, oracle_window(cf, 150))
+    scanned = oracles.square_root_lengths(window, 150)
+    yield (scanned == formula,
+           f"square lengths scan {sorted(scanned)} != formula {sorted(formula)}")
 
 
-def suite_conjugacy(slopes: list[ContinuedFraction], n_max: int = 150) -> SuiteResult:
+def suite_conjugacy(cf: ContinuedFraction) -> Checks:
     """Conjugacy-class interval tags vs the level partition and the
     three-distance counts; the rotation identity inside the class."""
-    start = time.monotonic()
-    rec = _Recorder()
-    for cf in slopes:
-        for k, l, n in semiconvergents(cf, n_max):
-            rep = conjugacy_report(cf, k, l)  # self-certifies vs intervals
-            summary = three_distance(cf, n)
-            pairs = {
-                (summary.count_short, summary.length_short),
-                (summary.count_mid, summary.length_mid),
-                (summary.count_long, summary.length_long),
-            }
-            expected = {
-                (rep.wide_count, rep.wide_length),
-                (rep.narrow_count, rep.narrow_length),
-                (1, rep.leftover_length),
-            }
-            rec.check(pairs == expected,
-                      f"{cf}: class ({k},{l}) tags disagree with the partition")
-            rec.check(rep.conjugates[convergent(cf, k - 1).q - 2] ==
-                      standard_or_semistandard(cf, k, l),
-                      f"{cf}: rotation identity fails at ({k},{l})")
-    return _finish("conjugacy-intervals", rec, start)
+    for k, l, n in semiconvergents(cf, 150):
+        rep = conjugacy_report(cf, k, l)  # self-certifies vs intervals
+        summary = three_distance(cf, n)
+        pairs = {
+            (summary.count_short, summary.length_short),
+            (summary.count_mid, summary.length_mid),
+            (summary.count_long, summary.length_long),
+        }
+        expected = {
+            (rep.wide_count, rep.wide_length),
+            (rep.narrow_count, rep.narrow_length),
+            (1, rep.leftover_length),
+        }
+        yield pairs == expected, f"class ({k},{l}) tags disagree with the partition"
+        yield (rep.conjugates[convergent(cf, k - 1).q - 2] ==
+               standard_or_semistandard(cf, k, l),
+               f"rotation identity fails at ({k},{l})")
 
 
 # ------------------------------------------------------------------
 # powers
 # ------------------------------------------------------------------
 
-def suite_power_classification(slopes: list[ContinuedFraction], n_max: int = 150,
-                               inject_fault: str | None = None) -> SuiteResult:
+def suite_power_classification(cf: ContinuedFraction, n_max: int,
+                               inject_fault: str | None) -> Checks:
     """Case indices == interval formula == scan oracle for every factor of
     every length; case tags exclusive and exhaustive."""
-    start = time.monotonic()
-    rec = _Recorder()
-    for cf in slopes:
-        for n in range(1, n_max + 1):
-            try:
-                cases = {r.word: r.integer_index for r in classify_length(cf, n)}
-            except AssertionError as exc:  # double case match
-                rec.check(False, f"{cf}: {exc}")
-                continue
-            formulas = indices_by_interval(cf, n)
-            if inject_fault == "flip-gamma":
-                intervals = factor_interval_map(cf, n)
-                dist = distance(cf, n)
-                formulas = {w: index + (1 if intervals[w].length == dist else -1)
-                            for w, index in formulas.items()}
-            # One oracle window per length, long enough to certify every scan,
-            # and one scan of it for every word.
-            text = characteristic_prefix(cf, oracle_window(cf, n))
-            scans = oracles.max_powers(text, cases)
-            for w, case in cases.items():
-                formula = formulas[w]
-                if case == formula:
-                    scanned = scans[w]
-                    ok = scanned == formula
-                    # The hottest check of the gate: format only on failure.
-                    rec.check(ok, "" if ok else
-                              f"{cf}: n={n} {w}: case index {case}, "
-                              f"formula {formula}, scan {scanned}")
-                else:
-                    rec.check(False, f"{cf}: n={n} {w}: case index {case} "
-                                     f"!= formula {formula}")
-                if len(rec.failures) > 20:
-                    return _finish("power-classification", rec, start)
-    return _finish("power-classification", rec, start)
+    for n in range(1, n_max + 1):
+        try:
+            cases = {r.word: r.integer_index for r in classify_length(cf, n)}
+        except AssertionError as exc:  # double case match
+            yield False, str(exc)
+            continue
+        formulas = indices_by_interval(cf, n)
+        if inject_fault == "flip-gamma":
+            intervals = factor_interval_map(cf, n)
+            dist = distance(cf, n)
+            formulas = {w: index + (1 if intervals[w].length == dist else -1)
+                        for w, index in formulas.items()}
+        # One oracle window per length, long enough to certify every scan,
+        # and one scan of it for every word.
+        text = characteristic_prefix(cf, oracle_window(cf, n))
+        scans = oracles.max_powers(text, cases)
+        for w, case in cases.items():
+            formula = formulas[w]
+            if case == formula:
+                scanned = scans[w]
+                ok = scanned == formula
+                # The hottest check of the gate: format only on failure.
+                yield ok, ("" if ok else
+                           f"n={n} {w}: case index {case}, formula {formula}, scan {scanned}")
+            else:
+                yield False, f"n={n} {w}: case index {case} != formula {formula}"
 
 
-def suite_critical_exponent(slopes: list[ContinuedFraction], depth: int = 30,
-                            scan_len: int = 100_000) -> SuiteResult:
+def suite_critical_exponent(cf: ContinuedFraction) -> Checks:
     """The supremum dominates every term, every exactly computed
     fractional index of a standard word, and every repetition found by
     an unstructured run scan of a long prefix."""
-    start = time.monotonic()
-    rec = _Recorder()
-    for cf in slopes:
-        res = critical_exponent(cf, depth)
-        lo, hi = res.bounds()
-        rec.check(0 < lo <= hi, f"{cf}: empty supremum bounds")
-        for k, t in res.terms:
-            rec.check(t <= hi, f"{cf}: term at k={k} exceeds the supremum")
-            if k <= 9 and convergent(cf, k).q <= 300:
-                exact = fractional_index(cf, standard_word(cf, k))
-                rec.check(exact == t,
-                          f"{cf}: standard-word fractional index at k={k}: "
-                          f"interval route {exact} != term {t}")
-        window = characteristic_prefix(cf, scan_len)
-        observed, period = oracles.max_run_exponent(window, 1200)
-        rec.check(observed <= hi,
-                  f"{cf}: scanned repetition of exponent {observed} (period {period}) "
-                  f"exceeds the supremum bound {hi}")
-    return _finish("critical-exponent", rec, start)
+    res = critical_exponent(cf, 30)
+    lo, hi = res.bounds()
+    yield 0 < lo <= hi, "empty supremum bounds"
+    for k, t in res.terms:
+        yield t <= hi, f"term at k={k} exceeds the supremum"
+        if k <= 9 and convergent(cf, k).q <= 300:
+            exact = fractional_index(cf, standard_word(cf, k))
+            yield (exact == t, f"standard-word fractional index at k={k}: "
+                               f"interval route {exact} != term {t}")
+    observed, period = oracles.max_run_exponent(characteristic_prefix(cf, 100_000), 1200)
+    yield (observed <= hi, f"scanned repetition of exponent {observed} (period {period}) "
+                           f"exceeds the supremum bound {hi}")
 
 
-def suite_cube_structure(slopes: list[ContinuedFraction], n_max: int = 100) -> SuiteResult:
+def suite_cube_structure(cf: ContinuedFraction) -> Checks:
     """Square and cube roots are conjugates of standard-family words;
     slopes whose quotients cap every index below 4 contain no fourth
     power; cubes of every convergent length exist."""
-    start = time.monotonic()
-    rec = _Recorder()
-    for cf in slopes:
-        window = characteristic_prefix(cf, oracle_window(cf, n_max))
-        allowed_sq = _standard_conjugates(cf, n_max, include_semis=True)
-        allowed_cube = _standard_conjugates(cf, n_max, include_semis=False)
-        for w in sorted(oracles.power_roots(window, n_max, 2)):
-            rec.check(w in allowed_sq,
-                      f"{cf}: square root {w} not conjugate to a standard-family word")
-        for w in sorted(oracles.power_roots(window, n_max, 3)):
-            if w == "0":
-                rec.check(cf.quotient(1) > 2, f"{cf}: cube 000 requires a_1 > 2")
-            else:
-                rec.check(w in allowed_cube,
-                          f"{cf}: cube root {w} not conjugate to a standard word")
-        # Cubes with |w| = q_k exist for every k >= 2 (the class index
-        # reaches a_{k+1} + 2 >= 3); at k = 0 and 1 existence is exactly
-        # a_1 >= 3 resp. a_2 >= 2.  Certify both directions by intervals.
-        rec.check((word_interval(cf, "000") is not None) == (cf.quotient(1) >= 3),
-                  f"{cf}: cube of the letter 0 disagrees with a_1")
-        q1_cube = reversal(standard_word(cf, 1)) * 3
-        rec.check((word_interval(cf, q1_cube) is not None) == (cf.quotient(2) >= 2),
-                  f"{cf}: cube at length q_1 disagrees with a_2")
-        for k in range(2, 9):
-            if convergent(cf, k).q > 400:
-                break
-            cube = reversal(standard_word(cf, k)) * 3
-            rec.check(word_interval(cf, cube) is not None,
-                      f"{cf}: no cube of period length q_{k}")
-        # Fourth powers need an index >= 4 somewhere: a quotient a_k >= 2
-        # with k >= 2, or a_1 >= 4 (0^{a_1} is a factor).  Slopes with
-        # a_1 <= 3 and every later quotient 1 have none.
-        if cf.is_periodic and max(cf.preperiod[1:] + cf.period) == 1 and cf.quotient(1) <= 3:
-            best, period = oracles.max_run_exponent(window, n_max)
-            rec.check(best < 4,
-                      f"{cf}: fourth power of period {period} found; exponent {best}")
-    return _finish("cube-structure", rec, start)
+    window = characteristic_prefix(cf, oracle_window(cf, 100))
+    allowed_sq = _standard_conjugates(cf, 100, include_semis=True)
+    allowed_cube = _standard_conjugates(cf, 100, include_semis=False)
+    for w in sorted(oracles.power_roots(window, 100, 2)):
+        yield w in allowed_sq, f"square root {w} not conjugate to a standard-family word"
+    for w in sorted(oracles.power_roots(window, 100, 3)):
+        if w == "0":
+            yield cf.quotient(1) > 2, "cube 000 requires a_1 > 2"
+        else:
+            yield w in allowed_cube, f"cube root {w} not conjugate to a standard word"
+    # Cubes with |w| = q_k exist for every k >= 2 (the class index
+    # reaches a_{k+1} + 2 >= 3); at k = 0 and 1 existence is exactly
+    # a_1 >= 3 resp. a_2 >= 2.  Certify both directions by intervals.
+    yield ((word_interval(cf, "000") is not None) == (cf.quotient(1) >= 3),
+           "cube of the letter 0 disagrees with a_1")
+    q1_cube = reversal(standard_word(cf, 1)) * 3
+    yield ((word_interval(cf, q1_cube) is not None) == (cf.quotient(2) >= 2),
+           "cube at length q_1 disagrees with a_2")
+    for k in range(2, 9):
+        if convergent(cf, k).q > 400:
+            break
+        cube = reversal(standard_word(cf, k)) * 3
+        yield word_interval(cf, cube) is not None, f"no cube of period length q_{k}"
+    # Fourth powers need an index >= 4 somewhere: a quotient a_k >= 2
+    # with k >= 2, or a_1 >= 4 (0^{a_1} is a factor).  Slopes with
+    # a_1 <= 3 and every later quotient 1 have none.
+    if cf.is_periodic and max(cf.preperiod[1:] + cf.period) == 1 and cf.quotient(1) <= 3:
+        best, period = oracles.max_run_exponent(window, 100)
+        yield best < 4, f"fourth power of period {period} found; exponent {best}"
 
 
 def _standard_conjugates(cf: ContinuedFraction, n_max: int,
@@ -362,9 +303,9 @@ def run_suites(names: list[str] | None = None,
                inject_fault: str | None = None) -> list[SuiteResult]:
     """Run the named suites (default: all) over the slope family.
 
-    n_max scales only the power-classification sweep; the other suites
-    keep their own bounds (500 for the kernel and gap suites, 150 for
-    squares and conjugacy, 100 for roots).  A suite that raises
+    n_max and inject_fault reach power-classification only; the other
+    suites keep their own bounds (500 for the kernel and gap suites, 150
+    for squares and conjugacy, 100 for roots).  A suite that raises
     DepthError is reported as refused, and the others still run.
     """
     if inject_fault is not None and inject_fault not in FAULT_MODES:
@@ -377,13 +318,21 @@ def run_suites(names: list[str] | None = None,
     for name in names or list(SUITES):
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
+        kwargs = ({"n_max": n_max, "inject_fault": inject_fault}
+                  if name == "power-classification" else {})
         start = time.monotonic()
+        checks, failures, refusal = 0, [], None
         try:
-            if name == "power-classification":
-                results.append(SUITES[name](slopes, n_max=n_max, inject_fault=inject_fault))
-            else:
-                results.append(SUITES[name](slopes))
+            for cf in slopes:
+                for ok, message in SUITES[name](cf, **kwargs):
+                    checks += 1
+                    if not ok:
+                        failures.append(f"{cf}: {message}")
+                        if len(failures) == _MAX_FAILURES:
+                            break
+                if len(failures) == _MAX_FAILURES:
+                    break
         except DepthError as exc:
-            results.append(SuiteResult(name, False, 0, time.monotonic() - start,
-                                       refusal=str(exc)))
+            checks, failures, refusal = 0, [], str(exc)
+        results.append(SuiteResult(name, checks, time.monotonic() - start, failures, refusal))
     return results

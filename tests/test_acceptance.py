@@ -66,7 +66,7 @@ def test_acceptance_1_worked_example():
 
 def test_acceptance_2_power_classification():
     started = time.monotonic()
-    result = verify.suite_power_classification(verify.default_family(), n_max=150)
+    [result] = verify.run_suites(names=["power-classification"])
     assert result.passed, result.line()
     assert result.checks >= 12 * sum(n + 1 for n in range(1, 151))
     assert result.checks == 137_700  # one check per factor, none skipped
@@ -75,7 +75,7 @@ def test_acceptance_2_power_classification():
 
 def test_acceptance_3_square_lengths():
     started = time.monotonic()
-    result = verify.suite_square_lengths(verify.default_family(), n_max=150)
+    [result] = verify.run_suites(names=["square-lengths"])
     assert result.passed, result.line()
     assert result.checks == 12
     _report("3 square lengths = convergent/semiconvergent denominators", started,
@@ -84,7 +84,7 @@ def test_acceptance_3_square_lengths():
 
 def test_acceptance_4_conjugacy_intervals():
     started = time.monotonic()
-    result = verify.suite_conjugacy(verify.default_family(), n_max=150)
+    [result] = verify.run_suites(names=["conjugacy-intervals"])
     assert result.passed, result.line()
     assert result.checks == 218
     _report("4 conjugacy interval tags", started, budget=None)
@@ -123,7 +123,7 @@ def test_acceptance_6_cubes_and_roots():
     for k in range(2, 9):
         cube = reversal(standard_word(fib, k)) * 3
         assert word_interval(fib, cube) is not None, f"no cube at q_{k}"
-    result = verify.suite_cube_structure([fib], n_max=100)
+    [result] = verify.run_suites(names=["cube-structure"], slopes=[fib])
     assert result.passed, result.line()
     _report("6 cubes present, fourth powers absent, roots conjugate", started,
             budget=None)
@@ -132,10 +132,10 @@ def test_acceptance_6_cubes_and_roots():
 def test_acceptance_7_number_theory_kernel():
     started = time.monotonic()
     family = verify.default_family()
-    best = verify.suite_best_approximations(family, q_max=500)
+    [best] = verify.run_suites(names=["best-approximations"], slopes=family)
     assert best.passed, best.line()
     assert best.checks == 379
-    closest = verify.suite_closest_multiples(family, q_max=500)
+    [closest] = verify.run_suites(names=["closest-multiples"], slopes=family)
     assert closest.passed, closest.line()
     assert closest.checks == 514
     _report("7 number-theory kernel (best approx, closest multiples, "
@@ -144,7 +144,7 @@ def test_acceptance_7_number_theory_kernel():
 
 def test_acceptance_8_three_distance():
     started = time.monotonic()
-    result = verify.suite_three_distance(verify.default_family(), n_max=500)
+    [result] = verify.run_suites(names=["three-distance"])
     assert result.passed, result.line()
     assert result.checks == 5_970
     _report("8 three-distance counts vs sorted gaps n<=500", started, budget=None)

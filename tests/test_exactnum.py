@@ -598,7 +598,7 @@ def forms(draw) -> tuple[ContinuedFraction, LinearForm]:
     cf = draw(slopes())
     q = draw(st.integers(-10 ** 7, 10 ** 7))
     if draw(st.booleans()):
-        c = convergent(cf, cf.max_depth(8))
+        c = convergent(cf, min(8, cf.max_depth()))
         p = q * c.p // c.q + draw(st.integers(-1, 2))
     else:
         p = draw(st.integers(-10 ** 7, 10 ** 7))
@@ -720,7 +720,7 @@ def ratios(draw) -> tuple[ContinuedFraction, LinearForm, LinearForm]:
     """A slope, den = q*alpha less the integer below it (by a convergent) and
     num = k*den + a drawn form of either sign, zero included."""
     cf = draw(slopes())
-    c = convergent(cf, cf.max_depth(8))
+    c = convergent(cf, min(8, cf.max_depth()))
 
     def near(q: int) -> LinearForm:
         return LinearForm(q, q * c.p // c.q)
@@ -754,7 +754,7 @@ def test_floor_ratio_exact_multiple_takes_sign_zero_branch(example_slope):
 def test_alpha_bounds_match_fraction_reference(family):
     cfs = family + [parse_slope("[0;2,1,1]"), parse_slope("[0;3,1,4,1,5,9,2,6]")]
     for cf in cfs:
-        for d in range(1, cf.max_depth(30) + 1):
+        for d in range(1, min(30, cf.max_depth()) + 1):
             a, b, c, e = ex.alpha_bounds(cf, d)
             assert b > 0 and e > 0
             assert (Fraction(a, b), Fraction(c, e)) == reference_alpha_bounds(cf, d)

@@ -218,7 +218,7 @@ def _reference_depths(cf: ContinuedFraction, reach: int):
     q_d*q_{d+1} < 64*reach^2, where the key margins (about q_d/reach)
     cannot yet beat the errors (about reach/q_{d+1}), but always offers the
     last usable depth."""
-    top = cf.max_depth(None)
+    top = cf.max_depth()
     for d in range(2, top, 2):
         conv = exactnum.convergent(cf, d)
         q_next = exactnum.convergent(cf, d + 1).q
@@ -305,7 +305,7 @@ def test_coding_prefix_matches_reference_near_convergent_indices(slope):
     # key(q_k) and key(-q_k) are -1 and +1 (in some order) at depth k + 1:
     # windows around both signs reach both ends of the residue window.
     cf = parse_slope(slope)
-    for k in range(1, cf.max_depth(None)):
+    for k in range(1, cf.max_depth()):
         q_k = exactnum.convergent(cf, k).q
         if q_k > 300:
             break

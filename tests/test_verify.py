@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from sturmian import oracles, verify
-from sturmian.exactnum import parse_slope
+from sturmian.exactnum import DepthExceededError, parse_slope
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +56,7 @@ def test_critical_exponent_suite_scans_what_a_truncation_cylinder_codes(monkeypa
 def test_standard_family_suites_answer_what_a_truncation_cylinder_fixes(suite):
     # q_9 = 584 exceeds both suites' bounds, so a_1..a_9 fix every length
     # they visit: the truncation runs the same checks as its extensions.
-    results = [verify.SUITES[suite]([parse_slope(s)])
+    results = [verify.run_suites(names=[suite], slopes=[parse_slope(s)])[0]
                for s in ("[0;2,1,1,1,1,1,1,1,10]", "[0;2,1,1,1,1,1,1,1,10,(1)]",
                          "[0;2,1,1,1,1,1,1,1,10,(7,2)]")]
     assert all(r.passed for r in results), [r.line() for r in results]
@@ -107,20 +107,18 @@ def test_three_distance_takes_one_oracle_key_table_per_slope(monkeypatch):
 
     monkeypatch.setattr(oracles, "key_table", counting)
     family = verify.default_family()
-    result = verify.suite_three_distance(family)
+    [result] = verify.run_suites(names=["three-distance"], slopes=family)
     assert result.passed and result.checks == 5970
     assert calls == [(str(cf), 500) for cf in family]
 
 
 def test_a_refused_suite_does_not_end_the_gate():
-    # a_1..a_8 of this truncation cannot settle four suites; each is refused
-    # on its own line, with the message, and the other four still run.
+    # a_1..a_8 of this truncation cannot settle three suites; each is refused
+    # on its own line, with the message, and the other five still run.
     results = verify.run_suites(slopes=[parse_slope("[0;3,1,4,1,5,9,2,6]")])
     assert [r.name for r in results] == list(verify.SUITES)
     refused = {r.name: r.refusal for r in results if r.refusal is not None}
     assert refused == {
-        "best-approximations":
-            "floor(-2592a+677/16781a-4383) undecided for slope [0;3,1,4,1,5,9,2,6]",
         "square-lengths": "quotient a_9 requested but expansion is only valid to depth 8",
         "power-classification":
             "quotient a_9 requested but expansion is only valid to depth 8",
@@ -133,3 +131,38 @@ def test_a_refused_suite_does_not_end_the_gate():
         else:
             assert not r.passed and (r.checks, r.failures) == (0, [])
             assert r.line() == f"{r.name:<24} REFUSED  {r.refusal}"
+
+
+def test_the_runner_counts_prefixes_caps_and_refuses(monkeypatch):
+    # The suites only yield (ok, message); run_suites keeps the books.
+    calls = []
+
+    def failing(cf, **kwargs):
+        calls.append(("failing", str(cf), kwargs))
+        yield True, "unused"
+        for i in range(12):
+            yield False, f"check {i}"
+
+    def refused(cf, **kwargs):
+        calls.append(("refused", str(cf), kwargs))
+        yield True, "unused"
+        yield False, "unused"
+        raise DepthExceededError("too shallow")
+
+    monkeypatch.setitem(verify.SUITES, "power-classification", failing)
+    monkeypatch.setitem(verify.SUITES, "three-distance", refused)
+    slopes = [parse_slope(s) for s in ("[0;2,(1)]", "[0;3,(2)]", "[0;2,(3)]")]
+    capped, shallow = verify.run_suites(names=["power-classification", "three-distance"],
+                                        slopes=slopes, n_max=7, inject_fault="flip-gamma")
+    # 12 failures on the first slope and 9 on the second make 21: the suite
+    # stops at its 21st failure and never reaches the third slope.
+    assert (capped.checks, len(capped.failures), capped.passed) == (13 + 10, 21, False)
+    assert capped.failures[11:13] == ["[0;2,(1)]: check 11", "[0;3,(2)]: check 0"]
+    assert capped.failures[-1] == "[0;3,(2)]: check 8"
+    # A DepthError after some checks refuses the suite: no checks, no failures.
+    assert (shallow.checks, shallow.failures, shallow.passed) == (0, [], False)
+    assert shallow.line() == "three-distance           REFUSED  too shallow"
+    # Only power-classification receives n_max and inject_fault.
+    fault = {"n_max": 7, "inject_fault": "flip-gamma"}
+    assert calls == [("failing", "[0;2,(1)]", fault), ("failing", "[0;3,(2)]", fault),
+                     ("refused", "[0;2,(1)]", {})]
