@@ -12,7 +12,6 @@ errors including malformed slopes.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -200,8 +199,7 @@ def cmd_index(args: argparse.Namespace) -> int:
         reports = [r for r in classify_length(cf, len(args.word)) if r.word == args.word]
         if not reports:
             raise NotAFactorError(f"{args.word!r} is not a factor for slope {cf}")
-        reports[0] = dataclasses.replace(
-            reports[0], fractional_index=fractional_index(cf, args.word))
+        reports[0] = reports[0]._replace(fractional_index=fractional_index(cf, args.word))
     else:
         reports = classify_length(cf, args.n)
     rows = [{"word": r.word, "n": r.n, "integer_index": r.integer_index, "case": r.case_tag,

@@ -11,16 +11,17 @@ twice: by exact interval formulas and by scanning coded prefixes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
+from typing import NamedTuple
 
 from sturmian import oracles
 from sturmian.exactnum import (
     ContinuedFraction,
     LinearForm,
     _ctx,
+    _unordered,
     alpha_bounds,
     convergent,
     convergent_distance,
@@ -52,9 +53,11 @@ class NotAFactorError(ValueError):
     """The queried word does not belong to the language of the slope."""
 
 
-@dataclass(frozen=True)
-class IndexReport:
-    """Classification of one factor: its integer index and case."""
+class IndexReport(NamedTuple):
+    """Classification of one factor: its integer index and case.
+
+    A tuple, like `FactorInterval`, and likewise not ordered.
+    """
 
     word: str
     n: int
@@ -62,6 +65,8 @@ class IndexReport:
     case_tag: str
     conjugate_position: int | None = None
     fractional_index: Fraction | None = None
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
 
 @dataclass(frozen=True)
@@ -142,22 +147,23 @@ def index_by_interval(cf: ContinuedFraction, w: str) -> int:
     return indices_by_interval(cf, len(w))[w]
 
 
-def indices_by_interval(cf: ContinuedFraction, n: int) -> dict[str, int]:
-    """index_by_interval of every factor of length n, in circular order.
+def _length_indices(cf: ContinuedFraction, n: int) -> dict[LinearForm, int]:
+    """Interval length -> index for the length-n factors.
 
     The n + 1 intervals take at most three lengths (three-distance
     theorem), so the formula runs once per distinct length, in the order
     the lengths first appear around the circle.
     """
-    intervals = factor_interval_map(cf, n)
     dist = distance(cf, n)
-    by_length: dict[LinearForm, int] = {}
-    for interval in intervals.values():
-        length = interval.length
-        if length not in by_length:
-            gamma = 0 if length == dist else 1
-            by_length[length] = gamma + floor_ratio(cf, length, dist)
-    return {w: by_length[interval.length] for w, interval in intervals.items()}
+    lengths = dict.fromkeys(iv.length for iv in factor_interval_map(cf, n).values())
+    return {length: (0 if length == dist else 1) + floor_ratio(cf, length, dist)
+            for length in lengths}
+
+
+def indices_by_interval(cf: ContinuedFraction, n: int) -> dict[str, int]:
+    """index_by_interval of every factor of length n, in circular order."""
+    by_length = _length_indices(cf, n)
+    return {w: by_length[iv.length] for w, iv in factor_interval_map(cf, n).items()}
 
 
 def oracle_window(cf: ContinuedFraction, n: int) -> int:
@@ -267,9 +273,10 @@ def classify_length(cf: ContinuedFraction, n: int,
     factor C^i(root)^m, i < |root|, has conjugate position i and index
     `first` if i < split, else `rest`; every other factor has `other`.
     The interval formula and the scan oracle cross-check the rule in the
-    verification suites.  Fractional indices are filled only on request,
-    and the floor of each, read off where w^inf leaves the language, must
-    equal the positional index: two independent routes meet on every word.
+    verification suites.  Fractional indices are filled only on request.
+    Each is (t - 1)/n for the exit t where w^inf leaves the language, so
+    its floor (t - 1) // n must equal the positional index: two independent
+    routes meet on every word, on integers, before any Fraction is built.
     """
     tag, params = length_case(cf, n)
     factors = factor_interval_map(cf, n)
@@ -279,17 +286,17 @@ def classify_length(cf: ContinuedFraction, n: int,
         raise AssertionError(
             f"case {tag}: the shifts of {root!r} are not distinct factors of length {n} for {cf}"
         )
-    fractions = fractional_indices(cf, n) if with_fractional else {}
-    out = []
-    for w in factors:
-        pos = shifts.get(w)
-        idx = other if pos is None else first if pos < split else rest
-        frac = fractions.get(w)
-        if frac is not None and math.floor(frac) != idx:
-            raise AssertionError(f"case {tag}: {w!r} has index {idx} but fractional "
-                                 f"index {frac} for {cf}")
-        out.append(IndexReport(w, n, idx, tag, pos, frac))
-    return out
+    positions = list(map(shifts.get, factors))
+    indices = [other if pos is None else first if pos < split else rest for pos in positions]
+    fractions = repeat(None)
+    if with_fractional:
+        exits = _exits(cf, n)
+        for w, idx, t in zip(factors, indices, exits):
+            if (t - 1) // n != idx:
+                raise AssertionError(f"case {tag}: {w!r} has index {idx} but fractional "
+                                     f"index {Fraction(t - 1, n)} for {cf}")
+        fractions = _exit_fractions(exits, n)
+    return list(map(IndexReport, factors, repeat(n), indices, repeat(tag), positions, fractions))
 
 
 # ------------------------------------------------------------------
@@ -391,17 +398,17 @@ def fractional_index(cf: ContinuedFraction, w: str) -> Fraction:
     return Fraction(_period_exit(keys, 0, n, max(head), min(head), q) - 1, n)
 
 
-def fractional_indices(cf: ContinuedFraction, n: int) -> dict[str, Fraction]:
-    """fractional_index of every factor of length n, in circular order.
+def _exits(cf: ContinuedFraction, n: int) -> list[int]:
+    """`_period_exit` of every factor of length n, in circular order.
 
     One key list K(-n), ..., K(n) from a table sized by the length's
-    largest index; the word whose interval starts at {-i*alpha} reads the
-    window from a = n - i.  Its first n keys are left[a:] + right[:a] for
-    the halves left = keys[:n] and right = keys[n:2n], so running maxima
-    and minima of the two halves give every window's extremes in O(n).
+    largest interval index; the word whose interval starts at {-i*alpha}
+    reads the window from a = n - i.  Its first n keys are left[a:] +
+    right[:a] for the halves left = keys[:n] and right = keys[n:2n], so
+    running maxima and minima of the two halves give every window's
+    extremes in O(n).
     """
-    intervals = factor_interval_map(cf, n)
-    p, q = _exit_modulus(cf, n, max(indices_by_interval(cf, n).values()))
+    p, q = _exit_modulus(cf, n, max(_length_indices(cf, n).values()))
     keys = [m % q for m in range(-n * p, (n + 1) * p, p)]
     left, right = keys[:n], keys[n:2 * n]
     # his[a] and los[a] for a = 0..n; keys lie in [0, q), so -1 and q
@@ -410,11 +417,22 @@ def fractional_indices(cf: ContinuedFraction, n: int) -> dict[str, Fraction]:
                    [-1, *accumulate(right, max)]))
     los = list(map(min, [*accumulate(reversed(left), min)][::-1] + [q],
                    [q, *accumulate(right, min)]))
-    out = {}
-    for w, iv in intervals.items():
-        a = n - iv.left_idx
-        out[w] = Fraction(_period_exit(keys, a, n, his[a], los[a], q) - 1, n)
-    return out
+    starts = [n - i for i, _, _ in factor_interval_map(cf, n).values()]
+    return [_period_exit(keys, a, n, his[a], los[a], q) for a in starts]
+
+
+def _exit_fractions(exits: list[int], n: int) -> list[Fraction]:
+    """(t - 1)/n for each exit t, one Fraction per distinct t."""
+    by_exit = {t: Fraction(t - 1, n) for t in set(exits)}
+    return list(map(by_exit.__getitem__, exits))
+
+
+def fractional_indices(cf: ContinuedFraction, n: int) -> dict[str, Fraction]:
+    """fractional_index of every factor of length n, in circular order.
+
+    Words of equal fractional index share one Fraction object.
+    """
+    return dict(zip(factor_interval_map(cf, n), _exit_fractions(_exits(cf, n), n)))
 
 
 def _class_limit(cf: ContinuedFraction, k0: int

@@ -224,8 +224,11 @@ def factors_of_length(cf: ContinuedFraction, n: int) -> list[tuple[str, FactorIn
     return list(factor_interval_map(cf, n).items())
 
 
-# An entry holds n + 1 words of length n.  `verify --n-max 150` reads 1,808
-# maps slope by slope; 256 keep the slope in use, so misses rise only to 1,973.
+# An entry holds n + 1 words of length n, whose intervals share at most
+# four length forms.  `verify --n-max 150` reads 1,808 maps slope by slope;
+# 256 keep the slope in use, so misses rise only to 1,973.  The interval
+# indices read each shared form once; the exits behind fractional indices
+# read only the left ends, and `classify_length` floors them on integers.
 @lru_cache(maxsize=256)
 def factor_interval_map(cf: ContinuedFraction, n: int) -> dict[str, FactorInterval]:
     """Word -> interval for the length-n factors, in circular order (cached).
@@ -249,11 +252,19 @@ def factor_interval_map(cf: ContinuedFraction, n: int) -> dict[str, FactorInterv
     # {-i*alpha} is the form -i*alpha - floors[i]; the last gap wraps past 1.
     floors = [m // q for m in range(0, -(n + 1) * p, -p)]
     order = sorted(range(n + 1), key=keys[n::-1].__getitem__)
+    # The n gaps that do not wrap take at most three lengths (three-distance
+    # theorem), so each distinct form is built once and shared.
+    forms: dict[tuple[int, int], LinearForm] = {}
     out = {}
-    for t, i in enumerate(order):
-        nxt = order[(t + 1) % (n + 1)]
-        length = LinearForm(i - nxt, floors[nxt] - floors[i] - (t == n))
+    for i, nxt in zip(order, order[1:]):
+        pair = i - nxt, floors[nxt] - floors[i]
+        length = forms.get(pair)
+        if length is None:
+            length = forms[pair] = LinearForm(*pair)
         out[bitstr[n - i: 2 * n - i]] = FactorInterval(i, nxt, length)
+    i, nxt = order[n], order[0]
+    length = LinearForm(i - nxt, floors[nxt] - floors[i] - 1)
+    out[bitstr[n - i: 2 * n - i]] = FactorInterval(i, nxt, length)
     return out
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import FAMILY_SLOPES, periodic_tail_surd
 from sturmian import oracles, repetitions
+from sturmian.cli import main
 from sturmian.exactnum import (
     ContinuedFraction,
     DepthError,
@@ -22,6 +23,7 @@ from sturmian.exactnum import (
     parse_slope,
 )
 from sturmian.repetitions import (
+    IndexReport,
     NotAFactorError,
     classify_length,
     conjugacy_report,
@@ -217,6 +219,41 @@ def test_classify_with_fractional_refuses_a_wrong_index(monkeypatch, fib_slope):
         classify_length(fib_slope, 3, with_fractional=True)
 
 
+def test_classify_with_fractional_refuses_a_late_exit(monkeypatch, family):
+    # The exit side of the same check: one period late, every floor
+    # (t - 1) // n is one above the positional index.
+    period_exit = repetitions._period_exit
+    monkeypatch.setattr(repetitions, "_period_exit",
+                        lambda keys, a, n, hi, lo, q: period_exit(keys, a, n, hi, lo, q) + n)
+    for cf in family:
+        with pytest.raises(AssertionError, match="fractional index"):
+            for n in range(1, 21):
+                classify_length(cf, n, with_fractional=True)
+
+
+def test_index_report_is_an_unordered_value_tuple(capsys):
+    assert IndexReport._fields == ("word", "n", "integer_index", "case_tag",
+                                   "conjugate_position", "fractional_index")
+    assert IndexReport._field_defaults == {"conjugate_position": None, "fractional_index": None}
+    assert repr(IndexReport("01", 2, 2, "ii", 0, Fraction(5, 2))) == (
+        "IndexReport(word='01', n=2, integer_index=2, case_tag='ii', "
+        "conjugate_position=0, fractional_index=Fraction(5, 2))")
+    cf, w = parse_slope("[0;2,(3)]"), "01010100101010010101001"
+    [report] = [r for r in classify_length(cf, len(w)) if r.word == w]
+    assert report == IndexReport(w, 23, 5, "iii", 5)
+    with pytest.raises(TypeError):
+        sorted([report, report])
+    with pytest.raises(AttributeError):
+        report.integer_index = 6
+    # `index --word` prints the report with its fractional index filled in.
+    row = report._replace(fractional_index=fractional_index(cf, w))
+    assert row == (w, 23, 5, "iii", 5, Fraction(120, 23))
+    assert main(["index", "--slope", "[0;2,(3)]", "--word", w]) == 0
+    printed = capsys.readouterr().out.splitlines()[-1].split()
+    assert printed == [row.word, str(row.integer_index), row.case_tag,
+                       str(row.conjugate_position), str(row.fractional_index)]
+
+
 def test_classify_cases_exhaustive(family):
     for cf in family:
         for n in range(1, 120):
@@ -306,6 +343,8 @@ def test_fractional_indices_match_the_walk(family):
             got = fractional_indices(cf, n)
             assert list(got) == list(expected)
             assert got == expected, (str(cf), n)
+            # Words of equal fractional index share one Fraction.
+            assert len({id(f) for f in got.values()}) == len(set(got.values()))
             words += len(got)
     assert words == 12_040
 

@@ -17,6 +17,7 @@ from conftest import FAMILY_SLOPES, alpha_oracle, form_bounds
 from sturmian import exactnum, oracles, repetitions, rotation
 from sturmian.exactnum import ContinuedFraction, LinearForm, UndecidedError, parse_slope
 from sturmian.rotation import (
+    FactorInterval,
     characteristic_prefix,
     coding_prefix,
     factor_interval_map,
@@ -468,6 +469,35 @@ def test_factor_interval_lengths_sum_to_one(family):
             for _, interval in factors_of_length(cf, n):
                 total = total + interval.length
             assert total == LinearForm(0, -1)  # exactly 1
+
+
+def reference_factor_interval_map(cf: ContinuedFraction, n: int) -> dict[str, FactorInterval]:
+    """The per-entry construction that shared forms replaced: one new
+    LinearForm per gap, the wrap picked out by its position."""
+    table = key_table(cf, n)
+    p, q = table.p, table.q
+    keys = [m % q for m in range(-n * p, n * p, p)]
+    boundary = keys[n - 1]
+    bitstr = "".join(["0" if k < boundary else "1" for k in keys])
+    floors = [m // q for m in range(0, -(n + 1) * p, -p)]
+    order = sorted(range(n + 1), key=keys[n::-1].__getitem__)
+    out = {}
+    for t, i in enumerate(order):
+        nxt = order[(t + 1) % (n + 1)]
+        length = LinearForm(i - nxt, floors[nxt] - floors[i] - (t == n))
+        out[bitstr[n - i: 2 * n - i]] = FactorInterval(i, nxt, length)
+    return out
+
+
+def test_shared_form_maps_match_the_per_entry_construction(family):
+    for cf in family:
+        for n in (*range(1, 81), 1000):
+            got = factor_interval_map(cf, n)
+            assert list(got.items()) == list(reference_factor_interval_map(cf, n).items())
+            # Three distances (the wrap's value is one of them), and each
+            # is one object: three shared forms and the wrap's own.
+            assert len({iv.length for iv in got.values()}) <= 3
+            assert len({id(iv.length) for iv in got.values()}) <= 4
 
 
 def test_factor_intervals_match_partition_lengths(example_slope):
