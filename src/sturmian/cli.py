@@ -1,12 +1,12 @@
 """Command-line front end: deterministic tables and JSON reports.
 
 Each command builds its rows once, and `_emit` prints them as JSON or as a
-table.  Every decimal has 12 significant digits, from the certified
-deepening loop of `exactnum.approx_str` (a critical exponent's class limit
-included) or from an exact rational; two runs with the same arguments
-print the same bytes.  Exit codes: 0 success / all checks pass, 1
-verification or domain failure (e.g. a word that is not a factor), 2 usage
-errors including malformed slopes.
+table.  Every decimal has 12 significant digits, from `exactnum.approx_str`
+(a critical exponent's class limit included), which deepens from the shared
+depth rule `exactnum._Ctx.bracket_depth`, or from an exact rational; two
+runs with the same arguments print the same bytes.  Exit codes: 0 success / all
+checks pass, 1 verification or domain failure (e.g. a word that is not a
+factor), 2 usage errors including malformed slopes.
 """
 
 from __future__ import annotations

@@ -5,18 +5,21 @@ quotients, either eventually periodic (exact to any depth) or as a
 finite truncation (every answer is then only valid to the stated depth).
 Quantities derived from the slope -- distances to the nearest integer,
 interval lengths on the circle -- are kept as integer linear forms
-q*alpha - p and compared through rational enclosures built from
-convergents.  No floating point is used anywhere: a comparison either
-returns a certified answer or raises.
+q*alpha - p, decided from the first bracket a/b < alpha < c/e with b + e
+above the question's size (the depth rule `_Ctx.bracket_depth`).  No
+floating point is used anywhere: a comparison either returns a certified
+answer or raises.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from typing import Iterator, NamedTuple, NoReturn
 
 DEFAULT_DEPTH_LIMIT = 64
@@ -174,19 +177,6 @@ ONE = LinearForm(0, -1)
 ALPHA = LinearForm(1, 0)
 
 
-@dataclass(frozen=True)
-class CertifiedEnclosure:
-    """Rational interval guaranteed to contain the value of a form."""
-
-    lo: Fraction
-    hi: Fraction
-    depth: int
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-
 # ------------------------------------------------------------------
 # slope parsing and normalization
 # ------------------------------------------------------------------
@@ -262,16 +252,18 @@ def normalize_slope(cf: ContinuedFraction) -> tuple[ContinuedFraction, bool]:
 
 
 # ------------------------------------------------------------------
-# convergents and enclosures
+# convergents and brackets
 # ------------------------------------------------------------------
 
 class _Ctx:
-    """Per-slope cache of convergent pairs (p_k, q_k)."""
+    """Per-slope cache of convergent pairs (p_k, q_k) and bracket spans."""
 
     def __init__(self, cf: ContinuedFraction) -> None:
         self.cf = cf
         # Index k: pairs[0] = (p_0, q_0) = (0, 1) with a_0 = 0.
         self.pairs: list[tuple[int, int]] = [(0, 1)]
+        # spans[d] = b + e of alpha_bounds(cf, d), rising; spans[0] = 0 < n.
+        self.spans: list[int] = [0]
 
     def pair(self, k: int) -> tuple[int, int]:
         if k == -1:
@@ -292,6 +284,31 @@ class _Ctx:
                 pairs.append((a * p1 + p2, a * q1 + q2))
         self.pairs = pairs
         return pairs[k]
+
+    def bracket(self, d: int) -> tuple[int, int, int, int]:
+        """`alpha_bounds(cf, d)` for a depth d it accepts."""
+        p1, q1 = self.pair(d)
+        if d == self.cf.truncation_depth:
+            p0, q0 = self.pair(d - 1)
+            p2, q2 = p1 + p0, q1 + q0
+        else:
+            p2, q2 = self.pair(d + 1)
+        return (p1, q1, p2, q2) if d % 2 == 0 else (p2, q2, p1, q1)
+
+    def bracket_depth(self, n: int, top: int) -> int:
+        """The depth rule: the first d <= top (the cap) whose `alpha_bounds`
+        bracket a/b < alpha < c/e has b + e > n, else top.  The ends are Farey
+        neighbours: no fraction with a denominator up to n lies between them."""
+        spans = self.spans
+        if spans[-1] <= n and len(spans) <= top:
+            # Extended only as far as n needs, and published as pair() publishes.
+            spans = list(spans)
+            while spans[-1] <= n and len(spans) <= top:
+                _, b, _, e = self.bracket(len(spans))
+                spans.append(b + e)
+            self.spans = spans
+        # The list may reach past a cap lowered since it was extended.
+        return min(bisect_right(spans, n), top)
 
 
 # `verify --n-max 150` reads 17 slopes; 256 also keep the recent slopes of a query stream.
@@ -341,7 +358,7 @@ def _semiconvergent_pair(cf: ContinuedFraction, k: int, l: int) -> tuple[int, in
     return (l * p1 + p2, l * q1 + q2)
 
 
-# Four integers per (slope, depth): `verify --n-max 150` needs 53, a CLI query about 2.
+# Four integers per (slope, depth): `verify --n-max 150` keeps 425, a CLI query 3 or 4.
 @lru_cache(maxsize=1024)
 def alpha_bounds(cf: ContinuedFraction, d: int) -> tuple[int, int, int, int]:
     """Certified integer bracket (a, b, c, e) with a/b < alpha < c/e at depth d.
@@ -353,50 +370,32 @@ def alpha_bounds(cf: ContinuedFraction, d: int) -> tuple[int, int, int, int]:
     """
     if d < 1:
         raise ValueError(f"enclosure depth must be >= 1, got {d}")
-    ctx = _ctx(cf)
     m = cf.truncation_depth
     if m is not None and d > m:
         raise DepthExceededError(f"enclosure depth {d} exceeds truncation depth {m}")
-    p1, q1 = ctx.pair(d)
-    if m is not None and d == m:
-        p0, q0 = ctx.pair(d - 1)
-        p2, q2 = p1 + p0, q1 + q0
-    else:
-        p2, q2 = ctx.pair(d + 1)
-    return (p1, q1, p2, q2) if d % 2 == 0 else (p2, q2, p1, q1)
+    return _ctx(cf).bracket(d)
 
 
-def _form_bounds(cf: ContinuedFraction, form: LinearForm, d: int
-                 ) -> tuple[int, int, int, int]:
-    """Integers with ln/ld <= q*alpha - p <= hn/hd at depth d, ld and hd
-    positive; the bounds are strict unless q == 0."""
+def _deepen(cf: ContinuedFraction, form: LinearForm, n: int):
+    """Integer bounds ln/ld <= q*alpha - p <= hn/hd, ld, hd > 0 (strict unless
+    q == 0), at the rule's depth for n, twice that, ..., max_depth()."""
+    q, p = form
+    ctx, top = _ctx(cf), cf.max_depth()
+    d = ctx.bracket_depth(n, top)
+    while d:
+        a, b, c, e = alpha_bounds(cf, d)
+        if q < 0:
+            a, b, c, e = c, e, a, b
+        yield q * a - p * b, b, q * c - p * e, e
+        d = min(2 * d, top) if d < top else 0
+
+
+# Kept for the benchmark's span tracer, which looks it up by name.
+def enclosure(cf: ContinuedFraction, form: LinearForm, d: int) -> tuple[Fraction, Fraction]:
+    """(lo, hi) with lo <= q*alpha - p <= hi at convergent depth d."""
     a, b, c, e = alpha_bounds(cf, d)
-    q, p = form.q, form.p
-    if q < 0:
-        a, b, c, e = c, e, a, b
-    return q * a - p * b, b, q * c - p * e, e
-
-
-def _deepen(cf: ContinuedFraction, form: LinearForm):
-    """The integer bounds of a form at each depth of the schedule, shallow first."""
-    for d in _depth_schedule(cf):
-        yield _form_bounds(cf, form, d)
-
-
-def enclosure(cf: ContinuedFraction, form: LinearForm, d: int) -> CertifiedEnclosure:
-    """Enclosure of the value of form at convergent depth d."""
-    ln, ld, hn, hd = _form_bounds(cf, form, d)
-    return CertifiedEnclosure(Fraction(ln, ld), Fraction(hn, hd), d)
-
-
-def _depth_schedule(cf: ContinuedFraction) -> list[int]:
-    top = cf.max_depth()
-    ds, d = [], 4
-    while d < top:
-        ds.append(d)
-        d *= 2
-    ds.append(top)
-    return ds
+    ends = Fraction(form.q * a - form.p * b, b), Fraction(form.q * c - form.p * e, e)
+    return min(ends), max(ends)
 
 
 def sign(cf: ContinuedFraction, form: LinearForm) -> int:
@@ -409,7 +408,7 @@ def sign(cf: ContinuedFraction, form: LinearForm) -> int:
     if form.q == 0:
         return 0 if form.p == 0 else (-1 if form.p > 0 else 1)
     # The alpha bounds are strict, so equality at an endpoint decides too.
-    for ln, _, hn, _ in _deepen(cf, form):
+    for ln, _, hn, _ in _deepen(cf, form, abs(form.q)):
         if ln >= 0:
             return 1
         if hn <= 0:
@@ -432,7 +431,7 @@ def nearest_integer(cf: ContinuedFraction, n: int) -> int:
     """The integer closest to n*alpha (unique: alpha irrational)."""
     if n == 0:
         return 0
-    for ln, ld, hn, hd in _deepen(cf, LinearForm(n, 0)):
+    for ln, ld, hn, hd in _deepen(cf, LinearForm(n, 0), 2 * abs(n)):
         # floor(x + 1/2) at both ends of the bounds on n*alpha.
         p_lo = (2 * ln + ld) // (2 * ld)
         if p_lo == (2 * hn + hd) // (2 * hd):
@@ -473,8 +472,10 @@ def convergent_distance(cf: ContinuedFraction, k: int) -> LinearForm:
 
 def floor_ratio(cf: ContinuedFraction, num: LinearForm, den: LinearForm) -> int:
     """floor(num/den) for two forms with certified positive values."""
-    for (nln, nld, nhn, nhd), (dln, dld, dhn, dhd) in zip(_deepen(cf, num),
-                                                          _deepen(cf, den)):
+    # Both streams walk the same depths.
+    n = max(abs(num.q), abs(den.q))
+    for (nln, nld, nhn, nhd), (dln, dld, dhn, dhd) in zip(_deepen(cf, num, n),
+                                                          _deepen(cf, den, n)):
         if dln <= 0 or nln < 0:
             continue
         m_lo = nln * dhd // (nld * dhn)
@@ -554,13 +555,13 @@ def closest_multiples(cf: ContinuedFraction, k: int, l: int) -> list[int]:
 def approx_str(cf: ContinuedFraction, form: LinearForm, digits: int = 12) -> str:
     """Deterministic decimal rendering with `digits` significant digits.
 
-    Derived from certified bounds only (never from a floating alpha): the
-    integer bounds on the form are deepened until both ends round to the
-    same string.
+    Derived from certified bounds only (never from a floating alpha): both
+    ends are rounded until they agree, from the rule's depth for
+    isqrt(|q| * 10**digits), where the width |q|/(b*e) nears 10**-digits.
     """
     if form.q == 0:
         return _render(-form.p, 1, digits)
-    for ln, ld, hn, hd in _deepen(cf, form):
+    for ln, ld, hn, hd in _deepen(cf, form, isqrt(abs(form.q) * 10 ** digits)):
         lo_s = _render(ln, ld, digits)
         if lo_s == _render(hn, hd, digits):
             return lo_s

@@ -7,7 +7,8 @@ of the length-n factors.
 
 All positions are certified integers: keys m*p mod q and floors m*p//q,
 where p/q lies in a bracket of alpha holding no fraction that could tell
-the two apart (`_farey_bracket`), with no error bound and no sort.  Codings
+the two apart (`_farey_bracket`, at the depth of the shared rule
+`exactnum._Ctx.bracket_depth`), with no error bound and no sort.  Codings
 read their letters off the floors, letter j being
 floor((j+1)*alpha) - floor(j*alpha), and the interval [w] of a word is one
 running max and min of its heights (counts of 1s in prefixes) in key units.
@@ -87,12 +88,13 @@ def require_normalized(cf: ContinuedFraction) -> None:
 class KeyTable:
     """Certified integer positions for orbit indices in [-span, span].
 
-    p/q is the mediant that `_farey_bracket(cf, 1, 2*span)` finds at depth
-    d: no fraction with denominator <= 2*span lies between p/q and alpha.
-    Two points {i*x} and {j*x} with |i|, |j| <= span change order only as
-    x crosses such a fraction, so key(m) = m*p mod q orders the points as
-    at alpha, and floor(m*p/q) is floor(m*alpha) for every |m| < q.  The
-    keys are a closed form, so the table stores only the certificate.
+    p/q is the mediant of the bracket at the depth d that the shared rule
+    `exactnum._Ctx.bracket_depth` gives for 2*span: no fraction with
+    denominator <= 2*span lies between p/q and alpha.  Two points {i*x} and
+    {j*x} with |i|, |j| <= span change order only as x crosses such a
+    fraction, so key(m) = m*p mod q orders the points as at alpha, and
+    floor(m*p/q) is floor(m*alpha) for every |m| < q.  The keys are a
+    closed form, so the table stores only the certificate.
     """
 
     __slots__ = ("span", "depth", "p", "q")
@@ -117,24 +119,21 @@ class KeyTable:
 
 
 def _farey_bracket(cf: ContinuedFraction, lo: int, hi: int) -> tuple[int, int, int] | None:
-    """(d, p, q) for the first depth d whose bracket a/b < alpha < c/e of
-    `alpha_bounds` holds no fraction with a denominator in [lo, hi], and its
-    mediant p/q = (a + c)/(b + e); None if no depth does.  The ends are
-    Farey neighbours, so the fractions between them are (i*a + j*c)/m,
-    m = i*b + j*e with i, j >= 1: floor(m*x) with lo <= |m| <= hi is
+    """(d, p, q): the rule's depth d for hi (`_Ctx.bracket_depth`), the mediant
+    p/q of its bracket a/b < alpha < c/e if no fraction with a denominator m in
+    [lo, hi] lies inside, else None; brackets nest, so no shallower one passes
+    where it fails.  Such fractions are (i*a + j*c)/m, m = i*b + j*e with
+    i, j >= 1 (the ends are Farey neighbours): floor(m*x), lo <= |m| <= hi, is
     constant on the bracket (a truncation's cylinder at its last depth)
-    exactly when no such m exists.  Every m > b*e is one; below that, m is
-    one exactly when i = m/b mod e, taken in [1, e], leaves j >= 1.
+    exactly when there are none.  The least m is b + e, every m > b*e is one,
+    and below that m is one exactly when i = m/b mod e in [1, e] leaves j >= 1.
     """
-    for d in range(1, cf.max_depth() + 1):
-        a, b, c, e = alpha_bounds(cf, d)
-        q = b + e  # the least such m
-        if q > hi:
-            return d, a + c, q
-        if q < lo and hi <= b * e:
-            inv = pow(b, -1, e)
-            if not any((m * inv % e or e) * b + e <= m for m in range(lo, hi + 1)):
-                return d, a + c, q
+    d = _ctx(cf).bracket_depth(hi, cf.max_depth())
+    a, b, c, e = alpha_bounds(cf, d)
+    inv = pow(b, -1, e)
+    if hi <= b * e and not any((m * inv % e or e) * b + e <= m
+                               for m in range(max(lo, b + e), hi + 1)):
+        return d, a + c, b + e
     return None
 
 

@@ -205,21 +205,21 @@ def test_enclosure_contains_true_value(example_slope):
     # Independent bounds from bottom-up evaluation at high depth.
     lo_a, hi_a = alpha_oracle(example_slope, 50)
     for q, p in [(1, 0), (3, 1), (-5, -2), (17, 6), (0, -4)]:
-        enc = enclosure(example_slope, LinearForm(q, p), 12)
-        assert enc.lo <= q * lo_a - p <= enc.hi or enc.lo <= q * hi_a - p <= enc.hi
+        lo, hi = enclosure(example_slope, LinearForm(q, p), 12)
+        assert lo <= q * lo_a - p <= hi or lo <= q * hi_a - p <= hi
         # The tight oracle interval must sit inside the depth-12 enclosure.
         vals = sorted([q * lo_a - p, q * hi_a - p])
-        assert enc.lo <= vals[0] and vals[1] <= enc.hi
+        assert lo <= vals[0] and vals[1] <= hi
 
 
 def test_enclosure_width_bound(family):
     for cf in family:
         for d in (4, 9, 15):
             for q, p in [(1, 0), (123, 45), (-77, -28)]:
-                enc = enclosure(cf, LinearForm(q, p), d)
+                lo, hi = enclosure(cf, LinearForm(q, p), d)
                 qd = convergent(cf, d).q
                 qd1 = convergent(cf, d + 1).q
-                assert enc.width <= Fraction(abs(q), qd * qd1)
+                assert hi - lo <= Fraction(abs(q), qd * qd1)
 
 
 def test_enclosure_nesting(family):
@@ -228,9 +228,9 @@ def test_enclosure_nesting(family):
         for n in (1, 7, 123, 4096, 9973):
             p = round(n * 0.381966)  # any integer offset works here
             for d in (4, 8, 16, 24):
-                outer = enclosure(cf, LinearForm(n, p), d)
-                inner = enclosure(cf, LinearForm(n, p), d + 4)
-                assert outer.lo <= inner.lo and inner.hi <= outer.hi
+                outer_lo, outer_hi = enclosure(cf, LinearForm(n, p), d)
+                inner_lo, inner_hi = enclosure(cf, LinearForm(n, p), d + 4)
+                assert outer_lo <= inner_lo and inner_hi <= outer_hi
 
 
 def test_enclosure_depth_error_on_truncation():
@@ -472,6 +472,23 @@ def test_approx_str_deterministic(family):
         assert ex.approx_str(cf, form) == ex.approx_str(cf, form)
 
 
+def reference_schedule(cf: ContinuedFraction) -> list[int]:
+    """The depths 4, 8, 16, ..., max_depth() that the references walk: the
+    schedule the package deepened along before its one depth rule."""
+    top = cf.max_depth()
+    ds, d = [], 4
+    while d < top:
+        ds.append(d)
+        d *= 2
+    ds.append(top)
+    return ds
+
+
+def rule_depth(cf: ContinuedFraction, n: int) -> int:
+    """The depth rule for n on cf under the cap read now."""
+    return ex._ctx(cf).bracket_depth(n, cf.max_depth())
+
+
 def reference_round_fraction(x: Fraction, digits: int) -> str:
     """The Fraction-loop renderer that the integer one replaced."""
     if x == 0:
@@ -504,13 +521,13 @@ def reference_round_fraction(x: Fraction, digits: int) -> str:
 
 
 def reference_approx_str(cf: ContinuedFraction, form: LinearForm, digits: int) -> str:
-    """The renderer that rounded both ends of an `enclosure` at each depth."""
+    """The renderer that rounded both ends of an enclosure at each depth."""
     if form.q == 0:
         return reference_round_fraction(Fraction(-form.p), digits)
-    for d in ex._depth_schedule(cf):
-        enc = enclosure(cf, form, d)
-        lo_s = reference_round_fraction(enc.lo, digits)
-        hi_s = reference_round_fraction(enc.hi, digits)
+    for d in reference_schedule(cf):
+        lo, hi = reference_enclosure(cf, form, d)
+        lo_s = reference_round_fraction(lo, digits)
+        hi_s = reference_round_fraction(hi, digits)
         if lo_s == hi_s:
             return lo_s
     raise UndecidedError(f"cannot render {form} to {digits} digits for slope {cf}")
@@ -642,7 +659,7 @@ def reference_enclosure(cf: ContinuedFraction, form: LinearForm, d: int
 def reference_sign(cf: ContinuedFraction, form: LinearForm) -> int:
     if form.q == 0:
         return 0 if form.p == 0 else (-1 if form.p > 0 else 1)
-    for d in ex._depth_schedule(cf):
+    for d in reference_schedule(cf):
         lo, hi = reference_enclosure(cf, form, d)
         if lo >= 0:
             return 1
@@ -655,7 +672,7 @@ def reference_sign(cf: ContinuedFraction, form: LinearForm) -> int:
 def reference_nearest_integer(cf: ContinuedFraction, n: int) -> int:
     if n == 0:
         return 0
-    for d in ex._depth_schedule(cf):
+    for d in reference_schedule(cf):
         lo, hi = reference_enclosure(cf, LinearForm(n, 0), d)
         p_lo = (2 * lo.numerator + lo.denominator) // (2 * lo.denominator)
         p_hi = (2 * hi.numerator + hi.denominator) // (2 * hi.denominator)
@@ -665,7 +682,7 @@ def reference_nearest_integer(cf: ContinuedFraction, n: int) -> int:
 
 
 def reference_floor_ratio(cf: ContinuedFraction, num: LinearForm, den: LinearForm) -> int:
-    for d in ex._depth_schedule(cf):
+    for d in reference_schedule(cf):
         n_lo, n_hi = reference_enclosure(cf, num, d)
         d_lo, d_hi = reference_enclosure(cf, den, d)
         if d_lo <= 0 or n_lo < 0:
@@ -700,7 +717,8 @@ def test_sign_matches_fraction_reference(case):
 
 def test_sign_decided_only_by_cylinder():
     cf, form = CYLINDER_ONLY
-    assert ex._depth_schedule(cf) == [4, 7]
+    assert reference_schedule(cf) == [4, 7]
+    assert rule_depth(cf, abs(form.q)) == 7
     assert ex.sign(cf, form) == 1
     # Bounded by p_6/q_6 instead of the mediant, depth 7 would not decide.
     lo = Fraction(5050 * 321, 1229) - 1319
@@ -743,9 +761,10 @@ def test_floor_ratio_matches_fraction_reference(case):
 def test_floor_ratio_exact_multiple_takes_sign_zero_branch(example_slope):
     den = distance(example_slope, 5)  # -5a + 2
     num = 3 * den
-    for d in ex._depth_schedule(example_slope):  # the boundary case at every depth
-        n_enc, d_enc = enclosure(example_slope, num, d), enclosure(example_slope, den, d)
-        assert (n_enc.lo // d_enc.hi, n_enc.hi // d_enc.lo) == (2, 3)
+    for d in reference_schedule(example_slope):  # the boundary case at every depth
+        (n_lo, n_hi), (d_lo, d_hi) = (enclosure(example_slope, num, d),
+                                      enclosure(example_slope, den, d))
+        assert (n_lo // d_hi, n_hi // d_lo) == (2, 3)
     assert ex.sign(example_slope, num - 3 * den) == 0
     assert ex.floor_ratio(example_slope, num, den) == 3
     assert reference_floor_ratio(example_slope, num, den) == 3
@@ -758,6 +777,88 @@ def test_alpha_bounds_match_fraction_reference(family):
             a, b, c, e = ex.alpha_bounds(cf, d)
             assert b > 0 and e > 0
             assert (Fraction(a, b), Fraction(c, e)) == reference_alpha_bounds(cf, d)
+
+
+# ------------------------------------------------------------------
+# the depth rule
+# ------------------------------------------------------------------
+
+def walked_spans(cf: ContinuedFraction) -> list[int]:
+    """b + e of the bracket `alpha_bounds(cf, d)` for d = 1..max_depth()."""
+    return [b + e for _, b, _, e in
+            (ex.alpha_bounds(cf, d) for d in range(1, cf.max_depth() + 1))]
+
+
+def walked_depth(spans: list[int], n: int) -> int:
+    """The depth rule by a walk over every depth of `walked_spans`: the first
+    d with b + e > n, else the last."""
+    return next((d for d, span in enumerate(spans, 1) if span > n), len(spans))
+
+
+@pytest.mark.parametrize("slope", [*FAMILY_SLOPES, "[0;2,1,1]", "[0;3,1,4,1,5,9,2,6]"])
+def test_the_depth_rule_matches_a_walk_over_every_depth(slope):
+    cf = parse_slope(slope)
+    spans = walked_spans(cf)
+    if cf.truncation_depth is not None:
+        # The cylinder at the last depth m: q_m and q_m + q_{m-1}.
+        m = cf.truncation_depth
+        assert spans[-1] == 2 * convergent(cf, m).q + convergent(cf, m - 1).q
+    # Every n up to the top span on the truncations (20,000 on the periodic
+    # slopes, whose top span has 26 digits), and both sides of every span.
+    ns = {*range(min(spans[-1], 20_000) + 2), *(s + k for s in spans for k in (-1, 0, 1))}
+    # Largest n first on a fresh context, so the spans are built in one go
+    # and the small n are answered from them; then smallest first, built
+    # one step at a time.
+    for order in (sorted(ns, reverse=True), sorted(ns)):
+        ex._ctx.cache_clear()
+        for n in order:
+            d = rule_depth(cf, n)
+            assert d == walked_depth(spans, n), (slope, n)
+            # Tight: the depth before it has b + e <= n.
+            assert d == 1 or spans[d - 2] <= n, (slope, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 9), st.lists(st.integers(1, 9), max_size=3),
+       st.lists(st.integers(1, 9), min_size=1, max_size=3), st.integers(1, 10 ** 12),
+       st.integers(-2, 2), st.booleans())
+def test_the_rules_first_bracket_decides_sign_on_periodic_slopes(a_1, pre, per, q, offset, neg):
+    # q_60 >= F_61 > 10**12, so p is within 2 of q*alpha.
+    cf = ContinuedFraction((a_1, *pre), tuple(per))
+    c = convergent(cf, 60)
+    form = LinearForm(q, q * c.p // c.q + offset)
+    form = -form if neg else form
+    lo, hi = enclosure(cf, form, rule_depth(cf, q))
+    assert lo >= 0 or hi <= 0
+    assert ex.sign(cf, form) == (1 if lo >= 0 else -1) == form_sign_oracle(cf, form, 80)
+
+
+def test_the_cap_is_read_on_every_call(monkeypatch):
+    # One slope, so its cached spans outlive each change of the cap: at cap 5
+    # they reach past depth 5, and the rule must still stop at the cap.
+    cf = parse_slope("[0;2,(1,3)]")
+    ex._ctx.cache_clear()
+    c = convergent(cf, 40)
+    dens = [LinearForm(q, q * c.p // c.q) for q in (7, 1_000, 10 ** 6, 10 ** 12)]
+    refusals = {}
+    for cap in (64, 5, 64):
+        monkeypatch.setenv("STURM_DEPTH_LIMIT", str(cap))
+        outcomes = []
+        for den in dens:
+            q = den.q
+            assert rule_depth(cf, q) == walked_depth(walked_spans(cf), q) <= cap
+            for fn, ref, args in [
+                (ex.sign, reference_sign, (cf, den)),
+                (ex.sign, reference_sign, (cf, den.shift(1) - ex.ALPHA)),
+                (ex.nearest_integer, reference_nearest_integer, (cf, q)),
+                (ex.floor_ratio, reference_floor_ratio, (cf, ex.ALPHA, den)),
+                (ex.approx_str, reference_approx_str, (cf, den, 12)),
+            ]:
+                outcomes.append(_outcome(fn, *args))
+                assert outcomes[-1] == _outcome(ref, *args), (cap, fn.__name__, args)
+        refusals[cap] = sum(isinstance(o, str) and o.startswith("Undecided") for o in outcomes)
+    # The shallow cap refuses what the default answers.
+    assert refusals[64] == 0 < refusals[5]
 
 
 # ------------------------------------------------------------------
@@ -782,7 +883,9 @@ def test_convergent_cache_is_thread_safe():
     # contexts exist before the threads start, each slope is entered by
     # every thread at once, the extension to depth 300 outlasts the wake-up
     # of the other threads, and a tiny switch interval makes preemption
-    # inside pair() likely.
+    # inside pair() likely.  Each thread first asks the depth rule about
+    # q_k with its own k, so the threads also race to publish span lists of
+    # different lengths; the rule's depth for q_k is k - 1.
     slopes = [ContinuedFraction((7, 1 + i % 5), (1 + i % 4, 1000 + i)) for i in range(200)]
     depth, workers = 300, 8
     expected = []
@@ -792,10 +895,12 @@ def test_convergent_cache_is_thread_safe():
         ex._ctx(cf)
     barrier = threading.Barrier(workers)
     seen: list[list[tuple[int, int]]] = [[] for _ in range(workers)]
+    rule_depths: list[list[int]] = [[] for _ in range(workers)]
 
     def work(t: int) -> None:
-        for cf in slopes:
+        for cf, pairs in zip(slopes, expected):
             barrier.wait(timeout=60)
+            rule_depths[t].append(rule_depth(cf, pairs[8 + 6 * t][1]))
             seen[t].append(ex._ctx(cf).pair(depth))
 
     old_interval = sys.getswitchinterval()
@@ -811,6 +916,10 @@ def test_convergent_cache_is_thread_safe():
     assert not any(th.is_alive() for th in threads)
     for t in range(workers):
         assert seen[t] == [pairs[depth] for pairs in expected]
+        assert rule_depths[t] == [7 + 6 * t] * len(slopes)
     for cf, pairs in zip(slopes, expected):
         ctx = ex._ctx(cf)
         assert [ctx.pair(k) for k in range(depth + 1)] == pairs, cf
+        # Whichever list was published last, it is a correct prefix.
+        assert ctx.spans == [0, *(pairs[d][1] + pairs[d + 1][1]
+                                  for d in range(1, len(ctx.spans)))], cf

@@ -170,6 +170,36 @@ def test_key_table_retains_only_its_certificate():
     assert retained < 4096, retained
 
 
+def reference_farey_bracket(cf: ContinuedFraction, lo: int, hi: int
+                            ) -> tuple[int, int, int] | None:
+    """The walk over every depth that `_farey_bracket` replaced: (d, p, q)
+    for the first depth d whose bracket holds no fraction with a denominator
+    in [lo, hi], and its mediant p/q; None if no depth does."""
+    for d in range(1, cf.max_depth() + 1):
+        a, b, c, e = exactnum.alpha_bounds(cf, d)
+        q = b + e
+        if q > hi:
+            return d, a + c, q
+        if q < lo and hi <= b * e:
+            inv = pow(b, -1, e)
+            if not any((m * inv % e or e) * b + e <= m for m in range(lo, hi + 1)):
+                return d, a + c, q
+    return None
+
+
+# On the last two, about a third of the windows to one side of 0 (drawn as
+# in the coding test below) read a deeper bracket than the walk finds.
+BRACKET_TRUNCATIONS = ["[0;2,1,1]", "[0;3,1,4,1,5,9,2,6]", "[0;2,1,9,9,9,9,5]"]
+
+
+@pytest.mark.parametrize("slope", [*FAMILY_SLOPES, *BRACKET_TRUNCATIONS])
+def test_key_table_brackets_match_the_every_depth_walk(slope):
+    # With lo = 1, as for every key table, the depth, mediant and all agree.
+    cf = parse_slope(slope)
+    for hi in range(2, 20_001, 2):
+        assert rotation._farey_bracket(cf, 1, hi) == reference_farey_bracket(cf, 1, hi), hi
+
+
 def test_key_order_matches_circle_figure(example_slope):
     # alpha ~ 0.366: positions 0, .634, .268, .902, .536, .170 for 0..-5.
     table = key_table(example_slope, 5)
@@ -350,6 +380,21 @@ def test_coding_prefix_answers_what_the_cylinder_fixes(a_1, rest, start, length)
     assert isinstance(got, str) == fixed, (known, start, length)
     if fixed:
         assert got == coding_prefix(ContinuedFraction(known, (1, 2)), start, length)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(BRACKET_TRUNCATIONS), st.one_of(st.integers(2, 40), st.integers(2, 40_000)),
+       st.one_of(st.integers(1, 4), st.integers(1, 3000)), st.booleans())
+def test_codings_to_one_side_of_zero_keep_their_letters(slope, first, length, left):
+    # A window with start > 1 or stop < -1 may read a deeper bracket than the
+    # every-depth walk found; its letters and refusals stay the same.
+    cf = parse_slope(slope)
+    start = -first - length if left else first  # left: stop = -first
+    got = _coding_or_refusal(coding_prefix, cf, start, length)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rotation, "_farey_bracket", reference_farey_bracket)
+        assert got == _coding_or_refusal(coding_prefix, cf, start, length)
+    check_against_reference(cf, start, length)
 
 
 @pytest.mark.parametrize("slope", ["[0;2,3]", "[0;2,1,1]"])
