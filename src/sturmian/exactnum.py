@@ -559,6 +559,8 @@ def approx_str(cf: ContinuedFraction, form: LinearForm, digits: int = 12) -> str
     ends are rounded until they agree, from the rule's depth for
     isqrt(|q| * 10**digits), where the width |q|/(b*e) nears 10**-digits.
     """
+    if digits < 1:
+        raise ValueError(f"digits must be >= 1, got {digits}")
     if form.q == 0:
         return _render(-form.p, 1, digits)
     for ln, ld, hn, hd in _deepen(cf, form, isqrt(abs(form.q) * 10 ** digits)):
@@ -570,6 +572,8 @@ def approx_str(cf: ContinuedFraction, form: LinearForm, digits: int = 12) -> str
 
 def decimal_str(x: Fraction, digits: int = 12) -> str:
     """Deterministic decimal rendering of an exact rational."""
+    if digits < 1:
+        raise ValueError(f"digits must be >= 1, got {digits}")
     x = Fraction(x)
     return _render(x.numerator, x.denominator, digits)
 

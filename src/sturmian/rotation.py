@@ -9,11 +9,12 @@ All positions are certified integers: keys m*p mod q and floors m*p//q,
 where p/q lies in a bracket of alpha holding no fraction that could tell
 the two apart (`_farey_bracket`, at the depth of the shared rule
 `exactnum._Ctx.bracket_depth`), with no error bound and no sort.  Codings
-read their letters off the floors, letter j being
-floor((j+1)*alpha) - floor(j*alpha), and the interval [w] of a word is one
-running max and min of its heights (counts of 1s in prefixes) in key units.
-The heights of the periodic word w^inf drift by a fixed amount per period,
-so where it leaves the language has a closed form (`_period_exit`).
+(factor-map words too) read their letters off the floors, letter j being
+floor((j+1)*alpha) - floor(j*alpha); the oracles' text comes from the
+standard-word recursion instead.  The interval [w] of a word is one running
+max and min of its heights (counts of 1s in prefixes) in key units.  The
+heights of the periodic word w^inf drift by a fixed amount per period, so
+where it leaves the language has a closed form (`_period_exit`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from sturmian.exactnum import (
     convergent_distance,
     semiconvergent_distance,
 )
-from sturmian.words import check_word
+from sturmian.words import check_word, standard_word
 
 
 class FactorInterval(NamedTuple):
@@ -94,7 +95,7 @@ class KeyTable:
     {j*x} with |i|, |j| <= span change order only as x crosses such a
     fraction, so key(m) = m*p mod q orders the points as at alpha, and
     floor(m*p/q) is floor(m*alpha) for every |m| < q.  The keys are a
-    closed form, so the table stores only the certificate.
+    closed form, so a table is the certificate alone, built per call.
     """
 
     __slots__ = ("span", "depth", "p", "q")
@@ -137,11 +138,8 @@ def _farey_bracket(cf: ContinuedFraction, lo: int, hi: int) -> tuple[int, int, i
     return None
 
 
-# A table is four integers.  `verify --n-max 150` asks for 2,496 tables,
-# 2,096 of them new (codings take no table); a CLI query asks for a few.
-@lru_cache(maxsize=1024)
 def key_table(cf: ContinuedFraction, span: int) -> KeyTable:
-    """Certified table covering orbit indices [-span, span] (cached)."""
+    """Certified table covering orbit indices [-span, span]."""
     if span < 1:
         raise ValueError(f"span must be >= 1, got {span}")
     bracket = _farey_bracket(cf, 1, 2 * span)
@@ -181,34 +179,30 @@ def coding_prefix(cf: ContinuedFraction, start: int, length: int) -> str:
     return letters.translate(_LETTERS).decode("ascii")
 
 
-# For each of the 32 most recently used slopes, a one-element list that
-# holds the longest prefix coded so far.
-@lru_cache(maxsize=32)
-def _prefix_holder(cf: ContinuedFraction) -> list[str]:
-    return [""]
-
-
 def characteristic_prefix(cf: ContinuedFraction, length: int) -> str:
-    """Prefix of the characteristic word (orbit coding started at {alpha})."""
+    """Prefix of the characteristic word c_alpha (orbit coding started at {alpha}).
+
+    A prefix of the first standard word s_k with q_k >= length, built from
+    the quotients alone (`words.standard_word`).  A truncation [0;a_1..a_m]
+    fixes s_m s_{m-1} s_m less its last two letters: every slope of its
+    cylinder has a_{m+1} >= 1, so its word starts with s_m s_{m-1} s_m or
+    s_m s_m s_{m-1}, which differ only there.  Past that it refuses.
+    """
     if length < 0:
         raise ValueError(f"length must be >= 0, got {length}")
-    holder = _prefix_holder(cf)
-    cached = holder[0]
-    if len(cached) >= length:
-        return cached[:length]
-    ahead = max(length, 2 * len(cached), 1024)
-    try:
-        cached = coding_prefix(cf, 1, ahead)
-    except UndecidedError:
-        # A truncation may certify `length` letters but not the read-ahead.
-        if ahead == length:
-            raise
-        cached = coding_prefix(cf, 1, length)
-    # Published in one assignment, so a concurrent caller reads the old
-    # prefix or the new one; a race at worst keeps the shorter of two.
-    if len(holder[0]) < len(cached):
-        holder[0] = cached
-    return cached[:length]
+    require_normalized(cf)
+    m = cf.truncation_depth
+    k, q_prev, q = 1, 1, cf.quotient(1)  # q_0 = 1, q_1 = a_1
+    while q < length and k != m:
+        k += 1
+        q_prev, q = q, cf.quotient(k) * q + q_prev
+    if q >= length:
+        return standard_word(cf, k)[:length]
+    if length > 2 * q + q_prev - 2:
+        raise UndecidedError(f"cannot certify a coding of length {length} "
+                             f"from index 1 for slope {cf}")
+    s_m = standard_word(cf, m)
+    return (s_m + standard_word(cf, m - 1) + s_m)[:length]
 
 
 # ------------------------------------------------------------------
@@ -233,24 +227,20 @@ def factor_interval_map(cf: ContinuedFraction, n: int) -> dict[str, FactorInterv
     """Word -> interval for the length-n factors, in circular order (cached).
 
     The circle is split by the points {0, -alpha, ..., -n*alpha}; the word
-    of each interval is read off by comparing the shifted left endpoint
-    against the cut point {-alpha}, so no sample point is ever needed.
+    of the interval starting at {-i*alpha} is read off one coding of the
+    indices -n..n-1, so no sample point is ever needed.  A map cached under
+    one `STURM_DEPTH_LIMIT` stays certified when the cap is lowered later.
     """
     require_normalized(cf)
     if n < 1:
         raise ValueError(f"factor length must be >= 1, got {n}")
-    table = key_table(cf, n)
+    table = key_table(cf, n)  # the stricter certificate: its refusal comes first
     p, q = table.p, table.q
-    # keys[j + n] = key(j) for -n <= j < n.  The point {j*alpha} gives letter
-    # t of the interval starting at {-i*alpha} for j = t - i: 0 iff it lies
-    # before the cut {-alpha}, so {0} reads 0 and the cut itself reads 1.
-    keys = [m % q for m in range(-n * p, n * p, p)]
-    boundary = keys[n - 1]
-    bitstr = "".join(["0" if k < boundary else "1" for k in keys])
-
+    bitstr = coding_prefix(cf, -n, 2 * n)  # {-i*alpha}'s word starts at n - i
     # {-i*alpha} is the form -i*alpha - floors[i]; the last gap wraps past 1.
     floors = [m // q for m in range(0, -(n + 1) * p, -p)]
-    order = sorted(range(n + 1), key=keys[n::-1].__getitem__)
+    keys = [m % q for m in range(0, -(n + 1) * p, -p)]
+    order = sorted(range(n + 1), key=keys.__getitem__)
     # The n gaps that do not wrap take at most three lengths (three-distance
     # theorem), so each distinct form is built once and shared.
     forms: dict[tuple[int, int], LinearForm] = {}

@@ -4,10 +4,10 @@ Each suite is a generator of checks on one slope: it runs a formula route
 and an independent brute-force route and yields (ok, message) pairs.
 `run_suites` owns the rest: it loops over the slopes, counts the checks,
 prefixes each failure with its slope, stops a suite at its 21st failure,
-times it, and reports a DepthError as a refusal.  The suites back the
-`verify` CLI subcommand and the acceptance tests; `inject_fault`
-deliberately corrupts one formula (negative control) to prove the suites
-can fail.
+times it, and reports a DepthError as a refusal and a formula's failed
+self-check as a failure.  The suites back the `verify` CLI subcommand and
+the acceptance tests; `inject_fault` deliberately corrupts one formula
+(negative control) to prove the suites can fail.
 """
 
 from __future__ import annotations
@@ -306,7 +306,8 @@ def run_suites(names: list[str] | None = None,
     n_max and inject_fault reach power-classification only; the other
     suites keep their own bounds (500 for the kernel and gap suites, 150
     for squares and conjugacy, 100 for roots).  A suite that raises
-    DepthError is reported as refused, and the others still run.
+    DepthError is refused, and the others still run; a formula's failed
+    self-check (AssertionError) fails the suite on that slope only.
     """
     if inject_fault is not None and inject_fault not in FAULT_MODES:
         raise ValueError(f"unknown fault mode {inject_fault!r}; known: {FAULT_MODES}")
@@ -324,12 +325,16 @@ def run_suites(names: list[str] | None = None,
         checks, failures, refusal = 0, [], None
         try:
             for cf in slopes:
-                for ok, message in SUITES[name](cf, **kwargs):
+                try:
+                    for ok, message in SUITES[name](cf, **kwargs):
+                        checks += 1
+                        if not ok:
+                            failures.append(f"{cf}: {message}")
+                            if len(failures) == _MAX_FAILURES:
+                                break
+                except AssertionError as exc:  # a formula's own self-check
                     checks += 1
-                    if not ok:
-                        failures.append(f"{cf}: {message}")
-                        if len(failures) == _MAX_FAILURES:
-                            break
+                    failures.append(f"{cf}: {exc}")
                 if len(failures) == _MAX_FAILURES:
                     break
         except DepthError as exc:

@@ -472,6 +472,16 @@ def test_approx_str_deterministic(family):
         assert ex.approx_str(cf, form) == ex.approx_str(cf, form)
 
 
+@pytest.mark.parametrize("digits", [0, -1])
+def test_renderings_reject_digit_counts_below_one(digits):
+    cf = ex.parse_slope("[0;2,(1)]")
+    for render, args in ((ex.approx_str, (cf, LinearForm(3, 1))),
+                         (ex.approx_str, (cf, LinearForm(0, -2))),
+                         (ex.decimal_str, (Fraction(1, 7),))):
+        with pytest.raises(ValueError, match=f"digits must be >= 1, got {digits}"):
+            render(*args, digits)
+
+
 def reference_schedule(cf: ContinuedFraction) -> list[int]:
     """The depths 4, 8, 16, ..., max_depth() that the references walk: the
     schedule the package deepened along before its one depth rule."""

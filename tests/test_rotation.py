@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import gc
 import random
-import sys
-import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -156,7 +154,7 @@ def test_key_table_retains_only_its_certificate():
     cf = ContinuedFraction((2,), (3, 1, 4243))  # a slope no other test builds
     # A cache dict that grows its table inside the measurement would count
     # tens of KB, depending on how full earlier tests left it: start empty.
-    for cache in (exactnum._ctx, exactnum.alpha_bounds, key_table):
+    for cache in (exactnum._ctx, exactnum.alpha_bounds):
         cache.cache_clear()
     gc.collect()
     tracemalloc.start()
@@ -168,6 +166,19 @@ def test_key_table_retains_only_its_certificate():
         tracemalloc.stop()
     assert table.span == 1 << 16
     assert retained < 4096, retained
+
+
+def test_key_table_reads_the_cap_on_every_call(monkeypatch):
+    cf = parse_slope("[0;2,(1)]")
+    monkeypatch.setenv("STURM_DEPTH_LIMIT", "64")
+    assert key_table(cf, 12).depth == 5
+    monkeypatch.setenv("STURM_DEPTH_LIMIT", "4")
+    with pytest.raises(UndecidedError) as info:
+        key_table(cf, 12)
+    assert str(info.value) == ("cannot certify 25 orbit points for slope [0;2,(1)] "
+                               "within depth 4")
+    monkeypatch.setenv("STURM_DEPTH_LIMIT", "64")
+    assert key_table(cf, 12).depth == 5
 
 
 def reference_farey_bracket(cf: ContinuedFraction, lo: int, hi: int
@@ -411,45 +422,56 @@ def test_shallow_truncation_refuses_100k_letters_at_once(slope):
     assert peak < 10_000, peak
 
 
-def _coded(make):
-    try:
-        return make()
-    except UndecidedError:
-        return None
-
-
-@pytest.mark.parametrize("slope", ["[0;3,1,4,1,5,9,2,6]", "[0;2,1,1]"])
-def test_characteristic_prefix_answers_what_a_truncation_certifies(slope, monkeypatch):
-    # The cache reads ahead to 1024 letters; a truncation that certifies
-    # fewer must still answer every prefix it certifies.
+@pytest.mark.parametrize("slope", [*FAMILY_SLOPES, "[0;5,(1,4,2)]", "[0;2,1,3,(7)]",
+                                   "[0;4,(1)]"])
+def test_characteristic_prefix_is_the_coding_from_index_1(slope):
     cf = parse_slope(slope)
-    rotation._prefix_holder.cache_clear()
-    for length in range(1, 201):
-        assert (_coded(lambda: characteristic_prefix(cf, length))
-                == _coded(lambda: coding_prefix(cf, 1, length))), length
-    # A request no shorter than the read-ahead is coded once, not retried.
-    calls = []
+    assert characteristic_prefix(cf, 200_000) == coding_prefix(cf, 1, 200_000)
 
-    def counted(*args):
-        calls.append(args)
-        return coding_prefix(*args)
 
-    monkeypatch.setattr(rotation, "coding_prefix", counted)
-    with pytest.raises(UndecidedError):
-        characteristic_prefix(cf, 100_000)
-    assert calls == [(cf, 1, 100_000)]
+# The longest text each truncation certifies: s_m s_{m-1} s_m less its
+# last two letters.
+CERTIFIED_TEXT = {"[0;3,1,4,1,5,9,2,6]": 36_152, "[0;2,1,1]": 11,
+                  "[0;2,1,9,9,9,9,5]": 245_807, "[0;2,3]": 14, "[0;5]": 9, "[0;2]": 3}
+
+
+@pytest.mark.parametrize("slope", list(CERTIFIED_TEXT))
+def test_characteristic_prefix_answers_what_a_truncation_certifies(slope):
+    cf, certified = parse_slope(slope), CERTIFIED_TEXT[slope]
+    for length in [*range(1, min(certified, 200) + 1), certified]:
+        assert characteristic_prefix(cf, length) == coding_prefix(cf, 1, length), length
+    message = (f"cannot certify a coding of length {certified + 1} "
+               f"from index 1 for slope {slope}")
+    for refuse in (characteristic_prefix, lambda cf, n: coding_prefix(cf, 1, n)):
+        with pytest.raises(UndecidedError) as info:
+            refuse(cf, certified + 1)
+        assert str(info.value) == message
+
+
+def test_characteristic_prefix_reads_only_the_quotients(monkeypatch):
+    expected = {s: coding_prefix(parse_slope(s), 1, 5000)
+                for s in ("[0;2,(1,3)]", "[0;3,1,4,1,5,9,2,6]")}
+
+    def refuse(*args):
+        raise AssertionError("the certified core was called")
+
+    for name in ("key_table", "_farey_bracket", "coding_prefix", "alpha_bounds", "_ctx"):
+        monkeypatch.setattr(rotation, name, refuse)
+    for slope, text in expected.items():
+        assert characteristic_prefix(parse_slope(slope), 5000) == text
 
 
 def test_characteristic_prefix_rejects_negative_lengths():
     cf = parse_slope("[0;2,(1,3)]")
-    rotation._prefix_holder.cache_clear()
     with pytest.raises(ValueError):
-        characteristic_prefix(cf, -3)  # nothing cached
-    assert characteristic_prefix(cf, 10) == coding_prefix(cf, 1, 10)
-    assert len(rotation._prefix_holder(cf)[0]) == 1024  # the read-ahead
-    with pytest.raises(ValueError):
-        characteristic_prefix(cf, -3)  # 1,024 letters cached
+        characteristic_prefix(cf, -3)
     assert characteristic_prefix(cf, 0) == ""
+
+
+def test_characteristic_prefix_requires_a_normalized_slope():
+    # With a_1 = 1, s_0 = 0 is no prefix of the characteristic word.
+    with pytest.raises(ValueError, match="normalize_slope"):
+        characteristic_prefix(parse_slope("[0;1,(2)]"), 10)
 
 
 # ------------------------------------------------------------------
@@ -777,77 +799,11 @@ def test_decomposition_uniqueness(family):
 
 
 # ------------------------------------------------------------------
-# the bounded prefix cache
-# ------------------------------------------------------------------
-
-def _fresh_slopes(count: int, tag: int) -> list[ContinuedFraction]:
-    return [ContinuedFraction((2 + i % 3,), (1 + i % 4, 500 + 100 * tag + i))
-            for i in range(count)]
-
-
-def test_prefix_cache_keeps_the_most_recent_slopes(monkeypatch):
-    holder = rotation._prefix_holder
-    holder.cache_clear()
-    slots = holder.cache_info().maxsize
-    hot = parse_slope("[0;2,(1)]")
-    characteristic_prefix(hot, 2000)
-    fresh = _fresh_slopes(40, 0)
-    for cf in fresh:
-        assert characteristic_prefix(cf, 1500) == coding_prefix(cf, 1, 1500)
-        assert characteristic_prefix(hot, 10) == coding_prefix(hot, 1, 10)  # a use
-        assert holder.cache_info().currsize <= slots
-    assert holder.cache_info().currsize == slots
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return coding_prefix(*args)
-
-    monkeypatch.setattr(rotation, "coding_prefix", counted)
-    # The hot slope keeps its longest prefix and the most recent slopes
-    # keep theirs: none of them is coded again.
-    characteristic_prefix(hot, 2000)
-    for cf in fresh[-(slots - 1):]:
-        characteristic_prefix(cf, 1500)
-    assert calls == []
-    # An evicted slope is coded again.
-    assert characteristic_prefix(fresh[0], 1500) == coding_prefix(fresh[0], 1, 1500)
-    assert calls == [(fresh[0], 1, 1500)]
-
-
-def test_prefix_cache_bound_holds_under_threads():
-    workers = 4
-    slopes = [_fresh_slopes(50, 1 + t) for t in range(workers)]
-    errors: list[str] = []
-
-    def work(t: int) -> None:
-        for cf in slopes[t]:
-            if characteristic_prefix(cf, 1024) != coding_prefix(cf, 1, 1024):
-                errors.append(str(cf))
-
-    threads = [threading.Thread(target=work, args=(t,)) for t in range(workers)]
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=120)
-    finally:
-        sys.setswitchinterval(old_interval)
-    assert not any(th.is_alive() for th in threads)
-    assert errors == []
-    info = rotation._prefix_holder.cache_info()
-    assert info.currsize == info.maxsize
-
-
-# ------------------------------------------------------------------
 # bounded slope-keyed caches
 # ------------------------------------------------------------------
 
 def test_slope_keyed_caches_are_bounded():
-    for cache in (exactnum._ctx, exactnum.alpha_bounds, rotation.key_table,
-                  rotation.factor_interval_map, rotation._prefix_holder):
+    for cache in (exactnum._ctx, exactnum.alpha_bounds, rotation.factor_interval_map):
         assert cache.cache_info().maxsize is not None, cache
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from sturmian import oracles, verify
+from sturmian.cli import main
 from sturmian.exactnum import DepthExceededError, parse_slope
 
 
@@ -166,3 +167,32 @@ def test_the_runner_counts_prefixes_caps_and_refuses(monkeypatch):
     fault = {"n_max": 7, "inject_fault": "flip-gamma"}
     assert calls == [("failing", "[0;2,(1)]", fault), ("failing", "[0;3,(2)]", fault),
                      ("refused", "[0;2,(1)]", {})]
+
+
+def test_a_formula_self_check_fails_its_slope_only(monkeypatch, capsys):
+    # An AssertionError from a formula is a failure of that slope: the suite
+    # goes on with the next slope, the other suites still run, and the CLI
+    # exits 1 with no traceback.
+    real = verify.conjugacy_report
+    broken = parse_slope("[0;2,(1)]")
+
+    def report(cf, k, l):
+        if cf == broken:
+            raise AssertionError(f"expected exactly one non-conjugate factor at k={k}")
+        return real(cf, k, l)
+
+    monkeypatch.setattr(verify, "conjugacy_report", report)
+    slopes = [broken, parse_slope("[0;3,(2)]")]
+    conjugacy, three = verify.run_suites(names=["conjugacy-intervals", "three-distance"],
+                                         slopes=slopes)
+    assert conjugacy.failures == [
+        "[0;2,(1)]: expected exactly one non-conjugate factor at k=2"]
+    assert conjugacy.checks == 1 + sum(2 for _ in verify.semiconvergents(slopes[1], 150))
+    assert conjugacy.line().startswith("conjugacy-intervals      FAIL  (")
+    assert three.passed and three.checks > 0
+    assert main(["verify", "--slope", "[0;2,(1)]"]) == 1
+    out, err = capsys.readouterr()
+    assert ("conjugacy-intervals      FAIL  (1 checks)\n"
+            "    [0;2,(1)]: expected exactly one non-conjugate factor at k=2") in out
+    assert "power-classification     PASS" in out
+    assert out.endswith("VERIFICATION FAILED\n") and "Traceback" not in out + err
