@@ -432,9 +432,10 @@ def nearest_integer(cf: ContinuedFraction, n: int) -> int:
     if n == 0:
         return 0
     for ln, ld, hn, hd in _deepen(cf, LinearForm(n, 0), 2 * abs(n)):
-        # floor(x + 1/2) at both ends of the bounds on n*alpha.
+        # floor(x + 1/2) over the open bounds lo < n*alpha < hi: from
+        # floor(lo + 1/2) up to ceil(hi + 1/2) - 1.
         p_lo = (2 * ln + ld) // (2 * ld)
-        if p_lo == (2 * hn + hd) // (2 * hd):
+        if p_lo == -(-(2 * hn + hd) // (2 * hd)) - 1:
             return p_lo
     raise UndecidedError(f"nearest integer to {n}*alpha undecided for slope {cf}")
 

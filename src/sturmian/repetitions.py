@@ -203,65 +203,47 @@ def index_oracle(cf: ContinuedFraction, w: str) -> int:
 # the seven-way classification by length
 # ------------------------------------------------------------------
 
-def length_case(cf: ContinuedFraction, n: int) -> tuple[str, dict]:
-    """Which classification case the length n falls into, with parameters.
+def length_case(cf: ContinuedFraction, n: int
+                ) -> tuple[str, tuple[str, int, int, int, int, int]]:
+    """The length's case tag and pattern (root, m, split, first, rest, other).
 
-    The cases are checked to be mutually exclusive; a double match raises
-    instead of silently picking one.
+    Cases iii-vi match as (tag, k, x), x = 1 for iii, l for iv and m for v
+    and vi; a double match raises instead of silently picking one.
+    Quotients are read only where a case uses them, so a truncation answers
+    every length its known quotients decide.
     """
     require_normalized(cf)
     if n < 1:
         raise ValueError(f"length must be >= 1, got {n}")
     a1 = cf.quotient(1)
     if n < a1:
-        return "i", {}
+        return "i", ("1" + "0" * (n - 1), 1, 0, 1, 1, a1 // n)
     if n == a1:
-        return "ii", {}
-    matches: list[tuple[str, dict]] = []
+        index = cf.quotient(2) + 1
+        return "ii", (reversal(standard_word(cf, 1)), 1, 0, index, index, 1)
+    matches: list[tuple[str, int, int]] = []
     # n = q_k or a strict semiconvergent q_{k,l}: both mean r = 0 in the
     # three-distance decomposition n = l*q_{k-1} + q_{k-2} + r.
     k, l, r = three_distance_decomposition(cf, n)
     if r == 0:
-        if l == cf.quotient(k):
-            matches.append(("iii", {"k": k}))
-        else:
-            matches.append(("iv", {"k": k, "l": l}))
+        matches.append(("iii", k, 1) if l == cf.quotient(k) else ("iv", k, l))
     if n % a1 == 0 and 1 < n // a1 < cf.quotient(2) + 1:
-        matches.append(("v", {"m": n // a1}))
+        matches.append(("v", 1, n // a1))
     j = 2
-    while convergent(cf, j).q * 2 <= n:
-        qj = convergent(cf, j).q
+    while (qj := convergent(cf, j).q) * 2 <= n:
         if n % qj == 0 and 1 < n // qj < cf.quotient(j + 1) + 2:
-            matches.append(("vi", {"k": j, "m": n // qj}))
+            matches.append(("vi", j, n // qj))
         j += 1
     if len(matches) > 1:
         raise AssertionError(f"length {n} matched several cases for {cf}: {matches}")
-    if matches:
-        return matches[0]
-    return "vii", {}
-
-
-def _case_pattern(cf: ContinuedFraction, n: int, tag: str,
-                  params: dict) -> tuple[str, int, int, int, int, int]:
-    """(root, m, split, first, rest, other) of the length's case.
-
-    Quotients are read only where the case uses them, so a truncation
-    answers every length its known quotients decide.
-    """
-    if tag == "i":
-        return "1" + "0" * (n - 1), 1, 0, 1, 1, cf.quotient(1) // n
-    if tag == "ii":
-        index = cf.quotient(2) + 1
-        return reversal(standard_word(cf, 1)), 1, 0, index, index, 1
-    if tag == "vii":
-        return "", 1, 0, 1, 1, 1
-    k = params.get("k", 1)
+    if not matches:
+        return "vii", ("", 1, 0, 1, 1, 1)
+    [(tag, k, x)] = matches
     split = convergent(cf, k - 1).q - 1
     if tag == "iv":
-        return reversal(standard_or_semistandard(cf, k, params["l"])), 1, split, 2, 1, 1
-    m = params.get("m", 1)
+        return tag, (reversal(standard_or_semistandard(cf, k, x)), 1, split, 2, 1, 1)
     a = cf.quotient(k + 1)
-    return reversal(standard_word(cf, k)), m, split, (a + 2) // m, (a + 1) // m, 1
+    return tag, (reversal(standard_word(cf, k)), x, split, (a + 2) // x, (a + 1) // x, 1)
 
 
 def classify_length(cf: ContinuedFraction, n: int,
@@ -269,7 +251,7 @@ def classify_length(cf: ContinuedFraction, n: int,
     """IndexReport for every factor of length n, per the length's case.
 
     One positional rule covers all seven cases (Damanik-Lenz): with the
-    case's (root, m, split, first, rest, other) from `_case_pattern`, the
+    case's (root, m, split, first, rest, other) from `length_case`, the
     factor C^i(root)^m, i < |root|, has conjugate position i and index
     `first` if i < split, else `rest`; every other factor has `other`.
     The interval formula and the scan oracle cross-check the rule in the
@@ -278,9 +260,8 @@ def classify_length(cf: ContinuedFraction, n: int,
     its floor (t - 1) // n must equal the positional index: two independent
     routes meet on every word, on integers, before any Fraction is built.
     """
-    tag, params = length_case(cf, n)
+    tag, (root, m, split, first, rest, other) = length_case(cf, n)
     factors = factor_interval_map(cf, n)
-    root, m, split, first, rest, other = _case_pattern(cf, n, tag, params)
     shifts = {cyclic_shift(root, i) * m: i for i in range(len(root))}
     if len(shifts) != len(root) or not shifts.keys() <= factors.keys():
         raise AssertionError(

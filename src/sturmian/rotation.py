@@ -170,9 +170,14 @@ def coding_prefix(cf: ContinuedFraction, start: int, length: int) -> str:
         raise UndecidedError(f"cannot certify a coding of length {length} "
                              f"from index {start} for slope {cf}")
     _, p, q = bracket
+    return _coding(p, q, start, stop)
+
+
+def _coding(p: int, q: int, start: int, stop: int) -> str:
+    """Letters start..stop-1 of the coding, on p/q with m*p//q = floor(m*alpha) there."""
     # Letter j is 1 when floor((j + 1)*p/q) reaches a new value m, which
     # happens at j = (m*q - 1) // p: byte (m*q - 1 - start*p) // p here.
-    letters = bytearray(length)
+    letters = bytearray(stop - start)
     base = start * p
     for x in range((base // q + 1) * q - 1 - base, stop * p // q * q - base, q):
         letters[x // p] = 1
@@ -234,9 +239,9 @@ def factor_interval_map(cf: ContinuedFraction, n: int) -> dict[str, FactorInterv
     require_normalized(cf)
     if n < 1:
         raise ValueError(f"factor length must be >= 1, got {n}")
-    table = key_table(cf, n)  # the stricter certificate: its refusal comes first
+    table = key_table(cf, n)  # its floors hold for |m| < q, so on -n..n too
     p, q = table.p, table.q
-    bitstr = coding_prefix(cf, -n, 2 * n)  # {-i*alpha}'s word starts at n - i
+    bitstr = _coding(p, q, -n, n)  # {-i*alpha}'s word starts at n - i
     # {-i*alpha} is the form -i*alpha - floors[i]; the last gap wraps past 1.
     floors = [m // q for m in range(0, -(n + 1) * p, -p)]
     keys = [m % q for m in range(0, -(n + 1) * p, -p)]

@@ -739,8 +739,31 @@ def test_sign_decided_only_by_cylinder():
 @settings(max_examples=300, deadline=None)
 @given(slopes(), st.integers(-10 ** 9, 10 ** 9))
 @example(parse_slope("[0;2,(1,2)]"), -7)
+@example(parse_slope("[0;2]"), 1)
+@example(parse_slope("[0;7,7]"), -825)
 def test_nearest_integer_matches_fraction_reference(cf, n):
-    assert _outcome(ex.nearest_integer, cf, n) == _outcome(reference_nearest_integer, cf, n)
+    got = _outcome(ex.nearest_integer, cf, n)
+    want = _outcome(reference_nearest_integer, cf, n)
+    if isinstance(want, str) and not isinstance(got, str):
+        # The reference reads the open upper end as closed, so it refuses
+        # an end exactly halfway between two integers.  Only a truncation's
+        # cylinder can end there, and the answer holds on all of it.
+        assert not cf.is_periodic
+        for tail in ((1,), (2, 9)):
+            assert ex.nearest_integer(ContinuedFraction(cf.preperiod, tail), n) == got
+    else:
+        assert got == want
+
+
+def test_nearest_integer_decides_at_a_halfway_upper_end():
+    # On [0;2] alpha lies in (1/3, 1/2), and -825*alpha on [0;7,7] in
+    # (-825*8/57, -115.5): the open upper end is halfway, yet the nearest
+    # integer is fixed on the whole cylinder.
+    for text, n, nearest in (("[0;2]", 1, 0), ("[0;7,7]", -825, -116)):
+        cf = parse_slope(text)
+        assert ex.nearest_integer(cf, n) == nearest
+        with pytest.raises(UndecidedError):
+            reference_nearest_integer(cf, n)
 
 
 @st.composite

@@ -17,6 +17,7 @@ from sturmian.cli import main
 from sturmian.exactnum import (
     ContinuedFraction,
     DepthError,
+    DepthExceededError,
     LinearForm,
     distance,
     floor_ratio,
@@ -134,6 +135,31 @@ def test_case_tags_examples(example_slope, fib_slope):
     assert length_case(example_slope, 7)[0] == "vii"
 
 
+@pytest.mark.parametrize("slope, n, tag, pattern", [
+    ("[0;5,(1)]", 2, "i", ("10", 1, 0, 1, 1, 2)),
+    ("[0;2,(1,2)]", 2, "ii", ("10", 1, 0, 2, 2, 1)),
+    ("[0;2,(1)]", 3, "iii", ("010", 1, 1, 3, 2, 1)),
+    ("[0;2,(1,2)]", 5, "iv", ("10010", 1, 2, 2, 1, 1)),
+    ("[0;2,(3)]", 4, "v", ("10", 2, 0, 2, 2, 1)),
+    ("[0;2,(2)]", 10, "vi", ("01010", 2, 1, 2, 1, 1)),
+    ("[0;2,(1,2)]", 7, "vii", ("", 1, 0, 1, 1, 1)),
+])
+def test_length_case_patterns(slope, n, tag, pattern):
+    # (root, m, split, first, rest, other) of one length per case.
+    assert length_case(parse_slope(slope), n) == (tag, pattern)
+
+
+@pytest.mark.parametrize("slope, n, k", [("[0;2]", 2, 2), ("[0;2,1,1]", 5, 4), ("[0;2,3]", 7, 3)])
+def test_length_case_refuses_a_quotient_past_the_truncation(slope, n, k):
+    # Case ii at a_1 of a depth-1 truncation, and case iii at n = q_m of a
+    # depth-m one, need a_k for their pattern.
+    cf = parse_slope(slope)
+    message = f"quotient a_{k} requested but expansion is only valid to depth {k - 1}"
+    for fn in (length_case, classify_length):
+        with pytest.raises(DepthExceededError, match=message):
+            fn(cf, n)
+
+
 def test_classify_worked_example(example_slope):
     reports = {r.word: r for r in classify_length(example_slope, 5)}
     assert len(reports) == 6
@@ -199,7 +225,9 @@ def test_classify_with_fractional(fib_slope):
 @pytest.mark.parametrize("root", ["11", "1010"])
 def test_classify_refuses_a_root_without_distinct_factor_shifts(monkeypatch, fib_slope, root):
     # 11 is not a factor; 1010 has only two distinct shifts.
-    monkeypatch.setattr(repetitions, "_case_pattern", lambda *_: (root, 1, 0, 1, 1, 1))
+    case = repetitions.length_case
+    monkeypatch.setattr(repetitions, "length_case",
+                        lambda cf, n: (case(cf, n)[0], (root, 1, 0, 1, 1, 1)))
     with pytest.raises(AssertionError, match="not distinct factors"):
         classify_length(fib_slope, len(root))
 
@@ -207,13 +235,13 @@ def test_classify_refuses_a_root_without_distinct_factor_shifts(monkeypatch, fib
 def test_classify_with_fractional_refuses_a_wrong_index(monkeypatch, fib_slope):
     # Length 3 is case iii with first = 3 and rest = 2: flipping them gives
     # positional indices that the fractional indices' floors contradict.
-    case_pattern = repetitions._case_pattern
+    case = repetitions.length_case
 
-    def flipped(*args):
-        root, m, split, first, rest, other = case_pattern(*args)
-        return root, m, split, rest, first, other
+    def flipped(cf, n):
+        tag, (root, m, split, first, rest, other) = case(cf, n)
+        return tag, (root, m, split, rest, first, other)
 
-    monkeypatch.setattr(repetitions, "_case_pattern", flipped)
+    monkeypatch.setattr(repetitions, "length_case", flipped)
     classify_length(fib_slope, 3)  # without fractional indices nothing checks
     with pytest.raises(AssertionError, match="fractional index"):
         classify_length(fib_slope, 3, with_fractional=True)
