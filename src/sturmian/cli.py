@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Callable, Iterable, Iterator
 
@@ -46,7 +47,14 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         exactnum.depth_limit()  # a bad STURM_DEPTH_LIMIT is refused by every command
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # a reader that left early shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # The rest of the output goes nowhere, so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: the output pipe was closed", file=sys.stderr)
+        return 1
     except (DepthError, ValueError) as exc:  # SlopeSyntaxError and NotAFactorError too
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, SlopeSyntaxError) else 1
@@ -109,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("critical-exponent", help="supremum of fractional indices")
     common(p)
-    p.add_argument("--depth", type=int, default=None,
+    p.add_argument("--depth", type=int, default=30,
                    help="depth bound: the last term index k listed (default 30)")
     p.set_defaults(handler=cmd_critical_exponent)
 
@@ -159,9 +167,8 @@ def _emit(args: argparse.Namespace, slope: object, rows: list,
     `swapped` is None for `verify`, whose head has no letters_swapped_from_input.
     """
     if args.format == "json":
-        depth = getattr(args, "depth", None)  # only critical-exponent takes --depth
-        head = {"slope": str(slope),
-                "depth": exactnum.depth_limit() if depth is None else depth,
+        # Only critical-exponent takes --depth; the other commands report the cap.
+        head = {"slope": str(slope), "depth": getattr(args, "depth", exactnum.depth_limit()),
                 "command": args.command}
         if swapped is not None:
             head["letters_swapped_from_input"] = swapped
@@ -262,14 +269,13 @@ def cmd_conjugacy(args: argparse.Namespace) -> int:
 
 def cmd_critical_exponent(args: argparse.Namespace) -> int:
     cf, swapped = _slope_of(args)
-    depth = args.depth if args.depth is not None else 30
-    res = critical_exponent(cf, depth)
+    res = critical_exponent(cf, args.depth)
     if res.limit_tail is None:
         sup_approx = decimal_str(res.value_attained)
     else:  # the class limit: the tail slope's form a + limit_offset
         sup_approx = approx_str(res.limit_tail, LinearForm(1, -res.limit_offset))
     row = {
-        "depth": depth,
+        "depth": args.depth,
         "terms": [{"k": k, "value": str(t), "approx": decimal_str(t)} for k, t in res.terms],
         "attained": res.attained,
         "depth_limited": res.depth_limited,
@@ -288,7 +294,7 @@ def cmd_critical_exponent(args: argparse.Namespace) -> int:
         for term in row["terms"]:
             yield f"{term['k']:>4}  {term['value']:<16} {term['approx']}"
         if res.depth_limited:
-            yield f"supremum >= {sup_approx} (lower bound, depth-limited at {depth})"
+            yield f"supremum >= {sup_approx} (lower bound, depth-limited at {args.depth})"
         elif res.attained:
             yield (f"supremum = {sup['exact']} = {sup_approx} "
                    f"(attained, witness k = {res.witness_k})")

@@ -148,7 +148,6 @@ def _longest_run(mask: int) -> int:
     if mask == 0:
         return 0
     # Doubling: collapsed[k] has a 1 where a run of length 2^k starts.
-    total = 1
     collapsed = [(1, mask)]
     while True:
         r, y = collapsed[-1]

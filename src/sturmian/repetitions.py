@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from typing import NamedTuple
+from typing import Collection, NamedTuple
 
 from sturmian import oracles
 from sturmian.exactnum import (
@@ -31,7 +31,7 @@ from sturmian.exactnum import (
     semiconvergents,
 )
 from sturmian.rotation import (
-    _period_exit,
+    FactorInterval,
     characteristic_prefix,
     factor_interval_map,
     key_table,
@@ -127,24 +127,22 @@ class CriticalExponentResult:
 # integer index: formula and oracle
 # ------------------------------------------------------------------
 
-def _convergent_index_of(cf: ContinuedFraction, n: int) -> int:
-    """k with q_k <= n < q_{k+1} (k >= 0 since q_0 = 1)."""
-    ctx = _ctx(cf)
-    k = 0
-    while ctx.pair(k + 1)[1] <= n:
-        k += 1
-    return k
-
-
-def index_by_interval(cf: ContinuedFraction, w: str) -> int:
-    """Integer index from the interval length: gamma + floor(|[w]|/||n a||)."""
+def _factor_interval(cf: ContinuedFraction, w: str) -> FactorInterval:
+    """[w] from the length-|w| factor map; the empty word and non-factors are refused."""
     require_normalized(cf)
     check_word(w)
     if not w:
         raise NotAFactorError("the empty word has no index")
-    if w not in factor_interval_map(cf, len(w)):
+    interval = factor_interval_map(cf, len(w)).get(w)
+    if interval is None:
         raise NotAFactorError(f"{w!r} is not a factor for slope {cf}")
-    return indices_by_interval(cf, len(w))[w]
+    return interval
+
+
+def index_by_interval(cf: ContinuedFraction, w: str) -> int:
+    """Integer index from the interval length: gamma + floor(|[w]|/||n a||)."""
+    interval = _factor_interval(cf, w)
+    return _length_indices(cf, len(w))[interval.length]
 
 
 def _length_indices(cf: ContinuedFraction, n: int) -> dict[LinearForm, int]:
@@ -179,12 +177,12 @@ def oracle_window(cf: ContinuedFraction, n: int) -> int:
     the whole language.
     """
     ctx = _ctx(cf)
-    bound = cf.quotient(_convergent_index_of(cf, n) + 1) + 2
-    longest = (bound + 1) * n
-    if longest <= cf.quotient(1):
-        big_k = 1
-    else:
-        big_k, _, _ = three_distance_decomposition(cf, longest)
+    # k with q_k <= n < q_{k+1}: n = l*q_{k-1} + q_{k-2} + r (k = 1, l = n
+    # for n <= a_1, as q_{-1} = 0) is below q_k + q_{k-1}, and >= q_k iff l = a_k.
+    k, l, _ = three_distance_decomposition(cf, n) if n > cf.quotient(1) else (1, n, 0)
+    k -= l != cf.quotient(k)
+    longest = (cf.quotient(k + 1) + 3) * n
+    big_k = three_distance_decomposition(cf, longest)[0] if longest > cf.quotient(1) else 1
     return longest + ctx.pair(big_k + 1)[1] + ctx.pair(big_k + 2)[1] + 1
 
 
@@ -271,7 +269,7 @@ def classify_length(cf: ContinuedFraction, n: int,
     indices = [other if pos is None else first if pos < split else rest for pos in positions]
     fractions = repeat(None)
     if with_fractional:
-        exits = _exits(cf, n)
+        exits = _exits(cf, n, factors.values())
         for w, idx, t in zip(factors, indices, exits):
             if (t - 1) // n != idx:
                 raise AssertionError(f"case {tag}: {w!r} has index {idx} but fractional "
@@ -355,41 +353,40 @@ def conjugacy_report(cf: ContinuedFraction, k: int, l: int) -> ConjugacyReport:
 # fractional index and the critical exponent
 # ------------------------------------------------------------------
 
-def _exit_modulus(cf: ContinuedFraction, n: int, ind: int) -> tuple[int, int]:
-    """(p, q) signing every comparison of `_period_exit` for a factor of
-    length n and index at most ind.  w^(ind+1) is not a factor, so the exit
-    comes by t = (ind+1)*n, and a table for half of that spans every
-    difference of two positions up to it."""
-    table = key_table(cf, ((ind + 1) * n + 1) // 2)
-    return table.p, table.q
-
-
 def fractional_index(cf: ContinuedFraction, w: str) -> Fraction:
-    """sup of exponents e with w^e a factor, as an exact rational.
+    """sup of exponents e with w^e a factor, as an exact rational: (t - 1)/|w|
+    for the first prefix length t of w^inf that is not a factor (`_exits`)."""
+    [t] = _exits(cf, len(w), [_factor_interval(cf, w)])
+    return Fraction(t - 1, len(w))
 
-    Equals (t - 1)/|w| for the first prefix length t of w^inf that is not
-    a factor (`_period_exit`), from keys of a table sized by w's own index.
+
+def _exits(cf: ContinuedFraction, n: int, intervals: Collection[FactorInterval]) -> list[int]:
+    """Least t such that the prefix of length t of w^inf is not a factor,
+    for the length-n factor w of each interval, in the order given.
+
+    Keys are K(m) = m*p mod q.  For the w whose interval starts at
+    {-i*alpha}, the heights of `rotation._height_walk` are v_s = K(-i) -
+    K(s-i) for s <= n (exact, as |s - i| < q), and along w^inf they drift:
+    v_{t+n} = v_t + delta with delta = K(-i) - K(n-i), nonzero as q > n.
+    For delta > 0 the bottom stays the least height of the first period,
+    K(-i) - hi for hi the largest of K(-i), ..., K(n-1-i), and the walk
+    first fails at t = k*n + s with v_t reaching it plus q: k is the least
+    period in which the smallest key lo gets there, k = ceil((q - hi +
+    lo)/delta) >= 1 (hi - lo < q since w is a factor), and s is the first
+    index of that period that does.  delta < 0 mirrors it with the top.
+    Each comparison sets some (t - s)*alpha against an integer, and
+    w^(ind+1) is not a factor, so t <= (ind+1)*n: one table of span
+    ceil((ind+1)*n/2), ind the largest index among the intervals, signs all
+    of them as alpha does; keys are distinct, so there is no tie.
+
+    The word at {-i*alpha} reads the window from a = n - i of one key list
+    K(-n), ..., K(n).  Its first n keys are left[a:] + right[:a] for the
+    halves left = keys[:n] and right = keys[n:2n], so running maxima and
+    minima of the two halves give every window's extremes in O(n).
     """
-    ind = index_by_interval(cf, w)
-    n = len(w)
-    i = factor_interval_map(cf, n)[w].left_idx
-    p, q = _exit_modulus(cf, n, ind)
-    keys = [m * p % q for m in range(-i, n - i + 1)]
-    head = keys[:n]
-    return Fraction(_period_exit(keys, 0, n, max(head), min(head), q) - 1, n)
-
-
-def _exits(cf: ContinuedFraction, n: int) -> list[int]:
-    """`_period_exit` of every factor of length n, in circular order.
-
-    One key list K(-n), ..., K(n) from a table sized by the length's
-    largest interval index; the word whose interval starts at {-i*alpha}
-    reads the window from a = n - i.  Its first n keys are left[a:] +
-    right[:a] for the halves left = keys[:n] and right = keys[n:2n], so
-    running maxima and minima of the two halves give every window's
-    extremes in O(n).
-    """
-    p, q = _exit_modulus(cf, n, max(_length_indices(cf, n).values()))
+    by_length = _length_indices(cf, n)
+    table = key_table(cf, ((max(by_length[iv.length] for iv in intervals) + 1) * n + 1) // 2)
+    p, q = table.p, table.q
     keys = [m % q for m in range(-n * p, (n + 1) * p, p)]
     left, right = keys[:n], keys[n:2 * n]
     # his[a] and los[a] for a = 0..n; keys lie in [0, q), so -1 and q
@@ -398,8 +395,19 @@ def _exits(cf: ContinuedFraction, n: int) -> list[int]:
                    [-1, *accumulate(right, max)]))
     los = list(map(min, [*accumulate(reversed(left), min)][::-1] + [q],
                    [q, *accumulate(right, min)]))
-    starts = [n - i for i, _, _ in factor_interval_map(cf, n).values()]
-    return [_period_exit(keys, a, n, his[a], los[a], q) for a in starts]
+    exits = []
+    for i, _, _ in intervals:
+        a = n - i
+        drift = keys[a] - keys[a + n]
+        k = -((his[a] - los[a] - q) // abs(drift))
+        if drift > 0:
+            bound = his[a] - q + k * drift
+            s = next(s for s in range(a, a + n) if keys[s] <= bound)
+        else:
+            bound = los[a] + q + k * drift
+            s = next(s for s in range(a, a + n) if keys[s] >= bound)
+        exits.append(k * n + s - a)
+    return exits
 
 
 def _exit_fractions(exits: list[int], n: int) -> list[Fraction]:
@@ -413,7 +421,8 @@ def fractional_indices(cf: ContinuedFraction, n: int) -> dict[str, Fraction]:
 
     Words of equal fractional index share one Fraction object.
     """
-    return dict(zip(factor_interval_map(cf, n), _exit_fractions(_exits(cf, n), n)))
+    factors = factor_interval_map(cf, n)
+    return dict(zip(factors, _exit_fractions(_exits(cf, n, factors.values()), n)))
 
 
 def _class_limit(cf: ContinuedFraction, k0: int

@@ -14,7 +14,7 @@ floor((j+1)*alpha) - floor(j*alpha); the oracles' text comes from the
 standard-word recursion instead.  The interval [w] of a word is one running
 max and min of its heights (counts of 1s in prefixes) in key units.  The
 heights of the periodic word w^inf drift by a fixed amount per period, so
-where it leaves the language has a closed form (`_period_exit`).
+where it leaves the language has a closed form (`repetitions._exits`).
 """
 
 from __future__ import annotations
@@ -322,35 +322,6 @@ def language_extension(cf: ContinuedFraction, base: str, ext: str) -> int:
     if t < len(base):
         raise ValueError(f"base word {base!r} is not a factor")
     return t - len(base)
-
-
-def _period_exit(keys: list[int], a: int, n: int, hi: int, lo: int, q: int) -> int:
-    """Least t such that the prefix of length t of w^inf is not a factor.
-
-    keys[a:a + n + 1] = [K(-i), ..., K(n-i)], K(m) = m*p mod q, for a
-    factor w of length n whose interval [w] starts at {-i*alpha}, and hi
-    and lo are the largest and smallest of keys[a:a + n].  The heights of
-    `_height_walk` are v_s = K(-i) - K(s-i) for s <= n (exact, as
-    |s - i| < q), and along w^inf they drift: v_{t+n} = v_t + delta with
-    delta = K(-i) - K(n-i), nonzero as q > n.  For delta > 0 the bottom
-    stays the least height of the first period, K(-i) - hi, and the walk
-    first fails at t = k*n + s with v_t reaching it plus q: k is the least
-    period in which the smallest key lo gets there,
-    k = ceil((q - hi + lo)/delta) >= 1 (hi - lo < q since w is a factor),
-    and s is the first index of that period that does.  delta < 0 mirrors
-    it with the top.  Each comparison sets some (t - s)*alpha against an
-    integer, so a table whose span covers half of t signs all of them as
-    alpha does; keys are distinct, so there is no tie.
-    """
-    drift = keys[a] - keys[a + n]
-    k = -((hi - lo - q) // abs(drift))
-    if drift > 0:
-        bound = hi - q + k * drift
-        s = next(s for s in range(a, a + n) if keys[s] <= bound)
-    else:
-        bound = lo + q + k * drift
-        s = next(s for s in range(a, a + n) if keys[s] >= bound)
-    return k * n + s - a
 
 
 # ------------------------------------------------------------------

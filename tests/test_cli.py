@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import sturmian
 from conftest import periodic_tail_surd
 from sturmian import oracles, rotation
 from sturmian.cli import _build_parser, main
@@ -168,6 +172,32 @@ def test_critical_exponent_truncated_slope(capsys):
                        "--depth", "10")
     assert code == 0
     assert "lower bound, depth-limited" in out
+
+
+def test_critical_exponent_json_head_reports_the_default_depth(capsys):
+    code, out, _ = run(capsys, "critical-exponent", "--slope", "[0;2,(1)]", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    [row] = doc["results"]
+    assert doc["depth"] == row["depth"] == row["terms"][-1]["k"] == 30
+
+
+def test_a_closed_pipe_ends_with_one_error_line():
+    # 401 rows of 400 letters overflow a 64 KB pipe buffer, so the writer
+    # meets the closed read end while it still has rows to print.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sturmian.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sturmian", "factors", "--slope", "[0;2,(1)]", "--n", "400"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"word ")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
+    assert err == "error: the output pipe was closed\n"
 
 
 def test_normalization_note(capsys):

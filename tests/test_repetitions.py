@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 from typing import Iterator
 
@@ -42,6 +43,7 @@ from sturmian.rotation import (
     characteristic_prefix,
     factor_interval_map,
     factors_of_length,
+    key_table,
     language_extension,
 )
 from sturmian.words import reversal, standard_word
@@ -250,9 +252,9 @@ def test_classify_with_fractional_refuses_a_wrong_index(monkeypatch, fib_slope):
 def test_classify_with_fractional_refuses_a_late_exit(monkeypatch, family):
     # The exit side of the same check: one period late, every floor
     # (t - 1) // n is one above the positional index.
-    period_exit = repetitions._period_exit
-    monkeypatch.setattr(repetitions, "_period_exit",
-                        lambda keys, a, n, hi, lo, q: period_exit(keys, a, n, hi, lo, q) + n)
+    exits = repetitions._exits
+    monkeypatch.setattr(repetitions, "_exits",
+                        lambda cf, n, intervals: [t + n for t in exits(cf, n, intervals)])
     for cf in family:
         with pytest.raises(AssertionError, match="fractional index"):
             for n in range(1, 21):
@@ -380,7 +382,7 @@ def test_fractional_indices_match_the_walk(family):
 def reference_period_exit(keys: list[int], q: int) -> int:
     """The exit rule on one word's own window keys[:n + 1], with the max and
     min of its first n keys taken afresh: the per-word slice route, kept
-    apart from `_period_exit` so that a fault in either shows."""
+    apart from `repetitions._exits` so that a fault in either shows."""
     n = len(keys) - 1
     head = keys[:n]
     hi, lo = max(head), min(head)
@@ -396,9 +398,13 @@ def reference_period_exit(keys: list[int], q: int) -> int:
 
 
 def reference_fractional_indices(cf, n) -> list[tuple[str, Fraction]]:
-    """Every word's window sliced from the shared key list, in circular order."""
+    """Every word's window sliced from the shared key list, in circular order,
+    on a table sized by the length's largest index: the exit comes by
+    t = (ind + 1)*n, and a span of half that covers every difference."""
     intervals = factor_interval_map(cf, n)
-    p, q = repetitions._exit_modulus(cf, n, max(indices_by_interval(cf, n).values()))
+    ind = max(indices_by_interval(cf, n).values())
+    table = key_table(cf, ((ind + 1) * n + 1) // 2)
+    p, q = table.p, table.q
     keys = [m % q for m in range(-n * p, (n + 1) * p, p)]
     return [(w, Fraction(reference_period_exit(keys[n - i: 2 * n + 1 - i], q) - 1, n))
             for w, (i, _, _) in intervals.items()]
@@ -438,6 +444,30 @@ def test_fractional_index_matches_the_walk_on_truncations():
                 assert fractional_index(cf, w) == expected, (str(cf), w)
                 answered += 1
     assert answered == 865
+
+
+def test_exit_tables_are_sized_by_the_intervals_asked_for():
+    # A whole length takes the table of its largest index, one word that of
+    # its own: a truncation refuses the length yet answers the word.
+    cf = parse_slope("[0;2,3]")
+    with pytest.raises(DepthError, match=re.escape(
+            "cannot certify 17 orbit points for slope [0;2,3] within depth 2")):
+        fractional_indices(cf, 5)
+    assert fractional_index(cf, "01001") == Fraction(8, 5)
+    cf = parse_slope("[0;7,7]")
+    with pytest.raises(DepthError):
+        fractional_indices(cf, 36)
+    answered = {}
+    for w in factor_interval_map(cf, 36):
+        try:
+            answered[w] = fractional_index(cf, w)
+        except DepthError:
+            continue
+    assert len(answered) == 31
+    # Each answer holds on the whole cylinder.
+    for tail in ("[0;7,7,(1)]", "[0;7,7,(9,2)]"):
+        extension = fractional_indices(parse_slope(tail), 36)
+        assert all(extension[w] == f for w, f in answered.items()), tail
 
 
 def test_fractional_index_on_a_shallow_cylinder():
