@@ -168,22 +168,25 @@ def oracle_window(cf: ContinuedFraction, n: int) -> int:
     """Prefix length that certifies every power scan at factor length n.
 
     The longest pattern worth scanning is N = (bound + 1)*n letters, with
-    bound = a_{k+1} + 2 the largest possible index at length n.  Any
-    factor of length N has an interval at least as long as the minimum
-    level-N gap, which is at least ||q_K alpha|| for the decomposition
-    index K of N; and an arc longer than ||q_J alpha|| is entered by every
-    q_J + q_{J+1} consecutive orbit points.  Taking J = K + 1 gives a
-    window after which a pattern absent from the prefix is absent from
-    the whole language.
+    bound = a_{k+1} + 2 the largest possible index at length n.  Every
+    R(N) consecutive letters of c_alpha hold every factor of length N, for
+    the recurrence function R(N) = N + q_j + q_{j+1} - 1, q_j <= N < q_{j+1}
+    (M. Morse and G. A. Hedlund, Symbolic dynamics II. Sturmian
+    trajectories, Amer. J. Math. 62, 1940; J. Cassaigne, Limit values of
+    the recurrence quotient of Sturmian sequences, Theoret. Comput. Sci.
+    218, 1999).  So a pattern of at most N letters absent from the first
+    R(N) is absent from the whole language.  A truncation that cannot
+    name q_{j+1} refuses.
     """
     ctx = _ctx(cf)
-    # k with q_k <= n < q_{k+1}: n = l*q_{k-1} + q_{k-2} + r (k = 1, l = n
-    # for n <= a_1, as q_{-1} = 0) is below q_k + q_{k-1}, and >= q_k iff l = a_k.
-    k, l, _ = three_distance_decomposition(cf, n) if n > cf.quotient(1) else (1, n, 0)
-    k -= l != cf.quotient(k)
+    k = 0  # q_k <= n < q_{k+1}
+    while ctx.pair(k + 1)[1] <= n:
+        k += 1
     longest = (cf.quotient(k + 1) + 3) * n
-    big_k = three_distance_decomposition(cf, longest)[0] if longest > cf.quotient(1) else 1
-    return longest + ctx.pair(big_k + 1)[1] + ctx.pair(big_k + 2)[1] + 1
+    j = k  # q_j <= longest < q_{j+1}
+    while ctx.pair(j + 1)[1] <= longest:
+        j += 1
+    return longest + ctx.pair(j)[1] + ctx.pair(j + 1)[1] - 1
 
 
 def index_oracle(cf: ContinuedFraction, w: str) -> int:

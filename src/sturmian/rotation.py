@@ -188,7 +188,9 @@ def characteristic_prefix(cf: ContinuedFraction, length: int) -> str:
     """Prefix of the characteristic word c_alpha (orbit coding started at {alpha}).
 
     A prefix of the first standard word s_k with q_k >= length, built from
-    the quotients alone (`words.standard_word`).  A truncation [0;a_1..a_m]
+    the quotients alone (`words.standard_word`) as s_{k-1}^c s_{k-2} with
+    no more copies c than the length needs, so no standard word longer
+    than a nonempty prefix is built.  A truncation [0;a_1..a_m]
     fixes s_m s_{m-1} s_m less its last two letters: every slope of its
     cylinder has a_{m+1} >= 1, so its word starts with s_m s_{m-1} s_m or
     s_m s_m s_{m-1}, which differ only there.  Past that it refuses.
@@ -202,7 +204,10 @@ def characteristic_prefix(cf: ContinuedFraction, length: int) -> str:
         k += 1
         q_prev, q = q, cf.quotient(k) * q + q_prev
     if q >= length:
-        return standard_word(cf, k)[:length]
+        # s_k = s_{k-1}^e s_{k-2}, e = a_k (a_1 - 1 at k = 1): only as many
+        # copies as the length needs.
+        copies = min(-(-length // q_prev), cf.quotient(k) - (k == 1))
+        return (standard_word(cf, k - 1) * copies + standard_word(cf, k - 2))[:length]
     if length > 2 * q + q_prev - 2:
         raise UndecidedError(f"cannot certify a coding of length {length} "
                              f"from index 1 for slope {cf}")

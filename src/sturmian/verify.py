@@ -4,10 +4,11 @@ Each suite is a generator of checks on one slope: it runs a formula route
 and an independent brute-force route and yields (ok, message) pairs.
 `run_suites` owns the rest: it loops over the slopes, counts the checks,
 prefixes each failure with its slope, stops a suite at its 21st failure,
-times it, and reports a DepthError as a refusal and a formula's failed
-self-check as a failure.  The suites back the `verify` CLI subcommand and
-the acceptance tests; `inject_fault` deliberately corrupts one formula
-(negative control) to prove the suites can fail.
+times it, and reports a DepthError as a refusal and any other error a
+formula raises (a failed self-check, say) as a failure on that slope.
+The suites back the `verify` CLI subcommand and the acceptance tests;
+`inject_fault` deliberately corrupts one formula (negative control) to
+prove the suites can fail.
 """
 
 from __future__ import annotations
@@ -306,8 +307,10 @@ def run_suites(names: list[str] | None = None,
     n_max and inject_fault reach power-classification only; the other
     suites keep their own bounds (500 for the kernel and gap suites, 150
     for squares and conjugacy, 100 for roots).  A suite that raises
-    DepthError is refused, and the others still run; a formula's failed
-    self-check (AssertionError) fails the suite on that slope only.
+    DepthError is refused, and the others still run; any other exception
+    but MemoryError fails the suite on that slope only, written
+    "{cf}: {message}" for a formula's failed self-check (AssertionError)
+    and "{cf}: {TypeName}: {message}" otherwise.
     """
     if inject_fault is not None and inject_fault not in FAULT_MODES:
         raise ValueError(f"unknown fault mode {inject_fault!r}; known: {FAULT_MODES}")
@@ -332,9 +335,14 @@ def run_suites(names: list[str] | None = None,
                             failures.append(f"{cf}: {message}")
                             if len(failures) == _MAX_FAILURES:
                                 break
-                except AssertionError as exc:  # a formula's own self-check
+                except (DepthError, MemoryError):
+                    raise
+                except Exception as exc:
+                    # A formula's failed self-check keeps its own message;
+                    # any other error is named by its type.
                     checks += 1
-                    failures.append(f"{cf}: {exc}")
+                    kind = "" if isinstance(exc, AssertionError) else f"{type(exc).__name__}: "
+                    failures.append(f"{cf}: {kind}{exc}")
                 if len(failures) == _MAX_FAILURES:
                     break
         except DepthError as exc:

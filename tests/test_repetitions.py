@@ -20,6 +20,7 @@ from sturmian.exactnum import (
     DepthError,
     DepthExceededError,
     LinearForm,
+    _ctx,
     distance,
     floor_ratio,
     parse_slope,
@@ -77,6 +78,42 @@ def test_index_formula_matches_oracle_small_sweep(family):
         for n in range(1, 30):
             for w, _ in factors_of_length(cf, n):
                 assert index_by_interval(cf, w) == index_oracle(cf, w)
+
+
+def _recurrence(cf: ContinuedFraction, n: int) -> int:
+    """R(n) = n + q_j + q_{j+1} - 1 for q_j <= n < q_{j+1}, on `_ctx`'s q_j."""
+    ctx = _ctx(cf)
+    j = 0
+    while ctx.pair(j + 1)[1] <= n:
+        j += 1
+    return n + ctx.pair(j)[1] + ctx.pair(j + 1)[1] - 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 6), st.lists(st.integers(1, 6), max_size=2),
+       st.lists(st.integers(1, 6), min_size=1, max_size=3))
+def test_every_factor_occurs_in_every_recurrence_window(a_1, pre, period):
+    # Morse-Hedlund: every R(n) consecutive letters of c_alpha hold every
+    # factor of length n.  Checked here on a long prefix: each factor first
+    # occurs within the first R(n) letters, recurs with gaps of at most
+    # R(n) - n + 1, and occurs in the last R(n) letters.
+    cf = ContinuedFraction(tuple([a_1, *pre]), tuple(period))
+    text = characteristic_prefix(cf, 2500)
+    for n in range(1, 60):
+        window = _recurrence(cf, n)
+        assert 4 * window <= len(text)
+        starts: dict[str, list[int]] = {}
+        for i in range(len(text) - n + 1):
+            starts.setdefault(text[i:i + n], []).append(i)
+        assert len(starts) == n + 1
+        for w, found in starts.items():
+            assert found[0] <= window - n, (cf, n, w)
+            assert max(b - a for a, b in zip([found[0], *found], found)) <= window - n + 1
+            assert found[-1] >= len(text) - window, (cf, n, w)
+    # The gate's window is R(N) at the longest pattern N = (a_{k+1} + 3)*n.
+    for n in range(1, 15):
+        k = max(j for j in range(n + 1) if _ctx(cf).pair(j)[1] <= n)
+        assert oracle_window(cf, n) == _recurrence(cf, (cf.quotient(k + 1) + 3) * n)
 
 
 def _direct_indices(cf, n) -> dict[str, int | None]:

@@ -461,6 +461,25 @@ def test_characteristic_prefix_reads_only_the_quotients(monkeypatch):
         assert characteristic_prefix(parse_slope(slope), 5000) == text
 
 
+def test_characteristic_prefix_builds_no_standard_word_past_its_length(monkeypatch):
+    # s_k = s_{k-1}^(a_k) s_{k-2} is cut to the copies the length needs, so
+    # a large a_k costs no more than the letters asked for.
+    built = []
+
+    def recording(cf, k):
+        word = standard_word(cf, k)
+        built.append(len(word))
+        return word
+
+    monkeypatch.setattr(rotation, "standard_word", recording)
+    cf = parse_slope("[0;2,(40)]")
+    for length in (1, 2, 3, 80, 83, 137_302):
+        built.clear()
+        text = characteristic_prefix(cf, length)
+        assert built and max(built) <= length, (length, built)
+        assert text == coding_prefix(cf, 1, length)
+
+
 def test_characteristic_prefix_rejects_negative_lengths():
     cf = parse_slope("[0;2,(1,3)]")
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import pytest
 from sturmian import oracles, verify
 from sturmian.cli import main
 from sturmian.exactnum import DepthExceededError, parse_slope
+from sturmian.repetitions import NotAFactorError
 
 
 @pytest.fixture(scope="module")
@@ -114,15 +115,13 @@ def test_three_distance_takes_one_oracle_key_table_per_slope(monkeypatch):
 
 
 def test_a_refused_suite_does_not_end_the_gate():
-    # a_1..a_8 of this truncation cannot settle three suites; each is refused
-    # on its own line, with the message, and the other five still run.
+    # a_1..a_8 of this truncation cannot settle the critical-exponent suite's
+    # 100,000-letter text; it is refused on its own line, with the message,
+    # and the other seven still run.
     results = verify.run_suites(slopes=[parse_slope("[0;3,1,4,1,5,9,2,6]")])
     assert [r.name for r in results] == list(verify.SUITES)
     refused = {r.name: r.refusal for r in results if r.refusal is not None}
     assert refused == {
-        "square-lengths": "quotient a_9 requested but expansion is only valid to depth 8",
-        "power-classification":
-            "quotient a_9 requested but expansion is only valid to depth 8",
         "critical-exponent":
             "cannot certify a coding of length 100000 from index 1 for slope [0;3,1,4,1,5,9,2,6]",
     }
@@ -132,6 +131,18 @@ def test_a_refused_suite_does_not_end_the_gate():
         else:
             assert not r.passed and (r.checks, r.failures) == (0, [])
             assert r.line() == f"{r.name:<24} REFUSED  {r.refusal}"
+
+
+@pytest.mark.parametrize("slope", ["[0;3,1,4,1,5,9,2,6]", "[0;3,1,4,1,5,9,2,6,(1)]",
+                                   "[0;3,1,4,1,5,9,2,6,(9)]", "[0;3,1,4,1,5,9,2,6,(2,1)]"])
+def test_a_truncation_scans_what_its_cylinder_fixes(slope):
+    # The oracle windows need q_j and q_{j+1} with q_j <= N < q_{j+1}, which
+    # a_1..a_8 fix, so the truncation and every periodic extension of it
+    # give the same lines.
+    results = verify.run_suites(names=["square-lengths", "power-classification"],
+                                slopes=[parse_slope(slope)])
+    assert [r.line() for r in results] == ["square-lengths           PASS  (1 checks)",
+                                           "power-classification     PASS  (11475 checks)"]
 
 
 def test_the_runner_counts_prefixes_caps_and_refuses(monkeypatch):
@@ -172,27 +183,40 @@ def test_the_runner_counts_prefixes_caps_and_refuses(monkeypatch):
 def test_a_formula_self_check_fails_its_slope_only(monkeypatch, capsys):
     # An AssertionError from a formula is a failure of that slope: the suite
     # goes on with the next slope, the other suites still run, and the CLI
-    # exits 1 with no traceback.
+    # exits 1 with no traceback.  Any other error but a DepthError (a
+    # refusal) does the same, written with its type name.
     real = verify.conjugacy_report
     broken = parse_slope("[0;2,(1)]")
+    slopes = [broken, parse_slope("[0;3,(2)]")]
+    for error, kind in [(AssertionError, ""), (NotAFactorError, "NotAFactorError: "),
+                        (ZeroDivisionError, "ZeroDivisionError: ")]:
+        written = f"{kind}expected exactly one non-conjugate factor at k=2"
 
+        def report(cf, k, l):
+            if cf == broken:
+                raise error(f"expected exactly one non-conjugate factor at k={k}")
+            return real(cf, k, l)
+
+        monkeypatch.setattr(verify, "conjugacy_report", report)
+        conjugacy, three = verify.run_suites(names=["conjugacy-intervals", "three-distance"],
+                                             slopes=slopes)
+        assert conjugacy.failures == [f"[0;2,(1)]: {written}"]
+        assert conjugacy.checks == 1 + sum(2 for _ in verify.semiconvergents(slopes[1], 150))
+        assert conjugacy.line().startswith("conjugacy-intervals      FAIL  (")
+        assert three.passed and three.checks > 0
+        assert main(["verify", "--slope", "[0;2,(1)]"]) == 1
+        out, err = capsys.readouterr()
+        assert ("conjugacy-intervals      FAIL  (1 checks)\n"
+                f"    [0;2,(1)]: {written}") in out
+        assert "power-classification     PASS" in out
+        assert out.endswith("VERIFICATION FAILED\n") and "Traceback" not in out + err
+
+
+def test_a_memory_error_is_no_failure_of_one_slope(monkeypatch):
+    # Out of memory, the gate cannot vouch for any later slope: it ends.
     def report(cf, k, l):
-        if cf == broken:
-            raise AssertionError(f"expected exactly one non-conjugate factor at k={k}")
-        return real(cf, k, l)
+        raise MemoryError
 
     monkeypatch.setattr(verify, "conjugacy_report", report)
-    slopes = [broken, parse_slope("[0;3,(2)]")]
-    conjugacy, three = verify.run_suites(names=["conjugacy-intervals", "three-distance"],
-                                         slopes=slopes)
-    assert conjugacy.failures == [
-        "[0;2,(1)]: expected exactly one non-conjugate factor at k=2"]
-    assert conjugacy.checks == 1 + sum(2 for _ in verify.semiconvergents(slopes[1], 150))
-    assert conjugacy.line().startswith("conjugacy-intervals      FAIL  (")
-    assert three.passed and three.checks > 0
-    assert main(["verify", "--slope", "[0;2,(1)]"]) == 1
-    out, err = capsys.readouterr()
-    assert ("conjugacy-intervals      FAIL  (1 checks)\n"
-            "    [0;2,(1)]: expected exactly one non-conjugate factor at k=2") in out
-    assert "power-classification     PASS" in out
-    assert out.endswith("VERIFICATION FAILED\n") and "Traceback" not in out + err
+    with pytest.raises(MemoryError):
+        verify.run_suites(names=["conjugacy-intervals"], slopes=[parse_slope("[0;2,(1)]")])
