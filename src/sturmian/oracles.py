@@ -75,11 +75,11 @@ def gap_spectra(cf: ContinuedFraction, n_lo: int,
                 n_max: int) -> Iterator[tuple[int, Counter[tuple[int, int]]]]:
     """(n, gap tally of {0, alpha, ..., n*alpha}) for n_lo <= n <= n_max.
 
-    One certified key_table(cf, n_max) orders every level.  Point n goes
-    into the sorted key list by bisection and splits the gap between its
-    neighbours: the tally loses that gap's pair and gains its two halves.
-    A gap whose left key exceeds its right key wraps past 1 and takes -1
-    on its floor difference.  Each tally is a snapshot, for `match_gaps`.
+    One key_table(cf, n_max) orders every level: points differ by <= n_max.
+    Point n goes into the sorted key list by bisection and splits the gap
+    between its neighbours: the tally loses that gap's pair and gains its
+    two halves.  A gap whose left key exceeds its right key wraps past 1 and
+    takes -1 on its floor difference.  Tallies are snapshots, for `match_gaps`.
     """
     if not 0 <= n_lo <= n_max:
         raise ValueError(f"need 0 <= n_lo <= n_max, got {n_lo} and {n_max}")
@@ -300,8 +300,7 @@ def power_roots(text: str, n_max: int, exponent: int) -> set[str]:
 
 def best_denominator_scan(cf: ContinuedFraction, q_max: int) -> list[int]:
     """Denominators of best approximations found by scanning all b <= q_max."""
-    # The certified table strictly orders every ||b*alpha|| for b <= q_max.
-    table = key_table(cf, q_max)
+    table = key_table(cf, 2 * q_max)  # ||b*alpha|| vs ||b'*alpha||: (b +- b')*alpha
     best: list[int] = []
     current = table.q  # key-unit value of 1
     for b in range(1, q_max + 1):
@@ -314,7 +313,7 @@ def best_denominator_scan(cf: ContinuedFraction, q_max: int) -> list[int]:
 
 def closer_multiples_scan(cf: ContinuedFraction, limit: int, bound_n: int) -> list[int]:
     """All 0 < n < limit with ||n*alpha|| < ||bound_n*alpha|| by direct scan."""
-    table = key_table(cf, max(limit, bound_n))
+    table = key_table(cf, 2 * max(limit, bound_n))  # sums of two multiples
     bound = table.norm_key(bound_n)
     return [n for n in range(1, limit) if table.norm_key(n) < bound]
 

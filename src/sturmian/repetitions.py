@@ -378,9 +378,9 @@ def _exits(cf: ContinuedFraction, n: int, intervals: Collection[FactorInterval])
     lo)/delta) >= 1 (hi - lo < q since w is a factor), and s is the first
     index of that period that does.  delta < 0 mirrors it with the top.
     Each comparison sets some (t - s)*alpha against an integer, and
-    w^(ind+1) is not a factor, so t <= (ind+1)*n: one table of span
-    ceil((ind+1)*n/2), ind the largest index among the intervals, signs all
-    of them as alpha does; keys are distinct, so there is no tie.
+    w^(ind+1) is not a factor, so t <= (ind+1)*n: one table of reach
+    (ind+1)*n, ind the largest index among the intervals, signs all of
+    them as alpha does; keys are distinct, so there is no tie.
 
     The word at {-i*alpha} reads the window from a = n - i of one key list
     K(-n), ..., K(n).  Its first n keys are left[a:] + right[:a] for the
@@ -388,7 +388,7 @@ def _exits(cf: ContinuedFraction, n: int, intervals: Collection[FactorInterval])
     minima of the two halves give every window's extremes in O(n).
     """
     by_length = _length_indices(cf, n)
-    table = key_table(cf, ((max(by_length[iv.length] for iv in intervals) + 1) * n + 1) // 2)
+    table = key_table(cf, (max(by_length[iv.length] for iv in intervals) + 1) * n)
     p, q = table.p, table.q
     keys = [m % q for m in range(-n * p, (n + 1) * p, p)]
     left, right = keys[:n], keys[n:2 * n]

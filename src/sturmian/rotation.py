@@ -7,14 +7,14 @@ of the length-n factors.
 
 All positions are certified integers: keys m*p mod q and floors m*p//q,
 where p/q lies in a bracket of alpha holding no fraction that could tell
-the two apart (`_farey_bracket`, at the depth of the shared rule
-`exactnum._Ctx.bracket_depth`), with no error bound and no sort.  Codings
-(factor-map words too) read their letters off the floors, letter j being
-floor((j+1)*alpha) - floor(j*alpha); the oracles' text comes from the
-standard-word recursion instead.  The interval [w] of a word is one running
-max and min of its heights (counts of 1s in prefixes) in key units.  The
-heights of the periodic word w^inf drift by a fixed amount per period, so
-where it leaves the language has a closed form (`repetitions._exits`).
+the two apart (`KeyTable` states the rule), with no error bound and no
+sort.  Codings (factor-map words too) read their letters off the floors,
+letter j being floor((j+1)*alpha) - floor(j*alpha); the oracles' text
+comes from the standard-word recursion instead.  The interval [w] of a
+word is one running max and min of its heights (counts of 1s in
+prefixes) in key units.  The heights of the periodic word w^inf drift by
+a fixed amount per period, so where it leaves the language has a closed
+form (`repetitions._exits`).
 """
 
 from __future__ import annotations
@@ -87,21 +87,22 @@ def require_normalized(cf: ContinuedFraction) -> None:
 # ------------------------------------------------------------------
 
 class KeyTable:
-    """Certified integer positions for orbit indices in [-span, span].
+    """Certified integer positions for every comparison within `reach`.
 
-    p/q is the mediant of the bracket at the depth d that the shared rule
-    `exactnum._Ctx.bracket_depth` gives for 2*span: no fraction with
-    denominator <= 2*span lies between p/q and alpha.  Two points {i*x} and
-    {j*x} with |i|, |j| <= span change order only as x crosses such a
-    fraction, so key(m) = m*p mod q orders the points as at alpha, and
-    floor(m*p/q) is floor(m*alpha) for every |m| < q.  The keys are a
-    closed form, so a table is the certificate alone, built per call.
+    The one interval rule: p/q is the mediant of the bracket at the depth
+    `exactnum._Ctx.bracket_depth` gives for reach, so no fraction with
+    denominator <= reach lies between p/q and alpha: p/q signs d*alpha,
+    |d| <= reach, against integers as alpha does.  So floor(m*p/q) is
+    floor(m*alpha) for |m| < q, and key(m) = m*p mod q orders {i*alpha},
+    {j*alpha} for |i|, |j| < q, |i - j| <= reach.  Callers pass the largest
+    difference they compare, n for length-n factors (points 0..n; Mignosi,
+    TCS 82, 1991): a truncation [0;a_1..a_m] answers n < 2*q_m + q_{m-1}.
     """
 
-    __slots__ = ("span", "depth", "p", "q")
+    __slots__ = ("reach", "depth", "p", "q")
 
-    def __init__(self, span: int, depth: int, p: int, q: int) -> None:
-        self.span = span
+    def __init__(self, reach: int, depth: int, p: int, q: int) -> None:
+        self.reach = reach
         self.depth = depth
         self.p = p
         self.q = q
@@ -138,15 +139,15 @@ def _farey_bracket(cf: ContinuedFraction, lo: int, hi: int) -> tuple[int, int, i
     return None
 
 
-def key_table(cf: ContinuedFraction, span: int) -> KeyTable:
-    """Certified table covering orbit indices [-span, span]."""
-    if span < 1:
-        raise ValueError(f"span must be >= 1, got {span}")
-    bracket = _farey_bracket(cf, 1, 2 * span)
+def key_table(cf: ContinuedFraction, reach: int) -> KeyTable:
+    """Certified table for every difference |d| <= reach (`KeyTable`)."""
+    if reach < 1:
+        raise ValueError(f"reach must be >= 1, got {reach}")
+    bracket = _farey_bracket(cf, 1, reach)
     if bracket is None:
-        raise UndecidedError(f"cannot certify {2 * span + 1} orbit points for slope {cf} "
+        raise UndecidedError(f"cannot certify {reach + 1} orbit points for slope {cf} "
                              f"within depth {cf.max_depth()}")
-    return KeyTable(span, *bracket)
+    return KeyTable(reach, *bracket)
 
 
 _LETTERS = bytes.maketrans(b"\x00\x01", b"01")
@@ -238,8 +239,8 @@ def factor_interval_map(cf: ContinuedFraction, n: int) -> dict[str, FactorInterv
 
     The circle is split by the points {0, -alpha, ..., -n*alpha}; the word
     of the interval starting at {-i*alpha} is read off one coding of the
-    indices -n..n-1, so no sample point is ever needed.  A map cached under
-    one `STURM_DEPTH_LIMIT` stays certified when the cap is lowered later.
+    indices -n..n-1 by a key table of reach n, with no sample point.  A map
+    cached under one `STURM_DEPTH_LIMIT` stays certified when it is lowered.
     """
     require_normalized(cf)
     if n < 1:
@@ -279,8 +280,8 @@ def _height_walk(table: KeyTable, w: str) -> tuple[int, int, int]:
     h_t <= x + t*alpha < h_t + 1 for every t <= len(w).  In key units
     v_t = h_t*q - t*p, so [w] runs from top = max v_t to
     bottom + q = min v_t + q, and it is nonempty while top - bottom < q.
-    Each comparison sets some (s - t)*alpha, |s - t| <= span < q, against an
-    integer, so p/q signs it as alpha does, with no tie (gcd(p, q) = 1).
+    Each comparison sets some (s - t)*alpha, |s - t| <= len(w) <= reach,
+    against an integer, which p/q signs with no tie (gcd(p, q) = 1).
     """
     p, q, up = table.p, table.q, table.q - table.p
     v = top = bottom = top_idx = bottom_idx = 0

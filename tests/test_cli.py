@@ -246,7 +246,7 @@ def test_verify_n_max_needs_power_classification(capsys):
 
 
 def test_verify_three_distance_on_a_truncation(capsys):
-    # One table of span 500 certifies every level n <= 500 of this cylinder.
+    # One table of reach 500 certifies every level n <= 500 of this cylinder.
     code, out, _ = run(capsys, "verify", "--suite", "three-distance",
                        "--slope", "[0;3,1,4,1,5,9,2,6]")
     assert code == 0
@@ -254,12 +254,12 @@ def test_verify_three_distance_on_a_truncation(capsys):
 
 
 def test_verify_three_distance_on_a_shallow_truncation_refuses(capsys):
-    # Depth 3 cannot order the 1001 points of the span-500 table: the
+    # Depth 3 cannot order the 501 points of the reach-500 table: the
     # suite's own line says so, and the gate exits 1.
     code, out, err = run(capsys, "verify", "--suite", "three-distance",
                          "--slope", "[0;2,1,1]")
     assert (code, err) == (1, "")
-    assert out == ("three-distance           REFUSED  cannot certify 1001 orbit points "
+    assert out == ("three-distance           REFUSED  cannot certify 501 orbit points "
                    "for slope [0;2,1,1] within depth 3\nVERIFICATION FAILED\n")
 
 

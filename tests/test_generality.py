@@ -43,6 +43,7 @@ from sturmian.rotation import (
 )
 from sturmian.words import conjugates, reversal, standard_word
 from test_oracles import check_gap_spectra
+from test_rotation import mediant_denominator
 
 TORTURE = ["[0;4,(5,1,2)]", "[0;2,7,1,(3,1,4)]", "[0;9,(1,1,2)]", "[0;2,(10)]"]
 
@@ -226,7 +227,13 @@ def test_truncation_answers_hold_for_extensions(a_1, rest, tail_1, tail_2):
     # periodic extensions; the rest must be refused.
     known = (a_1, *rest)
     truncation = ContinuedFraction(known)
-    answers = _answers(truncation, 16)
+    # Every length up to 16, and on up to n* = 2*q_m + q_{m-1}, the first
+    # one the cylinder does not fix, when n* <= 40.
+    n_star = mediant_denominator(known)
+    answers = _answers(truncation, max(16, n_star) if n_star <= 40 else 16)
+    if n_star <= 40:
+        assert answers["factors", n_star - 1] is not None, str(truncation)
+        assert answers["factors", n_star] is None, str(truncation)
     # The critical exponent of the truncation is the best term it knows,
     # t_0..t_{m-1}: at least the older bound max(a_1, a_2 + 1, t_2..), and
     # at most the supremum of every slope in the cylinder.

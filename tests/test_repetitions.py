@@ -437,10 +437,10 @@ def reference_period_exit(keys: list[int], q: int) -> int:
 def reference_fractional_indices(cf, n) -> list[tuple[str, Fraction]]:
     """Every word's window sliced from the shared key list, in circular order,
     on a table sized by the length's largest index: the exit comes by
-    t = (ind + 1)*n, and a span of half that covers every difference."""
+    t = (ind + 1)*n, the largest difference compared."""
     intervals = factor_interval_map(cf, n)
     ind = max(indices_by_interval(cf, n).values())
-    table = key_table(cf, ((ind + 1) * n + 1) // 2)
+    table = key_table(cf, (ind + 1) * n)
     p, q = table.p, table.q
     keys = [m % q for m in range(-n * p, (n + 1) * p, p)]
     return [(w, Fraction(reference_period_exit(keys[n - i: 2 * n + 1 - i], q) - 1, n))
@@ -464,8 +464,9 @@ def test_fractional_indices_match_the_slice_route_on_drawn_slopes(a_1, preperiod
 
 
 def test_fractional_index_matches_the_walk_on_truncations():
-    # Where the walk answers, the exit answers the same; it refuses only
-    # where the walk refuses too, as its table is half the walk's span.
+    # Where the walk answers, the exit answers the same.  Its table reaches
+    # (ind + 1)*n, one past the walk's, and here it answers wherever the
+    # walk does.
     answered = 0
     for cf in (parse_slope("[0;3,1,4,1,5,9,2,6]"), parse_slope("[0;2,1,1]")):
         for n in range(1, 41):
@@ -480,16 +481,19 @@ def test_fractional_index_matches_the_walk_on_truncations():
                     continue
                 assert fractional_index(cf, w) == expected, (str(cf), w)
                 answered += 1
-    assert answered == 865
+    assert answered == 877
 
 
 def test_exit_tables_are_sized_by_the_intervals_asked_for():
     # A whole length takes the table of its largest index, one word that of
-    # its own: a truncation refuses the length yet answers the word.
+    # its own: a truncation refuses the length yet answers the word.  The
+    # length-10 map of [0;2,3] reaches 10 and answers; its exits reach
+    # (1 + 1)*10, past the cylinder's n* - 1 = 15.
     cf = parse_slope("[0;2,3]")
+    assert len(factor_interval_map(cf, 10)) == 11
     with pytest.raises(DepthError, match=re.escape(
-            "cannot certify 17 orbit points for slope [0;2,3] within depth 2")):
-        fractional_indices(cf, 5)
+            "cannot certify 21 orbit points for slope [0;2,3] within depth 2")):
+        fractional_indices(cf, 10)
     assert fractional_index(cf, "01001") == Fraction(8, 5)
     cf = parse_slope("[0;7,7]")
     with pytest.raises(DepthError):
@@ -508,17 +512,26 @@ def test_exit_tables_are_sized_by_the_intervals_asked_for():
 
 
 def test_fractional_index_on_a_shallow_cylinder():
-    # (01)^3 is not a factor, so the exit comes by t = 6: [0;2,1] certifies
-    # the 7 orbit points a table of span 3 needs, not the walk's 11.
+    # (01)^3 is not a factor, so the exit comes by t = 6: a table of reach 6,
+    # within the 7 that [0;2,1] certifies (n* = 2*q_2 + q_1 = 8).
     cf = parse_slope("[0;2,1]")
-    assert fractional_index(cf, "01") == Fraction(5, 2)
+    assert fractional_index(cf, "01") == reference_fractional_index(cf, "01") == Fraction(5, 2)
     assert fractional_index(cf, "10") == 2
-    with pytest.raises(DepthError):
-        reference_fractional_index(cf, "01")
     for extension in ("[0;2,1,(1)]", "[0;2,1,(6)]", "[0;2,1,2,(3,1)]"):
         ext = parse_slope(extension)
         assert fractional_index(ext, "01") == reference_fractional_index(ext, "01") == Fraction(5, 2)
         assert fractional_index(ext, "10") == reference_fractional_index(ext, "10") == 2
+    # At the edge: [0;3,1] certifies reach 10 (n* = 11).  00010 has index
+    # 1, so its exit reaches 2*5 = 10 and answers; 000100's reaches 12 and
+    # is refused, though its length-6 map answers.
+    cf = parse_slope("[0;3,1]")
+    assert fractional_index(cf, "00010") == Fraction(7, 5)
+    for extension in ("[0;3,1,(1)]", "[0;3,1,(6)]", "[0;3,1,2,(3,1)]"):
+        assert fractional_index(parse_slope(extension), "00010") == Fraction(7, 5)
+    assert "000100" in factor_interval_map(cf, 6)
+    with pytest.raises(DepthError, match=re.escape(
+            "cannot certify 13 orbit points for slope [0;3,1] within depth 2")):
+        fractional_index(cf, "000100")
 
 
 def test_fractional_index_standard_words(fib_slope):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -34,7 +35,7 @@ from sturmian.words import standard_word
 # ------------------------------------------------------------------
 
 def test_key_table_orders_match_oracle(example_slope):
-    table = key_table(example_slope, 16)
+    table = key_table(example_slope, 32)  # 33 points, differences up to 32
     bounds = {m: form_bounds(example_slope, table.position_form(m)) for m in range(-16, 17)}
     # position_form must land in [0, 1), and the keys must sort the points
     # as their disjoint oracle intervals do.
@@ -68,10 +69,11 @@ def _oracle_order(cf: ContinuedFraction, span: int) -> tuple[list[int], list[int
 
 def _check_table(table: rotation.KeyTable, span: int, cf: ContinuedFraction) -> None:
     """The table's keys order [-span, span] as the oracle does at cf, with no
-    tie, and its position forms carry the oracle's floors."""
+    tie, and its position forms carry the oracle's floors; its reach is the
+    largest difference there, 2*span."""
     order, floors = _oracle_order(cf, span)
     ms = range(-span, span + 1)
-    assert table.span == span
+    assert table.reach == 2 * span
     assert len({table.key(m) for m in ms}) == 2 * span + 1, (str(cf), span)
     assert sorted(ms, key=table.key) == order, (str(cf), span)
     assert [table.position_form(m).p for m in ms] == floors, (str(cf), span)
@@ -81,7 +83,7 @@ def test_key_tables_match_oracle_on_family():
     for text in FAMILY_SLOPES:
         cf = parse_slope(text)
         for span in KEY_SPANS:
-            _check_table(key_table(cf, span), span, cf)
+            _check_table(key_table(cf, 2 * span), span, cf)
 
 
 @settings(max_examples=10, deadline=None)
@@ -90,7 +92,7 @@ def test_key_tables_match_oracle_on_drawn_slopes(a_1, tail):
     pre, per = tail
     cf = ContinuedFraction((a_1, *pre), tuple(per))
     for span in KEY_SPANS:
-        _check_table(key_table(cf, span), span, cf)
+        _check_table(key_table(cf, 2 * span), span, cf)
 
 
 def _cylinder_ends(quotients: tuple[int, ...]) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -102,6 +104,13 @@ def _cylinder_ends(quotients: tuple[int, ...]) -> tuple[tuple[int, int], tuple[i
         p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
     lower, upper = sorted([(p, q), (p + p_prev, q + q_prev)], key=lambda f: Fraction(*f))
     return lower, upper
+
+
+def mediant_denominator(quotients: tuple[int, ...]) -> int:
+    """n* = 2*q_m + q_{m-1}, the denominator of the mediant of the ends of
+    the cylinder of [0;a_1..a_m]: the first length its factor maps refuse."""
+    lower, upper = _cylinder_ends(quotients)
+    return lower[1] + upper[1]
 
 
 def _smallest_denominator_inside(quotients: tuple[int, ...]) -> int:
@@ -125,9 +134,9 @@ def check_truncation_key_tables(known: tuple[int, ...], extensions, spans) -> li
     for span in spans:
         if 2 * span >= k_min:
             with pytest.raises(UndecidedError, match=f"cannot certify {2 * span + 1} orbit"):
-                key_table(truncation, span)
+                key_table(truncation, 2 * span)
             continue
-        table = key_table(truncation, span)
+        table = key_table(truncation, 2 * span)
         for pre, per in extensions:
             _check_table(table, span, ContinuedFraction(known + tuple(pre), tuple(per)))
         answered.append(span)
@@ -164,21 +173,21 @@ def test_key_table_retains_only_its_certificate():
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert table.span == 1 << 16
+    assert table.reach == 1 << 16
     assert retained < 4096, retained
 
 
 def test_key_table_reads_the_cap_on_every_call(monkeypatch):
     cf = parse_slope("[0;2,(1)]")
     monkeypatch.setenv("STURM_DEPTH_LIMIT", "64")
-    assert key_table(cf, 12).depth == 5
+    assert key_table(cf, 24).depth == 5
     monkeypatch.setenv("STURM_DEPTH_LIMIT", "4")
     with pytest.raises(UndecidedError) as info:
-        key_table(cf, 12)
+        key_table(cf, 24)
     assert str(info.value) == ("cannot certify 25 orbit points for slope [0;2,(1)] "
                                "within depth 4")
     monkeypatch.setenv("STURM_DEPTH_LIMIT", "64")
-    assert key_table(cf, 12).depth == 5
+    assert key_table(cf, 24).depth == 5
 
 
 def reference_farey_bracket(cf: ContinuedFraction, lo: int, hi: int
@@ -319,9 +328,9 @@ def check_against_reference(cf: ContinuedFraction, start: int, length: int) -> b
 
 
 # A periodic slope, a truncation that codes short windows only (its key
-# tables stop at span 18,076 and its codings through 0 at reach 36,153, and
-# the reference's depth 6 certifies reach <= 222 except near +-q_5 = +-134)
-# and one that codes almost nothing: reach up to 12 (key-table spans 1-6),
+# tables and its codings through 0 stop at reach 36,153, and the
+# reference's depth 6 certifies reach <= 222 except near +-q_5 = +-134)
+# and one that codes almost nothing: reach up to 12, as do its key tables,
 # only windows inside the exempt indices {-1, 0} for the reference.
 CODING_SLOPES = ["[0;2,(1,3)]", "[0;3,1,4,1,5,9,2,6]", "[0;2,1,1]"]
 
@@ -548,6 +557,41 @@ def test_factor_interval_is_a_value_tuple(example_slope):
         sorted(got.values())
 
 
+@settings(max_examples=100, deadline=None)
+@given(A1, st.lists(QUOTIENTS, max_size=8))
+def test_truncation_factor_maps_stop_at_the_mediant(a_1, rest):
+    # [0;a_1..a_m], cut to n* <= 400, answers every length below n*, and
+    # the answer holds on the cylinder; at n* it refuses, and must: the
+    # mediant of the cylinder's ends, of denominator n*, splits it into
+    # slopes with a_{m+1} = 1 and slopes with a_{m+1} >= 2, whose maps differ.
+    known = (a_1,)
+    for a in rest:
+        if mediant_denominator((*known, a)) > 400:
+            break
+        known += (a,)
+    n_star = mediant_denominator(known)
+    truncation = ContinuedFraction(known)
+    answer = list(factor_interval_map(truncation, n_star - 1).items())
+    for tail in ((1,), (9,), (2, 1)):
+        extension = ContinuedFraction(known, tail)
+        assert list(factor_interval_map(extension, n_star - 1).items()) == answer, str(extension)
+    with pytest.raises(UndecidedError, match=re.escape(
+            f"cannot certify {n_star + 1} orbit points for slope {truncation} within depth")):
+        factor_interval_map(truncation, n_star)
+    ones, threes = (factor_interval_map(ContinuedFraction(known, (a,)), n_star) for a in (1, 3))
+    assert list(ones.items()) != list(threes.items()), str(truncation)
+
+
+@pytest.mark.parametrize("text, n_star", [
+    ("[0;2,3]", 16), ("[0;7,7]", 107), ("[0;2,2,2,2,2,2]", 408)])
+def test_truncation_factor_maps_stop_at_the_worked_mediants(text, n_star):
+    cf = parse_slope(text)
+    assert mediant_denominator(cf.preperiod) == n_star
+    assert len(factor_interval_map(cf, n_star - 1)) == n_star
+    with pytest.raises(UndecidedError, match=f"cannot certify {n_star + 1} orbit points"):
+        factor_interval_map(cf, n_star)
+
+
 def test_factor_interval_lengths_sum_to_one(family):
     for cf in family:
         for n in (1, 4, 9, 30):
@@ -690,7 +734,7 @@ def reference_walk_arc(table: rotation.KeyTable, w: str) -> tuple[int, int, int]
     return len(w), lo_idx, hi_idx
 
 
-# The family, two truncations (one certifying key tables up to span 6
+# The family, two truncations (one certifying key tables up to reach 12
 # only) and two slopes with long runs of 0.
 WALK_SLOPES = [*FAMILY_SLOPES, "[0;3,1,4,1,5,9,2,6]", "[0;2,1,1]", "[0;5,(1,7)]", "[0;9,(2)]"]
 
@@ -701,7 +745,7 @@ def test_height_walk_matches_arc_automaton(slope):
     # w[:t], and the same endpoints of [w[:t]] as the automaton gives on
     # w[:t] itself (on w, when w is a factor).
     cf = parse_slope(slope)
-    for n in range(1, 7 if slope == "[0;2,1,1]" else 13):  # its spans stop at 6
+    for n in range(1, 13):
         table = key_table(cf, n)
         for bits in range(1 << n):
             w = format(bits, f"0{n}b")

@@ -99,13 +99,13 @@ def test_default_family_has_twelve_slopes():
 
 
 def test_three_distance_takes_one_oracle_key_table_per_slope(monkeypatch):
-    # The oracle orders every level n <= 500 from one table of span 500.
+    # The oracle orders every level n <= 500 from one table of reach 500.
     calls = []
     real = oracles.key_table
 
-    def counting(cf, span):
-        calls.append((str(cf), span))
-        return real(cf, span)
+    def counting(cf, reach):
+        calls.append((str(cf), reach))
+        return real(cf, reach)
 
     monkeypatch.setattr(oracles, "key_table", counting)
     family = verify.default_family()
