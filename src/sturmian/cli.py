@@ -203,6 +203,8 @@ def cmd_index(args: argparse.Namespace) -> int:
     cf, swapped = _slope_of(args)
     if args.word is not None:
         check_word(args.word)
+        if not args.word:
+            raise NotAFactorError("the empty word has no index")
         reports = [r for r in classify_length(cf, len(args.word)) if r.word == args.word]
         if not reports:
             raise NotAFactorError(f"{args.word!r} is not a factor for slope {cf}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from typing import Collection, NamedTuple
+from typing import Collection, Iterable, NamedTuple
 
 from sturmian import oracles
 from sturmian.exactnum import (
@@ -128,12 +128,11 @@ class CriticalExponentResult:
 # ------------------------------------------------------------------
 
 def _factor_interval(cf: ContinuedFraction, w: str) -> FactorInterval:
-    """[w] from the length-|w| factor map; the empty word and non-factors are refused."""
-    require_normalized(cf)
-    check_word(w)
+    """[w] by the height walk, in O(|w|) (`word_interval`); the empty word
+    and non-factors are refused."""
     if not w:
         raise NotAFactorError("the empty word has no index")
-    interval = factor_interval_map(cf, len(w)).get(w)
+    interval = word_interval(cf, w)
     if interval is None:
         raise NotAFactorError(f"{w!r} is not a factor for slope {cf}")
     return interval
@@ -142,26 +141,28 @@ def _factor_interval(cf: ContinuedFraction, w: str) -> FactorInterval:
 def index_by_interval(cf: ContinuedFraction, w: str) -> int:
     """Integer index from the interval length: gamma + floor(|[w]|/||n a||)."""
     interval = _factor_interval(cf, w)
-    return _length_indices(cf, len(w))[interval.length]
+    return _length_indices(cf, len(w), [interval])[interval.length]
 
 
-def _length_indices(cf: ContinuedFraction, n: int) -> dict[LinearForm, int]:
-    """Interval length -> index for the length-n factors.
+def _length_indices(cf: ContinuedFraction, n: int,
+                    intervals: Iterable[FactorInterval]) -> dict[LinearForm, int]:
+    """Interval length -> index for the given length-n intervals.
 
-    The n + 1 intervals take at most three lengths (three-distance
-    theorem), so the formula runs once per distinct length, in the order
-    the lengths first appear around the circle.
+    The n + 1 intervals of a length take at most three lengths
+    (three-distance theorem), so the formula runs once per distinct length
+    asked for, in the order the lengths first appear.
     """
     dist = distance(cf, n)
-    lengths = dict.fromkeys(iv.length for iv in factor_interval_map(cf, n).values())
+    lengths = dict.fromkeys(iv.length for iv in intervals)
     return {length: (0 if length == dist else 1) + floor_ratio(cf, length, dist)
             for length in lengths}
 
 
 def indices_by_interval(cf: ContinuedFraction, n: int) -> dict[str, int]:
     """index_by_interval of every factor of length n, in circular order."""
-    by_length = _length_indices(cf, n)
-    return {w: by_length[iv.length] for w, iv in factor_interval_map(cf, n).items()}
+    factors = factor_interval_map(cf, n)
+    by_length = _length_indices(cf, n, factors.values())
+    return {w: by_length[iv.length] for w, iv in factors.items()}
 
 
 def oracle_window(cf: ContinuedFraction, n: int) -> int:
@@ -277,7 +278,9 @@ def classify_length(cf: ContinuedFraction, n: int,
             if (t - 1) // n != idx:
                 raise AssertionError(f"case {tag}: {w!r} has index {idx} but fractional "
                                      f"index {Fraction(t - 1, n)} for {cf}")
-        fractions = _exit_fractions(exits, n)
+        # (t - 1)/n, one Fraction per distinct exit t.
+        by_exit = {t: Fraction(t - 1, n) for t in set(exits)}
+        fractions = map(by_exit.__getitem__, exits)
     return list(map(IndexReport, factors, repeat(n), indices, repeat(tag), positions, fractions))
 
 
@@ -387,8 +390,7 @@ def _exits(cf: ContinuedFraction, n: int, intervals: Collection[FactorInterval])
     halves left = keys[:n] and right = keys[n:2n], so running maxima and
     minima of the two halves give every window's extremes in O(n).
     """
-    by_length = _length_indices(cf, n)
-    table = key_table(cf, (max(by_length[iv.length] for iv in intervals) + 1) * n)
+    table = key_table(cf, (max(_length_indices(cf, n, intervals).values()) + 1) * n)
     p, q = table.p, table.q
     keys = [m % q for m in range(-n * p, (n + 1) * p, p)]
     left, right = keys[:n], keys[n:2 * n]
@@ -411,21 +413,6 @@ def _exits(cf: ContinuedFraction, n: int, intervals: Collection[FactorInterval])
             s = next(s for s in range(a, a + n) if keys[s] >= bound)
         exits.append(k * n + s - a)
     return exits
-
-
-def _exit_fractions(exits: list[int], n: int) -> list[Fraction]:
-    """(t - 1)/n for each exit t, one Fraction per distinct t."""
-    by_exit = {t: Fraction(t - 1, n) for t in set(exits)}
-    return list(map(by_exit.__getitem__, exits))
-
-
-def fractional_indices(cf: ContinuedFraction, n: int) -> dict[str, Fraction]:
-    """fractional_index of every factor of length n, in circular order.
-
-    Words of equal fractional index share one Fraction object.
-    """
-    factors = factor_interval_map(cf, n)
-    return dict(zip(factors, _exit_fractions(_exits(cf, n, factors.values()), n)))
 
 
 def _class_limit(cf: ContinuedFraction, k0: int

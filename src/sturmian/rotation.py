@@ -229,11 +229,12 @@ def factors_of_length(cf: ContinuedFraction, n: int) -> list[tuple[str, FactorIn
 
 
 # An entry holds n + 1 words of length n, whose intervals share at most
-# four length forms.  `verify --n-max 150` reads 1,808 maps slope by slope;
-# 256 keep the slope in use, so misses rise only to 1,973.  The interval
-# indices read each shared form once; the exits behind fractional indices
-# read only the left ends, and `classify_length` floors them on integers.
-@lru_cache(maxsize=256)
+# four length forms.  Single words take the height walk (`word_interval`),
+# so the one re-read is power-classification's `indices_by_interval` of the
+# map `classify_length` has just built: `verify --n-max 150` hits 1,800
+# times and misses 1,909 at a bound of 1, 2 or 4 (1,812 and 1,897 at 256),
+# and the sweep and query workloads of `bench/` hit none at any of these.
+@lru_cache(maxsize=1)
 def factor_interval_map(cf: ContinuedFraction, n: int) -> dict[str, FactorInterval]:
     """Word -> interval for the length-n factors, in circular order (cached).
 

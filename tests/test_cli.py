@@ -90,6 +90,12 @@ def test_index_unknown_word_fails(capsys):
     assert "not a factor" in err
 
 
+def test_index_empty_word_has_no_index(capsys):
+    # The package's own refusal, not the length check of `length_case`.
+    code, out, err = run(capsys, "index", "--slope", "[0;2,(1)]", "--word", "")
+    assert (code, out, err) == (1, "", "error: the empty word has no index\n")
+
+
 def test_index_non_binary_word_reports_the_alphabet(capsys):
     code, out, err = run(capsys, "index", "--slope", "[0;2,(1)]", "--word", "012")
     assert code == 1

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from typing import Iterator
 
@@ -32,7 +33,6 @@ from sturmian.repetitions import (
     conjugacy_report,
     critical_exponent,
     fractional_index,
-    fractional_indices,
     indices_by_interval,
     index_by_interval,
     index_oracle,
@@ -402,12 +402,18 @@ def reference_fractional_index(cf, w) -> Fraction:
     return Fraction(ind * len(w) + language_extension(cf, w * ind, w[:-1]), len(w))
 
 
+def classified_fractions(cf, n) -> list[tuple[str, Fraction]]:
+    """The one whole-length route: the fractional indices `classify_length`
+    fills in, in circular order."""
+    return [(r.word, r.fractional_index) for r in classify_length(cf, n, with_fractional=True)]
+
+
 def test_fractional_indices_match_the_walk(family):
     words = 0
     for cf in (*family, parse_slope("[0;5,(1,7)]"), parse_slope("[0;9,(2)]")):
         for n in range(1, 41):
             expected = {w: reference_fractional_index(cf, w) for w in factor_interval_map(cf, n)}
-            got = fractional_indices(cf, n)
+            got = dict(classified_fractions(cf, n))
             assert list(got) == list(expected)
             assert got == expected, (str(cf), n)
             # Words of equal fractional index share one Fraction.
@@ -451,8 +457,7 @@ def test_fractional_indices_match_the_slice_route(family):
     # The truncation's cylinder certifies every length here as well.
     for cf in (*family, *map(parse_slope, ("[0;5,(1,7)]", "[0;9,(2)]", "[0;3,1,4,1,5,9,2,6]"))):
         for n in range(1, 151):
-            assert list(fractional_indices(cf, n).items()) == \
-                reference_fractional_indices(cf, n), (str(cf), n)
+            assert classified_fractions(cf, n) == reference_fractional_indices(cf, n), (str(cf), n)
 
 
 @settings(max_examples=200, deadline=None)
@@ -460,13 +465,14 @@ def test_fractional_indices_match_the_slice_route(family):
        st.lists(st.integers(1, 9), min_size=1, max_size=4), st.integers(1, 150))
 def test_fractional_indices_match_the_slice_route_on_drawn_slopes(a_1, preperiod, period, n):
     cf = ContinuedFraction((a_1, *preperiod), tuple(period))
-    assert list(fractional_indices(cf, n).items()) == reference_fractional_indices(cf, n)
+    assert classified_fractions(cf, n) == reference_fractional_indices(cf, n)
 
 
 def test_fractional_index_matches_the_walk_on_truncations():
     # Where the walk answers, the exit answers the same.  Its table reaches
     # (ind + 1)*n, one past the walk's, and here it answers wherever the
-    # walk does.
+    # walk does.  A word waits on floor_ratio for its own interval length
+    # only, not for the other lengths of its n.
     answered = 0
     for cf in (parse_slope("[0;3,1,4,1,5,9,2,6]"), parse_slope("[0;2,1,1]")):
         for n in range(1, 41):
@@ -481,7 +487,7 @@ def test_fractional_index_matches_the_walk_on_truncations():
                     continue
                 assert fractional_index(cf, w) == expected, (str(cf), w)
                 answered += 1
-    assert answered == 877
+    assert answered == 880
 
 
 def test_exit_tables_are_sized_by_the_intervals_asked_for():
@@ -490,16 +496,18 @@ def test_exit_tables_are_sized_by_the_intervals_asked_for():
     # length-10 map of [0;2,3] reaches 10 and answers; its exits reach
     # (1 + 1)*10, past the cylinder's n* - 1 = 15.
     cf = parse_slope("[0;2,3]")
-    assert len(factor_interval_map(cf, 10)) == 11
+    factors = factor_interval_map(cf, 10)
+    assert len(factors) == 11
     with pytest.raises(DepthError, match=re.escape(
             "cannot certify 21 orbit points for slope [0;2,3] within depth 2")):
-        fractional_indices(cf, 10)
+        repetitions._exits(cf, 10, factors.values())
     assert fractional_index(cf, "01001") == Fraction(8, 5)
     cf = parse_slope("[0;7,7]")
+    factors = factor_interval_map(cf, 36)
     with pytest.raises(DepthError):
-        fractional_indices(cf, 36)
+        repetitions._exits(cf, 36, factors.values())
     answered = {}
-    for w in factor_interval_map(cf, 36):
+    for w in factors:
         try:
             answered[w] = fractional_index(cf, w)
         except DepthError:
@@ -507,8 +515,41 @@ def test_exit_tables_are_sized_by_the_intervals_asked_for():
     assert len(answered) == 31
     # Each answer holds on the whole cylinder.
     for tail in ("[0;7,7,(1)]", "[0;7,7,(9,2)]"):
-        extension = fractional_indices(parse_slope(tail), 36)
+        extension = dict(classified_fractions(parse_slope(tail), 36))
         assert all(extension[w] == f for w, f in answered.items()), tail
+
+
+def test_single_words_skip_the_factor_map(family):
+    # index_by_interval and fractional_index read [w] off the height walk:
+    # no factor map is built or looked up.
+    before = factor_interval_map.cache_info()
+    for cf in family[:4]:
+        for k in range(1, 7):
+            w = reversal(standard_word(cf, k))
+            assert index_by_interval(cf, w) == index_oracle(cf, w)
+            assert int(fractional_index(cf, w)) == index_by_interval(cf, w)
+        for call in (index_by_interval, fractional_index):
+            with pytest.raises(NotAFactorError, match="'11' is not a factor"):
+                call(cf, "11")
+            with pytest.raises(NotAFactorError, match="the empty word has no index"):
+                call(cf, "")
+    after = factor_interval_map.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_a_long_single_word_takes_linear_memory():
+    # Reversed s_17 of [0;2,(1)] has 4,181 letters: its length's factor map
+    # alone would hold 4,182 words of that length, some 18 MB.
+    cf = parse_slope("[0;2,(1)]")
+    w = reversal(standard_word(cf, 17))
+    assert len(w) == 4181
+    tracemalloc.start()
+    try:
+        assert fractional_index(cf, w) == 3
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
 
 
 def test_fractional_index_on_a_shallow_cylinder():

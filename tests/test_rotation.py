@@ -873,7 +873,7 @@ def test_slope_keyed_caches_are_bounded():
 def test_many_fresh_slopes_keep_memory_bounded():
     # 200 slopes no other test uses, 16 factor maps and 17 indices each.
     # With every cache unbounded this retains about 9 MB; once the caches
-    # fill, their bounds hold it near 1.2 MB.
+    # fill, their bounds hold it near 0.3 MB (one factor map is kept).
     slopes = [ContinuedFraction((2 + i % 3, 1 + i % 5), (1 + i % 4, 900 + i))
               for i in range(200)]
     gc.collect()

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from sturmian import oracles, verify
+from sturmian import oracles, rotation, verify
 from sturmian.cli import main
 from sturmian.exactnum import DepthExceededError, parse_slope
 from sturmian.repetitions import NotAFactorError
@@ -112,6 +112,17 @@ def test_three_distance_takes_one_oracle_key_table_per_slope(monkeypatch):
     [result] = verify.run_suites(names=["three-distance"], slopes=family)
     assert result.passed and result.checks == 5970
     assert calls == [(str(cf), 500) for cf in family]
+
+
+def test_power_classification_builds_each_map_once_and_rereads_it_once():
+    # classify_length builds the length's factor map and indices_by_interval
+    # reads it back: the one re-read the map cache is sized by.
+    rotation.factor_interval_map.cache_clear()
+    [result] = verify.run_suites(names=["power-classification"],
+                                 slopes=[parse_slope("[0;2,(1,2)]")], n_max=30)
+    assert result.passed
+    info = rotation.factor_interval_map.cache_info()
+    assert (info.misses, info.hits) == (30, 30)
 
 
 def test_a_refused_suite_does_not_end_the_gate():
