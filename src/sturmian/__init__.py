@@ -33,6 +33,7 @@ from sturmian.repetitions import (
     IndexReport,
     NotAFactorError,
     classify_length,
+    classify_word,
     conjugacy_report,
     critical_exponent,
     fractional_index,
@@ -76,6 +77,7 @@ __all__ = [
     "UndecidedError",
     "best_approximations",
     "classify_length",
+    "classify_word",
     "closest_multiples",
     "coding_prefix",
     "compare",

@@ -30,17 +30,16 @@ from sturmian.exactnum import (
     parse_slope,
 )
 from sturmian.repetitions import (
-    NotAFactorError,
     classify_length,
+    classify_word,
     conjugacy_report,
     critical_exponent,
-    fractional_index,
 )
 from sturmian.rotation import (
     factors_of_length,
     three_distance,
 )
-from sturmian.words import check_word, semistandard_word, standard_word
+from sturmian.words import semistandard_word, standard_word
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -201,16 +200,7 @@ def cmd_factors(args: argparse.Namespace) -> int:
 
 def cmd_index(args: argparse.Namespace) -> int:
     cf, swapped = _slope_of(args)
-    if args.word is not None:
-        check_word(args.word)
-        if not args.word:
-            raise NotAFactorError("the empty word has no index")
-        reports = [r for r in classify_length(cf, len(args.word)) if r.word == args.word]
-        if not reports:
-            raise NotAFactorError(f"{args.word!r} is not a factor for slope {cf}")
-        reports[0] = reports[0]._replace(fractional_index=fractional_index(cf, args.word))
-    else:
-        reports = classify_length(cf, args.n)
+    reports = classify_length(cf, args.n) if args.word is None else [classify_word(cf, args.word)]
     rows = [{"word": r.word, "n": r.n, "integer_index": r.integer_index, "case": r.case_tag,
              "conjugate_position": r.conjugate_position,
              "fractional_index": None if r.fractional_index is None

@@ -42,7 +42,6 @@ from sturmian.rotation import (
 from sturmian.words import (
     check_word,
     conjugates,
-    cyclic_shift,
     reversal,
     standard_or_semistandard,
     standard_word,
@@ -250,26 +249,45 @@ def length_case(cf: ContinuedFraction, n: int
 
 def classify_length(cf: ContinuedFraction, n: int,
                     with_fractional: bool = False) -> list[IndexReport]:
-    """IndexReport for every factor of length n, per the length's case.
+    """IndexReport for every factor of length n, in circular order, by the
+    positional rule (`_reports`); fractional indices only on request.  The
+    interval formula and the scan oracle cross-check the rule in `verify`."""
+    return _reports(cf, n, length_case(cf, n), factor_interval_map(cf, n), with_fractional)
+
+
+def classify_word(cf: ContinuedFraction, w: str) -> IndexReport:
+    """`classify_length`'s report of the factor w, fractional index filled,
+    from w alone in O(|w|): [w] by the height walk, no factor map."""
+    if not check_word(w):
+        raise NotAFactorError("the empty word has no index")
+    [report] = _reports(cf, len(w), length_case(cf, len(w)), {w: _factor_interval(cf, w)}, True)
+    return report
+
+
+def _reports(cf: ContinuedFraction, n: int, case: tuple[str, tuple[str, int, int, int, int, int]],
+             factors: dict[str, FactorInterval], with_fractional: bool) -> list[IndexReport]:
+    """IndexReport of each length-n factor given with its interval.
 
     One positional rule covers all seven cases (Damanik-Lenz): with the
     case's (root, m, split, first, rest, other) from `length_case`, the
     factor C^i(root)^m, i < |root|, has conjugate position i and index
     `first` if i < split, else `rest`; every other factor has `other`.
-    The interval formula and the scan oracle cross-check the rule in the
-    verification suites.  Fractional indices are filled only on request.
-    Each is (t - 1)/n for the exit t where w^inf leaves the language, so
-    its floor (t - 1) // n must equal the positional index: two independent
-    routes meet on every word, on integers, before any Fraction is built.
+    w is C^i(root)^m when w[:|root|] first occurs at -i mod |root| in
+    root + root and w is m copies of it.  Self-check: root is primitive
+    (its shifts are distinct), and given all n + 1 factors, |root| match.
+    Each fractional index is (t - 1)/n for the exit t where w^inf leaves
+    the language (`_exits`), so its floor (t - 1) // n must equal the
+    positional index: two routes meet on every word, on integers, before
+    any Fraction is built.
     """
-    tag, (root, m, split, first, rest, other) = length_case(cf, n)
-    factors = factor_interval_map(cf, n)
-    shifts = {cyclic_shift(root, i) * m: i for i in range(len(root))}
-    if len(shifts) != len(root) or not shifts.keys() <= factors.keys():
-        raise AssertionError(
-            f"case {tag}: the shifts of {root!r} are not distinct factors of length {n} for {cf}"
-        )
-    positions = list(map(shifts.get, factors))
+    tag, (root, m, split, first, rest, other) = case
+    r, doubled = len(root), root * 2
+    positions = [-j % r if root and (j := doubled.find(w[:r])) >= 0 and w == w[:r] * m
+                 else None for w in factors]
+    if (root and root in doubled[1:-1]
+            or len(factors) > n and len(positions) - positions.count(None) != r):
+        raise AssertionError(f"case {tag}: the shifts of {root!r} are not distinct factors "
+                             f"of length {n} for {cf}")
     indices = [other if pos is None else first if pos < split else rest for pos in positions]
     fractions = repeat(None)
     if with_fractional:

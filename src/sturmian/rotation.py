@@ -229,11 +229,11 @@ def factors_of_length(cf: ContinuedFraction, n: int) -> list[tuple[str, FactorIn
 
 
 # An entry holds n + 1 words of length n, whose intervals share at most
-# four length forms.  Single words take the height walk (`word_interval`),
-# so the one re-read is power-classification's `indices_by_interval` of the
-# map `classify_length` has just built: `verify --n-max 150` hits 1,800
-# times and misses 1,909 at a bound of 1, 2 or 4 (1,812 and 1,897 at 256),
-# and the sweep and query workloads of `bench/` hit none at any of these.
+# four length forms.  Single words, `index --word` too, take the height
+# walk (`word_interval`), so the one re-read is power-classification's
+# `indices_by_interval` of the map `classify_length` has just built:
+# `verify --n-max 150` hits 1,800 times and misses 1,909 at a bound of 1,
+# 2 or 4 (1,812 and 1,897 at 256); the `bench/` sweep and queries hit none.
 @lru_cache(maxsize=1)
 def factor_interval_map(cf: ContinuedFraction, n: int) -> dict[str, FactorInterval]:
     """Word -> interval for the length-n factors, in circular order (cached).

@@ -195,7 +195,7 @@ def suite_power_classification(cf: ContinuedFraction, n_max: int,
     for n in range(1, n_max + 1):
         try:
             cases = {r.word: r.integer_index for r in classify_length(cf, n)}
-        except AssertionError as exc:  # double case match
+        except AssertionError as exc:  # double case match or shift self-check
             yield False, str(exc)
             continue
         formulas = indices_by_interval(cf, n)

@@ -26,6 +26,7 @@ from sturmian.exactnum import (
 from sturmian.repetitions import (
     _term,
     classify_length,
+    classify_word,
     critical_exponent,
     fractional_index,
     index_by_interval,
@@ -190,6 +191,8 @@ def _query(cf: ContinuedFraction, kind: str, arg):
         return "not a factor" if interval is None else interval
     if kind == "fractional":
         return fractional_index(cf, arg)
+    if kind == "report":
+        return classify_word(cf, arg)
     return index_by_interval(cf, arg)
 
 
@@ -209,7 +212,7 @@ def _answers(cf: ContinuedFraction, n_max: int) -> dict:
                 ask(kind, n)
         for w, _ in out["factors", n] or ():
             for kind, arg in (("index", w), ("interval", w), ("interval", w + w),
-                              ("fractional", w)):
+                              ("fractional", w), ("report", w)):
                 ask(kind, arg)
     for length in (1, 7, 60, 500, 4000):
         for start in (-300, -40, -1, 0, 1, 25):
@@ -222,9 +225,9 @@ def _answers(cf: ContinuedFraction, n_max: int) -> dict:
 @given(A1, st.lists(QUOTIENTS, min_size=1, max_size=11), periodic_tails(2),
        periodic_tails(2))
 def test_truncation_answers_hold_for_extensions(a_1, rest, tail_1, tail_2):
-    # Whatever [0;a_1..a_m] answers, codings, word intervals and fractional
-    # indices included, must hold for every slope of its cylinder, here two
-    # periodic extensions; the rest must be refused.
+    # Whatever [0;a_1..a_m] answers, codings, word intervals, fractional
+    # indices and per-word reports included, must hold for every slope of
+    # its cylinder, here two periodic extensions; the rest must be refused.
     known = (a_1, *rest)
     truncation = ContinuedFraction(known)
     # Every length up to 16, and on up to n* = 2*q_m + q_{m-1}, the first

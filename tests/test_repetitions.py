@@ -30,6 +30,7 @@ from sturmian.repetitions import (
     IndexReport,
     NotAFactorError,
     classify_length,
+    classify_word,
     conjugacy_report,
     critical_exponent,
     fractional_index,
@@ -47,7 +48,7 @@ from sturmian.rotation import (
     key_table,
     language_extension,
 )
-from sturmian.words import reversal, standard_word
+from sturmian.words import check_word, reversal, standard_word
 
 
 # ------------------------------------------------------------------
@@ -261,17 +262,27 @@ def test_classify_with_fractional(fib_slope):
         assert 0 <= r.fractional_index - r.integer_index < 1
 
 
+def classify_each_word(cf, n) -> list[IndexReport]:
+    """The single-word route, `classify_word`, on every factor of length n."""
+    return [classify_word(cf, w) for w in factor_interval_map(cf, n)]
+
+
+@pytest.mark.parametrize("classify", [classify_length, classify_each_word], ids=["length", "word"])
 @pytest.mark.parametrize("root", ["11", "1010"])
-def test_classify_refuses_a_root_without_distinct_factor_shifts(monkeypatch, fib_slope, root):
-    # 11 is not a factor; 1010 has only two distinct shifts.
+def test_classify_refuses_a_root_without_distinct_factor_shifts(monkeypatch, fib_slope, root,
+                                                                 classify):
+    # 11 is not a factor; 1010 has only two distinct shifts.  A single word
+    # sees the second: neither root is primitive.
     case = repetitions.length_case
     monkeypatch.setattr(repetitions, "length_case",
                         lambda cf, n: (case(cf, n)[0], (root, 1, 0, 1, 1, 1)))
     with pytest.raises(AssertionError, match="not distinct factors"):
-        classify_length(fib_slope, len(root))
+        classify(fib_slope, len(root))
 
 
-def test_classify_with_fractional_refuses_a_wrong_index(monkeypatch, fib_slope):
+@pytest.mark.parametrize("classify", [lambda cf, n: classify_length(cf, n, with_fractional=True),
+                                      classify_each_word], ids=["length", "word"])
+def test_classify_with_fractional_refuses_a_wrong_index(monkeypatch, fib_slope, classify):
     # Length 3 is case iii with first = 3 and rest = 2: flipping them gives
     # positional indices that the fractional indices' floors contradict.
     case = repetitions.length_case
@@ -283,7 +294,7 @@ def test_classify_with_fractional_refuses_a_wrong_index(monkeypatch, fib_slope):
     monkeypatch.setattr(repetitions, "length_case", flipped)
     classify_length(fib_slope, 3)  # without fractional indices nothing checks
     with pytest.raises(AssertionError, match="fractional index"):
-        classify_length(fib_slope, 3, with_fractional=True)
+        classify(fib_slope, 3)
 
 
 def test_classify_with_fractional_refuses_a_late_exit(monkeypatch, family):
@@ -312,13 +323,82 @@ def test_index_report_is_an_unordered_value_tuple(capsys):
         sorted([report, report])
     with pytest.raises(AttributeError):
         report.integer_index = 6
-    # `index --word` prints the report with its fractional index filled in.
-    row = report._replace(fractional_index=fractional_index(cf, w))
+    # `index --word` prints the word's own report, its fractional index filled in.
+    row = classify_word(cf, w)
     assert row == (w, 23, 5, "iii", 5, Fraction(120, 23))
     assert main(["index", "--slope", "[0;2,(3)]", "--word", w]) == 0
     printed = capsys.readouterr().out.splitlines()[-1].split()
     assert printed == [row.word, str(row.integer_index), row.case_tag,
                        str(row.conjugate_position), str(row.fractional_index)]
+
+
+def check_each_word_matches_its_length(cf, n_max: int) -> None:
+    for n in range(1, n_max + 1):
+        for report in classify_length(cf, n, with_fractional=True):
+            assert classify_word(cf, report.word) == report, (str(cf), report)
+
+
+def test_classify_word_matches_its_length(family):
+    for cf in family:
+        check_each_word_matches_its_length(cf, 60)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(2, 9), st.lists(st.integers(1, 9), max_size=3),
+       st.lists(st.integers(1, 9), min_size=1, max_size=4))
+def test_classify_word_matches_its_length_on_drawn_slopes(a_1, preperiod, period):
+    check_each_word_matches_its_length(ContinuedFraction((a_1, *preperiod), tuple(period)), 60)
+
+
+def reference_word_report(cf, w) -> IndexReport:
+    """The whole-length route to one word's report: its row of
+    `classify_length`, then `fractional_index` filled in."""
+    check_word(w)
+    if not w:
+        raise NotAFactorError("the empty word has no index")
+    reports = [r for r in classify_length(cf, len(w)) if r.word == w]
+    if not reports:
+        raise NotAFactorError(f"{w!r} is not a factor for slope {cf}")
+    return reports[0]._replace(fractional_index=fractional_index(cf, w))
+
+
+def outcome(route, cf, w):
+    """A route's report, or the type and message of its refusal."""
+    try:
+        return route(cf, w)
+    except (DepthError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 5), st.lists(st.integers(1, 5), min_size=1, max_size=8))
+def test_classify_word_matches_the_whole_length_route_on_drawn_truncations(a_1, rest):
+    # The factors of an extension of the truncation and every one-letter
+    # mutant of them: the same report, or the same refusal in the same order
+    # (alphabet, empty word, case, key table, not a factor, exit table).
+    cf = ContinuedFraction((a_1, *rest))
+    extension = ContinuedFraction((a_1, *rest), (1,))
+    words = ["", "012"]
+    for n in range(1, 17):
+        for w in factor_interval_map(extension, n):
+            words.append(w)
+            words.extend(w[:j] + "10"[int(w[j])] + w[j + 1:] for j in range(n))
+    for w in words:
+        assert outcome(classify_word, cf, w) == outcome(reference_word_report, cf, w), (str(cf), w)
+
+
+def test_index_word_builds_no_factor_map(capsys):
+    # Reversed s_17 of [0;2,(1)], 4,181 letters, and a non-factor of that
+    # length: the answer and the refusal both come from the word alone.
+    w = reversal(standard_word(parse_slope("[0;2,(1)]"), 17))
+    before = factor_interval_map.cache_info()
+    assert main(["index", "--slope", "[0;2,(1)]", "--word", w]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split() == [w, "3", "iii", "0", "3"]
+    assert main(["index", "--slope", "[0;2,(1)]", "--word", "11" + w[2:]]) == 1
+    assert capsys.readouterr().err.startswith("error: '11")
+    after = factor_interval_map.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses,
+                                                          before.currsize)
 
 
 def test_classify_cases_exhaustive(family):
