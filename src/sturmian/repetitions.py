@@ -164,29 +164,37 @@ def indices_by_interval(cf: ContinuedFraction, n: int) -> dict[str, int]:
     return {w: by_length[iv.length] for w, iv in factors.items()}
 
 
+def recurrence_window(cf: ContinuedFraction, length: int) -> int:
+    """Prefix length R(N) that holds every factor of N = `length` letters.
+
+    Every R(N) consecutive letters of c_alpha hold every factor of length N,
+    for the recurrence function R(N) = N + q_j + q_{j+1} - 1,
+    q_j <= N < q_{j+1} (M. Morse and G. A. Hedlund, Symbolic dynamics II.
+    Sturmian trajectories, Amer. J. Math. 62, 1940; J. Cassaigne, Limit
+    values of the recurrence quotient of Sturmian sequences, Theoret.
+    Comput. Sci. 218, 1999).  So a pattern of at most N letters absent from
+    the first R(N) is absent from the whole language.  A truncation that
+    cannot name q_{j+1} refuses.
+    """
+    ctx = _ctx(cf)
+    j = 0  # q_j <= length < q_{j+1}
+    while ctx.pair(j + 1)[1] <= length:
+        j += 1
+    return length + ctx.pair(j)[1] + ctx.pair(j + 1)[1] - 1
+
+
 def oracle_window(cf: ContinuedFraction, n: int) -> int:
     """Prefix length that certifies every power scan at factor length n.
 
     The longest pattern worth scanning is N = (bound + 1)*n letters, with
-    bound = a_{k+1} + 2 the largest possible index at length n.  Every
-    R(N) consecutive letters of c_alpha hold every factor of length N, for
-    the recurrence function R(N) = N + q_j + q_{j+1} - 1, q_j <= N < q_{j+1}
-    (M. Morse and G. A. Hedlund, Symbolic dynamics II. Sturmian
-    trajectories, Amer. J. Math. 62, 1940; J. Cassaigne, Limit values of
-    the recurrence quotient of Sturmian sequences, Theoret. Comput. Sci.
-    218, 1999).  So a pattern of at most N letters absent from the first
-    R(N) is absent from the whole language.  A truncation that cannot
-    name q_{j+1} refuses.
+    bound = a_{k+1} + 2 the largest possible index at length n,
+    q_k <= n < q_{k+1}; the window is R(N) (`recurrence_window`).
     """
     ctx = _ctx(cf)
     k = 0  # q_k <= n < q_{k+1}
     while ctx.pair(k + 1)[1] <= n:
         k += 1
-    longest = (cf.quotient(k + 1) + 3) * n
-    j = k  # q_j <= longest < q_{j+1}
-    while ctx.pair(j + 1)[1] <= longest:
-        j += 1
-    return longest + ctx.pair(j)[1] + ctx.pair(j + 1)[1] - 1
+    return recurrence_window(cf, (cf.quotient(k + 1) + 3) * n)
 
 
 def index_oracle(cf: ContinuedFraction, w: str) -> int:

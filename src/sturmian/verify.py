@@ -13,6 +13,7 @@ prove the suites can fail.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -41,6 +42,7 @@ from sturmian.repetitions import (
     fractional_index,
     indices_by_interval,
     oracle_window,
+    recurrence_window,
     square_lengths,
 )
 from sturmian.rotation import (
@@ -60,6 +62,9 @@ FAULT_MODES = ("flip-gamma",)
 
 # A suite stops at its 21st failure, one more than a JSON row shows.
 _MAX_FAILURES = 21
+
+# The critical-exponent suite's run scan covers periods up to this.
+_RUN_PERIODS = 1200
 
 Checks = Iterator[tuple[bool, str]]
 
@@ -192,6 +197,7 @@ def suite_power_classification(cf: ContinuedFraction, n_max: int,
                                inject_fault: str | None) -> Checks:
     """Case indices == interval formula == scan oracle for every factor of
     every length; case tags exclusive and exhaustive."""
+    text = ""
     for n in range(1, n_max + 1):
         try:
             cases = {r.word: r.integer_index for r in classify_length(cf, n)}
@@ -205,9 +211,17 @@ def suite_power_classification(cf: ContinuedFraction, n_max: int,
             formulas = {w: index + (1 if intervals[w].length == dist else -1)
                         for w, index in formulas.items()}
         # One oracle window per length, long enough to certify every scan,
-        # and one scan of it for every word.
-        text = characteristic_prefix(cf, oracle_window(cf, n))
-        scans = oracles.max_powers(text, cases)
+        # and one scan of it for every word.  The windows are cut from one
+        # text per slope, doubled when a window outgrows it; where the
+        # doubled text is refused, the window itself is asked for, so a
+        # truncation refuses at the same length with the same message.
+        window = oracle_window(cf, n)
+        if window > len(text):
+            try:
+                text = characteristic_prefix(cf, max(window, 2 * len(text)))
+            except DepthError:
+                text = characteristic_prefix(cf, window)
+        scans = oracles.max_powers(text[:window], cases)
         for w, case in cases.items():
             formula = formulas[w]
             if case == formula:
@@ -223,7 +237,19 @@ def suite_power_classification(cf: ContinuedFraction, n_max: int,
 def suite_critical_exponent(cf: ContinuedFraction) -> Checks:
     """The supremum dominates every term, every exactly computed
     fractional index of a standard word, and every repetition found by
-    an unstructured run scan of a long prefix."""
+    an unstructured run scan of a prefix sized by the bound under test.
+
+    With hi the certified upper bound on the supremum, the scan reads
+    R(N) letters (`recurrence_window`) at N = floor(hi*1200) + 1.  A run
+    of period L <= 1200 with exponent above hi has at least
+    floor(hi*L) + 1 letters, and its prefix of that length, at most N
+    letters, is already such a run; every factor of N letters occurs in
+    the first R(N).  So the scan refutes hi exactly when the whole
+    language does: a bound too low sizes a window that still holds the
+    run refuting it.  When the check passes, every run has exponent at
+    most hi and fits in N letters, so the scan reports the same
+    (exponent, period) as any longer prefix.
+    """
     res = critical_exponent(cf, 30)
     lo, hi = res.bounds()
     yield 0 < lo <= hi, "empty supremum bounds"
@@ -233,7 +259,9 @@ def suite_critical_exponent(cf: ContinuedFraction) -> Checks:
             exact = fractional_index(cf, standard_word(cf, k))
             yield (exact == t, f"standard-word fractional index at k={k}: "
                                f"interval route {exact} != term {t}")
-    observed, period = oracles.max_run_exponent(characteristic_prefix(cf, 100_000), 1200)
+    longest = math.floor(hi * _RUN_PERIODS) + 1
+    text = characteristic_prefix(cf, recurrence_window(cf, longest))
+    observed, period = oracles.max_run_exponent(text, _RUN_PERIODS)
     yield (observed <= hi, f"scanned repetition of exponent {observed} (period {period}) "
                            f"exceeds the supremum bound {hi}")
 

@@ -39,6 +39,7 @@ from sturmian.repetitions import (
     index_oracle,
     length_case,
     oracle_window,
+    recurrence_window,
     square_lengths,
 )
 from sturmian.rotation import (
@@ -102,6 +103,7 @@ def test_every_factor_occurs_in_every_recurrence_window(a_1, pre, period):
     text = characteristic_prefix(cf, 2500)
     for n in range(1, 60):
         window = _recurrence(cf, n)
+        assert recurrence_window(cf, n) == window
         assert 4 * window <= len(text)
         starts: dict[str, list[int]] = {}
         for i in range(len(text) - n + 1):

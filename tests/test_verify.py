@@ -4,12 +4,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import math
+from contextlib import contextmanager
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sturmian import oracles, rotation, verify
 from sturmian.cli import main
-from sturmian.exactnum import DepthExceededError, parse_slope
-from sturmian.repetitions import NotAFactorError
+from sturmian.exactnum import ContinuedFraction, DepthExceededError, parse_slope
+from sturmian.repetitions import (
+    CriticalExponentResult,
+    NotAFactorError,
+    critical_exponent,
+    recurrence_window,
+)
+from sturmian.rotation import characteristic_prefix
 
 
 @pytest.fixture(scope="module")
@@ -34,24 +45,91 @@ def test_cube_structure_fourth_powers_off_all_ones_tails(slope):
     assert result.passed, result.line()
 
 
-def test_critical_exponent_suite_scans_what_a_truncation_cylinder_codes(monkeypatch):
-    # The cylinder's bracket p_7/q_7, (p_7 + p_6)/(q_7 + q_6) has
-    # 2*111,950 + 21,909 > 2*100,001: its key table codes the suite's
-    # 100,000-letter scan window, so the truncation scans the same runs as
-    # every slope in it.
-    scans = []
+@contextmanager
+def _recorded_scans():
+    """Record the (exponent, period) and the text length of every run scan;
+    yields the monkeypatch with the two lists."""
+    scans, lengths = [], []
     scan = oracles.max_run_exponent
 
     def recorded(text, max_period):
+        lengths.append(len(text))
         scans.append(scan(text, max_period))
         return scans[-1]
 
-    monkeypatch.setattr(oracles, "max_run_exponent", recorded)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "max_run_exponent", recorded)
+        yield mp, scans, lengths
+
+
+def _scans(slopes):
+    """The critical-exponent suite's result on `slopes`, with its scans."""
+    with _recorded_scans() as (_, scans, lengths):
+        [result] = verify.run_suites(names=["critical-exponent"], slopes=slopes)
+    return result, scans, lengths
+
+
+def test_critical_exponent_suite_scans_what_a_truncation_cylinder_codes():
+    # hi = t_5 = 26717/2405 gives N = 13,331 and R(N) = N + q_5 + q_6 - 1 =
+    # 37,644 letters, inside the 2*q_7 + q_6 - 2 that a_1..a_7 fix, so the
+    # truncation scans the same runs as every slope in its cylinder.
     slopes = [parse_slope(s) for s in ("[0;2,1,9,9,9,9,5]", "[0;2,1,9,9,9,9,5,(1)]",
                                        "[0;2,1,9,9,9,9,5,(7,2)]")]
-    [result] = verify.run_suites(names=["critical-exponent"], slopes=slopes)
+    result, scans, lengths = _scans(slopes)
     assert result.passed, result.line()
     assert scans == [(Fraction(977, 88), 264)] * 3
+    assert lengths[0] == 37_644
+
+
+def test_a_large_quotient_scans_its_longest_run():
+    # A fixed 100,000-letter text saw only 83/2 at period 2 here; the text
+    # sized by hi ~ 42.02 holds the exponent-42 run of period 81.
+    result, scans, lengths = _scans([parse_slope("[0;2,(40)]")])
+    assert result.passed, result.line()
+    assert (scans, lengths) == ([(Fraction(42), 81)], [183_432])
+
+
+def _assert_scans_a_longer_text(cf):
+    result, scans, _ = _scans([cf])
+    assert result.passed, result.line()
+    longest = math.floor(critical_exponent(cf, 30).bounds()[1] * 1200) + 1
+    text = characteristic_prefix(cf, recurrence_window(cf, 2 * longest))
+    assert scans == [oracles.max_run_exponent(text, 1200)], cf
+
+
+@pytest.mark.parametrize("slope", verify.DEFAULT_FAMILY)
+def test_the_run_scan_sees_what_twice_its_text_sees(slope):
+    # Once the bound holds, every run fits in N letters, so R(N) letters
+    # give the same (exponent, period) as R(2N).
+    _assert_scans_a_longer_text(parse_slope(slope))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(2, 10), st.lists(st.integers(1, 10), max_size=2),
+       st.lists(st.integers(1, 10), min_size=1, max_size=3))
+def test_the_run_scan_sees_what_twice_its_text_sees_on_any_periodic_slope(a_1, pre, period):
+    _assert_scans_a_longer_text(ContinuedFraction(tuple([a_1, *pre]), tuple(period)))
+
+
+@pytest.mark.parametrize("slope", ["[0;2,(1)]", "[0;3,(1,3)]", "[0;2,(40)]"])
+def test_a_bound_too_low_sizes_a_text_that_refutes_it(slope):
+    # Negative control: the scan text is sized by the bound under test, so
+    # lowering that bound shrinks the text, yet the text still holds a run
+    # that exceeds it.  Just below the true exponent the run refuting it is
+    # the one that attains it.  The suite runs here without the runner's
+    # cap of 21 failures, which the terms above a low bound would reach.
+    cf = parse_slope(slope)
+    _, [(observed, period)], _ = _scans([cf])
+    for hi in (observed - Fraction(1, 10**6), Fraction(2)):
+        with _recorded_scans() as (mp, scans, _):
+            mp.setattr(CriticalExponentResult, "bounds", lambda self: (hi, hi))
+            ok, message = list(verify.suite_critical_exponent(cf))[-1]
+        [(found, at)] = scans
+        assert not ok and found > hi
+        if hi > 2:
+            assert (found, at) == (observed, period)
+        assert message == (f"scanned repetition of exponent {found} (period {at}) "
+                           f"exceeds the supremum bound {hi}")
 
 
 @pytest.mark.parametrize("suite", ["conjugacy-intervals", "closest-multiples"])
@@ -98,6 +176,39 @@ def test_default_family_has_twelve_slopes():
     assert all(cf.quotient(1) in (2, 3) for cf in family)
 
 
+@pytest.mark.parametrize("slope, n_max, checks", [("[0;2,(40)]", 150, 11475),
+                                                  ("[0;3,3,1,4,2,1,2]", 60, 1890)])
+def test_power_classification_cuts_every_window_from_one_growing_text(
+        monkeypatch, slope, n_max, checks):
+    # The text is rebuilt only when a window outgrows it, at twice its
+    # length; where a truncation refuses the doubled text (the second
+    # slope, from n = 39 on), the window itself is built.  Each scan sees
+    # exactly its length's window.
+    cf = parse_slope(slope)
+    built, scanned = [], []
+    build, scan = verify.characteristic_prefix, oracles.max_powers
+
+    def recorded_build(cf, length):
+        text = build(cf, length)
+        built.append(length)
+        return text
+
+    def recorded_scan(text, cases):
+        scanned.append(len(text))
+        return scan(text, cases)
+
+    monkeypatch.setattr(verify, "characteristic_prefix", recorded_build)
+    monkeypatch.setattr(oracles, "max_powers", recorded_scan)
+    [result] = verify.run_suites(names=["power-classification"], slopes=[cf], n_max=n_max)
+    assert result.line() == f"power-classification     PASS  ({checks} checks)"
+    windows = [verify.oracle_window(cf, n) for n in range(1, n_max + 1)]
+    assert scanned == windows
+    assert built == sorted(set(built))
+    if cf.is_periodic:
+        assert all(b >= 2 * a for a, b in zip(built, built[1:]))
+        assert len(built) == 5
+
+
 def test_three_distance_takes_one_oracle_key_table_per_slope(monkeypatch):
     # The oracle orders every level n <= 500 from one table of reach 500.
     calls = []
@@ -126,15 +237,14 @@ def test_power_classification_builds_each_map_once_and_rereads_it_once():
 
 
 def test_a_refused_suite_does_not_end_the_gate():
-    # a_1..a_8 of this truncation cannot settle the critical-exponent suite's
-    # 100,000-letter text; it is refused on its own line, with the message,
-    # and the other seven still run.
-    results = verify.run_suites(slopes=[parse_slope("[0;3,1,4,1,5,9,2,6]")])
+    # The critical-exponent suite's text is R(N) at N = 13,389, which needs
+    # q_8: a_1..a_7 of this truncation cannot name it.  The suite is refused
+    # on its own line, with the message, and the other seven still run.
+    results = verify.run_suites(slopes=[parse_slope("[0;3,1,4,1,5,9,2]")])
     assert [r.name for r in results] == list(verify.SUITES)
     refused = {r.name: r.refusal for r in results if r.refusal is not None}
     assert refused == {
-        "critical-exponent":
-            "cannot certify a coding of length 100000 from index 1 for slope [0;3,1,4,1,5,9,2,6]",
+        "critical-exponent": "quotient a_8 requested but expansion is only valid to depth 7",
     }
     for r in results:
         if r.refusal is None:
@@ -149,11 +259,18 @@ def test_a_refused_suite_does_not_end_the_gate():
 def test_a_truncation_scans_what_its_cylinder_fixes(slope):
     # The oracle windows need q_j and q_{j+1} with q_j <= N < q_{j+1}, which
     # a_1..a_8 fix, so the truncation and every periodic extension of it
-    # give the same lines.
+    # give the same lines and find the same longest run.  On the
+    # truncation hi = t_5 = 1495/134, and R(13,389) = 32,761 letters read
+    # only q_7 and q_8; a_1..a_8 fix 36,152.
     results = verify.run_suites(names=["square-lengths", "power-classification"],
                                 slopes=[parse_slope(slope)])
     assert [r.line() for r in results] == ["square-lengths           PASS  (1 checks)",
                                            "power-classification     PASS  (11475 checks)"]
+    result, scans, lengths = _scans([parse_slope(slope)])
+    assert result.passed, result.line()
+    assert scans == [(Fraction(1495, 134), 134)]
+    if slope == "[0;3,1,4,1,5,9,2,6]":
+        assert (result.line(), lengths) == ("critical-exponent        PASS  (12 checks)", [32_761])
 
 
 def test_the_runner_counts_prefixes_caps_and_refuses(monkeypatch):
