@@ -32,6 +32,7 @@ from sturmian.exactnum import (
 )
 from sturmian.rotation import (
     FactorInterval,
+    _square_is_factor,
     characteristic_prefix,
     factor_interval_map,
     key_table,
@@ -319,7 +320,11 @@ def square_lengths(cf: ContinuedFraction, n_max: int) -> set[int]:
 
     These are exactly the convergent denominators q_k and the strict
     semiconvergent denominators q_{k,l} (0 < l < a_k); each witness square
-    is re-certified by an exact interval computation before returning.
+    w*w is re-certified before returning, by one height walk of w under the
+    table of reach 2|w| (`rotation._square_is_factor`): the heights of w*w
+    are those of w and those of w shifted by the drift v_n of one period,
+    so w*w is a factor exactly when the spread of w plus |v_n| stays below
+    q, and the walk reads |w| letters, not 2|w|.
     """
     require_normalized(cf)
     if n_max < 1:
@@ -327,7 +332,7 @@ def square_lengths(cf: ContinuedFraction, n_max: int) -> set[int]:
     out = {q: standard_word(cf, k) for k in (0, 1) if (q := convergent(cf, k).q) <= n_max}
     out.update((q, standard_or_semistandard(cf, k, l)) for k, l, q in semiconvergents(cf, n_max))
     for q, w in out.items():
-        if word_interval(cf, w * 2) is None:
+        if not _square_is_factor(cf, w):
             raise AssertionError(f"square of {w!r} (length {q}) unexpectedly missing")
     return set(out)
 
@@ -414,7 +419,10 @@ def _exits(cf: ContinuedFraction, n: int, intervals: Collection[FactorInterval])
     The word at {-i*alpha} reads the window from a = n - i of one key list
     K(-n), ..., K(n).  Its first n keys are left[a:] + right[:a] for the
     halves left = keys[:n] and right = keys[n:2n], so running maxima and
-    minima of the two halves give every window's extremes in O(n).
+    minima of the two halves give every window's extremes in O(n).  The
+    scan for s needs no end check: k*|delta| >= q - (hi - lo), so the
+    bound hi - q + k*delta is at least lo, a key of the window (for
+    delta < 0, lo + q + k*delta is at most hi), and s stays in [a, a + n).
     """
     table = key_table(cf, (max(_length_indices(cf, n, intervals).values()) + 1) * n)
     p, q = table.p, table.q
@@ -428,15 +436,17 @@ def _exits(cf: ContinuedFraction, n: int, intervals: Collection[FactorInterval])
                    [q, *accumulate(right, min)]))
     exits = []
     for i, _, _ in intervals:
-        a = n - i
+        s = a = n - i
         drift = keys[a] - keys[a + n]
         k = -((his[a] - los[a] - q) // abs(drift))
         if drift > 0:
             bound = his[a] - q + k * drift
-            s = next(s for s in range(a, a + n) if keys[s] <= bound)
+            while keys[s] > bound:
+                s += 1
         else:
             bound = los[a] + q + k * drift
-            s = next(s for s in range(a, a + n) if keys[s] >= bound)
+            while keys[s] < bound:
+                s += 1
         exits.append(k * n + s - a)
     return exits
 

@@ -318,6 +318,28 @@ def word_interval(cf: ContinuedFraction, w: str) -> FactorInterval | None:
     return FactorInterval(lo_idx, hi_idx, hi_form - table.position_form(-lo_idx))
 
 
+def _square_is_factor(cf: ContinuedFraction, w: str) -> bool:
+    """`word_interval(cf, w * 2) is not None`, from one height walk of w.
+
+    Along w*w the heights repeat shifted by v_n: v_{n+t} = v_n + v_t, with
+    v_t = w[:t].count("1")*q - t*p as in `_height_walk`.  So the spread of
+    w*w is that of w plus |v_n|, and as the spread only grows, w*w is a
+    factor exactly when w is and (top - bottom) + |v_n| < q, top and bottom
+    being v at the walk's two extreme indices.  The table is the one the
+    walk of w*w takes, of reach 2|w|, so both refuse alike.  Like
+    `_height_walk`, it trusts its caller for a normalized cf and a
+    nonempty binary w.
+    """
+    n = len(w)
+    table = key_table(cf, 2 * n)
+    t, top_idx, bottom_idx = _height_walk(table, w)
+    if t < n:
+        return False
+    p, q = table.p, table.q
+    top, bottom, v_n = (w[:s].count("1") * q - s * p for s in (top_idx, bottom_idx, n))
+    return top - bottom + abs(v_n) < q
+
+
 def language_extension(cf: ContinuedFraction, base: str, ext: str) -> int:
     """Longest j such that base + ext[:j] stays in the language (0 if no
     letter of ext fits); base itself must be a factor."""

@@ -52,6 +52,18 @@ VERIFY = (
      "--suite", "power-classification", "--inject-fault", "flip-gamma"],
 )
 
+# CLI branches the commands above miss: a supremum attained at k = 0, then
+# the two refusals and the two usage errors, which print the same in either
+# format.
+BRANCHES = (
+    ["critical-exponent", "--slope", "[0;9,(1)]", "--depth", "4", "--format", "table"],
+    ["critical-exponent", "--slope", "[0;9,(1)]", "--depth", "4", "--format", "json"],
+    ["verify", "--suite", "three-distance", "--n-max", "5"],
+    ["verify", "--suite", "three-distance", "--inject-fault", "flip-gamma"],
+    ["factors", "--slope", "[0;2,(1)]", "--n", "0"],
+    ["factors", "--slope", "[0;2,(1)]", "--n", "x"],
+)
+
 
 def cases() -> list[list[str]]:
     out = []
@@ -61,7 +73,7 @@ def cases() -> list[list[str]]:
                 out.append(args + ["--slope", slope, "--format", fmt])
         for args in VERIFY:
             out.append(args + ["--format", fmt])
-    return out
+    return out + [list(args) for args in BRANCHES]
 
 
 def invoke(argv: list[str]) -> dict:
@@ -83,6 +95,7 @@ def golden() -> dict[tuple[str, ...], dict]:
 @pytest.mark.parametrize("argv", cases(), ids=" ".join)
 def test_cli_output_matches_golden(argv, golden, monkeypatch):
     monkeypatch.delenv("STURM_DEPTH_LIMIT", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
     assert invoke(argv) == golden[tuple(argv)]
 
 
@@ -90,6 +103,7 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         raise SystemExit("usage: PYTHONPATH=src python tests/test_golden.py --write")
     os.environ.pop("STURM_DEPTH_LIMIT", None)
+    os.environ["COLUMNS"] = "80"
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps([invoke(argv) for argv in cases()], indent=1) + "\n",
                        encoding="utf-8")

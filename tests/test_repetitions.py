@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FAMILY_SLOPES, periodic_tail_surd
-from sturmian import oracles, repetitions
+from sturmian import oracles, repetitions, rotation
 from sturmian.cli import main
 from sturmian.exactnum import (
     ContinuedFraction,
@@ -548,6 +548,45 @@ def test_fractional_indices_match_the_slice_route(family):
 def test_fractional_indices_match_the_slice_route_on_drawn_slopes(a_1, preperiod, period, n):
     cf = ContinuedFraction((a_1, *preperiod), tuple(period))
     assert classified_fractions(cf, n) == reference_fractional_indices(cf, n)
+
+
+def check_exits_against_the_walk(cf, n_max: int) -> tuple[set[tuple[bool, bool]], int]:
+    """`_exits` of every factor of lengths 1..n_max against the height walk
+    of w^(ind + 2), whose longest factor prefix has t - 1 letters.  Lengths
+    and words whose tables a truncation refuses are skipped.  Returns the
+    kinds (drift > 0, k >= 2) met, k = t // n the period of the exit, and
+    the number of words compared."""
+    kinds, compared = set(), 0
+    for n in range(1, n_max + 1):
+        try:
+            indices = indices_by_interval(cf, n)
+            exits = repetitions._exits(cf, n, factor_interval_map(cf, n).values())
+        except DepthError:
+            continue
+        for (w, ind), t in zip(indices.items(), exits):
+            power = w * (ind + 2)
+            try:
+                table = key_table(cf, len(power))
+            except DepthError:
+                continue
+            assert rotation._height_walk(table, power)[0] + 1 == t, (str(cf), w)
+            kinds.add((w.count("1") * table.q > n * table.p, t // n >= 2))
+            compared += 1
+    return kinds, compared
+
+
+def test_exits_match_the_walk_of_a_power(family):
+    # Both drift signs, each with exits in the first period and past it.
+    for cf in family:
+        kinds, compared = check_exits_against_the_walk(cf, 40)
+        assert kinds == {(True, True), (True, False), (False, True), (False, False)}, str(cf)
+        assert compared == 860
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 5), st.lists(st.integers(1, 5), min_size=1, max_size=8))
+def test_exits_match_the_walk_of_a_power_on_drawn_truncations(a_1, rest):
+    check_exits_against_the_walk(ContinuedFraction((a_1, *rest)), 40)
 
 
 def test_fractional_index_matches_the_walk_on_truncations():

@@ -807,6 +807,58 @@ def test_word_interval_of_squares(example_slope):
     assert 0 < lo and hi < Fraction(1, 10)
 
 
+def _square_or_refusal(square, cf: ContinuedFraction, w: str):
+    try:
+        return square(cf, w)
+    except UndecidedError as exc:
+        return type(exc), str(exc)
+
+
+def check_square_certificate(cf: ContinuedFraction, source: ContinuedFraction
+                             ) -> tuple[int, int]:
+    """`_square_is_factor` against the walk of w*2 itself, on every factor
+    of `source` of lengths 1..60 and every one-letter flip of it: the same
+    verdict, or the same refusal.  Returns how many words are squared and
+    how many refused."""
+    words = set()
+    for n in range(1, 61):
+        for w in factor_interval_map(source, n):
+            words.add(w)
+            words.update(w[:j] + "10"[int(w[j])] + w[j + 1:] for j in range(n))
+    squares = refusals = 0
+    for w in words:
+        got = _square_or_refusal(rotation._square_is_factor, cf, w)
+        expected = _square_or_refusal(lambda cf, w: word_interval(cf, w * 2) is not None, cf, w)
+        assert got == expected, (str(cf), w)
+        squares += got is True
+        refusals += type(got) is tuple
+    return squares, refusals
+
+
+@pytest.mark.parametrize("slope", FAMILY_SLOPES)
+def test_square_certificate_matches_the_walk_of_the_square(slope):
+    cf = parse_slope(slope)
+    assert check_square_certificate(cf, cf)[0] > 0
+
+
+@settings(max_examples=3, deadline=None)
+@given(st.integers(2, 9), st.lists(st.integers(1, 9), max_size=3),
+       st.lists(st.integers(1, 9), min_size=1, max_size=4))
+def test_square_certificate_matches_the_walk_on_drawn_slopes(a_1, preperiod, period):
+    cf = ContinuedFraction((a_1, *preperiod), tuple(period))
+    assert check_square_certificate(cf, cf)[0] > 0
+
+
+@pytest.mark.parametrize("slope, counts", [("[0;3,1,4,1,5,9,2,6]", (110, 0)),
+                                           ("[0;2,1,1]", (11, 73_660))])
+def test_square_certificate_refuses_as_the_walk_on_truncations(slope, counts):
+    # Words of an extension, so that lengths past the cylinder's factor
+    # maps are asked too: [0;2,1,1] certifies reach 12 only, so every word
+    # of 7 letters or more is refused, by both routes with the same message.
+    cf = parse_slope(slope)
+    assert check_square_certificate(cf, ContinuedFraction(cf.preperiod, (1,))) == counts
+
+
 # ------------------------------------------------------------------
 # three-distance partition
 # ------------------------------------------------------------------
