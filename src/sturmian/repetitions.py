@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from typing import Collection, Iterable, NamedTuple
+from operator import floordiv, mul, sub
+from typing import Iterable, NamedTuple, Sequence
 
 from sturmian import oracles
 from sturmian.exactnum import (
@@ -140,29 +141,25 @@ def _factor_interval(cf: ContinuedFraction, w: str) -> FactorInterval:
 
 def index_by_interval(cf: ContinuedFraction, w: str) -> int:
     """Integer index from the interval length: gamma + floor(|[w]|/||n a||)."""
-    interval = _factor_interval(cf, w)
-    return _length_indices(cf, len(w), [interval])[interval.length]
+    return _length_indices(cf, len(w), [_factor_interval(cf, w).length])[0]
 
 
-def _length_indices(cf: ContinuedFraction, n: int,
-                    intervals: Iterable[FactorInterval]) -> dict[LinearForm, int]:
-    """Interval length -> index for the given length-n intervals.
+def _length_indices(cf: ContinuedFraction, n: int, lengths: Iterable[LinearForm]) -> list[int]:
+    """The index of each given interval length of a length-n factor, in order.
 
     The n + 1 intervals of a length take at most three lengths
-    (three-distance theorem), so the formula runs once per distinct length
-    asked for, in the order the lengths first appear.
+    (three-distance theorem), so callers pass each distinct length once
+    (`FactorMap.lengths`) and the formula runs once per length.
     """
     dist = distance(cf, n)
-    lengths = dict.fromkeys(iv.length for iv in intervals)
-    return {length: (0 if length == dist else 1) + floor_ratio(cf, length, dist)
-            for length in lengths}
+    return [(0 if length == dist else 1) + floor_ratio(cf, length, dist) for length in lengths]
 
 
 def indices_by_interval(cf: ContinuedFraction, n: int) -> dict[str, int]:
     """index_by_interval of every factor of length n, in circular order."""
     factors = factor_interval_map(cf, n)
-    by_length = _length_indices(cf, n, factors.values())
-    return {w: by_length[iv.length] for w, iv in factors.items()}
+    by_gap = dict(zip(factors.lengths, _length_indices(cf, n, factors.lengths.values())))
+    return dict(zip(factors.words, map(by_gap.__getitem__, factors.gaps)))
 
 
 def recurrence_window(cf: ContinuedFraction, length: int) -> int:
@@ -261,7 +258,8 @@ def classify_length(cf: ContinuedFraction, n: int,
     """IndexReport for every factor of length n, in circular order, by the
     positional rule (`_reports`); fractional indices only on request.  The
     interval formula and the scan oracle cross-check the rule in `verify`."""
-    return _reports(cf, n, length_case(cf, n), factor_interval_map(cf, n), with_fractional)
+    case, fmap = length_case(cf, n), factor_interval_map(cf, n)
+    return _reports(cf, n, case, fmap.words, fmap.lefts, fmap.lengths.values(), with_fractional)
 
 
 def classify_word(cf: ContinuedFraction, w: str) -> IndexReport:
@@ -269,13 +267,15 @@ def classify_word(cf: ContinuedFraction, w: str) -> IndexReport:
     from w alone in O(|w|): [w] by the height walk, no factor map."""
     if not check_word(w):
         raise NotAFactorError("the empty word has no index")
-    [report] = _reports(cf, len(w), length_case(cf, len(w)), {w: _factor_interval(cf, w)}, True)
+    case, interval = length_case(cf, len(w)), _factor_interval(cf, w)
+    [report] = _reports(cf, len(w), case, [w], [interval.left_idx], [interval.length], True)
     return report
 
 
 def _reports(cf: ContinuedFraction, n: int, case: tuple[str, tuple[str, int, int, int, int, int]],
-             factors: dict[str, FactorInterval], with_fractional: bool) -> list[IndexReport]:
-    """IndexReport of each length-n factor given with its interval.
+             words: Sequence[str], lefts: Iterable[int], lengths: Iterable[LinearForm],
+             with_fractional: bool) -> list[IndexReport]:
+    """IndexReport of each factor words[t], whose interval starts at {-lefts[t]*alpha}.
 
     One positional rule covers all seven cases (Damanik-Lenz): with the
     case's (root, m, split, first, rest, other) from `length_case`, the
@@ -292,23 +292,23 @@ def _reports(cf: ContinuedFraction, n: int, case: tuple[str, tuple[str, int, int
     tag, (root, m, split, first, rest, other) = case
     r, doubled = len(root), root * 2
     positions = [-j % r if root and (j := doubled.find(w[:r])) >= 0 and w == w[:r] * m
-                 else None for w in factors]
+                 else None for w in words]
     if (root and root in doubled[1:-1]
-            or len(factors) > n and len(positions) - positions.count(None) != r):
+            or len(words) > n and len(positions) - positions.count(None) != r):
         raise AssertionError(f"case {tag}: the shifts of {root!r} are not distinct factors "
                              f"of length {n} for {cf}")
     indices = [other if pos is None else first if pos < split else rest for pos in positions]
     fractions = repeat(None)
     if with_fractional:
-        exits = _exits(cf, n, factors.values())
-        for w, idx, t in zip(factors, indices, exits):
+        exits = _exits(cf, n, lefts, lengths)
+        for w, idx, t in zip(words, indices, exits):
             if (t - 1) // n != idx:
                 raise AssertionError(f"case {tag}: {w!r} has index {idx} but fractional "
                                      f"index {Fraction(t - 1, n)} for {cf}")
         # (t - 1)/n, one Fraction per distinct exit t.
         by_exit = {t: Fraction(t - 1, n) for t in set(exits)}
         fractions = map(by_exit.__getitem__, exits)
-    return list(map(IndexReport, factors, repeat(n), indices, repeat(tag), positions, fractions))
+    return list(map(IndexReport, words, repeat(n), indices, repeat(tag), positions, fractions))
 
 
 # ------------------------------------------------------------------
@@ -365,16 +365,17 @@ def conjugacy_report(cf: ContinuedFraction, k: int, l: int) -> ConjugacyReport:
     narrow_len = convergent_distance(cf, k - 1)
     leftover_len = semiconvergent_distance(cf, k, l)
 
-    intervals = factor_interval_map(cf, n)
+    factors = factor_interval_map(cf, n)
+    gaps = dict(zip(factors.words, factors.gaps))
     for i, c in enumerate(conj):
         expected = wide_len if i < q_prev - 1 else narrow_len
-        if intervals[c].length != expected:
+        if factors.lengths[gaps[c]] != expected:
             raise AssertionError(f"conjugate {i} of {base!r} has unexpected interval length")
-    leftover = set(intervals) - set(conj)
+    leftover = set(gaps) - set(conj)
     if len(leftover) != 1:
         raise AssertionError(f"expected exactly one non-conjugate factor at n={n}")
     leftover_word = leftover.pop()
-    if intervals[leftover_word].length != leftover_len:
+    if factors.lengths[gaps[leftover_word]] != leftover_len:
         raise AssertionError("non-conjugate factor has unexpected interval length")
     if conj[q_prev - 2] != plain:
         raise AssertionError(f"conjugate {q_prev - 2} of {base!r} is not s_({k},{l})")
@@ -393,13 +394,15 @@ def conjugacy_report(cf: ContinuedFraction, k: int, l: int) -> ConjugacyReport:
 def fractional_index(cf: ContinuedFraction, w: str) -> Fraction:
     """sup of exponents e with w^e a factor, as an exact rational: (t - 1)/|w|
     for the first prefix length t of w^inf that is not a factor (`_exits`)."""
-    [t] = _exits(cf, len(w), [_factor_interval(cf, w)])
+    interval = _factor_interval(cf, w)
+    [t] = _exits(cf, len(w), [interval.left_idx], [interval.length])
     return Fraction(t - 1, len(w))
 
 
-def _exits(cf: ContinuedFraction, n: int, intervals: Collection[FactorInterval]) -> list[int]:
-    """Least t such that the prefix of length t of w^inf is not a factor,
-    for the length-n factor w of each interval, in the order given.
+def _exits(cf: ContinuedFraction, n: int, lefts: Iterable[int],
+           lengths: Iterable[LinearForm]) -> list[int]:
+    """Least t such that the prefix of length t of w^inf is not a factor, for
+    the factor w at {-i*alpha} of each i in `lefts`, its length in `lengths`.
 
     Keys are K(m) = m*p mod q.  For the w whose interval starts at
     {-i*alpha}, the heights of `rotation._height_walk` are v_s = K(-i) -
@@ -413,18 +416,19 @@ def _exits(cf: ContinuedFraction, n: int, intervals: Collection[FactorInterval])
     index of that period that does.  delta < 0 mirrors it with the top.
     Each comparison sets some (t - s)*alpha against an integer, and
     w^(ind+1) is not a factor, so t <= (ind+1)*n: one table of reach
-    (ind+1)*n, ind the largest index among the intervals, signs all of
-    them as alpha does; keys are distinct, so there is no tie.
+    (ind+1)*n, ind the largest index of the lengths, signs all of them
+    as alpha does; keys are distinct, so there is no tie.
 
     The word at {-i*alpha} reads the window from a = n - i of one key list
     K(-n), ..., K(n).  Its first n keys are left[a:] + right[:a] for the
-    halves left = keys[:n] and right = keys[n:2n], so running maxima and
-    minima of the two halves give every window's extremes in O(n).  The
-    scan for s needs no end check: k*|delta| >= q - (hi - lo), so the
-    bound hi - q + k*delta is at least lo, a key of the window (for
-    delta < 0, lo + q + k*delta is at most hi), and s stays in [a, a + n).
+    halves left = keys[:n] and right = keys[n:2n]: running maxima and minima
+    of the halves give every window's extremes, and maps run in C give its
+    delta, -k and -k*delta, all in O(n); only the scan for s, on the windows
+    asked for, runs in Python.  It needs no end check: k*|delta| >= q - (hi -
+    lo), so the bound hi - q + k*delta is at least lo, a key of the window
+    (for delta < 0, lo + q + k*delta is at most hi): s stays in [a, a + n).
     """
-    table = key_table(cf, (max(_length_indices(cf, n, intervals).values()) + 1) * n)
+    table = key_table(cf, (max(_length_indices(cf, n, lengths)) + 1) * n)
     p, q = table.p, table.q
     keys = [m % q for m in range(-n * p, (n + 1) * p, p)]
     left, right = keys[:n], keys[n:2 * n]
@@ -434,20 +438,21 @@ def _exits(cf: ContinuedFraction, n: int, intervals: Collection[FactorInterval])
                    [-1, *accumulate(right, max)]))
     los = list(map(min, [*accumulate(reversed(left), min)][::-1] + [q],
                    [q, *accumulate(right, min)]))
+    drifts = list(map(sub, keys[:n + 1], keys[n:]))
+    negks = list(map(floordiv, map(sub, map(sub, his, los), repeat(q)), map(abs, drifts)))
+    steps = list(map(mul, negks, drifts))
     exits = []
-    for i, _, _ in intervals:
+    for i in lefts:
         s = a = n - i
-        drift = keys[a] - keys[a + n]
-        k = -((his[a] - los[a] - q) // abs(drift))
-        if drift > 0:
-            bound = his[a] - q + k * drift
+        if drifts[a] > 0:
+            bound = his[a] - q - steps[a]
             while keys[s] > bound:
                 s += 1
         else:
-            bound = los[a] + q + k * drift
+            bound = los[a] + q - steps[a]
             while keys[s] < bound:
                 s += 1
-        exits.append(k * n + s - a)
+        exits.append(s - a - negks[a] * n)
     return exits
 
 

@@ -10,15 +10,17 @@ where p/q lies in a bracket of alpha holding no fraction that could tell
 the two apart (`KeyTable` states the rule), with no error bound and no
 sort.  Codings (factor-map words too) read their letters off the floors,
 letter j being floor((j+1)*alpha) - floor(j*alpha); the oracles' text
-comes from the standard-word recursion instead.  The interval [w] of a
-word is one running max and min of its heights (counts of 1s in
-prefixes) in key units.  The heights of the periodic word w^inf drift by
-a fixed amount per period, so where it leaves the language has a closed
-form (`repetitions._exits`).
+comes from the standard-word recursion instead.  A length's factors are
+one circular layout (`FactorMap`) of words, left ends and gaps {d*alpha}.
+The interval [w] of a word is one running max and min of its heights
+(counts of 1s in prefixes) in key units.  The heights of the periodic
+word w^inf drift by a fixed amount per period, so where it leaves the
+language has a closed form (`repetitions._exits`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -225,48 +227,70 @@ def factors_of_length(cf: ContinuedFraction, n: int) -> list[tuple[str, FactorIn
 
     Output follows the circular order of the intervals starting at 0.
     """
-    return list(factor_interval_map(cf, n).items())
+    factors = factor_interval_map(cf, n)
+    return list(zip(factors.words, map(factors._interval, range(n + 1))))
 
 
-# An entry holds n + 1 words of length n, whose intervals share at most
-# four length forms.  Single words, `index --word` too, take the height
-# walk (`word_interval`), so the one re-read is power-classification's
-# `indices_by_interval` of the map `classify_length` has just built:
-# `verify --n-max 150` hits 1,800 times and misses 1,909 at a bound of 1,
-# 2 or 4 (1,812 and 1,897 at 256); the `bench/` sweep and queries hit none.
+class FactorMap(Mapping[str, FactorInterval]):
+    """The length-n factors as one circular layout, read as word -> interval.
+
+    words[t] is the factor of the t-th interval counterclockwise from 0, its
+    left end {-lefts[t]*alpha} and its length lengths[gaps[t]], for gaps[t] =
+    lefts[t] - lefts[(t + 1) % (n + 1)].  Intervals are built as they are
+    read; the first `[w]` indexes the words.
+    """
+
+    def __init__(self, words: list[str], lefts: list[int], gaps: list[int],
+                 lengths: dict[int, LinearForm]) -> None:
+        self.words, self.lefts, self.gaps, self.lengths = words, lefts, gaps, lengths
+        self._where: dict[str, int] | None = None
+
+    def _interval(self, t: int) -> FactorInterval:
+        lefts = self.lefts
+        return FactorInterval(lefts[t], lefts[(t + 1) % len(lefts)], self.lengths[self.gaps[t]])
+
+    def __getitem__(self, w: str) -> FactorInterval:
+        where = self._where
+        if where is None:  # built whole, then published in one assignment
+            where = self._where = dict(zip(self.words, range(len(self.words))))
+        return self._interval(where[w])
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.words)
+
+
+# An entry is one layout of n + 1 words of length n.  Single words, `index
+# --word` too, take the height walk (`word_interval`), so the one re-read is
+# power-classification's `indices_by_interval` of the map `classify_length`
+# has just built: `verify --n-max 150` hits 1,800 times and misses 1,909 at
+# a bound of 1, 2 or 4 (1,812 and 1,897 at 256); the `bench/` sweep and
+# queries hit none.
 @lru_cache(maxsize=1)
-def factor_interval_map(cf: ContinuedFraction, n: int) -> dict[str, FactorInterval]:
-    """Word -> interval for the length-n factors, in circular order (cached).
+def factor_interval_map(cf: ContinuedFraction, n: int) -> FactorMap:
+    """The length-n factors and their intervals in circular order (cached).
 
-    The circle is split by the points {0, -alpha, ..., -n*alpha}; the word
-    of the interval starting at {-i*alpha} is read off one coding of the
-    indices -n..n-1 by a key table of reach n, with no sample point.  A map
-    cached under one `STURM_DEPTH_LIMIT` stays certified when it is lowered.
+    The points {0, -alpha, ..., -n*alpha} split the circle, ordered by a key
+    table of reach n; the word at {-i*alpha} is read off one coding of the
+    indices -n..n-1, with no sample point.  The gap from {-i*alpha} to the
+    next point {-j*alpha}, the wrap to 0 included, is d*alpha mod 1 for
+    d = i - j and lies in (0, 1): it is d*alpha - floor(d*alpha), whose
+    floor is the table's d*p//q as |d| <= n < q.  A map cached under one
+    `STURM_DEPTH_LIMIT` stays certified when it is lowered.
     """
     require_normalized(cf)
     if n < 1:
         raise ValueError(f"factor length must be >= 1, got {n}")
-    table = key_table(cf, n)  # its floors hold for |m| < q, so on -n..n too
+    table = key_table(cf, n)
     p, q = table.p, table.q
     bitstr = _coding(p, q, -n, n)  # {-i*alpha}'s word starts at n - i
-    # {-i*alpha} is the form -i*alpha - floors[i]; the last gap wraps past 1.
-    floors = [m // q for m in range(0, -(n + 1) * p, -p)]
     keys = [m % q for m in range(0, -(n + 1) * p, -p)]
-    order = sorted(range(n + 1), key=keys.__getitem__)
-    # The n gaps that do not wrap take at most three lengths (three-distance
-    # theorem), so each distinct form is built once and shared.
-    forms: dict[tuple[int, int], LinearForm] = {}
-    out = {}
-    for i, nxt in zip(order, order[1:]):
-        pair = i - nxt, floors[nxt] - floors[i]
-        length = forms.get(pair)
-        if length is None:
-            length = forms[pair] = LinearForm(*pair)
-        out[bitstr[n - i: 2 * n - i]] = FactorInterval(i, nxt, length)
-    i, nxt = order[n], order[0]
-    length = LinearForm(i - nxt, floors[nxt] - floors[i] - 1)
-    out[bitstr[n - i: 2 * n - i]] = FactorInterval(i, nxt, length)
-    return out
+    lefts = sorted(range(n + 1), key=keys.__getitem__)
+    gaps = [i - j for i, j in zip(lefts, lefts[1:] + lefts[:1])]
+    return FactorMap([bitstr[n - i: 2 * n - i] for i in lefts], lefts, gaps,
+                     {d: LinearForm(d, d * p // q) for d in dict.fromkeys(gaps)})
 
 
 # ------------------------------------------------------------------

@@ -206,10 +206,10 @@ def suite_power_classification(cf: ContinuedFraction, n_max: int,
             continue
         formulas = indices_by_interval(cf, n)
         if inject_fault == "flip-gamma":
-            intervals = factor_interval_map(cf, n)
+            factors = factor_interval_map(cf, n)
             dist = distance(cf, n)
-            formulas = {w: index + (1 if intervals[w].length == dist else -1)
-                        for w, index in formulas.items()}
+            formulas = {w: index + (1 if factors.lengths[d] == dist else -1)
+                        for (w, index), d in zip(formulas.items(), factors.gaps)}
         # One oracle window per length, long enough to certify every scan,
         # and one scan of it for every word.  The windows are cut from one
         # text per slope, doubled when a window outgrows it; where the

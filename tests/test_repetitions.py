@@ -304,7 +304,7 @@ def test_classify_with_fractional_refuses_a_late_exit(monkeypatch, family):
     # (t - 1) // n is one above the positional index.
     exits = repetitions._exits
     monkeypatch.setattr(repetitions, "_exits",
-                        lambda cf, n, intervals: [t + n for t in exits(cf, n, intervals)])
+                        lambda cf, n, lefts, lengths: [t + n for t in exits(cf, n, lefts, lengths)])
     for cf in family:
         with pytest.raises(AssertionError, match="fractional index"):
             for n in range(1, 21):
@@ -560,7 +560,8 @@ def check_exits_against_the_walk(cf, n_max: int) -> tuple[set[tuple[bool, bool]]
     for n in range(1, n_max + 1):
         try:
             indices = indices_by_interval(cf, n)
-            exits = repetitions._exits(cf, n, factor_interval_map(cf, n).values())
+            factors = factor_interval_map(cf, n)
+            exits = repetitions._exits(cf, n, factors.lefts, factors.lengths.values())
         except DepthError:
             continue
         for (w, ind), t in zip(indices.items(), exits):
@@ -587,6 +588,23 @@ def test_exits_match_the_walk_of_a_power(family):
 @given(st.integers(2, 5), st.lists(st.integers(1, 5), min_size=1, max_size=8))
 def test_exits_match_the_walk_of_a_power_on_drawn_truncations(a_1, rest):
     check_exits_against_the_walk(ContinuedFraction((a_1, *rest)), 40)
+
+
+def test_exits_of_a_whole_length_match_word_by_word(family):
+    # The whole-length route maps every window's drift, k and k*drift at
+    # once; one word at a time, on a table sized by its own length, must
+    # give the same exits, with the heights drifting both ways.
+    signs = set()
+    for cf in family:
+        for n in range(1, 61):
+            factors = factor_interval_map(cf, n)
+            whole = repetitions._exits(cf, n, factors.lefts, factors.lengths.values())
+            single = [t for i, d in zip(factors.lefts, factors.gaps)
+                      for t in repetitions._exits(cf, n, [i], [factors.lengths[d]])]
+            assert whole == single, (str(cf), n)
+            table = key_table(cf, n)
+            signs.update(w.count("1") * table.q > n * table.p for w in factors)
+    assert signs == {True, False}
 
 
 def test_fractional_index_matches_the_walk_on_truncations():
@@ -621,12 +639,12 @@ def test_exit_tables_are_sized_by_the_intervals_asked_for():
     assert len(factors) == 11
     with pytest.raises(DepthError, match=re.escape(
             "cannot certify 21 orbit points for slope [0;2,3] within depth 2")):
-        repetitions._exits(cf, 10, factors.values())
+        repetitions._exits(cf, 10, factors.lefts, factors.lengths.values())
     assert fractional_index(cf, "01001") == Fraction(8, 5)
     cf = parse_slope("[0;7,7]")
     factors = factor_interval_map(cf, 36)
     with pytest.raises(DepthError):
-        repetitions._exits(cf, 36, factors.values())
+        repetitions._exits(cf, 36, factors.lefts, factors.lengths.values())
     answered = {}
     for w in factors:
         try:

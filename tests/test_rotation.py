@@ -17,6 +17,7 @@ from sturmian import exactnum, oracles, repetitions, rotation
 from sturmian.exactnum import ContinuedFraction, LinearForm, UndecidedError, parse_slope
 from sturmian.rotation import (
     FactorInterval,
+    FactorMap,
     characteristic_prefix,
     coding_prefix,
     factor_interval_map,
@@ -619,15 +620,43 @@ def reference_factor_interval_map(cf: ContinuedFraction, n: int) -> dict[str, Fa
     return out
 
 
+def assert_gap_identity(cf: ContinuedFraction, n: int, got: FactorMap) -> None:
+    """The layout's uniform rule, each gap {d*alpha} for d = left - right
+    with floor(d*alpha) = d*p//q, the wrap gap included, against the
+    per-entry construction; the gaps take at most three d, each one form."""
+    assert list(got.items()) == list(reference_factor_interval_map(cf, n).items()), (str(cf), n)
+    intervals = [iv for _, iv in got.items()]
+    assert len({iv.length for iv in intervals}) <= 3
+    assert len({id(iv.length) for iv in intervals}) == len(got.lengths) <= 3
+
+
 def test_shared_form_maps_match_the_per_entry_construction(family):
     for cf in family:
-        for n in (*range(1, 81), 1000):
+        for n in (*range(1, 201), 1000):
+            assert_gap_identity(cf, n, factor_interval_map(cf, n))
+
+
+@settings(max_examples=50, deadline=None)
+@given(A1, st.lists(QUOTIENTS, min_size=1, max_size=8))
+def test_gap_length_identity_on_drawn_truncations(a_1, rest):
+    known = (a_1, *rest)
+    cf = ContinuedFraction(known)
+    for n in range(1, min(mediant_denominator(known), 201)):
+        assert_gap_identity(cf, n, factor_interval_map(cf, n))
+
+
+def test_gap_length_identity_catches_a_wrap_gap_one_off(family):
+    # Mutant: the wrap gap's form given an extra -1 in its constant, as the
+    # wrap's special case once had, the other n gaps left as they are.
+    for cf in family:
+        for n in (1, 7, 40):
             got = factor_interval_map(cf, n)
-            assert list(got.items()) == list(reference_factor_interval_map(cf, n).items())
-            # Three distances (the wrap's value is one of them), and each
-            # is one object: three shared forms and the wrap's own.
-            assert len({iv.length for iv in got.values()}) <= 3
-            assert len({id(iv.length) for iv in got.values()}) <= 4
+            d = got.gaps[-1]
+            mutant = FactorMap(got.words, got.lefts, [*got.gaps[:-1], None],
+                               {**got.lengths, None: got.lengths[d].shift(1)})
+            assert list(mutant.items())[:-1] == list(got.items())[:-1]
+            with pytest.raises(AssertionError, match=re.escape(str((str(cf), n)))):
+                assert_gap_identity(cf, n, mutant)
 
 
 def test_factor_intervals_match_partition_lengths(example_slope):
