@@ -461,11 +461,7 @@ def semiconvergent_distance(cf: ContinuedFraction, k: int, l: int) -> LinearForm
 
 
 def convergent_distance(cf: ContinuedFraction, k: int) -> LinearForm:
-    """||q_k*alpha|| for k >= -1 with the conventions ||q_-1 a|| = 1, ||q_0 a|| = alpha."""
-    if k == -1:
-        return ONE
-    if k == 0:
-        return ALPHA
+    """||q_k*alpha|| = (-1)^k (q_k a - p_k) for k >= -1: 1 at k = -1, alpha at k = 0."""
     p, q = _ctx(cf).pair(k)
     s = -1 if k % 2 else 1
     return LinearForm(s * q, s * p)

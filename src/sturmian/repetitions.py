@@ -43,7 +43,6 @@ from sturmian.rotation import (
 )
 from sturmian.words import (
     check_word,
-    conjugates,
     reversal,
     standard_or_semistandard,
     standard_word,
@@ -155,11 +154,12 @@ def _length_indices(cf: ContinuedFraction, n: int, lengths: Iterable[LinearForm]
     return [(0 if length == dist else 1) + floor_ratio(cf, length, dist) for length in lengths]
 
 
-def indices_by_interval(cf: ContinuedFraction, n: int) -> dict[str, int]:
-    """index_by_interval of every factor of length n, in circular order."""
+def indices_by_interval(cf: ContinuedFraction, n: int) -> list[int]:
+    """index_by_interval of every factor of length n, in layout order
+    (`FactorMap.words`, the order of `classify_length`)."""
     factors = factor_interval_map(cf, n)
     by_gap = dict(zip(factors.lengths, _length_indices(cf, n, factors.lengths.values())))
-    return dict(zip(factors.words, map(by_gap.__getitem__, factors.gaps)))
+    return list(map(by_gap.__getitem__, factors.gaps))
 
 
 def recurrence_window(cf: ContinuedFraction, length: int) -> int:
@@ -272,6 +272,25 @@ def classify_word(cf: ContinuedFraction, w: str) -> IndexReport:
     return report
 
 
+def _conjugate_positions(cf: ContinuedFraction, n: int, root: str, m: int,
+                         words: Sequence[str]) -> list[int | None]:
+    """The conjugate position of each words[t]: i if it is C^i(root)^m,
+    i < |root|, else None.
+
+    w is C^i(root)^m when w[:|root|] first occurs at -i mod |root| in
+    root + root and w is m copies of it.  Self-check: root is primitive
+    (its shifts are distinct), and given all n + 1 factors, |root| match.
+    """
+    r, doubled = len(root), root * 2
+    positions = [-j % r if root and (j := doubled.find(w[:r])) >= 0 and w == w[:r] * m
+                 else None for w in words]
+    if (root and root in doubled[1:-1]
+            or len(words) > n and len(positions) - positions.count(None) != r):
+        raise AssertionError(f"the shifts of {root!r} are not distinct factors "
+                             f"of length {n} for {cf}")
+    return positions
+
+
 def _reports(cf: ContinuedFraction, n: int, case: tuple[str, tuple[str, int, int, int, int, int]],
              words: Sequence[str], lefts: Iterable[int], lengths: Iterable[LinearForm],
              with_fractional: bool) -> list[IndexReport]:
@@ -279,24 +298,15 @@ def _reports(cf: ContinuedFraction, n: int, case: tuple[str, tuple[str, int, int
 
     One positional rule covers all seven cases (Damanik-Lenz): with the
     case's (root, m, split, first, rest, other) from `length_case`, the
-    factor C^i(root)^m, i < |root|, has conjugate position i and index
-    `first` if i < split, else `rest`; every other factor has `other`.
-    w is C^i(root)^m when w[:|root|] first occurs at -i mod |root| in
-    root + root and w is m copies of it.  Self-check: root is primitive
-    (its shifts are distinct), and given all n + 1 factors, |root| match.
-    Each fractional index is (t - 1)/n for the exit t where w^inf leaves
-    the language (`_exits`), so its floor (t - 1) // n must equal the
-    positional index: two routes meet on every word, on integers, before
-    any Fraction is built.
+    factor C^i(root)^m, i < |root|, has conjugate position i
+    (`_conjugate_positions`) and index `first` if i < split, else `rest`;
+    every other factor has `other`.  Each fractional index is (t - 1)/n
+    for the exit t where w^inf leaves the language (`_exits`), so its
+    floor (t - 1) // n must equal the positional index: two routes meet on
+    every word, on integers, before any Fraction is built.
     """
     tag, (root, m, split, first, rest, other) = case
-    r, doubled = len(root), root * 2
-    positions = [-j % r if root and (j := doubled.find(w[:r])) >= 0 and w == w[:r] * m
-                 else None for w in words]
-    if (root and root in doubled[1:-1]
-            or len(words) > n and len(positions) - positions.count(None) != r):
-        raise AssertionError(f"case {tag}: the shifts of {root!r} are not distinct factors "
-                             f"of length {n} for {cf}")
+    positions = _conjugate_positions(cf, n, root, m, words)
     indices = [other if pos is None else first if pos < split else rest for pos in positions]
     fractions = repeat(None)
     if with_fractional:
@@ -344,9 +354,12 @@ def square_lengths(cf: ContinuedFraction, n_max: int) -> set[int]:
 def conjugacy_report(cf: ContinuedFraction, k: int, l: int) -> ConjugacyReport:
     """Full conjugacy-class structure at length q_{k,l} (l = a_k gives s_k).
 
-    Tags are assigned positionally and then certified against the exact
-    interval of every factor; the conjugate at position q_{k-1} - 2 is
-    checked to be s_{k,l} itself.
+    Each factor of the layout takes its conjugate position, and so its tag,
+    from the positional rule (`_conjugate_positions`, whose count check
+    leaves one other factor); every tag is certified against the factor's
+    exact interval, and the conjugate at position q_{k-1} - 2 is checked
+    to be s_{k,l}.  No quotient past a_k is read (`length_case` would read
+    a_{k+1}), so a truncation answers at its last k.
     """
     require_normalized(cf)
     if k < 2:
@@ -357,33 +370,30 @@ def conjugacy_report(cf: ContinuedFraction, k: int, l: int) -> ConjugacyReport:
     plain = standard_or_semistandard(cf, k, l)
     base = reversal(plain)
     n = len(base)
-    conj = conjugates(base)
-    if len(set(conj)) != n:
-        raise AssertionError(f"s_({k},{l}) reversed is not primitive: {base!r}")
     q_prev = convergent(cf, k - 1).q
     wide_len = semiconvergent_distance(cf, k, l - 1)
     narrow_len = convergent_distance(cf, k - 1)
     leftover_len = semiconvergent_distance(cf, k, l)
 
     factors = factor_interval_map(cf, n)
-    gaps = dict(zip(factors.words, factors.gaps))
-    for i, c in enumerate(conj):
-        expected = wide_len if i < q_prev - 1 else narrow_len
-        if factors.lengths[gaps[c]] != expected:
-            raise AssertionError(f"conjugate {i} of {base!r} has unexpected interval length")
-    leftover = set(gaps) - set(conj)
-    if len(leftover) != 1:
-        raise AssertionError(f"expected exactly one non-conjugate factor at n={n}")
-    leftover_word = leftover.pop()
-    if factors.lengths[gaps[leftover_word]] != leftover_len:
-        raise AssertionError("non-conjugate factor has unexpected interval length")
+    positions = _conjugate_positions(cf, n, base, 1, factors.words)
+    conj = [""] * n
+    for w, i, d in zip(factors.words, positions, factors.gaps):
+        if i is None:
+            leftover = w
+            if factors.lengths[d] != leftover_len:
+                raise AssertionError("non-conjugate factor has unexpected interval length")
+        else:
+            conj[i] = w
+            if factors.lengths[d] != (wide_len if i < q_prev - 1 else narrow_len):
+                raise AssertionError(f"conjugate {i} of {base!r} has unexpected interval length")
     if conj[q_prev - 2] != plain:
         raise AssertionError(f"conjugate {q_prev - 2} of {base!r} is not s_({k},{l})")
     return ConjugacyReport(
         k=k, l=l, base=base, conjugates=tuple(conj),
         wide_count=q_prev - 1, wide_length=wide_len,
         narrow_count=n + 1 - q_prev, narrow_length=narrow_len,
-        leftover=leftover_word, leftover_length=leftover_len,
+        leftover=leftover, leftover_length=leftover_len,
     )
 
 

@@ -20,7 +20,6 @@ language has a closed form (`repetitions._exits`).
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -228,56 +227,44 @@ def factors_of_length(cf: ContinuedFraction, n: int) -> list[tuple[str, FactorIn
     Output follows the circular order of the intervals starting at 0.
     """
     factors = factor_interval_map(cf, n)
-    return list(zip(factors.words, map(factors._interval, range(n + 1))))
+    return list(zip(factors.words, map(factors.interval, range(n + 1))))
 
 
-class FactorMap(Mapping[str, FactorInterval]):
-    """The length-n factors as one circular layout, read as word -> interval.
+class FactorMap(NamedTuple):
+    """The length-n factors as one circular layout, read in order.
 
     words[t] is the factor of the t-th interval counterclockwise from 0, its
     left end {-lefts[t]*alpha} and its length lengths[gaps[t]], for gaps[t] =
-    lefts[t] - lefts[(t + 1) % (n + 1)].  Intervals are built as they are
-    read; the first `[w]` indexes the words.
+    lefts[t] - lefts[(t + 1) % (n + 1)].  Whole-length consumers walk the
+    lists in this order; `interval(t)` builds one `FactorInterval`.
     """
 
-    def __init__(self, words: list[str], lefts: list[int], gaps: list[int],
-                 lengths: dict[int, LinearForm]) -> None:
-        self.words, self.lefts, self.gaps, self.lengths = words, lefts, gaps, lengths
-        self._where: dict[str, int] | None = None
+    words: list[str]
+    lefts: list[int]
+    gaps: list[int]
+    lengths: dict[int, LinearForm]
 
-    def _interval(self, t: int) -> FactorInterval:
+    def interval(self, t: int) -> FactorInterval:
         lefts = self.lefts
         return FactorInterval(lefts[t], lefts[(t + 1) % len(lefts)], self.lengths[self.gaps[t]])
-
-    def __getitem__(self, w: str) -> FactorInterval:
-        where = self._where
-        if where is None:  # built whole, then published in one assignment
-            where = self._where = dict(zip(self.words, range(len(self.words))))
-        return self._interval(where[w])
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.words)
 
 
 # An entry is one layout of n + 1 words of length n.  Single words, `index
 # --word` too, take the height walk (`word_interval`), so the one re-read is
-# power-classification's `indices_by_interval` of the map `classify_length`
-# has just built: `verify --n-max 150` hits 1,800 times and misses 1,909 at
-# a bound of 1, 2 or 4 (1,812 and 1,897 at 256); the `bench/` sweep and
-# queries hit none.
+# power-classification's `indices_by_interval` of the layout
+# `classify_length` has just built: `verify --n-max 150` hits 1,800 times
+# and misses 1,909 at a bound of 1, 2 or 4 (1,812 and 1,897 at 256); the
+# `bench/` sweep and queries hit none.
 @lru_cache(maxsize=1)
 def factor_interval_map(cf: ContinuedFraction, n: int) -> FactorMap:
-    """The length-n factors and their intervals in circular order (cached).
+    """The length-n factors as one circular layout from 0 (cached).
 
     The points {0, -alpha, ..., -n*alpha} split the circle, ordered by a key
     table of reach n; the word at {-i*alpha} is read off one coding of the
     indices -n..n-1, with no sample point.  The gap from {-i*alpha} to the
     next point {-j*alpha}, the wrap to 0 included, is d*alpha mod 1 for
     d = i - j and lies in (0, 1): it is d*alpha - floor(d*alpha), whose
-    floor is the table's d*p//q as |d| <= n < q.  A map cached under one
+    floor is the table's d*p//q as |d| <= n < q.  A layout cached under one
     `STURM_DEPTH_LIMIT` stays certified when it is lowered.
     """
     require_normalized(cf)

@@ -200,16 +200,17 @@ def suite_power_classification(cf: ContinuedFraction, n_max: int,
     text = ""
     for n in range(1, n_max + 1):
         try:
-            cases = {r.word: r.integer_index for r in classify_length(cf, n)}
+            reports = classify_length(cf, n)
         except AssertionError as exc:  # double case match or shift self-check
             yield False, str(exc)
             continue
+        # Both routes list the length's words in layout order (`FactorMap`).
         formulas = indices_by_interval(cf, n)
         if inject_fault == "flip-gamma":
             factors = factor_interval_map(cf, n)
             dist = distance(cf, n)
-            formulas = {w: index + (1 if factors.lengths[d] == dist else -1)
-                        for (w, index), d in zip(formulas.items(), factors.gaps)}
+            formulas = [index + (1 if factors.lengths[d] == dist else -1)
+                        for index, d in zip(formulas, factors.gaps)]
         # One oracle window per length, long enough to certify every scan,
         # and one scan of it for every word.  The windows are cut from one
         # text per slope, doubled when a window outgrows it; where the
@@ -221,9 +222,9 @@ def suite_power_classification(cf: ContinuedFraction, n_max: int,
                 text = characteristic_prefix(cf, max(window, 2 * len(text)))
             except DepthError:
                 text = characteristic_prefix(cf, window)
-        scans = oracles.max_powers(text[:window], cases)
-        for w, case in cases.items():
-            formula = formulas[w]
+        scans = oracles.max_powers(text[:window], [r.word for r in reports])
+        for report, formula in zip(reports, formulas, strict=True):
+            w, case = report.word, report.integer_index
             if case == formula:
                 scanned = scans[w]
                 ok = scanned == formula

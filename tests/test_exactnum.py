@@ -327,8 +327,15 @@ def test_distance_is_nonnegative_and_below_half(family):
 
 def test_distance_matches_semiconvergent_recurrence(family):
     # (-1)^k (q_{k,l} a - p_{k,l}) is the nearest-integer distance form.
+    # The convergent forms follow the same sign rule down to the conventions
+    # ||q_-1 a|| = 1 and ||q_0 a|| = ||a|| = alpha, which the gate reads
+    # through recover_quotient(cf, 1) and the closest multiples at k = 2.
     for cf in family:
+        assert convergent_distance(cf, -1) == ex.ONE == LinearForm(0, -1)
+        assert convergent_distance(cf, 0) == ex.ALPHA == distance(cf, 1) == LinearForm(1, 0)
+        assert recover_quotient(cf, 1) == cf.quotient(1)
         for k in range(2, 9):
+            assert convergent_distance(cf, k - 2) == semiconvergent_distance(cf, k, 0)
             for l in range(0, cf.quotient(k) + 1):
                 n = semiconvergent_den(cf, k, l)
                 assert distance(cf, n) == semiconvergent_distance(cf, k, l)

@@ -37,7 +37,6 @@ from sturmian.repetitions import (
 from sturmian.rotation import (
     characteristic_prefix,
     coding_prefix,
-    factor_interval_map,
     factors_of_length,
     three_distance,
     word_interval,
@@ -181,7 +180,7 @@ def _query(cf: ContinuedFraction, kind: str, arg):
     if kind == "three-distance":
         return three_distance(cf, arg)
     if kind == "factors":
-        return sorted(factor_interval_map(cf, arg).items())
+        return sorted(factors_of_length(cf, arg))
     if kind == "coding":
         return coding_prefix(cf, *arg)
     if kind == "prefix":

@@ -135,14 +135,18 @@ def _direct_indices(cf, n) -> dict[str, int | None]:
 
 def test_indices_by_interval_match_direct_formula(family):
     # One formula evaluation per interval length must give, for every
-    # factor, what the formula gives for that factor alone.
-    for cf in (family[0], family[5], family[10]):
+    # factor, what the formula gives for that factor alone.  Entry t of both
+    # whole-length routes is the layout's word t: the gate zips them.
+    for cf in family:
         for n in range(1, 61):
+            words = factor_interval_map(cf, n).words
             indices = indices_by_interval(cf, n)
-            assert list(indices) == [w for w, _ in factors_of_length(cf, n)]
-            assert indices == _direct_indices(cf, n), (cf, n)
-            for w, index in indices.items():
-                assert index_by_interval(cf, w) == index
+            assert [r.word for r in classify_length(cf, n)] == words, (cf, n)
+            assert len(indices) == len(words) == n + 1
+            for t, index in enumerate(indices):
+                assert index_by_interval(cf, words[t]) == index, (cf, n, t)
+            if cf in (family[0], family[5], family[10]):
+                assert dict(zip(words, indices)) == _direct_indices(cf, n), (cf, n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -160,7 +164,7 @@ def test_indices_by_interval_on_drawn_truncations(a_1, rest):
             with pytest.raises(DepthError):
                 indices_by_interval(cf, n)
         else:
-            assert indices_by_interval(cf, n) == direct, (str(cf), n)
+            assert indices_by_interval(cf, n) == list(direct.values()), (str(cf), n)
 
 
 # ------------------------------------------------------------------
@@ -266,7 +270,7 @@ def test_classify_with_fractional(fib_slope):
 
 def classify_each_word(cf, n) -> list[IndexReport]:
     """The single-word route, `classify_word`, on every factor of length n."""
-    return [classify_word(cf, w) for w in factor_interval_map(cf, n)]
+    return [classify_word(cf, w) for w in factor_interval_map(cf, n).words]
 
 
 @pytest.mark.parametrize("classify", [classify_length, classify_each_word], ids=["length", "word"])
@@ -382,7 +386,7 @@ def test_classify_word_matches_the_whole_length_route_on_drawn_truncations(a_1, 
     extension = ContinuedFraction((a_1, *rest), (1,))
     words = ["", "012"]
     for n in range(1, 17):
-        for w in factor_interval_map(extension, n):
+        for w in factor_interval_map(extension, n).words:
             words.append(w)
             words.extend(w[:j] + "10"[int(w[j])] + w[j + 1:] for j in range(n))
     for w in words:
@@ -460,6 +464,20 @@ def test_conjugacy_counts(family):
                 assert rep.conjugates[parse_len(cf, k - 1) - 2] == reversal(rep.base)
 
 
+@pytest.mark.parametrize("text, k, l", [("[0;2,1,1]", 3, 1), ("[0;2,3]", 2, 3),
+                                        ("[0;5,2,7]", 3, 7)])
+def test_conjugacy_report_answers_a_truncation_at_its_last_k(text, k, l):
+    # The report reads a_1..a_k and the length's factor map, which the
+    # cylinder fixes, so it answers as every slope of the cylinder does;
+    # the length's case reads a_{k+1} and refuses.
+    cf = parse_slope(text)
+    rep = conjugacy_report(cf, k, l)
+    for tail in ((1,), (3,)):
+        assert conjugacy_report(ContinuedFraction(cf.preperiod, tail), k, l) == rep, tail
+    with pytest.raises(DepthError, match=f"a_{k + 1}"):
+        length_case(cf, len(rep.base))
+
+
 def parse_len(cf, k):
     from sturmian.exactnum import convergent
     return convergent(cf, k).q
@@ -494,7 +512,8 @@ def test_fractional_indices_match_the_walk(family):
     words = 0
     for cf in (*family, parse_slope("[0;5,(1,7)]"), parse_slope("[0;9,(2)]")):
         for n in range(1, 41):
-            expected = {w: reference_fractional_index(cf, w) for w in factor_interval_map(cf, n)}
+            expected = {w: reference_fractional_index(cf, w)
+                        for w in factor_interval_map(cf, n).words}
             got = dict(classified_fractions(cf, n))
             assert list(got) == list(expected)
             assert got == expected, (str(cf), n)
@@ -526,13 +545,12 @@ def reference_fractional_indices(cf, n) -> list[tuple[str, Fraction]]:
     """Every word's window sliced from the shared key list, in circular order,
     on a table sized by the length's largest index: the exit comes by
     t = (ind + 1)*n, the largest difference compared."""
-    intervals = factor_interval_map(cf, n)
-    ind = max(indices_by_interval(cf, n).values())
+    ind = max(indices_by_interval(cf, n))
     table = key_table(cf, (ind + 1) * n)
     p, q = table.p, table.q
     keys = [m % q for m in range(-n * p, (n + 1) * p, p)]
     return [(w, Fraction(reference_period_exit(keys[n - i: 2 * n + 1 - i], q) - 1, n))
-            for w, (i, _, _) in intervals.items()]
+            for w, (i, _, _) in factors_of_length(cf, n)]
 
 
 def test_fractional_indices_match_the_slice_route(family):
@@ -564,7 +582,7 @@ def check_exits_against_the_walk(cf, n_max: int) -> tuple[set[tuple[bool, bool]]
             exits = repetitions._exits(cf, n, factors.lefts, factors.lengths.values())
         except DepthError:
             continue
-        for (w, ind), t in zip(indices.items(), exits):
+        for w, ind, t in zip(factors.words, indices, exits):
             power = w * (ind + 2)
             try:
                 table = key_table(cf, len(power))
@@ -603,7 +621,7 @@ def test_exits_of_a_whole_length_match_word_by_word(family):
                       for t in repetitions._exits(cf, n, [i], [factors.lengths[d]])]
             assert whole == single, (str(cf), n)
             table = key_table(cf, n)
-            signs.update(w.count("1") * table.q > n * table.p for w in factors)
+            signs.update(w.count("1") * table.q > n * table.p for w in factors.words)
     assert signs == {True, False}
 
 
@@ -616,7 +634,7 @@ def test_fractional_index_matches_the_walk_on_truncations():
     for cf in (parse_slope("[0;3,1,4,1,5,9,2,6]"), parse_slope("[0;2,1,1]")):
         for n in range(1, 41):
             try:
-                words = list(factor_interval_map(cf, n))
+                words = factor_interval_map(cf, n).words
             except DepthError:
                 continue
             for w in words:
@@ -636,7 +654,7 @@ def test_exit_tables_are_sized_by_the_intervals_asked_for():
     # (1 + 1)*10, past the cylinder's n* - 1 = 15.
     cf = parse_slope("[0;2,3]")
     factors = factor_interval_map(cf, 10)
-    assert len(factors) == 11
+    assert len(factors.words) == 11
     with pytest.raises(DepthError, match=re.escape(
             "cannot certify 21 orbit points for slope [0;2,3] within depth 2")):
         repetitions._exits(cf, 10, factors.lefts, factors.lengths.values())
@@ -646,7 +664,7 @@ def test_exit_tables_are_sized_by_the_intervals_asked_for():
     with pytest.raises(DepthError):
         repetitions._exits(cf, 36, factors.lefts, factors.lengths.values())
     answered = {}
-    for w in factors:
+    for w in factors.words:
         try:
             answered[w] = fractional_index(cf, w)
         except DepthError:
@@ -708,7 +726,7 @@ def test_fractional_index_on_a_shallow_cylinder():
     assert fractional_index(cf, "00010") == Fraction(7, 5)
     for extension in ("[0;3,1,(1)]", "[0;3,1,(6)]", "[0;3,1,2,(3,1)]"):
         assert fractional_index(parse_slope(extension), "00010") == Fraction(7, 5)
-    assert "000100" in factor_interval_map(cf, 6)
+    assert "000100" in factor_interval_map(cf, 6).words
     with pytest.raises(DepthError, match=re.escape(
             "cannot certify 13 orbit points for slope [0;3,1] within depth 2")):
         fractional_index(cf, "000100")

@@ -543,7 +543,7 @@ def test_factors_circular_chain(example_slope):
 
 
 def test_factor_interval_is_a_value_tuple(example_slope):
-    got = factor_interval_map(example_slope, 3)
+    got = dict(factors_of_length(example_slope, 3))
     assert repr(got["101"]) == ("FactorInterval(left_idx=3, right_idx=0, "
                                 "length=LinearForm(q=3, p=1))")
     for w, interval in got.items():
@@ -572,15 +572,15 @@ def test_truncation_factor_maps_stop_at_the_mediant(a_1, rest):
         known += (a,)
     n_star = mediant_denominator(known)
     truncation = ContinuedFraction(known)
-    answer = list(factor_interval_map(truncation, n_star - 1).items())
+    answer = factors_of_length(truncation, n_star - 1)
     for tail in ((1,), (9,), (2, 1)):
         extension = ContinuedFraction(known, tail)
-        assert list(factor_interval_map(extension, n_star - 1).items()) == answer, str(extension)
+        assert factors_of_length(extension, n_star - 1) == answer, str(extension)
     with pytest.raises(UndecidedError, match=re.escape(
             f"cannot certify {n_star + 1} orbit points for slope {truncation} within depth")):
         factor_interval_map(truncation, n_star)
-    ones, threes = (factor_interval_map(ContinuedFraction(known, (a,)), n_star) for a in (1, 3))
-    assert list(ones.items()) != list(threes.items()), str(truncation)
+    ones, threes = (factors_of_length(ContinuedFraction(known, (a,)), n_star) for a in (1, 3))
+    assert ones != threes, str(truncation)
 
 
 @pytest.mark.parametrize("text, n_star", [
@@ -588,7 +588,7 @@ def test_truncation_factor_maps_stop_at_the_mediant(a_1, rest):
 def test_truncation_factor_maps_stop_at_the_worked_mediants(text, n_star):
     cf = parse_slope(text)
     assert mediant_denominator(cf.preperiod) == n_star
-    assert len(factor_interval_map(cf, n_star - 1)) == n_star
+    assert len(factor_interval_map(cf, n_star - 1).words) == n_star
     with pytest.raises(UndecidedError, match=f"cannot certify {n_star + 1} orbit points"):
         factor_interval_map(cf, n_star)
 
@@ -620,12 +620,18 @@ def reference_factor_interval_map(cf: ContinuedFraction, n: int) -> dict[str, Fa
     return out
 
 
+def layout_items(got: FactorMap) -> list[tuple[str, FactorInterval]]:
+    """The layout's (word, interval) pairs in order, read off `interval(t)`."""
+    return list(zip(got.words, map(got.interval, range(len(got.words)))))
+
+
 def assert_gap_identity(cf: ContinuedFraction, n: int, got: FactorMap) -> None:
     """The layout's uniform rule, each gap {d*alpha} for d = left - right
     with floor(d*alpha) = d*p//q, the wrap gap included, against the
     per-entry construction; the gaps take at most three d, each one form."""
-    assert list(got.items()) == list(reference_factor_interval_map(cf, n).items()), (str(cf), n)
-    intervals = [iv for _, iv in got.items()]
+    items = layout_items(got)
+    assert items == list(reference_factor_interval_map(cf, n).items()), (str(cf), n)
+    intervals = [iv for _, iv in items]
     assert len({iv.length for iv in intervals}) <= 3
     assert len({id(iv.length) for iv in intervals}) == len(got.lengths) <= 3
 
@@ -654,7 +660,7 @@ def test_gap_length_identity_catches_a_wrap_gap_one_off(family):
             d = got.gaps[-1]
             mutant = FactorMap(got.words, got.lefts, [*got.gaps[:-1], None],
                                {**got.lengths, None: got.lengths[d].shift(1)})
-            assert list(mutant.items())[:-1] == list(got.items())[:-1]
+            assert layout_items(mutant)[:-1] == layout_items(got)[:-1]
             with pytest.raises(AssertionError, match=re.escape(str((str(cf), n)))):
                 assert_gap_identity(cf, n, mutant)
 
@@ -680,7 +686,7 @@ def _factor_containing_point(cf: ContinuedFraction, n: int, m: int) -> str:
     the one with the last left endpoint at or before it in key order."""
     table = key_table(cf, max(n, abs(m)))
     target = table.key(m)
-    lefts = {table.key(-iv.left_idx): w for w, iv in factor_interval_map(cf, n).items()}
+    lefts = {table.key(-iv.left_idx): w for w, iv in factors_of_length(cf, n)}
     return lefts[max(k for k in lefts if k <= target)]
 
 
@@ -787,7 +793,8 @@ def test_language_extension_matches_arc_automaton_on_power_extensions(family):
     # The fractional index's calls: how far w^ind extends along w[:-1].
     for cf in family:
         for n in range(1, 41):
-            for w, ind in repetitions.indices_by_interval(cf, n).items():
+            words = factor_interval_map(cf, n).words
+            for w, ind in zip(words, repetitions.indices_by_interval(cf, n), strict=True):
                 base, word = w * ind, w * ind + w[:-1]
                 t = reference_walk_arc(key_table(cf, len(word)), word)[0]
                 assert language_extension(cf, base, w[:-1]) == t - len(base), (str(cf), w)
@@ -851,7 +858,7 @@ def check_square_certificate(cf: ContinuedFraction, source: ContinuedFraction
     how many refused."""
     words = set()
     for n in range(1, 61):
-        for w in factor_interval_map(source, n):
+        for w in factor_interval_map(source, n).words:
             words.add(w)
             words.update(w[:j] + "10"[int(w[j])] + w[j + 1:] for j in range(n))
     squares = refusals = 0
