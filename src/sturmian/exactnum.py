@@ -211,7 +211,7 @@ def parse_slope(text: str) -> ContinuedFraction:
         if prefix and not prefix.endswith(","):
             raise SlopeSyntaxError(f"missing comma before period in {text!r}")
         body = prefix[:-1] if prefix else ""
-    preperiod = _parse_int_list(body, text) if body.strip() else ()
+    preperiod = _parse_int_list(body, text)
     return ContinuedFraction(preperiod, period)
 
 
@@ -260,30 +260,24 @@ class _Ctx:
 
     def __init__(self, cf: ContinuedFraction) -> None:
         self.cf = cf
-        # Index k: pairs[0] = (p_0, q_0) = (0, 1) with a_0 = 0.
-        self.pairs: list[tuple[int, int]] = [(0, 1)]
+        # pairs[k + 1] = (p_k, q_k), from (p_-1, q_-1) = (1, 0) and (p_0, q_0) = (0, 1).
+        self.pairs: list[tuple[int, int]] = [(1, 0), (0, 1)]
         # spans[d] = b + e of alpha_bounds(cf, d), rising; spans[0] = 0 < n.
         self.spans: list[int] = [0]
 
     def pair(self, k: int) -> tuple[int, int]:
-        if k == -1:
-            return (1, 0)
         pairs = self.pairs
-        if k < len(pairs):
-            return pairs[k]
+        if k + 1 < len(pairs):
+            return pairs[k + 1]
         # Extend a private copy and publish it in one assignment, so a
         # concurrent caller never sees (or appends to) a half-built list.
         pairs = list(pairs)
-        for j in range(len(pairs), k + 1):
+        for j in range(len(pairs) - 1, k + 1):
             a = self.cf.quotient(j)
-            if j == 1:
-                pairs.append((1, a))
-            else:
-                p1, q1 = pairs[j - 1]
-                p2, q2 = pairs[j - 2]
-                pairs.append((a * p1 + p2, a * q1 + q2))
+            (p1, q1), (p2, q2) = pairs[j], pairs[j - 1]
+            pairs.append((a * p1 + p2, a * q1 + q2))
         self.pairs = pairs
-        return pairs[k]
+        return pairs[k + 1]
 
     def bracket(self, d: int) -> tuple[int, int, int, int]:
         """`alpha_bounds(cf, d)` for a depth d it accepts."""
@@ -429,8 +423,6 @@ def compare(cf: ContinuedFraction, a: LinearForm, b: LinearForm) -> Ordering:
 
 def nearest_integer(cf: ContinuedFraction, n: int) -> int:
     """The integer closest to n*alpha (unique: alpha irrational)."""
-    if n == 0:
-        return 0
     for ln, ld, hn, hd in _deepen(cf, LinearForm(n, 0), 2 * abs(n)):
         # floor(x + 1/2) over the open bounds lo < n*alpha < hi: from
         # floor(lo + 1/2) up to ceil(hi + 1/2) - 1.
@@ -558,8 +550,6 @@ def approx_str(cf: ContinuedFraction, form: LinearForm, digits: int = 12) -> str
     """
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
-    if form.q == 0:
-        return _render(-form.p, 1, digits)
     for ln, ld, hn, hd in _deepen(cf, form, isqrt(abs(form.q) * 10 ** digits)):
         lo_s = _render(ln, ld, digits)
         if lo_s == _render(hn, hd, digits):

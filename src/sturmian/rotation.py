@@ -87,7 +87,7 @@ def require_normalized(cf: ContinuedFraction) -> None:
 # certified key tables
 # ------------------------------------------------------------------
 
-class KeyTable:
+class KeyTable(NamedTuple):
     """Certified integer positions for every comparison within `reach`.
 
     The one interval rule: p/q is the mediant of the bracket at the depth
@@ -100,13 +100,12 @@ class KeyTable:
     TCS 82, 1991): a truncation [0;a_1..a_m] answers n < 2*q_m + q_{m-1}.
     """
 
-    __slots__ = ("reach", "depth", "p", "q")
+    reach: int
+    depth: int
+    p: int
+    q: int
 
-    def __init__(self, reach: int, depth: int, p: int, q: int) -> None:
-        self.reach = reach
-        self.depth = depth
-        self.p = p
-        self.q = q
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     def key(self, m: int) -> int:
         return m * self.p % self.q

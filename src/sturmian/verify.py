@@ -197,7 +197,6 @@ def suite_power_classification(cf: ContinuedFraction, n_max: int,
                                inject_fault: str | None) -> Checks:
     """Case indices == interval formula == scan oracle for every factor of
     every length; case tags exclusive and exhaustive."""
-    text = ""
     for n in range(1, n_max + 1):
         try:
             reports = classify_length(cf, n)
@@ -211,18 +210,11 @@ def suite_power_classification(cf: ContinuedFraction, n_max: int,
             dist = distance(cf, n)
             formulas = [index + (1 if factors.lengths[d] == dist else -1)
                         for index, d in zip(formulas, factors.gaps)]
-        # One oracle window per length, long enough to certify every scan,
-        # and one scan of it for every word.  The windows are cut from one
-        # text per slope, doubled when a window outgrows it; where the
-        # doubled text is refused, the window itself is asked for, so a
-        # truncation refuses at the same length with the same message.
-        window = oracle_window(cf, n)
-        if window > len(text):
-            try:
-                text = characteristic_prefix(cf, max(window, 2 * len(text)))
-            except DepthError:
-                text = characteristic_prefix(cf, window)
-        scans = oracles.max_powers(text[:window], [r.word for r in reports])
+        # Each length builds its own oracle window, long enough to certify
+        # every scan, once both formulas have answered, so a truncation
+        # refuses with their message; one scan of it for every word.
+        window = characteristic_prefix(cf, oracle_window(cf, n))
+        scans = oracles.max_powers(window, [r.word for r in reports])
         for report, formula in zip(reports, formulas, strict=True):
             w, case = report.word, report.integer_index
             if case == formula:

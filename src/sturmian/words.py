@@ -39,22 +39,18 @@ def semistandard_word(cf: ContinuedFraction, k: int, l: int) -> str:
     a_k = cf.quotient(k)
     if not 0 < l < a_k:
         raise ValueError(f"semistandard offset must satisfy 0 < l < a_{k} = {a_k}, got {l}")
-    return standard_word(cf, k - 1) * l + standard_word(cf, k - 2)
+    return standard_or_semistandard(cf, k, l)
 
 
 def standard_or_semistandard(cf: ContinuedFraction, k: int, l: int) -> str:
-    """s_{k,l} for 0 < l < a_k, and s_k itself for l = a_k."""
-    if l == cf.quotient(k):
-        return standard_word(cf, k)
-    return semistandard_word(cf, k, l)
+    """s_{k,l} = s_{k-1}^l s_{k-2} for k >= 2 and 0 < l <= a_k; s_{k,a_k} = s_k."""
+    return standard_word(cf, k - 1) * l + standard_word(cf, k - 2)
 
 
 def cyclic_shift(w: str, i: int) -> str:
     """C^i(w), where C moves the last letter to the front."""
     if not 0 <= i < len(w):
         raise ValueError(f"shift index must satisfy 0 <= i < {len(w)}, got {i}")
-    if i == 0:
-        return w
     return w[-i:] + w[:-i]
 
 

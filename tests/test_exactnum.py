@@ -471,6 +471,15 @@ def test_approx_str_frozen_digits(example_slope):
     assert ex.approx_str(example_slope, LinearForm(-2, -1)) == "0.267949192431"
     assert ex.approx_str(example_slope, LinearForm(-5, -2)) == "0.169872981078"
     assert ex.approx_str(example_slope, LinearForm(0, -2)) == "2.00000000000"
+    # A constant form takes no special path: both ends of the first bracket
+    # are its value, and 0*alpha rounds to 0, on truncations as on periodic slopes.
+    for text in ("[0;2]", "[0;2,1,1]", "[0;2,(1)]"):
+        cf = parse_slope(text)
+        assert ex.nearest_integer(cf, 0) == 0
+        for p in range(-30, 31):
+            for digits in (1, 12):
+                assert (ex.approx_str(cf, LinearForm(0, p), digits) ==
+                        ex.decimal_str(Fraction(-p), digits)), (text, p, digits)
 
 
 def test_approx_str_deterministic(family):

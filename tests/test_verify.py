@@ -178,12 +178,11 @@ def test_default_family_has_twelve_slopes():
 
 @pytest.mark.parametrize("slope, n_max, checks", [("[0;2,(40)]", 150, 11475),
                                                   ("[0;3,3,1,4,2,1,2]", 60, 1890)])
-def test_power_classification_cuts_every_window_from_one_growing_text(
+def test_power_classification_builds_and_scans_each_length_window(
         monkeypatch, slope, n_max, checks):
-    # The text is rebuilt only when a window outgrows it, at twice its
-    # length; where a truncation refuses the doubled text (the second
-    # slope, from n = 39 on), the window itself is built.  Each scan sees
-    # exactly its length's window.
+    # Each length builds exactly its own window and scans it: nothing is
+    # built ahead for later lengths, on a periodic slope with a large
+    # quotient or on a truncation.
     cf = parse_slope(slope)
     built, scanned = [], []
     build, scan = verify.characteristic_prefix, oracles.max_powers
@@ -202,11 +201,7 @@ def test_power_classification_cuts_every_window_from_one_growing_text(
     [result] = verify.run_suites(names=["power-classification"], slopes=[cf], n_max=n_max)
     assert result.line() == f"power-classification     PASS  ({checks} checks)"
     windows = [verify.oracle_window(cf, n) for n in range(1, n_max + 1)]
-    assert scanned == windows
-    assert built == sorted(set(built))
-    if cf.is_periodic:
-        assert all(b >= 2 * a for a, b in zip(built, built[1:]))
-        assert len(built) == 5
+    assert built == scanned == windows
 
 
 def test_three_distance_takes_one_oracle_key_table_per_slope(monkeypatch):
@@ -252,6 +247,13 @@ def test_a_refused_suite_does_not_end_the_gate():
         else:
             assert not r.passed and (r.checks, r.failures) == (0, [])
             assert r.line() == f"{r.name:<24} REFUSED  {r.refusal}"
+    # A length whose interval formula the cylinder cannot settle refuses
+    # power-classification with the formula's message, before its window
+    # is built.
+    for slope, form in [("[0;5,2,7]", "6a-1/11a-2"), ("[0;2,2,1,3]", "-2a+1/-7a+3")]:
+        [r] = verify.run_suites(names=["power-classification"], slopes=[parse_slope(slope)])
+        assert r.line() == (f"power-classification     REFUSED  "
+                            f"floor({form}) undecided for slope {slope}")
 
 
 @pytest.mark.parametrize("slope", ["[0;3,1,4,1,5,9,2,6]", "[0;3,1,4,1,5,9,2,6,(1)]",

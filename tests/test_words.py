@@ -10,6 +10,7 @@ from sturmian.words import (
     cyclic_shift,
     reversal,
     semistandard_word,
+    standard_or_semistandard,
     standard_word,
 )
 
@@ -72,6 +73,9 @@ def test_semistandard_is_prefix_and_suffix(family):
                 part = semistandard_word(cf, k, l)
                 assert s.startswith(part)
                 assert s.endswith(part)
+                assert standard_or_semistandard(cf, k, l) == part
+            # The same recurrence at l = a_k gives s_k itself.
+            assert standard_or_semistandard(cf, k, cf.quotient(k)) == standard_word(cf, k)
 
 
 def _is_primitive(w: str) -> bool:
