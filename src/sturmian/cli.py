@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator
 
 from sturmian import exactnum, verify
@@ -158,6 +158,26 @@ def _dash(value: object) -> str:
     return "-" if value is None else str(value)
 
 
+def _json(value: object, pad: str = "\n") -> str:
+    """The bytes of `json.dumps(value, indent=2)`, which the C encoder cannot indent,
+    for None, bools, ints, strs, lists and str-keyed dicts; anything else is a TypeError."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):  # before int: True is an int
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):  # encode_basestring_ascii refuses a key that is no str
+        ends, items = "{}", [f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
+                             for k, v in value.items()]
+    elif isinstance(value, list):
+        ends, items = "[]", [_json(v, inner) for v in value]
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} as JSON")
+    return f"{ends[0]}{inner}{(',' + inner).join(items)}{pad}{ends[1]}" if items else ends
+
+
 def _emit(args: argparse.Namespace, slope: object, rows: list,
           table: Callable[[], Iterable[str]], swapped: bool | None = None) -> int:
     """The CLI's only output site: the rows as one JSON document, or a table.
@@ -171,7 +191,7 @@ def _emit(args: argparse.Namespace, slope: object, rows: list,
                 "command": args.command}
         if swapped is not None:
             head["letters_swapped_from_input"] = swapped
-        print(json.dumps({**head, "results": rows}, indent=2))
+        print(_json({**head, "results": rows}))
     else:
         if swapped:
             print(f"# slope normalized to {slope}; letters 0/1 are swapped "

@@ -490,18 +490,21 @@ def _class_limit(cf: ContinuedFraction, k0: int
 def _surd_le(x: tuple[Fraction, Fraction], y: tuple[Fraction, Fraction], d: int) -> bool:
     """Exact x <= y for numbers A + B*sqrt(d) given as (A, B), sqrt(d)
     irrational: the sign of a + b*sqrt(d), (a, b) = y - x."""
+    if x[1] == y[1]:
+        return x[0] <= y[0]
     a, b = y[0] - x[0], y[1] - x[1]
-    if b == 0:
-        return a >= 0
     if a * b < 0 and a * a > b * b * d:
         return a > 0
     return b > 0
 
 
-def _term(cf: ContinuedFraction, k: int) -> Fraction:
-    """t_k = a_{k+1} + 2 + (q_{k-1} - 2)/q_k for k >= 0, with q_{-1} = 0."""
+def _terms(cf: ContinuedFraction, last: int) -> list[Fraction]:
+    """t_0..t_last, t_k = a_{k+1} + 2 + (q_{k-1} - 2)/q_k with q_{-1} = 0, each the one
+    Fraction (q_{k+1} + 2 q_k - 2)/q_k (a_{k+1} q_k + q_{k-1} = q_{k+1}) from one walk."""
     ctx = _ctx(cf)
-    return cf.quotient(k + 1) + 2 + Fraction(ctx.pair(k - 1)[1] - 2, ctx.pair(k)[1])
+    ctx.pair(last + 1)  # ctx.pairs[k + 1] = (p_k, q_k) now reaches k = last + 1
+    qs = [q for _, q in ctx.pairs[1:last + 3]]
+    return [Fraction(q2 + 2 * q1 - 2, q1) for q1, q2 in zip(qs, qs[1:])]
 
 
 def critical_exponent(cf: ContinuedFraction, depth_bound: int) -> CriticalExponentResult:
@@ -545,8 +548,8 @@ def critical_exponent(cf: ContinuedFraction, depth_bound: int) -> CriticalExpone
         last = min(depth_bound, m - 1)
 
     # Every candidate is A + B*sqrt(d): a term t_k is (t_k, 0).
-    candidates: list[tuple[Fraction, Fraction, ContinuedFraction | None, int]] = [
-        (_term(cf, k), Fraction(0), None, k) for k in range(last + 1)]
+    candidates: list[tuple[Fraction, Fraction | int, ContinuedFraction | None, int]] = [
+        (t, 0, None, k) for k, t in enumerate(_terms(cf, last))]
     terms = tuple((k, t) for t, _, _, k in candidates[2:depth_bound + 1])
     d = 0
     for k0 in range(m + period + 1, m + 2 * period + 1):

@@ -10,13 +10,13 @@ import sys
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import sturmian
 from conftest import periodic_tail_surd
 from sturmian import oracles, rotation
-from sturmian.cli import _build_parser, main
+from sturmian.cli import _build_parser, _json, main
 from sturmian.exactnum import LinearForm
 from test_golden import FIXTURE, cases, invoke
 
@@ -370,6 +370,36 @@ def test_usage_error_leaves_the_shared_parser_intact(bad, monkeypatch):
               for case in json.loads(FIXTURE.read_text(encoding="utf-8"))}
     assert invoke(bad)["exit"] == 2
     assert invoke(good) == golden[tuple(good)]
+
+
+# ------------------------------------------------------------------
+# the JSON writer
+# ------------------------------------------------------------------
+
+# Quotes, backslashes, control characters, a line separator, non-ASCII
+# and astral text, mixed in with any other character.
+JSON_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001d538')
+                    | st.characters())
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**40, 10**40) | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_VALUES)
+@example({"a": [], "b": {}, "c": [[], {}, [[{}]]], "d": {"e": {"f": []}}})
+@example(['"\\\b\x00 \u00e9 \U0001d538', True, False, None, 1, -10**40, 0])
+def test_json_writer_prints_the_stdlib_indent_2_bytes(value):
+    assert _json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, {1}, b"x", {1: "a"}, [0.5], {"a": {2: None}}, (1,)],
+                         ids=["float", "set", "bytes", "int-key", "nested-float",
+                              "nested-int-key", "tuple"])
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _json(value)
 
 
 # ------------------------------------------------------------------

@@ -24,7 +24,7 @@ from sturmian.exactnum import (
     parse_slope,
 )
 from sturmian.repetitions import (
-    _term,
+    _terms,
     classify_length,
     classify_word,
     critical_exponent,
@@ -150,11 +150,11 @@ def test_formulas_match_oracles_on_drawn_slopes(a_1, tail, n):
 def check_first_terms(slope):
     # t_0 is the index of the letter 0; t_1 is the best fractional index
     # of the length-q_1 class, by interval iteration and by a scan.
-    assert _term(slope, 0) == slope.quotient(1) == fractional_index(slope, "0")
+    t_0, t_1 = _terms(slope, 1)
+    assert t_0 == slope.quotient(1) == fractional_index(slope, "0")
     q_1 = slope.quotient(1)
     window = characteristic_prefix(slope, oracle_window(slope, q_1))
     words = set(conjugates(reversal(standard_word(slope, 1))))
-    t_1 = _term(slope, 1)
     assert t_1 == slope.quotient(2) + 2 - Fraction(1, q_1)
     assert t_1 == max(fractional_index(slope, w) for w in words)
     assert t_1 == max(oracles.max_fractional_power(window, w) for w in words)

@@ -863,8 +863,8 @@ def check_candidate_order(cf: ContinuedFraction) -> None:
     periodic slope as the quotient streams do, ties included, and each
     class limit A + B*sqrt(D) is its tail's surd plus 2 + a_{k0+1}."""
     m, period = len(cf.preperiod), len(cf.period)
-    cands = [((repetitions._term(cf, k), Fraction(0)), (repetitions._term(cf, k), None))
-             for k in range(m + 2 * period + 3)]
+    cands = [((t, Fraction(0)), (t, None))
+             for t in repetitions._terms(cf, m + 2 * period + 2)]
     shared = set()
     for k0 in range(m + period + 1, m + 2 * period + 1):
         a, b, d, tail = repetitions._class_limit(cf, k0)
@@ -890,6 +890,70 @@ def test_candidate_order_matches_the_quotient_streams(slope):
 @given(st.lists(st.integers(1, 6), max_size=4), st.lists(st.integers(1, 6), min_size=1, max_size=4))
 def test_candidate_order_matches_the_quotient_streams_on_drawn_slopes(preperiod, period):
     check_candidate_order(ContinuedFraction(tuple(preperiod), tuple(period)))
+
+
+def reference_critical_exponent(cf: ContinuedFraction, depth_bound: int) -> tuple:
+    """(terms, witness_k, attained, value_attained, limit_offset, limit_tail)
+    with each term added up as a_{k+1} + 2 + Fraction(q_{k-1} - 2, q_k) from
+    the test's own q recurrence, and the supremum the last maximal candidate
+    under `reference_candidate_le`: the terms by k, then the class limits.
+
+    A periodic slope lists terms 60 past its preperiod, two periods and the
+    depth: beyond the formula's horizon each term lies strictly below its
+    class limit, so no extra term can become the maximum.
+    """
+    m, period = len(cf.preperiod), len(cf.period)
+    last = max(depth_bound, m + 2 * period + 60) if period else min(depth_bound, m - 1)
+    qs = [0, 1]  # q_{-1}, q_0
+    for k in range(1, last + 1):
+        qs.append(cf.quotient(k) * qs[-1] + qs[-2])
+    cands = [(cf.quotient(k + 1) + 2 + Fraction(qs[k] - 2, qs[k + 1]), None, k)
+             for k in range(last + 1)]
+    terms = tuple((k, t) for t, _, k in cands[2:depth_bound + 1])
+    for k0 in range(m + period + 1, m + 2 * period + 1) if period else ():
+        tail = ContinuedFraction((), tuple(cf.quotient(k0 - j) for j in range(period)))
+        cands.append((Fraction(2 + cf.quotient(k0 + 1)), tail, k0))
+    best = cands[0]
+    for cand in cands[1:]:
+        if reference_candidate_le(best[:2], cand[:2]):
+            best = cand
+    value, tail, k = best
+    if tail is None:
+        return terms, k, True, value, None, None
+    return terms, k, False, None, value, tail
+
+
+def check_critical_exponent(cf: ContinuedFraction, depth_bound: int) -> None:
+    res = critical_exponent(cf, depth_bound)
+    got = (res.terms, res.witness_k, res.attained, res.value_attained,
+           res.limit_offset, res.limit_tail)
+    assert got == reference_critical_exponent(cf, depth_bound), (str(cf), depth_bound)
+
+
+@pytest.mark.parametrize("depth", [2, 30, 200])
+@pytest.mark.parametrize("slope", FAMILY_SLOPES)
+def test_critical_exponent_matches_the_reference_arithmetic(slope, depth):
+    check_critical_exponent(parse_slope(slope), depth)
+
+
+DRAWN_PERIODIC = st.builds(lambda a_1, pre, period: ContinuedFraction((a_1, *pre), tuple(period)),
+                           st.integers(2, 6), st.lists(st.integers(1, 6), max_size=3),
+                           st.lists(st.integers(1, 6), min_size=1, max_size=4))
+DRAWN_TRUNCATED = st.builds(lambda a_1, rest: ContinuedFraction((a_1, *rest)),
+                            st.integers(2, 6), st.lists(st.integers(1, 6), max_size=24))
+
+
+@settings(max_examples=80, deadline=None)
+@given(DRAWN_PERIODIC | DRAWN_TRUNCATED, st.integers(2, 200))
+def test_critical_exponent_matches_the_reference_on_drawn_slopes(cf, depth):
+    check_critical_exponent(cf, depth)
+
+
+@pytest.mark.parametrize("slope, witness", [("[0;2,(1,1)]", 5), ("[0;2,(1,3)]", 4)])
+def test_critical_exponent_witness_pins(slope, witness):
+    cf = parse_slope(slope)
+    assert critical_exponent(cf, 30).witness_k == witness
+    assert reference_critical_exponent(cf, 30)[1] == witness
 
 
 def test_critical_exponent_truncation_lower_bound():
