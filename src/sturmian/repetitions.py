@@ -500,10 +500,10 @@ def _surd_le(x: tuple[Fraction, Fraction], y: tuple[Fraction, Fraction], d: int)
 
 def _terms(cf: ContinuedFraction, last: int) -> list[Fraction]:
     """t_0..t_last, t_k = a_{k+1} + 2 + (q_{k-1} - 2)/q_k with q_{-1} = 0, each the one
-    Fraction (q_{k+1} + 2 q_k - 2)/q_k (a_{k+1} q_k + q_{k-1} = q_{k+1}) from one walk."""
+    Fraction (q_{k+1} + 2 q_k - 2)/q_k (a_{k+1} q_k + q_{k-1} = q_{k+1})."""
     ctx = _ctx(cf)
-    ctx.pair(last + 1)  # ctx.pairs[k + 1] = (p_k, q_k) now reaches k = last + 1
-    qs = [q for _, q in ctx.pairs[1:last + 3]]
+    ctx.pair(last + 1)  # one extension of the cache, not one per k
+    qs = [ctx.pair(k)[1] for k in range(last + 2)]
     return [Fraction(q2 + 2 * q1 - 2, q1) for q1, q2 in zip(qs, qs[1:])]
 
 

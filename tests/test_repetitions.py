@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from typing import Iterator
@@ -804,13 +806,15 @@ def test_critical_exponent_dominates_observed_powers(family):
         assert observed <= hi
 
 
-@pytest.mark.parametrize("slope, offset, tail", [("[0;2,(1,1)]", 3, "[0;(1,1)]"),
-                                                 ("[0;3,(2,2)]", 4, "[0;(2,2)]")])
-def test_critical_exponent_tie_keeps_the_later_class(slope, offset, tail):
+@pytest.mark.parametrize("slope, witness, offset, tail", [("[0;2,(1,1)]", 5, 3, "[0;(1,1)]"),
+                                                          ("[0;3,(2,2)]", 5, 4, "[0;(2,2)]"),
+                                                          ("[0;2,(1,3)]", 4, 5, "[0;(1,3)]")])
+def test_critical_exponent_tie_keeps_the_later_class(slope, witness, offset, tail):
     # Both class limits of a doubled period are equal; the later one wins.
+    # Without a tie the larger class wins, here the earlier one.
     res = critical_exponent(parse_slope(slope), 30)
     assert not res.attained
-    assert (res.witness_k, res.limit_offset, str(res.limit_tail)) == (5, offset, tail)
+    assert (res.witness_k, res.limit_offset, str(res.limit_tail)) == (witness, offset, tail)
 
 
 # ------------------------------------------------------------------
@@ -949,11 +953,43 @@ def test_critical_exponent_matches_the_reference_on_drawn_slopes(cf, depth):
     check_critical_exponent(cf, depth)
 
 
-@pytest.mark.parametrize("slope, witness", [("[0;2,(1,1)]", 5), ("[0;2,(1,3)]", 4)])
-def test_critical_exponent_witness_pins(slope, witness):
-    cf = parse_slope(slope)
-    assert critical_exponent(cf, 30).witness_k == witness
-    assert reference_critical_exponent(cf, 30)[1] == witness
+def test_critical_exponent_is_thread_safe():
+    # One thread asks for the terms of a fresh slope to a large depth while
+    # another extends the same convergent cache one pair at a time, so
+    # shorter lists keep being published around the deep one; a tiny switch
+    # interval makes preemption inside the terms' walk likely.  The answers
+    # must be those of a serial run.
+    slopes = [ContinuedFraction((3, 1 + i % 6, 1 + i // 6), (1, 2)) for i in range(40)]
+    depth, shallow = 1000, 700
+    expected = [critical_exponent(cf, depth) for cf in slopes]
+    _ctx.cache_clear()
+    for cf in slopes:
+        _ctx(cf)
+    barrier = threading.Barrier(2)
+    seen = []
+
+    def work(t: int) -> None:
+        for cf in slopes:
+            barrier.wait(timeout=60)
+            if t == 0:
+                seen.append(critical_exponent(cf, depth))
+            else:
+                ctx = _ctx(cf)
+                for k in range(shallow):
+                    ctx.pair(k)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(th.is_alive() for th in threads)
+    assert seen == expected
 
 
 def test_critical_exponent_truncation_lower_bound():
