@@ -240,15 +240,11 @@ def normalize_slope(cf: ContinuedFraction) -> tuple[ContinuedFraction, bool]:
     if cf.quotient(1) != 1:
         return cf, False
     pre, per = cf.preperiod, cf.period
-    if len(pre) >= 2:
-        return ContinuedFraction((pre[1] + 1,) + pre[2:], per), True
-    if not per:
+    if len(pre) < 2 and not per:
         raise DepthExceededError("cannot normalize [0;1]: a_2 unknown in a depth-1 truncation")
-    if pre == (1,):
-        # a_2 is the first period element; unrolled, the tail is per again.
-        return ContinuedFraction((per[0] + 1,) + per[1:], per), True
-    # No preperiod: a_1 = per[0] = 1; a_2 is the next element cyclically.
-    return ContinuedFraction((per[1 % len(per)] + 1,) + per[2:], per), True
+    while len(pre) < 2:  # unroll whole periods, so the tail is per again
+        pre += per
+    return ContinuedFraction((pre[1] + 1,) + pre[2:], per), True
 
 
 # ------------------------------------------------------------------
@@ -281,12 +277,10 @@ class _Ctx:
 
     def bracket(self, d: int) -> tuple[int, int, int, int]:
         """`alpha_bounds(cf, d)` for a depth d it accepts."""
-        p1, q1 = self.pair(d)
-        if d == self.cf.truncation_depth:
-            p0, q0 = self.pair(d - 1)
-            p2, q2 = p1 + p0, q1 + q0
-        else:
-            p2, q2 = self.pair(d + 1)
+        (p1, q1), (p0, q0) = self.pair(d), self.pair(d - 1)
+        # At a truncation's last depth, a_{d+1} = 1 gives the cylinder's mediant.
+        a = 1 if d == self.cf.truncation_depth else self.cf.quotient(d + 1)
+        p2, q2 = a * p1 + p0, a * q1 + q0
         return (p1, q1, p2, q2) if d % 2 == 0 else (p2, q2, p1, q1)
 
     def bracket_depth(self, n: int, top: int) -> int:

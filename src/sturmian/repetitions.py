@@ -38,7 +38,6 @@ from sturmian.rotation import (
     factor_interval_map,
     key_table,
     require_normalized,
-    three_distance_decomposition,
     word_interval,
 )
 from sturmian.words import (
@@ -162,6 +161,14 @@ def indices_by_interval(cf: ContinuedFraction, n: int) -> list[int]:
     return list(map(by_gap.__getitem__, factors.gaps))
 
 
+def _level(cf: ContinuedFraction, n: int) -> int:
+    """The k >= 0 with q_k <= n < q_{k+1}."""
+    ctx, k = _ctx(cf), 0
+    while ctx.pair(k + 1)[1] <= n:
+        k += 1
+    return k
+
+
 def recurrence_window(cf: ContinuedFraction, length: int) -> int:
     """Prefix length R(N) that holds every factor of N = `length` letters.
 
@@ -174,10 +181,7 @@ def recurrence_window(cf: ContinuedFraction, length: int) -> int:
     the first R(N) is absent from the whole language.  A truncation that
     cannot name q_{j+1} refuses.
     """
-    ctx = _ctx(cf)
-    j = 0  # q_j <= length < q_{j+1}
-    while ctx.pair(j + 1)[1] <= length:
-        j += 1
+    ctx, j = _ctx(cf), _level(cf, length)
     return length + ctx.pair(j)[1] + ctx.pair(j + 1)[1] - 1
 
 
@@ -188,11 +192,7 @@ def oracle_window(cf: ContinuedFraction, n: int) -> int:
     bound = a_{k+1} + 2 the largest possible index at length n,
     q_k <= n < q_{k+1}; the window is R(N) (`recurrence_window`).
     """
-    ctx = _ctx(cf)
-    k = 0  # q_k <= n < q_{k+1}
-    while ctx.pair(k + 1)[1] <= n:
-        k += 1
-    return recurrence_window(cf, (cf.quotient(k + 1) + 3) * n)
+    return recurrence_window(cf, (cf.quotient(_level(cf, n) + 1) + 3) * n)
 
 
 def index_oracle(cf: ContinuedFraction, w: str) -> int:
@@ -214,8 +214,11 @@ def length_case(cf: ContinuedFraction, n: int
                 ) -> tuple[str, tuple[str, int, int, int, int, int]]:
     """The length's case tag and pattern (root, m, split, first, rest, other).
 
-    Cases iii-vi match as (tag, k, x), x = 1 for iii, l for iv and m for v
-    and vi; a double match raises instead of silently picking one.
+    Cases ii-vi are one rule over n's three-distance levels k >= 1, those
+    with q_{k-1} + q_{k-2} <= n (the walk of `three_distance_decomposition`):
+    n = q_{k,l} with 0 < l < a_k is iv, and n = m*q_k with m <= a_{k+1} + 1
+    (m <= a_2 at k = 1) is ii or v at k = 1 and iii or vi beyond, as m = 1
+    or m > 1.  A double match raises instead of silently picking one.
     Quotients are read only where a case uses them, so a truncation answers
     every length its known quotients decide.
     """
@@ -225,32 +228,22 @@ def length_case(cf: ContinuedFraction, n: int
     a1 = cf.quotient(1)
     if n < a1:
         return "i", ("1" + "0" * (n - 1), 1, 0, 1, 1, a1 // n)
-    if n == a1:
-        index = cf.quotient(2) + 1
-        return "ii", (reversal(standard_word(cf, 1)), 1, 0, index, index, 1)
-    matches: list[tuple[str, int, int]] = []
-    # n = q_k or a strict semiconvergent q_{k,l}: both mean r = 0 in the
-    # three-distance decomposition n = l*q_{k-1} + q_{k-2} + r.
-    k, l, r = three_distance_decomposition(cf, n)
-    if r == 0:
-        matches.append(("iii", k, 1) if l == cf.quotient(k) else ("iv", k, l))
-    if n % a1 == 0 and 1 < n // a1 < cf.quotient(2) + 1:
-        matches.append(("v", 1, n // a1))
-    j = 2
-    while (qj := convergent(cf, j).q) * 2 <= n:
-        if n % qj == 0 and 1 < n // qj < cf.quotient(j + 1) + 2:
-            matches.append(("vi", j, n // qj))
-        j += 1
+    # (tag, k, q_{k-1}, root, m, a): a = a_{k+1} for a standard root, 0 for iv.
+    matches: list[tuple[str, int, int, str, int, int]] = []
+    ctx, k = _ctx(cf), 1
+    while (q1 := ctx.pair(k - 1)[1]) + (q2 := ctx.pair(k - 2)[1]) <= n:
+        if n < (qk := ctx.pair(k)[1]) and (n - q2) % q1 == 0:
+            matches.append(("iv", k, q1, standard_or_semistandard(cf, k, (n - q2) // q1), 1, 0))
+        elif n % qk == 0 and (m := n // qk) <= (a := cf.quotient(k + 1)) + (k > 1):
+            tag = ("ii", "v", "iii", "vi")[2 * (k > 1) + (m > 1)]
+            matches.append((tag, k, q1, standard_word(cf, k), m, a))
+        k += 1
     if len(matches) > 1:
         raise AssertionError(f"length {n} matched several cases for {cf}: {matches}")
     if not matches:
         return "vii", ("", 1, 0, 1, 1, 1)
-    [(tag, k, x)] = matches
-    split = convergent(cf, k - 1).q - 1
-    if tag == "iv":
-        return tag, (reversal(standard_or_semistandard(cf, k, x)), 1, split, 2, 1, 1)
-    a = cf.quotient(k + 1)
-    return tag, (reversal(standard_word(cf, k)), x, split, (a + 2) // x, (a + 1) // x, 1)
+    [(tag, _, q1, root, m, a)] = matches
+    return tag, (reversal(root), m, q1 - 1, (a + 2) // m, (a + 1) // m, 1)
 
 
 def classify_length(cf: ContinuedFraction, n: int,

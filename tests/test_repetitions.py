@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import re
 import sys
 import threading
@@ -24,9 +25,11 @@ from sturmian.exactnum import (
     DepthExceededError,
     LinearForm,
     _ctx,
+    convergent,
     distance,
     floor_ratio,
     parse_slope,
+    semiconvergents,
 )
 from sturmian.repetitions import (
     IndexReport,
@@ -185,7 +188,7 @@ def test_case_tags_examples(example_slope, fib_slope):
 
 @pytest.mark.parametrize("slope, n, tag, pattern", [
     ("[0;5,(1)]", 2, "i", ("10", 1, 0, 1, 1, 2)),
-    ("[0;2,(1,2)]", 2, "ii", ("10", 1, 0, 2, 2, 1)),
+    ("[0;2,(1,2)]", 2, "ii", ("10", 1, 0, 3, 2, 1)),
     ("[0;2,(1)]", 3, "iii", ("010", 1, 1, 3, 2, 1)),
     ("[0;2,(1,2)]", 5, "iv", ("10010", 1, 2, 2, 1, 1)),
     ("[0;2,(3)]", 4, "v", ("10", 2, 0, 2, 2, 1)),
@@ -197,8 +200,10 @@ def test_length_case_patterns(slope, n, tag, pattern):
     assert length_case(parse_slope(slope), n) == (tag, pattern)
 
 
+@settings(max_examples=35, deadline=None)
+@given(st.integers(2, 6), st.lists(st.integers(1, 6), max_size=4))
 @pytest.mark.parametrize("slope, n, k", [("[0;2]", 2, 2), ("[0;2,1,1]", 5, 4), ("[0;2,3]", 7, 3)])
-def test_length_case_refuses_a_quotient_past_the_truncation(slope, n, k):
+def test_length_case_refuses_a_quotient_past_the_truncation(slope, n, k, a_1, rest):
     # Case ii at a_1 of a depth-1 truncation, and case iii at n = q_m of a
     # depth-m one, need a_k for their pattern.
     cf = parse_slope(slope)
@@ -206,6 +211,20 @@ def test_length_case_refuses_a_quotient_past_the_truncation(slope, n, k):
     for fn in (length_case, classify_length):
         with pytest.raises(DepthExceededError, match=message):
             fn(cf, n)
+    # The rule on a drawn truncation [0;a_1..a_m]: n >= a_1 needs a_{m+1}
+    # exactly at n = q_m and from q_m + q_{m-1} on; below, the answer holds
+    # for every extension of the cylinder.
+    pre = (a_1, *rest)
+    m, cf = len(pre), ContinuedFraction(pre)
+    q_prev, q_m = convergent(cf, m - 1).q, convergent(cf, m).q
+    message = f"quotient a_{m + 1} requested but expansion is only valid to depth {m}"
+    extensions = [ContinuedFraction(pre, (a,)) for a in (1, 7)]
+    for n in range(1, 2 * q_m + q_prev + 1):
+        if n >= a_1 and (n == q_m or n >= q_m + q_prev):
+            with pytest.raises(DepthExceededError, match=re.escape(message)):
+                length_case(cf, n)
+        else:
+            assert {length_case(cf, n)} == {length_case(ext, n) for ext in extensions}, (pre, n)
 
 
 def test_classify_worked_example(example_slope):
@@ -409,11 +428,34 @@ def test_index_word_builds_no_factor_map(capsys):
                                                           before.currsize)
 
 
+def _case_clauses(cf: ContinuedFraction, n: int) -> list[tuple[str, int, int]]:
+    """(tag, q, m) of each Damanik-Lenz condition n meets, read off
+    `convergent` and `semiconvergents`: n = m*q with the root length q."""
+    a_1, a_2 = cf.quotient(1), cf.quotient(2)
+    clauses = [("i", n, 1)] * (n < a_1) + [("ii", a_1, 1)] * (n == a_1)
+    clauses += [("iv", q, 1) for k, l, q in semiconvergents(cf, n) if q == n and l < cf.quotient(k)]
+    if n % a_1 == 0 and 2 <= n // a_1 <= a_2:
+        clauses.append(("v", a_1, n // a_1))
+    k = 2
+    while (q := convergent(cf, k).q) <= n:
+        if n == q:
+            clauses.append(("iii", q, 1))
+        if n % q == 0 and 2 <= n // q <= cf.quotient(k + 1) + 1:
+            clauses.append(("vi", q, n // q))
+        k += 1
+    return clauses or [("vii", 0, 1)]
+
+
 def test_classify_cases_exhaustive(family):
-    for cf in family:
-        for n in range(1, 120):
-            tag, _ = length_case(cf, n)  # double matches raise inside
-            assert tag in ("i", "ii", "iii", "iv", "v", "vi", "vii")
+    rng = random.Random(412)
+    drawn = [ContinuedFraction((rng.randint(2, 12), *(rng.randint(1, 12) for _ in range(rng.randint(0, 2)))),
+                               tuple(rng.randint(1, 12) for _ in range(rng.randint(1, 3))))
+             for _ in range(30)]
+    for cf in family + drawn:
+        for n in range(1, 401):
+            [(tag, q, m)] = _case_clauses(cf, n)  # exactly one condition holds
+            found, (root, m_found, *_) = length_case(cf, n)  # double matches raise inside
+            assert (found, len(root), m_found) == (tag, q, m), (str(cf), n)
 
 
 # ------------------------------------------------------------------
