@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import floordiv, mul, sub
+from itertools import repeat
+from operator import add, floordiv, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from sturmian import oracles
@@ -304,14 +304,17 @@ def _reports(cf: ContinuedFraction, n: int, case: tuple[str, tuple[str, int, int
     fractions = repeat(None)
     if with_fractional:
         exits = _exits(cf, n, lefts, lengths)
-        for w, idx, t in zip(words, indices, exits):
-            if (t - 1) // n != idx:
-                raise AssertionError(f"case {tag}: {w!r} has index {idx} but fractional "
-                                     f"index {Fraction(t - 1, n)} for {cf}")
+        if list(map(floordiv, map(sub, exits, repeat(1)), repeat(n))) != indices:
+            for w, idx, t in zip(words, indices, exits):
+                if (t - 1) // n != idx:
+                    raise AssertionError(f"case {tag}: {w!r} has index {idx} but fractional "
+                                         f"index {Fraction(t - 1, n)} for {cf}")
         # (t - 1)/n, one Fraction per distinct exit t.
         by_exit = {t: Fraction(t - 1, n) for t in set(exits)}
         fractions = map(by_exit.__getitem__, exits)
-    return list(map(IndexReport, words, repeat(n), indices, repeat(tag), positions, fractions))
+    # tuple.__new__ fills the NamedTuple without a Python-level __new__ per word.
+    return list(map(tuple.__new__, repeat(IndexReport),
+                    zip(words, repeat(n), indices, repeat(tag), positions, fractions)))
 
 
 # ------------------------------------------------------------------
@@ -411,38 +414,39 @@ def _exits(cf: ContinuedFraction, n: int, lefts: Iterable[int],
     {-i*alpha}, the heights of `rotation._height_walk` are v_s = K(-i) -
     K(s-i) for s <= n (exact, as |s - i| < q), and along w^inf they drift:
     v_{t+n} = v_t + delta with delta = K(-i) - K(n-i), nonzero as q > n.
-    For delta > 0 the bottom stays the least height of the first period,
-    K(-i) - hi for hi the largest of K(-i), ..., K(n-1-i), and the walk
-    first fails at t = k*n + s with v_t reaching it plus q: k is the least
-    period in which the smallest key lo gets there, k = ceil((q - hi +
-    lo)/delta) >= 1 (hi - lo < q since w is a factor), and s is the first
-    index of that period that does.  delta < 0 mirrors it with the top.
+    Let hi and lo be the largest and least of the n + 1 keys K(s-i), s <= n
+    (the last is the first less delta, so it is never the extreme that
+    delta moves away from).  For delta > 0 the bottom stays the least height
+    of the first period, K(-i) - hi, and the walk first fails at t = k*n + s
+    with v_t reaching it plus q: k is the least period in which the smallest
+    key lo gets there, k = ceil((q - hi + lo)/delta) >= 1 (keys are
+    distinct), and s <= n is the first index of that period that does (s = n
+    is the t of s = 0 one period on).  delta < 0 mirrors it with the top.
     Each comparison sets some (t - s)*alpha against an integer, and
     w^(ind+1) is not a factor, so t <= (ind+1)*n: one table of reach
     (ind+1)*n, ind the largest index of the lengths, signs all of them
     as alpha does; keys are distinct, so there is no tie.
 
     The word at {-i*alpha} reads the window from a = n - i of one key list
-    K(-n), ..., K(n).  Its first n keys are left[a:] + right[:a] for the
-    halves left = keys[:n] and right = keys[n:2n]: running maxima and minima
-    of the halves give every window's extremes, and maps run in C give its
-    delta, -k and -k*delta, all in O(n); only the scan for s, on the windows
-    asked for, runs in Python.  It needs no end check: k*|delta| >= q - (hi -
-    lo), so the bound hi - q + k*delta is at least lo, a key of the window
-    (for delta < 0, lo + q + k*delta is at most hi): s stays in [a, a + n).
+    K(-n), ..., K(n): K(s-i) = (K(-i) + K(s)) mod q, s <= n.  Its least key
+    is lo = K(0) = 0 (at s = i), and as K(-i) = q - K(i) for i > 0, its
+    largest is K(-i) plus the strict predecessor of K(i) among K(0), ...,
+    K(n), which for i = 0 wraps to the largest of them: one sort of K(0..n)
+    gives every window's hi, and maps run in C give its delta, -k and
+    -k*delta; only the scan for s, on the windows asked for, runs in Python.
+    It needs no end check: k*|delta| >= q - hi, so the bound hi - q +
+    k*delta is at least 0, a key of the window (for delta < 0, q + k*delta
+    is at most hi): s stays in [a, a + n].
     """
     table = key_table(cf, (max(_length_indices(cf, n, lengths)) + 1) * n)
     p, q = table.p, table.q
     keys = [m % q for m in range(-n * p, (n + 1) * p, p)]
-    left, right = keys[:n], keys[n:2 * n]
-    # his[a] and los[a] for a = 0..n; keys lie in [0, q), so -1 and q
-    # stand in for the empty suffix left[n:] and the empty prefix right[:0].
-    his = list(map(max, [*accumulate(reversed(left), max)][::-1] + [-1],
-                   [-1, *accumulate(right, max)]))
-    los = list(map(min, [*accumulate(reversed(left), min)][::-1] + [q],
-                   [q, *accumulate(right, min)]))
+    # his[a] for a = 0..n: K(-i) = keys[a] plus the key below K(i) = keys[2n - a].
+    ordered = sorted(keys[n:])
+    below = dict(zip(ordered, [ordered[-1], *ordered]))
+    his = list(map(add, keys[:n + 1], map(below.__getitem__, keys[:n - 1:-1])))
     drifts = list(map(sub, keys[:n + 1], keys[n:]))
-    negks = list(map(floordiv, map(sub, map(sub, his, los), repeat(q)), map(abs, drifts)))
+    negks = list(map(floordiv, map(sub, his, repeat(q)), map(abs, drifts)))
     steps = list(map(mul, negks, drifts))
     exits = []
     for i in lefts:
@@ -452,7 +456,7 @@ def _exits(cf: ContinuedFraction, n: int, lefts: Iterable[int],
             while keys[s] > bound:
                 s += 1
         else:
-            bound = los[a] + q - steps[a]
+            bound = q - steps[a]
             while keys[s] < bound:
                 s += 1
         exits.append(s - a - negks[a] * n)

@@ -10,7 +10,7 @@ import sys
 import threading
 import tracemalloc
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -336,6 +336,41 @@ def test_classify_with_fractional_refuses_a_late_exit(monkeypatch, family):
                 classify_length(cf, n, with_fractional=True)
 
 
+def test_classify_with_fractional_names_the_one_late_word(monkeypatch, family):
+    # One word's exit a period late: the floors are compared as one list,
+    # and the refusal still names that word, with its tag, positional index
+    # and the fractional index one above its own.
+    exits = repetitions._exits
+    for cf in family[:4]:
+        for n in (3, 5, 8):
+            reports = classify_length(cf, n, with_fractional=True)
+            for late, r in enumerate(reports):
+                monkeypatch.setattr(repetitions, "_exits", lambda cf, n, lefts, lengths: [
+                    t + n * (j == late) for j, t in enumerate(exits(cf, n, lefts, lengths))])
+                with pytest.raises(AssertionError) as refused:
+                    classify_length(cf, n, with_fractional=True)
+                assert str(refused.value) == (
+                    f"case {r.case_tag}: {r.word!r} has index {r.integer_index} but "
+                    f"fractional index {r.fractional_index + 1} for {cf}")
+            monkeypatch.setattr(repetitions, "_exits", exits)
+
+
+@pytest.mark.parametrize("classify", [classify_length,
+                                      lambda cf, n: classify_length(cf, n, with_fractional=True),
+                                      classify_each_word], ids=["length", "fractional", "word"])
+def test_reports_are_built_as_index_reports(family, classify):
+    # The reports are filled by tuple.__new__, not by calling the class:
+    # each must still be the tuple the class builds from the same fields.
+    for cf in family[:3]:
+        for n in range(1, 13):
+            for r in classify(cf, n):
+                built = IndexReport(*r)
+                assert type(r) is IndexReport
+                assert r == built
+                assert r._asdict() == built._asdict()
+                assert repr(r) == repr(built)
+
+
 def test_index_report_is_an_unordered_value_tuple(capsys):
     assert IndexReport._fields == ("word", "n", "integer_index", "case_tag",
                                    "conjugate_position", "fractional_index")
@@ -612,14 +647,14 @@ def test_fractional_indices_match_the_slice_route_on_drawn_slopes(a_1, preperiod
     assert classified_fractions(cf, n) == reference_fractional_indices(cf, n)
 
 
-def check_exits_against_the_walk(cf, n_max: int) -> tuple[set[tuple[bool, bool]], int]:
-    """`_exits` of every factor of lengths 1..n_max against the height walk
+def check_exits_against_the_walk(cf, lengths: Iterable[int]) -> tuple[set[tuple[bool, bool]], int]:
+    """`_exits` of every factor of the given lengths against the height walk
     of w^(ind + 2), whose longest factor prefix has t - 1 letters.  Lengths
     and words whose tables a truncation refuses are skipped.  Returns the
     kinds (drift > 0, k >= 2) met, k = t // n the period of the exit, and
     the number of words compared."""
     kinds, compared = set(), 0
-    for n in range(1, n_max + 1):
+    for n in lengths:
         try:
             indices = indices_by_interval(cf, n)
             factors = factor_interval_map(cf, n)
@@ -641,7 +676,7 @@ def check_exits_against_the_walk(cf, n_max: int) -> tuple[set[tuple[bool, bool]]
 def test_exits_match_the_walk_of_a_power(family):
     # Both drift signs, each with exits in the first period and past it.
     for cf in family:
-        kinds, compared = check_exits_against_the_walk(cf, 40)
+        kinds, compared = check_exits_against_the_walk(cf, range(1, 41))
         assert kinds == {(True, True), (True, False), (False, True), (False, False)}, str(cf)
         assert compared == 860
 
@@ -649,7 +684,17 @@ def test_exits_match_the_walk_of_a_power(family):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 5), st.lists(st.integers(1, 5), min_size=1, max_size=8))
 def test_exits_match_the_walk_of_a_power_on_drawn_truncations(a_1, rest):
-    check_exits_against_the_walk(ContinuedFraction((a_1, *rest)), 40)
+    check_exits_against_the_walk(ContinuedFraction((a_1, *rest)), range(1, 41))
+
+
+def whole_and_single_exits(cf, n) -> tuple[list[int], list[int]]:
+    """`_exits` of every factor of length n in one call, and one call per
+    word, each on a table sized by that word's own interval."""
+    factors = factor_interval_map(cf, n)
+    whole = repetitions._exits(cf, n, factors.lefts, factors.lengths.values())
+    single = [t for i, d in zip(factors.lefts, factors.gaps)
+              for t in repetitions._exits(cf, n, [i], [factors.lengths[d]])]
+    return whole, single
 
 
 def test_exits_of_a_whole_length_match_word_by_word(family):
@@ -659,14 +704,46 @@ def test_exits_of_a_whole_length_match_word_by_word(family):
     signs = set()
     for cf in family:
         for n in range(1, 61):
-            factors = factor_interval_map(cf, n)
-            whole = repetitions._exits(cf, n, factors.lefts, factors.lengths.values())
-            single = [t for i, d in zip(factors.lefts, factors.gaps)
-                      for t in repetitions._exits(cf, n, [i], [factors.lengths[d]])]
+            whole, single = whole_and_single_exits(cf, n)
             assert whole == single, (str(cf), n)
+            factors = factor_interval_map(cf, n)
             table = key_table(cf, n)
             signs.update(w.count("1") * table.q > n * table.p for w in factors.words)
     assert signs == {True, False}
+
+
+def lengths_near_convergents(cf, n_max: int) -> list[int]:
+    """1, 2 and q_k - 1, q_k, q_k + 1, q_k + q_{k-1} for each known q_k,
+    k >= 1, those <= n_max."""
+    lengths, k = {1, 2}, 1
+    try:
+        while (q := convergent(cf, k).q) <= n_max:
+            lengths.update((q - 1, q, q + 1, q + convergent(cf, k - 1).q))
+            k += 1
+    except DepthError:  # a truncation knows q_k up to its last quotient
+        pass
+    return sorted(n for n in lengths if n <= n_max)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 40), st.lists(st.integers(1, 40), max_size=3),
+       st.lists(st.integers(1, 40), min_size=1, max_size=3), st.booleans())
+def test_exits_of_a_whole_length_match_on_large_quotients(a_1, preperiod, period, truncated):
+    # Each window a = n - i takes its largest key as K(-i) plus the strict
+    # predecessor of K(i) among K(0..n), wrapping to the largest for i = 0,
+    # and its least as K(0) = 0.  Large quotients put exits several periods
+    # out, near the lengths where windows wrap.
+    quotients = (a_1, *preperiod)
+    cf = (ContinuedFraction((*quotients, *period)) if truncated
+          else ContinuedFraction(quotients, tuple(period)))
+    lengths = lengths_near_convergents(cf, 300)
+    for n in lengths:
+        try:
+            whole, single = whole_and_single_exits(cf, n)
+        except DepthError:
+            continue
+        assert whole == single, (str(cf), n)
+    check_exits_against_the_walk(cf, lengths)
 
 
 def test_fractional_index_matches_the_walk_on_truncations():
