@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import add, floordiv, mul, sub
+from operator import floordiv, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from sturmian import oracles
@@ -38,6 +38,7 @@ from sturmian.rotation import (
     factor_interval_map,
     key_table,
     require_normalized,
+    three_distance_decomposition,
     word_interval,
 )
 from sturmian.words import (
@@ -162,11 +163,11 @@ def indices_by_interval(cf: ContinuedFraction, n: int) -> list[int]:
 
 
 def _level(cf: ContinuedFraction, n: int) -> int:
-    """The k >= 0 with q_k <= n < q_{k+1}."""
-    ctx, k = _ctx(cf), 0
-    while ctx.pair(k + 1)[1] <= n:
-        k += 1
-    return k
+    """The k >= 0 with q_k <= n < q_{k+1}, n >= 1: n's three-distance level
+    k (`three_distance_decomposition`) less one when l < a_k, as then
+    q_{k-1} <= n < q_k."""
+    k, l, _ = three_distance_decomposition(cf, n)
+    return k - (l < cf.quotient(k))
 
 
 def recurrence_window(cf: ContinuedFraction, length: int) -> int:
@@ -214,36 +215,35 @@ def length_case(cf: ContinuedFraction, n: int
                 ) -> tuple[str, tuple[str, int, int, int, int, int]]:
     """The length's case tag and pattern (root, m, split, first, rest, other).
 
-    Cases ii-vi are one rule over n's three-distance levels k >= 1, those
-    with q_{k-1} + q_{k-2} <= n (the walk of `three_distance_decomposition`):
-    n = q_{k,l} with 0 < l < a_k is iv, and n = m*q_k with m <= a_{k+1} + 1
-    (m <= a_2 at k = 1) is ii or v at k = 1 and iii or vi beyond, as m = 1
-    or m > 1.  A double match raises instead of silently picking one.
-    Quotients are read only where a case uses them, so a truncation answers
-    every length its known quotients decide.
+    The case is read off n's three-distance decomposition n = l*q_{k-1} +
+    q_{k-2} + r (`three_distance_decomposition`).  n < a_1 (k = 1, l < a_1)
+    is i.  r = 0 is n = q_{k,l}: iv for l < a_k, otherwise n = q_k, ii at
+    k = 1 and iii beyond.  r = q_{k-1} - q_{k-2} is n = m*q_{k-1} with
+    m = l + 1 > 1: v at k = 2 (where m <= a_2) and vi beyond.  Every other
+    length is vii.  The decomposition is unique, so no length takes two
+    cases.  Quotients are read only where a case uses them (a_{k+1} only
+    at n = q_k), so a truncation answers every length its known quotients
+    decide.
     """
     require_normalized(cf)
     if n < 1:
         raise ValueError(f"length must be >= 1, got {n}")
-    a1 = cf.quotient(1)
-    if n < a1:
-        return "i", ("1" + "0" * (n - 1), 1, 0, 1, 1, a1 // n)
-    # (tag, k, q_{k-1}, root, m, a): a = a_{k+1} for a standard root, 0 for iv.
-    matches: list[tuple[str, int, int, str, int, int]] = []
-    ctx, k = _ctx(cf), 1
-    while (q1 := ctx.pair(k - 1)[1]) + (q2 := ctx.pair(k - 2)[1]) <= n:
-        if n < (qk := ctx.pair(k)[1]) and (n - q2) % q1 == 0:
-            matches.append(("iv", k, q1, standard_or_semistandard(cf, k, (n - q2) // q1), 1, 0))
-        elif n % qk == 0 and (m := n // qk) <= (a := cf.quotient(k + 1)) + (k > 1):
-            tag = ("ii", "v", "iii", "vi")[2 * (k > 1) + (m > 1)]
-            matches.append((tag, k, q1, standard_word(cf, k), m, a))
-        k += 1
-    if len(matches) > 1:
-        raise AssertionError(f"length {n} matched several cases for {cf}: {matches}")
-    if not matches:
+    k, l, r = three_distance_decomposition(cf, n)
+    ctx, a_k = _ctx(cf), cf.quotient(k)
+    if k == 1 and l < a_k:
+        return "i", ("1" + "0" * (n - 1), 1, 0, 1, 1, a_k // n)
+    q1, q2 = ctx.pair(k - 1)[1], ctx.pair(k - 2)[1]
+    # The root s_j (j = k, or k - 1 for v and vi; s_{k,l} for iv) gives
+    # split = q_{j-1} - 1, and a = a_{j+1} (0 for iv) gives first and rest.
+    if r == 0 and l < a_k:
+        tag, root, m, q, a = "iv", standard_or_semistandard(cf, k, l), 1, q1, 0
+    elif r == 0:
+        tag, root, m, q, a = "iii" if k > 1 else "ii", standard_word(cf, k), 1, q1, cf.quotient(k + 1)
+    elif r == q1 - q2 and (k > 2 or l < a_k):
+        tag, root, m, q, a = "vi" if k > 2 else "v", standard_word(cf, k - 1), l + 1, q2, a_k
+    else:
         return "vii", ("", 1, 0, 1, 1, 1)
-    [(tag, _, q1, root, m, a)] = matches
-    return tag, (reversal(root), m, q1 - 1, (a + 2) // m, (a + 1) // m, 1)
+    return tag, (reversal(root), m, q - 1, (a + 2) // m, (a + 1) // m, 1)
 
 
 def classify_length(cf: ContinuedFraction, n: int,
@@ -252,7 +252,8 @@ def classify_length(cf: ContinuedFraction, n: int,
     positional rule (`_reports`); fractional indices only on request.  The
     interval formula and the scan oracle cross-check the rule in `verify`."""
     case, fmap = length_case(cf, n), factor_interval_map(cf, n)
-    return _reports(cf, n, case, fmap.words, fmap.lefts, fmap.lengths.values(), with_fractional)
+    return _reports(cf, n, case, fmap.words, zip(fmap.lefts, fmap.gaps), fmap.lengths.values(),
+                    with_fractional)
 
 
 def classify_word(cf: ContinuedFraction, w: str) -> IndexReport:
@@ -260,8 +261,8 @@ def classify_word(cf: ContinuedFraction, w: str) -> IndexReport:
     from w alone in O(|w|): [w] by the height walk, no factor map."""
     if not check_word(w):
         raise NotAFactorError("the empty word has no index")
-    case, interval = length_case(cf, len(w)), _factor_interval(cf, w)
-    [report] = _reports(cf, len(w), case, [w], [interval.left_idx], [interval.length], True)
+    case, (i, j, length) = length_case(cf, len(w)), _factor_interval(cf, w)
+    [report] = _reports(cf, len(w), case, [w], [(i, i - j)], [length], True)
     return report
 
 
@@ -285,9 +286,10 @@ def _conjugate_positions(cf: ContinuedFraction, n: int, root: str, m: int,
 
 
 def _reports(cf: ContinuedFraction, n: int, case: tuple[str, tuple[str, int, int, int, int, int]],
-             words: Sequence[str], lefts: Iterable[int], lengths: Iterable[LinearForm],
-             with_fractional: bool) -> list[IndexReport]:
-    """IndexReport of each factor words[t], whose interval starts at {-lefts[t]*alpha}.
+             words: Sequence[str], windows: Iterable[tuple[int, int]],
+             lengths: Iterable[LinearForm], with_fractional: bool) -> list[IndexReport]:
+    """IndexReport of each factor words[t], whose interval starts at {-i*alpha}
+    and has gap d for windows[t] = (i, d) (`_exits`).
 
     One positional rule covers all seven cases (Damanik-Lenz): with the
     case's (root, m, split, first, rest, other) from `length_case`, the
@@ -303,7 +305,7 @@ def _reports(cf: ContinuedFraction, n: int, case: tuple[str, tuple[str, int, int
     indices = [other if pos is None else first if pos < split else rest for pos in positions]
     fractions = repeat(None)
     if with_fractional:
-        exits = _exits(cf, n, lefts, lengths)
+        exits = _exits(cf, n, windows, lengths)
         if list(map(floordiv, map(sub, exits, repeat(1)), repeat(n))) != indices:
             for w, idx, t in zip(words, indices, exits):
                 if (t - 1) // n != idx:
@@ -400,15 +402,16 @@ def conjugacy_report(cf: ContinuedFraction, k: int, l: int) -> ConjugacyReport:
 def fractional_index(cf: ContinuedFraction, w: str) -> Fraction:
     """sup of exponents e with w^e a factor, as an exact rational: (t - 1)/|w|
     for the first prefix length t of w^inf that is not a factor (`_exits`)."""
-    interval = _factor_interval(cf, w)
-    [t] = _exits(cf, len(w), [interval.left_idx], [interval.length])
+    i, j, length = _factor_interval(cf, w)
+    [t] = _exits(cf, len(w), [(i, i - j)], [length])
     return Fraction(t - 1, len(w))
 
 
-def _exits(cf: ContinuedFraction, n: int, lefts: Iterable[int],
+def _exits(cf: ContinuedFraction, n: int, windows: Iterable[tuple[int, int]],
            lengths: Iterable[LinearForm]) -> list[int]:
     """Least t such that the prefix of length t of w^inf is not a factor, for
-    the factor w at {-i*alpha} of each i in `lefts`, its length in `lengths`.
+    the factor w at {-i*alpha} of each window (i, d) in `windows` (d below);
+    `lengths` holds their interval lengths, which size the table.
 
     Keys are K(m) = m*p mod q.  For the w whose interval starts at
     {-i*alpha}, the heights of `rotation._height_walk` are v_s = K(-i) -
@@ -429,37 +432,34 @@ def _exits(cf: ContinuedFraction, n: int, lefts: Iterable[int],
 
     The word at {-i*alpha} reads the window from a = n - i of one key list
     K(-n), ..., K(n): K(s-i) = (K(-i) + K(s)) mod q, s <= n.  Its least key
-    is lo = K(0) = 0 (at s = i), and as K(-i) = q - K(i) for i > 0, its
-    largest is K(-i) plus the strict predecessor of K(i) among K(0), ...,
-    K(n), which for i = 0 wraps to the largest of them: one sort of K(0..n)
-    gives every window's hi, and maps run in C give its delta, -k and
-    -k*delta; only the scan for s, on the windows asked for, runs in Python.
-    It needs no end check: k*|delta| >= q - hi, so the bound hi - q +
-    k*delta is at least 0, a key of the window (for delta < 0, q + k*delta
-    is at most hi): s stays in [a, a + n].
+    is lo = K(0) = 0 (at s = i).  Its largest comes from the end {-j*alpha}
+    of its interval: that is the next point, so K(j) is the strict
+    predecessor of K(i) among K(0), ..., K(n) (the largest of them for
+    i = 0), and hi = K(-i) + K(j) = K(-d) for the gap d = i - j
+    (K(-i) = q - K(i) for i > 0; d = -j for i = 0).  So each window is the
+    pair (i, d), d from the layout (`FactorMap.gaps`) or left_idx -
+    right_idx of `word_interval`, and only the windows asked for are
+    computed.  The scan for s needs no end check: k*|delta| >= q - hi, so
+    the bound hi - q + k*delta is at least 0, a key of the window (for
+    delta < 0, q + k*delta is at most hi): s stays in [a, a + n].
     """
     table = key_table(cf, (max(_length_indices(cf, n, lengths)) + 1) * n)
     p, q = table.p, table.q
     keys = [m % q for m in range(-n * p, (n + 1) * p, p)]
-    # his[a] for a = 0..n: K(-i) = keys[a] plus the key below K(i) = keys[2n - a].
-    ordered = sorted(keys[n:])
-    below = dict(zip(ordered, [ordered[-1], *ordered]))
-    his = list(map(add, keys[:n + 1], map(below.__getitem__, keys[:n - 1:-1])))
-    drifts = list(map(sub, keys[:n + 1], keys[n:]))
-    negks = list(map(floordiv, map(sub, his, repeat(q)), map(abs, drifts)))
-    steps = list(map(mul, negks, drifts))
     exits = []
-    for i in lefts:
+    for i, d in windows:
         s = a = n - i
-        if drifts[a] > 0:
-            bound = his[a] - q - steps[a]
+        hi, drift = -d * p % q, keys[a] - keys[n + a]
+        negk = (hi - q) // abs(drift)
+        if drift > 0:
+            bound = hi - q - negk * drift
             while keys[s] > bound:
                 s += 1
         else:
-            bound = q - steps[a]
+            bound = q - negk * drift
             while keys[s] < bound:
                 s += 1
-        exits.append(s - a - negks[a] * n)
+        exits.append(s - a - negk * n)
     return exits
 
 

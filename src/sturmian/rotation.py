@@ -368,22 +368,21 @@ def language_extension(cf: ContinuedFraction, base: str, ext: str) -> int:
 # ------------------------------------------------------------------
 
 def three_distance_decomposition(cf: ContinuedFraction, n: int) -> tuple[int, int, int]:
-    """The unique (k, l, r) with n = l*q_{k-1} + q_{k-2} + r, k >= 2,
-    0 < l <= a_k, 0 <= r < q_{k-1}."""
-    if n <= cf.quotient(1):
-        raise ValueError(f"n must exceed a_1 = {cf.quotient(1)}, got {n}")
-    ctx = _ctx(cf)
-    k = 2
-    while ctx.pair(k)[1] + ctx.pair(k - 1)[1] <= n:
-        k += 1
-    q1 = ctx.pair(k - 1)[1]
-    q2 = ctx.pair(k - 2)[1]
+    """The unique (k, l, r) with n = l*q_{k-1} + q_{k-2} + r, k >= 1,
+    0 < l <= a_k, 0 <= r < q_{k-1}, for n >= 1 (q_{-1} = 0, so n <= a_1
+    is (1, n, 0)).  The one walk over n's convergent levels: it reads a_1
+    to a_k, and q_{k-1} + q_{k-2} <= n < q_k + q_{k-1}."""
+    ctx, k, q2, q1 = _ctx(cf), 1, 0, 1  # q2, q1 = q_{k-2}, q_{k-1}
+    while (q := ctx.pair(k)[1]) + q1 <= n:
+        k, q2, q1 = k + 1, q1, q
     l, r = divmod(n - q2, q1)
     return k, l, r
 
 
 def three_distance(cf: ContinuedFraction, n: int) -> PartitionSummary:
-    """Formulaic gap summary for the points {0, alpha, ..., n*alpha}."""
+    """Formulaic gap summary for the points {0, alpha, ..., n*alpha}, n > a_1."""
+    if n <= cf.quotient(1):
+        raise ValueError(f"n must exceed a_1 = {cf.quotient(1)}, got {n}")
     k, l, r = three_distance_decomposition(cf, n)
     q_prev = _ctx(cf).pair(k - 1)[1]
     len_a = convergent_distance(cf, k - 1)        # count n + 1 - q_{k-1}

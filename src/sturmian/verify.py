@@ -200,7 +200,7 @@ def suite_power_classification(cf: ContinuedFraction, n_max: int,
     for n in range(1, n_max + 1):
         try:
             reports = classify_length(cf, n)
-        except AssertionError as exc:  # double case match or shift self-check
+        except AssertionError as exc:  # the conjugate shift self-check
             yield False, str(exc)
             continue
         # Both routes list the length's words in layout order (`FactorMap`).

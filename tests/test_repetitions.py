@@ -53,6 +53,7 @@ from sturmian.rotation import (
     factors_of_length,
     key_table,
     language_extension,
+    word_interval,
 )
 from sturmian.words import check_word, reversal, standard_word
 
@@ -122,6 +123,34 @@ def test_every_factor_occurs_in_every_recurrence_window(a_1, pre, period):
     for n in range(1, 15):
         k = max(j for j in range(n + 1) if _ctx(cf).pair(j)[1] <= n)
         assert oracle_window(cf, n) == _recurrence(cf, (cf.quotient(k + 1) + 3) * n)
+
+
+def test_level_brackets_each_length_between_convergents(family):
+    # `_level` reads k off the three-distance decomposition; the q_k here
+    # come from `convergent` alone.
+    for cf in family:
+        for n in range(1, 2001):
+            k = repetitions._level(cf, n)
+            assert convergent(cf, k).q <= n < convergent(cf, k + 1).q, (str(cf), n)
+
+
+@settings(max_examples=35, deadline=None)
+@given(st.integers(2, 6), st.lists(st.integers(1, 6), max_size=5))
+def test_recurrence_window_refuses_a_quotient_past_the_truncation(a_1, rest):
+    # R(n) needs q_{j+1} for q_j <= n < q_{j+1}: a truncation [0;a_1..a_m]
+    # answers below q_m, as every extension of its cylinder does, and from
+    # q_m on asks for a_{m+1}.
+    pre = (a_1, *rest)
+    m, cf = len(pre), ContinuedFraction(pre)
+    q_prev, q_m = convergent(cf, m - 1).q, convergent(cf, m).q
+    message = f"quotient a_{m + 1} requested but expansion is only valid to depth {m}"
+    extensions = [ContinuedFraction(pre, (a,)) for a in (1, 7)]
+    for n in range(1, q_m + q_prev + 2):
+        if n >= q_m:
+            with pytest.raises(DepthExceededError, match=re.escape(message)):
+                recurrence_window(cf, n)
+        else:
+            assert {recurrence_window(cf, n)} == {recurrence_window(ext, n) for ext in extensions}
 
 
 def _direct_indices(cf, n) -> dict[str, int | None]:
@@ -329,7 +358,7 @@ def test_classify_with_fractional_refuses_a_late_exit(monkeypatch, family):
     # (t - 1) // n is one above the positional index.
     exits = repetitions._exits
     monkeypatch.setattr(repetitions, "_exits",
-                        lambda cf, n, lefts, lengths: [t + n for t in exits(cf, n, lefts, lengths)])
+                        lambda cf, n, windows, lengths: [t + n for t in exits(cf, n, windows, lengths)])
     for cf in family:
         with pytest.raises(AssertionError, match="fractional index"):
             for n in range(1, 21):
@@ -345,8 +374,8 @@ def test_classify_with_fractional_names_the_one_late_word(monkeypatch, family):
         for n in (3, 5, 8):
             reports = classify_length(cf, n, with_fractional=True)
             for late, r in enumerate(reports):
-                monkeypatch.setattr(repetitions, "_exits", lambda cf, n, lefts, lengths: [
-                    t + n * (j == late) for j, t in enumerate(exits(cf, n, lefts, lengths))])
+                monkeypatch.setattr(repetitions, "_exits", lambda cf, n, windows, lengths: [
+                    t + n * (j == late) for j, t in enumerate(exits(cf, n, windows, lengths))])
                 with pytest.raises(AssertionError) as refused:
                     classify_length(cf, n, with_fractional=True)
                 assert str(refused.value) == (
@@ -489,7 +518,7 @@ def test_classify_cases_exhaustive(family):
     for cf in family + drawn:
         for n in range(1, 401):
             [(tag, q, m)] = _case_clauses(cf, n)  # exactly one condition holds
-            found, (root, m_found, *_) = length_case(cf, n)  # double matches raise inside
+            found, (root, m_found, *_) = length_case(cf, n)  # one case per decomposition
             assert (found, len(root), m_found) == (tag, q, m), (str(cf), n)
 
 
@@ -658,7 +687,8 @@ def check_exits_against_the_walk(cf, lengths: Iterable[int]) -> tuple[set[tuple[
         try:
             indices = indices_by_interval(cf, n)
             factors = factor_interval_map(cf, n)
-            exits = repetitions._exits(cf, n, factors.lefts, factors.lengths.values())
+            exits = repetitions._exits(cf, n, zip(factors.lefts, factors.gaps),
+                                       factors.lengths.values())
         except DepthError:
             continue
         for w, ind, t in zip(factors.words, indices, exits):
@@ -688,19 +718,21 @@ def test_exits_match_the_walk_of_a_power_on_drawn_truncations(a_1, rest):
 
 
 def whole_and_single_exits(cf, n) -> tuple[list[int], list[int]]:
-    """`_exits` of every factor of length n in one call, and one call per
-    word, each on a table sized by that word's own interval."""
+    """`_exits` of every factor of length n in one call, with the layout's
+    gaps, and one call per word, each with the gap left_idx - right_idx of
+    its own `word_interval` and on a table sized by that interval."""
     factors = factor_interval_map(cf, n)
-    whole = repetitions._exits(cf, n, factors.lefts, factors.lengths.values())
-    single = [t for i, d in zip(factors.lefts, factors.gaps)
-              for t in repetitions._exits(cf, n, [i], [factors.lengths[d]])]
+    whole = repetitions._exits(cf, n, zip(factors.lefts, factors.gaps), factors.lengths.values())
+    single = [t for w in factors.words for i, j, length in [word_interval(cf, w)]
+              for t in repetitions._exits(cf, n, [(i, i - j)], [length])]
     return whole, single
 
 
 def test_exits_of_a_whole_length_match_word_by_word(family):
-    # The whole-length route maps every window's drift, k and k*drift at
-    # once; one word at a time, on a table sized by its own length, must
-    # give the same exits, with the heights drifting both ways.
+    # The whole-length route reads each window's gap from the layout; one
+    # word at a time, its gap from its own height walk and on a table sized
+    # by its own length, must give the same exits, with the heights
+    # drifting both ways.
     signs = set()
     for cf in family:
         for n in range(1, 61):
@@ -729,10 +761,10 @@ def lengths_near_convergents(cf, n_max: int) -> list[int]:
 @given(st.integers(2, 40), st.lists(st.integers(1, 40), max_size=3),
        st.lists(st.integers(1, 40), min_size=1, max_size=3), st.booleans())
 def test_exits_of_a_whole_length_match_on_large_quotients(a_1, preperiod, period, truncated):
-    # Each window a = n - i takes its largest key as K(-i) plus the strict
-    # predecessor of K(i) among K(0..n), wrapping to the largest for i = 0,
-    # and its least as K(0) = 0.  Large quotients put exits several periods
-    # out, near the lengths where windows wrap.
+    # Each window a = n - i takes its largest key from the end {-j*alpha}
+    # of its interval, K(-d) for d = i - j (i = 0 wraps: d = -j), and its
+    # least as K(0) = 0.  Large quotients put exits several periods out,
+    # near the lengths where windows wrap.
     quotients = (a_1, *preperiod)
     cf = (ContinuedFraction((*quotients, *period)) if truncated
           else ContinuedFraction(quotients, tuple(period)))
@@ -778,12 +810,12 @@ def test_exit_tables_are_sized_by_the_intervals_asked_for():
     assert len(factors.words) == 11
     with pytest.raises(DepthError, match=re.escape(
             "cannot certify 21 orbit points for slope [0;2,3] within depth 2")):
-        repetitions._exits(cf, 10, factors.lefts, factors.lengths.values())
+        repetitions._exits(cf, 10, zip(factors.lefts, factors.gaps), factors.lengths.values())
     assert fractional_index(cf, "01001") == Fraction(8, 5)
     cf = parse_slope("[0;7,7]")
     factors = factor_interval_map(cf, 36)
     with pytest.raises(DepthError):
-        repetitions._exits(cf, 36, factors.lefts, factors.lengths.values())
+        repetitions._exits(cf, 36, zip(factors.lefts, factors.gaps), factors.lengths.values())
     answered = {}
     for w in factors.words:
         try:

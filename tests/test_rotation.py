@@ -939,14 +939,22 @@ def test_three_distance_matches_gap_oracle(family):
 
 
 def test_decomposition_uniqueness(family):
+    # From n = 1: k = 1 has q_{-1} = 0 and q_0 = 1, so n <= a_1 is (1, n, 0),
+    # while `three_distance` still refuses those n.
     from sturmian.exactnum import convergent
     for cf in family:
-        for n in range(cf.quotient(1) + 1, 200):
+        a_1 = cf.quotient(1)
+        for n in range(1, 200):
             k, l, r = three_distance_decomposition(cf, n)
             q_prev = convergent(cf, k - 1).q
-            q_prev2 = convergent(cf, k - 2).q
+            q_prev2 = convergent(cf, k - 2).q if k > 1 else 0
             assert n == l * q_prev + q_prev2 + r
-            assert 2 <= k and 0 < l <= cf.quotient(k) and 0 <= r < q_prev
+            assert 1 <= k and 0 < l <= cf.quotient(k) and 0 <= r < q_prev
+            assert (k == 1) == (n <= a_1)
+            if n <= a_1:
+                assert (k, l, r) == (1, n, 0)
+                with pytest.raises(ValueError, match=re.escape(f"n must exceed a_1 = {a_1}, got {n}")):
+                    three_distance(cf, n)
 
 
 # ------------------------------------------------------------------
