@@ -238,9 +238,7 @@ def cmd_three_distance(args: argparse.Namespace) -> int:
     cf, swapped = _slope_of(args)
     s = three_distance(cf, args.n)
     encode = _form_encoder(cf)
-    gaps = [{"count": count, "length": encode(form)}
-            for count, form in ((s.count_short, s.length_short), (s.count_mid, s.length_mid),
-                                (s.count_long, s.length_long))]
+    gaps = [{"count": count, "length": encode(form)} for count, form in s.gaps]
     row = {"n": s.n, "k": s.k, "l": s.l, "r": s.r, "gaps": gaps}
     return _emit(args, cf, [row], lambda: [
         f"n = {s.n} decomposes as {s.l}*q_{s.k - 1} + q_{s.k - 2} + {s.r}",
@@ -264,15 +262,16 @@ def cmd_conjugacy(args: argparse.Namespace) -> int:
     cf, swapped = _slope_of(args)
     rep = conjugacy_report(cf, args.k, args.l)
     encode = _form_encoder(cf)
-    blocks = ([("wide", rep.wide_length)] * rep.wide_count
-              + [("narrow", rep.narrow_length)] * rep.narrow_count)
+    blocks = [(block, form) for block, (count, form) in zip(("wide", "narrow"), rep.gaps)
+              for _ in range(count)]
     rows = [{"position": i, "word": w, "interval_length": encode(form), "block": block}
             for i, (w, (block, form)) in enumerate(zip(rep.conjugates, blocks))]
     rows.append({"position": None, "word": rep.leftover,
-                 "interval_length": encode(rep.leftover_length), "block": "outside-class"})
-    width = len(rep.base) + 2
+                 "interval_length": encode(rep.gaps[2][1]), "block": "outside-class"})
+    base = rep.conjugates[0]
+    width = len(base) + 2
     return _emit(args, cf, rows, lambda: [
-        f"conjugates of {rep.base} (length {len(rep.base)}):",
+        f"conjugates of {base} (length {len(base)}):",
         f"{'pos':>4}  {'word':<{width}} interval length",
         *(f"{_dash(r['position']):>4}  {r['word']:<{width}} {_form_cell(r['interval_length'])}"
           f"  ({'outside the class' if r['position'] is None else r['block']})"

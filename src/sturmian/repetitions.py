@@ -71,24 +71,20 @@ class IndexReport(NamedTuple):
 
 @dataclass(frozen=True)
 class ConjugacyReport:
-    """Interval structure of the conjugacy class of length q_{k,l}.
+    """Interval structure of the conjugacy class of length n = q_{k,l}.
 
-    conjugates[i] = C^i(reversed s_{k,l}); the first `wide_count` of them
-    carry intervals of length ||q_{k,l-1} a||, the rest intervals of length
-    ||q_{k-1} a||, and the one factor outside the class has the unique
-    interval of length ||q_{k,l} a||.
+    conjugates[i] = C^i(reversed s_{k,l}), and `leftover` is the one factor
+    outside the class.  `gaps` holds the (count, interval length) pair of
+    each block, (wide, narrow, outside): the first q_{k-1} - 1 conjugates
+    have length ||q_{k,l-1} a||, the other n + 1 - q_{k-1} length
+    ||q_{k-1} a||, and the leftover alone has ||q_{k,l} a||.
     """
 
     k: int
     l: int
-    base: str
     conjugates: tuple[str, ...]
-    wide_count: int
-    wide_length: LinearForm
-    narrow_count: int
-    narrow_length: LinearForm
     leftover: str
-    leftover_length: LinearForm
+    gaps: tuple[tuple[int, LinearForm], ...]
 
 
 # Depth of the tail's convergent bracket in CriticalExponentResult.bounds().
@@ -369,9 +365,11 @@ def conjugacy_report(cf: ContinuedFraction, k: int, l: int) -> ConjugacyReport:
     base = reversal(plain)
     n = len(base)
     q_prev = convergent(cf, k - 1).q
-    wide_len = semiconvergent_distance(cf, k, l - 1)
-    narrow_len = convergent_distance(cf, k - 1)
-    leftover_len = semiconvergent_distance(cf, k, l)
+    wide, narrow, outside = gaps = (
+        (q_prev - 1, semiconvergent_distance(cf, k, l - 1)),
+        (n + 1 - q_prev, convergent_distance(cf, k - 1)),
+        (1, semiconvergent_distance(cf, k, l)),
+    )
 
     factors = factor_interval_map(cf, n)
     positions = _conjugate_positions(cf, n, base, 1, factors.words)
@@ -379,20 +377,15 @@ def conjugacy_report(cf: ContinuedFraction, k: int, l: int) -> ConjugacyReport:
     for w, i, d in zip(factors.words, positions, factors.gaps):
         if i is None:
             leftover = w
-            if factors.lengths[d] != leftover_len:
+            if factors.lengths[d] != outside[1]:
                 raise AssertionError("non-conjugate factor has unexpected interval length")
         else:
             conj[i] = w
-            if factors.lengths[d] != (wide_len if i < q_prev - 1 else narrow_len):
+            if factors.lengths[d] != (wide if i < q_prev - 1 else narrow)[1]:
                 raise AssertionError(f"conjugate {i} of {base!r} has unexpected interval length")
     if conj[q_prev - 2] != plain:
         raise AssertionError(f"conjugate {q_prev - 2} of {base!r} is not s_({k},{l})")
-    return ConjugacyReport(
-        k=k, l=l, base=base, conjugates=tuple(conj),
-        wide_count=q_prev - 1, wide_length=wide_len,
-        narrow_count=n + 1 - q_prev, narrow_length=narrow_len,
-        leftover=leftover, leftover_length=leftover_len,
-    )
+    return ConjugacyReport(k, l, tuple(conj), leftover, gaps)
 
 
 # ------------------------------------------------------------------

@@ -20,7 +20,6 @@ language has a closed form (`repetitions._exits`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -53,26 +52,21 @@ class FactorInterval(NamedTuple):
     __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
 
-@dataclass(frozen=True)
-class PartitionSummary:
+class PartitionSummary(NamedTuple):
     """Gap structure of the points {0, alpha, ..., n*alpha}.
 
     The decomposition n = l*q_{k-1} + q_{k-2} + r (k >= 2, 0 < l <= a_k,
     0 <= r < q_{k-1}) pins the three gap lengths; counts follow the
-    three-distance formulas.  Lengths are sorted ascending; the long type
-    always equals short + mid and may have count zero.
+    three-distance formulas.  `gaps` holds the (count, length) pair of
+    each type, (short, mid, long), lengths ascending; the long length
+    always equals short + mid and its count may be zero.
     """
 
     n: int
     k: int
     l: int
     r: int
-    count_short: int
-    length_short: LinearForm
-    count_mid: int
-    length_mid: LinearForm
-    count_long: int
-    length_long: LinearForm
+    gaps: tuple[tuple[int, LinearForm], ...]
 
 
 def require_normalized(cf: ContinuedFraction) -> None:
@@ -372,6 +366,8 @@ def three_distance_decomposition(cf: ContinuedFraction, n: int) -> tuple[int, in
     0 < l <= a_k, 0 <= r < q_{k-1}, for n >= 1 (q_{-1} = 0, so n <= a_1
     is (1, n, 0)).  The one walk over n's convergent levels: it reads a_1
     to a_k, and q_{k-1} + q_{k-2} <= n < q_k + q_{k-1}."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     ctx, k, q2, q1 = _ctx(cf), 1, 0, 1  # q2, q1 = q_{k-2}, q_{k-1}
     while (q := ctx.pair(k)[1]) + q1 <= n:
         k, q2, q1 = k + 1, q1, q
@@ -385,24 +381,10 @@ def three_distance(cf: ContinuedFraction, n: int) -> PartitionSummary:
         raise ValueError(f"n must exceed a_1 = {cf.quotient(1)}, got {n}")
     k, l, r = three_distance_decomposition(cf, n)
     q_prev = _ctx(cf).pair(k - 1)[1]
-    len_a = convergent_distance(cf, k - 1)        # count n + 1 - q_{k-1}
-    len_b = semiconvergent_distance(cf, k, l)     # count r + 1
-    len_c = semiconvergent_distance(cf, k, l - 1)  # count q_{k-1} - (r + 1)
-    count_a = n + 1 - q_prev
-    count_b = r + 1
-    count_c = q_prev - (r + 1)
-    if len_c != len_a + len_b:
+    a = (n + 1 - q_prev, convergent_distance(cf, k - 1))
+    b = (r + 1, semiconvergent_distance(cf, k, l))
+    c = (q_prev - r - 1, semiconvergent_distance(cf, k, l - 1))
+    if c[1] != a[1] + b[1]:
         raise AssertionError("distance recurrence violated in three-distance summary")
     # Sort the two non-long types exactly: ||q_{k,l} a|| < ||q_{k-1} a|| iff l = a_k.
-    if l == cf.quotient(k):
-        short = (count_b, len_b)
-        mid = (count_a, len_a)
-    else:
-        short = (count_a, len_a)
-        mid = (count_b, len_b)
-    return PartitionSummary(
-        n=n, k=k, l=l, r=r,
-        count_short=short[0], length_short=short[1],
-        count_mid=mid[0], length_mid=mid[1],
-        count_long=count_c, length_long=len_c,
-    )
+    return PartitionSummary(n, k, l, r, (b, a, c) if l == cf.quotient(k) else (a, b, c))

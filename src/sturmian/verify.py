@@ -151,9 +151,9 @@ def suite_closest_multiples(cf: ContinuedFraction) -> Checks:
 def suite_three_distance(cf: ContinuedFraction) -> Checks:
     """Formulaic gap counts vs the incremental gap oracle for every level."""
     for n, tally in oracles.gap_spectra(cf, cf.quotient(1) + 1, 500):
-        s = three_distance(cf, n)
-        expected = [s.count_short, s.count_mid, s.count_long]
-        counts = oracles.match_gaps(tally, [s.length_short, s.length_mid, s.length_long])
+        gaps = three_distance(cf, n).gaps
+        expected = [count for count, _ in gaps]
+        counts = oracles.match_gaps(tally, [form for _, form in gaps])
         yield counts == expected, f"gap counts at n={n}: formula {expected} vs actual {counts}"
 
 
@@ -172,18 +172,8 @@ def suite_conjugacy(cf: ContinuedFraction) -> Checks:
     three-distance counts; the rotation identity inside the class."""
     for k, l, n in semiconvergents(cf, 150):
         rep = conjugacy_report(cf, k, l)  # self-certifies vs intervals
-        summary = three_distance(cf, n)
-        pairs = {
-            (summary.count_short, summary.length_short),
-            (summary.count_mid, summary.length_mid),
-            (summary.count_long, summary.length_long),
-        }
-        expected = {
-            (rep.wide_count, rep.wide_length),
-            (rep.narrow_count, rep.narrow_length),
-            (1, rep.leftover_length),
-        }
-        yield pairs == expected, f"class ({k},{l}) tags disagree with the partition"
+        yield (set(three_distance(cf, n).gaps) == set(rep.gaps),
+               f"class ({k},{l}) tags disagree with the partition")
         yield (rep.conjugates[convergent(cf, k - 1).q - 2] ==
                standard_or_semistandard(cf, k, l),
                f"rotation identity fails at ({k},{l})")

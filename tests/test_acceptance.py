@@ -44,23 +44,17 @@ def test_acceptance_1_worked_example():
     assert (left, left[::-1]) == ("01001", "10010")
 
     summary = three_distance(cf, 5)
-    spectrum = {
-        (summary.count_short, summary.length_short),
-        (summary.count_mid, summary.length_mid),
-        (summary.count_long, summary.length_long),
-    }
-    assert spectrum == {
+    assert set(summary.gaps) == {
         (2, LinearForm(-2, -1)),   # two gaps of ||2a||
         (3, LinearForm(3, 1)),     # three gaps of ||3a||
         (1, LinearForm(-5, -2)),   # one gap of ||5a||
     }
-    counts = oracles.gap_spectrum(
-        cf, 5, [summary.length_short, summary.length_mid, summary.length_long])
-    assert counts == [summary.count_short, summary.count_mid, summary.count_long]
+    counts = oracles.gap_spectrum(cf, 5, [form for _, form in summary.gaps])
+    assert counts == [count for count, _ in summary.gaps]
 
     rep = conjugacy_report(cf, 3, 1)
     assert rep.leftover == "00100"
-    assert rep.leftover_length == LinearForm(-5, -2)
+    assert rep.gaps[2] == (1, LinearForm(-5, -2))
     _report("1 worked-example", started, budget=1.0)
 
 

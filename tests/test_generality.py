@@ -68,9 +68,8 @@ def check_indices_match_oracle(slope, lengths):
 def check_three_distance_matches_spectrum(slope, lengths):
     for n in lengths:
         s = three_distance(slope, n)
-        counts = oracles.gap_spectrum(
-            slope, n, [s.length_short, s.length_mid, s.length_long])
-        assert counts == [s.count_short, s.count_mid, s.count_long]
+        counts = oracles.gap_spectrum(slope, n, [form for _, form in s.gaps])
+        assert counts == [count for count, _ in s.gaps]
 
 
 def test_indices_match_oracle_off_family(slope):
@@ -272,7 +271,7 @@ def test_truncation_answers_within_depth():
     assert distance(cf, 10).q != 0
     for n in range(3, 20):
         s = three_distance(cf, n)
-        assert s.count_short + s.count_mid + s.count_long == n + 1
+        assert sum(count for count, _ in s.gaps) == n + 1
 
 
 def test_truncation_raises_beyond_depth():

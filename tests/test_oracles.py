@@ -290,7 +290,7 @@ def test_gap_spectrum_matches_naive(family):
     for cf in family:
         for n in range(cf.quotient(1) + 1, 201):
             s = three_distance(cf, n)
-            candidates = [s.length_short, s.length_mid, s.length_long]
+            candidates = [form for _, form in s.gaps]
             assert gap_spectrum(cf, n, candidates) == \
                 naive_gap_spectrum(cf, n, candidates), (cf, n)
 
@@ -298,7 +298,7 @@ def test_gap_spectrum_matches_naive(family):
 def test_gap_spectrum_missing_candidate_raises(family):
     for cf in family:
         s = three_distance(cf, 40)
-        lengths = [s.length_short, s.length_mid, s.length_long]
+        lengths = [form for _, form in s.gaps]
         counts = gap_spectrum(cf, 40, lengths)
         for drop, count in enumerate(counts):
             if count:
@@ -348,9 +348,9 @@ def test_gap_spectra_missing_candidate_raises(family):
     for cf in family:
         for n, tally in gap_spectra(cf, cf.quotient(1) + 1, 60):
             s = three_distance(cf, n)
-            lengths = [s.length_short, s.length_mid, s.length_long]
+            lengths = [form for _, form in s.gaps]
             counts = match_gaps(tally, lengths)
-            assert counts == [s.count_short, s.count_mid, s.count_long], (str(cf), n)
+            assert counts == [count for count, _ in s.gaps], (str(cf), n)
             for drop, count in enumerate(counts):
                 if count:
                     with pytest.raises(AssertionError, match="matched no candidate"):

@@ -546,17 +546,16 @@ def test_square_lengths_match_scan(family):
 
 def test_conjugacy_report_worked_example(example_slope):
     rep = conjugacy_report(example_slope, 3, 1)
-    assert rep.base == "10010"
-    assert rep.conjugates[:2] == ("10010", "01001")
-    assert rep.wide_count == 2 and rep.wide_length == LinearForm(-2, -1)
-    assert rep.narrow_count == 3 and rep.narrow_length == LinearForm(3, 1)
-    assert rep.leftover == "00100" and rep.leftover_length == LinearForm(-5, -2)
+    assert rep.conjugates[:2] == ("10010", "01001")  # the base, reversed s_{3,1}, first
+    assert rep.gaps == ((2, LinearForm(-2, -1)), (3, LinearForm(3, 1)),
+                        (1, LinearForm(-5, -2)))  # (wide, narrow, outside)
+    assert rep.leftover == "00100"
     assert rep.conjugates[1] == "01001"  # position q_2 - 2 = 1 is s_{3,1}
 
 
 def test_conjugacy_report_full_standard_word(example_slope):
     rep = conjugacy_report(example_slope, 3, 2)  # l = a_3: the word s_3
-    assert rep.leftover_length == LinearForm(-8, -3)  # the unique minimum gap
+    assert rep.gaps[2] == (1, LinearForm(-8, -3))  # the unique minimum gap
     assert len(rep.conjugates) == 8
 
 
@@ -568,8 +567,8 @@ def test_conjugacy_counts(family):
                 if n > 150:
                     continue
                 rep = conjugacy_report(cf, k, l)
-                assert rep.wide_count + rep.narrow_count + 1 == n + 1
-                assert rep.conjugates[parse_len(cf, k - 1) - 2] == reversal(rep.base)
+                assert sum(count for count, _ in rep.gaps) == n + 1
+                assert rep.conjugates[parse_len(cf, k - 1) - 2] == reversal(rep.conjugates[0])
 
 
 @pytest.mark.parametrize("text, k, l", [("[0;2,1,1]", 3, 1), ("[0;2,3]", 2, 3),
@@ -583,7 +582,7 @@ def test_conjugacy_report_answers_a_truncation_at_its_last_k(text, k, l):
     for tail in ((1,), (3,)):
         assert conjugacy_report(ContinuedFraction(cf.preperiod, tail), k, l) == rep, tail
     with pytest.raises(DepthError, match=f"a_{k + 1}"):
-        length_case(cf, len(rep.base))
+        length_case(cf, len(rep.conjugates[0]))
 
 
 def parse_len(cf, k):

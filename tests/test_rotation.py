@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 
 from conftest import FAMILY_SLOPES, alpha_oracle, form_bounds
 from sturmian import exactnum, oracles, repetitions, rotation
-from sturmian.exactnum import ContinuedFraction, LinearForm, UndecidedError, parse_slope
+from sturmian.exactnum import (
+    ContinuedFraction,
+    LinearForm,
+    Ordering,
+    UndecidedError,
+    compare,
+    parse_slope,
+)
 from sturmian.rotation import (
     FactorInterval,
     FactorMap,
@@ -669,7 +676,7 @@ def test_factor_intervals_match_partition_lengths(example_slope):
     # Every |[w]| at level n must be one of the three partition lengths.
     for n in (5, 7, 11):
         summary = three_distance(example_slope, n)
-        allowed = {summary.length_short, summary.length_mid, summary.length_long}
+        allowed = {form for _, form in summary.gaps}
         for _, interval in factors_of_length(example_slope, n):
             assert interval.length in allowed
 
@@ -902,17 +909,15 @@ def test_square_certificate_refuses_as_the_walk_on_truncations(slope, counts):
 def test_three_distance_worked_example(example_slope):
     summary = three_distance(example_slope, 5)
     assert (summary.k, summary.l, summary.r) == (3, 1, 0)
-    assert summary.count_short == 3 and summary.length_short == LinearForm(3, 1)
-    assert summary.count_mid == 1 and summary.length_mid == LinearForm(-5, -2)
-    assert summary.count_long == 2 and summary.length_long == LinearForm(-2, -1)
+    assert summary.gaps == ((3, LinearForm(3, 1)), (1, LinearForm(-5, -2)),
+                            (2, LinearForm(-2, -1)))  # (short, mid, long)
 
 
 def test_three_distance_at_convergent_length(example_slope):
     # n = q_3 = 8: exactly one gap of length ||q_3 alpha||.
     summary = three_distance(example_slope, 8)
     assert summary.l == 2 and summary.r == 0
-    assert summary.count_short == 1
-    assert summary.length_short == LinearForm(-8, -3)
+    assert summary.gaps[0] == (1, LinearForm(-8, -3))  # the short type
 
 
 def test_three_distance_precondition(example_slope):
@@ -925,22 +930,24 @@ def test_three_distance_counts_sum(family):
     for cf in family:
         for n in range(cf.quotient(1) + 1, 80):
             s = three_distance(cf, n)
-            assert s.count_short + s.count_mid + s.count_long == n + 1
-            assert s.length_long == s.length_short + s.length_mid
+            (_, short), (_, mid), (_, long) = s.gaps
+            assert sum(count for count, _ in s.gaps) == n + 1
+            assert long == short + mid
+            # Ascending by the certified sign test of `compare`.
+            assert compare(cf, short, mid) is compare(cf, mid, long) is Ordering.LT, (str(cf), n)
 
 
 def test_three_distance_matches_gap_oracle(family):
     for cf in family:
         for n in range(cf.quotient(1) + 1, 120):
             s = three_distance(cf, n)
-            counts = oracles.gap_spectrum(
-                cf, n, [s.length_short, s.length_mid, s.length_long])
-            assert counts == [s.count_short, s.count_mid, s.count_long]
+            counts = oracles.gap_spectrum(cf, n, [form for _, form in s.gaps])
+            assert counts == [count for count, _ in s.gaps]
 
 
 def test_decomposition_uniqueness(family):
     # From n = 1: k = 1 has q_{-1} = 0 and q_0 = 1, so n <= a_1 is (1, n, 0),
-    # while `three_distance` still refuses those n.
+    # while `three_distance` still refuses those n; n < 1 is refused.
     from sturmian.exactnum import convergent
     for cf in family:
         a_1 = cf.quotient(1)
@@ -955,6 +962,10 @@ def test_decomposition_uniqueness(family):
                 assert (k, l, r) == (1, n, 0)
                 with pytest.raises(ValueError, match=re.escape(f"n must exceed a_1 = {a_1}, got {n}")):
                     three_distance(cf, n)
+        # Below n = 1 no (k, l, r) with l > 0 exists: refused, not (1, n, 0).
+        for n in (0, -3):
+            with pytest.raises(ValueError, match=re.escape(f"n must be >= 1, got {n}")):
+                three_distance_decomposition(cf, n)
 
 
 # ------------------------------------------------------------------
