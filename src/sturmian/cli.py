@@ -221,7 +221,7 @@ def cmd_factors(args: argparse.Namespace) -> int:
 def cmd_index(args: argparse.Namespace) -> int:
     cf, swapped = _slope_of(args)
     reports = classify_length(cf, args.n) if args.word is None else [classify_word(cf, args.word)]
-    rows = [{"word": r.word, "n": r.n, "integer_index": r.integer_index, "case": r.case_tag,
+    rows = [{"word": r.word, "n": len(r.word), "integer_index": r.integer_index, "case": r.case_tag,
              "conjugate_position": r.conjugate_position,
              "fractional_index": None if r.fractional_index is None
              else str(r.fractional_index)}
@@ -239,9 +239,9 @@ def cmd_three_distance(args: argparse.Namespace) -> int:
     s = three_distance(cf, args.n)
     encode = _form_encoder(cf)
     gaps = [{"count": count, "length": encode(form)} for count, form in s.gaps]
-    row = {"n": s.n, "k": s.k, "l": s.l, "r": s.r, "gaps": gaps}
+    row = {"n": args.n, "k": s.k, "l": s.l, "r": s.r, "gaps": gaps}
     return _emit(args, cf, [row], lambda: [
-        f"n = {s.n} decomposes as {s.l}*q_{s.k - 1} + q_{s.k - 2} + {s.r}",
+        f"n = {args.n} decomposes as {s.l}*q_{s.k - 1} + q_{s.k - 2} + {s.r}",
         f"{'count':>6}  length",
         *(f"{gap['count']:>6}  {_form_cell(gap['length'])}" for gap in gaps)], swapped)
 
@@ -288,8 +288,8 @@ def cmd_critical_exponent(args: argparse.Namespace) -> int:
     row = {
         "depth": args.depth,
         "terms": [{"k": k, "value": str(t), "approx": decimal_str(t)} for k, t in res.terms],
-        "attained": res.attained,
-        "depth_limited": res.depth_limited,
+        "attained": res.limit_tail is None,
+        "depth_limited": not cf.is_periodic,
         "witness_k": res.witness_k,
         "supremum": {
             "exact": None if res.value_attained is None else str(res.value_attained),
@@ -304,9 +304,9 @@ def cmd_critical_exponent(args: argparse.Namespace) -> int:
         yield f"{'k':>4}  {'term':<16} approx"
         for term in row["terms"]:
             yield f"{term['k']:>4}  {term['value']:<16} {term['approx']}"
-        if res.depth_limited:
+        if row["depth_limited"]:
             yield f"supremum >= {sup_approx} (lower bound, depth-limited at {args.depth})"
-        elif res.attained:
+        elif row["attained"]:
             yield (f"supremum = {sup['exact']} = {sup_approx} "
                    f"(attained, witness k = {res.witness_k})")
         else:

@@ -122,10 +122,6 @@ class Convergent:
     p: int
     q: int
 
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
 
 def _unordered(self: tuple, other: object) -> NoReturn:
     """Order slot of a tuple-backed value type, which is not ordered as a
@@ -159,10 +155,6 @@ class LinearForm(NamedTuple):
         return LinearForm(self.q * n, self.p * n)
 
     __rmul__ = __mul__
-
-    def shift(self, n: int) -> "LinearForm":
-        """The form for (value + n)."""
-        return LinearForm(self.q, self.p - n)
 
     def __str__(self) -> str:
         if self.q == 0:
@@ -221,7 +213,7 @@ def _parse_int_list(body: str, original: str) -> tuple[int, ...]:
     values = []
     for chunk in body.split(","):
         chunk = chunk.strip()
-        if not chunk or not chunk.isdigit():
+        if not chunk or not chunk.isdecimal():
             raise SlopeSyntaxError(f"bad partial quotient {chunk!r} in {original!r}")
         value = int(chunk)
         if value < 1:
@@ -315,8 +307,9 @@ def convergent(cf: ContinuedFraction, k: int) -> Convergent:
 
 def semiconvergent_den(cf: ContinuedFraction, k: int, l: int) -> int:
     """Denominator q_{k,l} = l*q_{k-1} + q_{k-2} for k >= 2 and 0 <= l <= a_k."""
-    p, q = _semiconvergent_pair(cf, k, l)
-    return q
+    if k < 2:
+        raise ValueError(f"semiconvergent index k must be >= 2, got {k}")
+    return _semiconvergent_pair(cf, k, l)[1]
 
 
 def semiconvergents(cf: ContinuedFraction, n_max: int) -> Iterator[tuple[int, int, int]]:
@@ -335,8 +328,8 @@ def semiconvergents(cf: ContinuedFraction, n_max: int) -> Iterator[tuple[int, in
 
 
 def _semiconvergent_pair(cf: ContinuedFraction, k: int, l: int) -> tuple[int, int]:
-    if k < 2:
-        raise ValueError(f"semiconvergent index k must be >= 2, got {k}")
+    if k < 1:
+        raise ValueError(f"semiconvergent index k must be >= 1, got {k}")
     a_k = cf.quotient(k)
     if not 0 <= l <= a_k:
         raise ValueError(f"semiconvergent offset l must satisfy 0 <= l <= a_{k} = {a_k}, got {l}")
@@ -439,7 +432,8 @@ def semiconvergent_distance(cf: ContinuedFraction, k: int, l: int) -> LinearForm
     """||q_{k,l}*alpha|| built from the recurrences: (-1)^k (q_{k,l} a - p_{k,l}).
 
     Also valid at the boundaries l = 0 (gives ||q_{k-2} alpha||) and
-    l = a_k (gives ||q_k alpha||).
+    l = a_k (gives ||q_k alpha||).  At k = 1 it is 1 - l*alpha, a gap of the
+    three-distance partition, which is ||l*alpha|| only for l*alpha > 1/2.
     """
     p, q = _semiconvergent_pair(cf, k, l)
     s = -1 if k % 2 else 1

@@ -60,7 +60,6 @@ class IndexReport(NamedTuple):
     """
 
     word: str
-    n: int
     integer_index: int
     case_tag: str
     conjugate_position: int | None = None
@@ -80,8 +79,6 @@ class ConjugacyReport:
     ||q_{k-1} a||, and the leftover alone has ||q_{k,l} a||.
     """
 
-    k: int
-    l: int
     conjugates: tuple[str, ...]
     leftover: str
     gaps: tuple[tuple[int, LinearForm], ...]
@@ -96,20 +93,17 @@ class CriticalExponentResult:
     """The supremum of fractional indices over all factors.
 
     When the supremum is attained it is the exact rational
-    `value_attained`; otherwise it is approached along one residue class
-    of depths and equals limit_offset + limit_tail (a purely periodic
-    continued fraction), reported with certified enclosures.
+    `value_attained`, and `limit_tail` is None; otherwise it is approached
+    along one residue class of depths and equals limit_offset + limit_tail
+    (a purely periodic continued fraction), reported with certified
+    enclosures.  On a truncation it is a lower bound, attained.
     """
 
-    slope: ContinuedFraction
-    depth: int
     terms: tuple[tuple[int, Fraction], ...]
     witness_k: int
-    attained: bool
     value_attained: Fraction | None
     limit_offset: int | None
     limit_tail: ContinuedFraction | None
-    depth_limited: bool
 
     def bounds(self) -> tuple[Fraction, Fraction]:
         """Certified rational bounds for the supremum."""
@@ -312,7 +306,7 @@ def _reports(cf: ContinuedFraction, n: int, case: tuple[str, tuple[str, int, int
         fractions = map(by_exit.__getitem__, exits)
     # tuple.__new__ fills the NamedTuple without a Python-level __new__ per word.
     return list(map(tuple.__new__, repeat(IndexReport),
-                    zip(words, repeat(n), indices, repeat(tag), positions, fractions)))
+                    zip(words, indices, repeat(tag), positions, fractions)))
 
 
 # ------------------------------------------------------------------
@@ -385,7 +379,7 @@ def conjugacy_report(cf: ContinuedFraction, k: int, l: int) -> ConjugacyReport:
                 raise AssertionError(f"conjugate {i} of {base!r} has unexpected interval length")
     if conj[q_prev - 2] != plain:
         raise AssertionError(f"conjugate {q_prev - 2} of {base!r} is not s_({k},{l})")
-    return ConjugacyReport(k, l, tuple(conj), leftover, gaps)
+    return ConjugacyReport(tuple(conj), leftover, gaps)
 
 
 # ------------------------------------------------------------------
@@ -552,8 +546,6 @@ def critical_exponent(cf: ContinuedFraction, depth_bound: int) -> CriticalExpone
             best = cand
     value, _, tail, witness = best
     return CriticalExponentResult(
-        slope=cf, depth=depth_bound, terms=terms, witness_k=witness,
-        attained=tail is None, value_attained=value if tail is None else None,
+        terms=terms, witness_k=witness, value_attained=value if tail is None else None,
         limit_offset=None if tail is None else 2 + cf.quotient(witness + 1), limit_tail=tail,
-        depth_limited=not cf.is_periodic,
     )

@@ -55,14 +55,13 @@ class FactorInterval(NamedTuple):
 class PartitionSummary(NamedTuple):
     """Gap structure of the points {0, alpha, ..., n*alpha}.
 
-    The decomposition n = l*q_{k-1} + q_{k-2} + r (k >= 2, 0 < l <= a_k,
+    The decomposition n = l*q_{k-1} + q_{k-2} + r (k >= 1, 0 < l <= a_k,
     0 <= r < q_{k-1}) pins the three gap lengths; counts follow the
     three-distance formulas.  `gaps` holds the (count, length) pair of
     each type, (short, mid, long), lengths ascending; the long length
     always equals short + mid and its count may be zero.
     """
 
-    n: int
     k: int
     l: int
     r: int
@@ -376,9 +375,8 @@ def three_distance_decomposition(cf: ContinuedFraction, n: int) -> tuple[int, in
 
 
 def three_distance(cf: ContinuedFraction, n: int) -> PartitionSummary:
-    """Formulaic gap summary for the points {0, alpha, ..., n*alpha}, n > a_1."""
-    if n <= cf.quotient(1):
-        raise ValueError(f"n must exceed a_1 = {cf.quotient(1)}, got {n}")
+    """Formulaic gap summary for the points {0, alpha, ..., n*alpha}, n >= 1;
+    n <= a_1 is level k = 1: n gaps alpha and one gap 1 - n*alpha."""
     k, l, r = three_distance_decomposition(cf, n)
     q_prev = _ctx(cf).pair(k - 1)[1]
     a = (n + 1 - q_prev, convergent_distance(cf, k - 1))
@@ -387,4 +385,4 @@ def three_distance(cf: ContinuedFraction, n: int) -> PartitionSummary:
     if c[1] != a[1] + b[1]:
         raise AssertionError("distance recurrence violated in three-distance summary")
     # Sort the two non-long types exactly: ||q_{k,l} a|| < ||q_{k-1} a|| iff l = a_k.
-    return PartitionSummary(n, k, l, r, (b, a, c) if l == cf.quotient(k) else (a, b, c))
+    return PartitionSummary(k, l, r, (b, a, c) if l == cf.quotient(k) else (a, b, c))

@@ -111,10 +111,13 @@ def test_index_requires_exactly_one_selector(capsys):
     capsys.readouterr()
 
 
-def test_slope_syntax_error_is_usage(capsys):
-    code, _, err = run(capsys, "factors", "--slope", "oops", "--n", "2")
+@pytest.mark.parametrize("slope, message", [("oops", "slope must look like [0;...]"),
+                                            ("[0;²]", "bad partial quotient '²'")])
+def test_slope_syntax_error_is_usage(capsys, slope, message):
+    # A superscript digit passes str.isdigit but not int(): refused as syntax too.
+    code, _, err = run(capsys, "index", "--slope", slope, "--n", "2")
     assert code == 2
-    assert "slope" in err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_zero_n_is_usage_error(capsys):

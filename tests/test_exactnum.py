@@ -45,6 +45,7 @@ from sturmian.exactnum import (
     ("[0;2,1,1]", (2, 1, 1), ()),
     ("[0; 2, (1, 2)]", (2,), (1, 2)),
     ("[0;5,1,(1)]", (5, 1), (1,)),
+    ("[0;٣,(1)]", (3,), (1,)),  # a decimal digit int() reads
 ])
 def test_parse_slope(text, pre, per):
     cf = parse_slope(text)
@@ -61,7 +62,7 @@ def test_parse_slope_truncation_flag():
 
 @pytest.mark.parametrize("bad", [
     "", "[0;]", "[1;2]", "[0;0]", "[0;-1]", "[0;2,()]", "[0;2,(1),3]",
-    "[0;2 3]", "[0;2,,3]", "0;2]", "[0;2,(1,2]",
+    "[0;2 3]", "[0;2,,3]", "0;2]", "[0;2,(1,2]", "[0;²]", "[0;2,(²)]",
 ])
 def test_parse_slope_rejects(bad):
     with pytest.raises(SlopeSyntaxError):
@@ -128,7 +129,7 @@ def test_convergents_match_bottom_up_evaluation(family):
             x = Fraction(0)
             for a in reversed(unroll(cf, k)):
                 x = 1 / (a + x)
-            assert c.fraction == x
+            assert Fraction(c.p, c.q) == x
 
 
 def test_determinant_identity(family):
@@ -249,9 +250,8 @@ def test_linear_form_is_a_value_tuple(example_slope):
     # form's (3 * f scales, not repeats), and forms are not ordered.
     f, g = LinearForm(3, 1), LinearForm(-2, -1)
     assert 3 * f == f * 3 == LinearForm(9, 3)
-    assert (-f, f + g, f - g, f.shift(2)) == (
-        LinearForm(-3, -1), LinearForm(1, 0), LinearForm(5, 2), LinearForm(3, -1))
-    assert {type(x) for x in (3 * f, f * 3, -f, f + g, f - g, f.shift(2))} == {LinearForm}
+    assert (-f, f + g, f - g) == (LinearForm(-3, -1), LinearForm(1, 0), LinearForm(5, 2))
+    assert {type(x) for x in (3 * f, f * 3, -f, f + g, f - g)} == {LinearForm}
     assert [str(x) for x in (f, g, LinearForm(1, 0), LinearForm(0, -2))] == ["3a-1", "-2a+1",
                                                                           "a", "2"]
     assert repr(LinearForm(1, 0)) == "LinearForm(q=1, p=0)"
@@ -666,12 +666,14 @@ def test_approx_str_matches_enclosure_rendering(case, digits):
 def reference_alpha_bounds(cf: ContinuedFraction, d: int) -> tuple[Fraction, Fraction]:
     """lo < alpha < hi from the convergents at depths d and d + 1, or from the
     cylinder (p_d/q_d and its mediant with depth d - 1) at a truncation's end."""
-    a = convergent(cf, d).fraction
+    c = convergent(cf, d)
+    a = Fraction(c.p, c.q)
     if d == cf.truncation_depth:
-        c, c1 = convergent(cf, d), convergent(cf, d - 1)
+        c1 = convergent(cf, d - 1)
         b = Fraction(c.p + c1.p, c.q + c1.q)
     else:
-        b = convergent(cf, d + 1).fraction
+        c1 = convergent(cf, d + 1)
+        b = Fraction(c1.p, c1.q)
     return (a, b) if a < b else (b, a)
 
 
@@ -898,7 +900,7 @@ def test_the_cap_is_read_on_every_call(monkeypatch):
             assert rule_depth(cf, q) == walked_depth(walked_spans(cf), q) <= cap
             for fn, ref, args in [
                 (ex.sign, reference_sign, (cf, den)),
-                (ex.sign, reference_sign, (cf, den.shift(1) - ex.ALPHA)),
+                (ex.sign, reference_sign, (cf, den + ex.ONE - ex.ALPHA)),
                 (ex.nearest_integer, reference_nearest_integer, (cf, q)),
                 (ex.floor_ratio, reference_floor_ratio, (cf, ex.ALPHA, den)),
                 (ex.approx_str, reference_approx_str, (cf, den, 12)),

@@ -99,12 +99,13 @@ def test_critical_exponent_dominates_off_family(slope):
 
 def test_preperiod_dominated_supremum():
     # A huge early quotient wins over every periodic-tail class limit.
-    res = critical_exponent(parse_slope("[0;2,1,12,(1,2)]"), 16)
-    assert res.attained
+    cf = parse_slope("[0;2,1,12,(1,2)]")
+    res = critical_exponent(cf, 16)
+    assert res.limit_tail is None
     assert res.value_attained == 14  # k = 2: a_3 + 2 + (q_1 - 2)/q_2 = 14 + 0/3
     assert res.witness_k == 2
     _, hi = res.bounds()
-    window = characteristic_prefix(res.slope, 60000)
+    window = characteristic_prefix(cf, 60000)
     observed, _ = oracles.max_run_exponent(window, 800)
     assert observed <= hi
 
@@ -206,8 +207,7 @@ def _answers(cf: ContinuedFraction, n_max: int) -> dict:
 
     for n in range(1, n_max + 1):
         for kind in ("distance", "approx", "three-distance", "factors"):
-            if kind != "three-distance" or n > cf.quotient(1):
-                ask(kind, n)
+            ask(kind, n)
         for w, _ in out["factors", n] or ():
             for kind, arg in (("index", w), ("interval", w), ("interval", w + w),
                               ("fractional", w), ("report", w)):

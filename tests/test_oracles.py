@@ -14,7 +14,7 @@ import pytest
 
 from conftest import alpha_oracle
 from sturmian import oracles
-from sturmian.exactnum import LinearForm, parse_slope
+from sturmian.exactnum import ONE, LinearForm, parse_slope
 from sturmian.oracles import (
     _longest_run,
     best_denominator_scan,
@@ -212,7 +212,7 @@ def naive_gap_spectrum(cf, n: int, candidates: list[LinearForm]) -> list[int]:
         nxt = order[(t + 1) % (n + 1)]
         gap = table.position_form(nxt) - table.position_form(m)
         if t == n:
-            gap = gap.shift(1)
+            gap += ONE
         try:
             counts[candidates.index(gap)] += 1
         except ValueError:

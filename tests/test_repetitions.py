@@ -401,22 +401,22 @@ def test_reports_are_built_as_index_reports(family, classify):
 
 
 def test_index_report_is_an_unordered_value_tuple(capsys):
-    assert IndexReport._fields == ("word", "n", "integer_index", "case_tag",
+    assert IndexReport._fields == ("word", "integer_index", "case_tag",
                                    "conjugate_position", "fractional_index")
     assert IndexReport._field_defaults == {"conjugate_position": None, "fractional_index": None}
-    assert repr(IndexReport("01", 2, 2, "ii", 0, Fraction(5, 2))) == (
-        "IndexReport(word='01', n=2, integer_index=2, case_tag='ii', "
+    assert repr(IndexReport("01", 2, "ii", 0, Fraction(5, 2))) == (
+        "IndexReport(word='01', integer_index=2, case_tag='ii', "
         "conjugate_position=0, fractional_index=Fraction(5, 2))")
     cf, w = parse_slope("[0;2,(3)]"), "01010100101010010101001"
     [report] = [r for r in classify_length(cf, len(w)) if r.word == w]
-    assert report == IndexReport(w, 23, 5, "iii", 5)
+    assert report == IndexReport(w, 5, "iii", 5)
     with pytest.raises(TypeError):
         sorted([report, report])
     with pytest.raises(AttributeError):
         report.integer_index = 6
     # `index --word` prints the word's own report, its fractional index filled in.
     row = classify_word(cf, w)
-    assert row == (w, 23, 5, "iii", 5, Fraction(120, 23))
+    assert row == (w, 5, "iii", 5, Fraction(120, 23))
     assert main(["index", "--slope", "[0;2,(3)]", "--word", w]) == 0
     printed = capsys.readouterr().out.splitlines()[-1].split()
     assert printed == [row.word, str(row.integer_index), row.case_tag,
@@ -915,7 +915,7 @@ def test_fractional_index_invariants(family):
 
 def test_critical_exponent_fibonacci(fib_slope):
     res = critical_exponent(fib_slope, 30)
-    assert not res.attained
+    assert res.limit_tail is not None
     assert res.limit_offset == 3
     assert res.limit_tail.period == (1,)
     lo, hi = res.bounds()
@@ -926,7 +926,7 @@ def test_critical_exponent_fibonacci(fib_slope):
 
 def test_critical_exponent_pell(  ):
     res = critical_exponent(parse_slope("[0;2,(2)]"), 30)
-    assert not res.attained
+    assert res.limit_tail is not None
     lo, hi = res.bounds()
     target = Fraction(4414213562373095048, 10**18)  # 3 + sqrt(2)
     assert abs((lo + hi) / 2 - target) < Fraction(1, 10**9)
@@ -934,7 +934,7 @@ def test_critical_exponent_pell(  ):
 
 def test_critical_exponent_attained_at_a1():
     res = critical_exponent(parse_slope("[0;5,1,(1)]"), 10)
-    assert res.attained
+    assert res.limit_tail is None
     assert res.value_attained == 5
     assert res.witness_k == 0
 
@@ -963,7 +963,7 @@ def test_critical_exponent_tie_keeps_the_later_class(slope, witness, offset, tai
     # Both class limits of a doubled period are equal; the later one wins.
     # Without a tie the larger class wins, here the earlier one.
     res = critical_exponent(parse_slope(slope), 30)
-    assert not res.attained
+    assert res.limit_tail is not None
     assert (res.witness_k, res.limit_offset, str(res.limit_tail)) == (witness, offset, tail)
 
 
@@ -1079,7 +1079,7 @@ def reference_critical_exponent(cf: ContinuedFraction, depth_bound: int) -> tupl
 
 def check_critical_exponent(cf: ContinuedFraction, depth_bound: int) -> None:
     res = critical_exponent(cf, depth_bound)
-    got = (res.terms, res.witness_k, res.attained, res.value_attained,
+    got = (res.terms, res.witness_k, res.limit_tail is None, res.value_attained,
            res.limit_offset, res.limit_tail)
     assert got == reference_critical_exponent(cf, depth_bound), (str(cf), depth_bound)
 
@@ -1144,8 +1144,7 @@ def test_critical_exponent_is_thread_safe():
 
 def test_critical_exponent_truncation_lower_bound():
     res = critical_exponent(parse_slope("[0;2,1,2,1,2]"), 10)
-    assert res.depth_limited
-    assert res.attained
+    assert res.limit_tail is None
     assert res.value_attained >= 2
 
 
@@ -1153,7 +1152,7 @@ def test_critical_exponent_truncation_reaches_t1():
     # [0;3,5] knows t_0 = 3 and t_1 = a_2 + 2 - 1/a_1 = 20/3, the best
     # fractional index of its length-3 class in every slope it stands for.
     res = critical_exponent(parse_slope("[0;3,5]"), 10)
-    assert res.depth_limited and res.attained
+    assert res.limit_tail is None
     assert res.terms == ()
     assert (res.value_attained, res.witness_k) == (Fraction(20, 3), 1)
     assert critical_exponent(parse_slope("[0;3,5,(1)]"), 10).value_attained == Fraction(20, 3)

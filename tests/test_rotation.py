@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from conftest import FAMILY_SLOPES, alpha_oracle, form_bounds
 from sturmian import exactnum, oracles, repetitions, rotation
 from sturmian.exactnum import (
+    ALPHA,
+    ONE,
     ContinuedFraction,
     LinearForm,
     Ordering,
@@ -666,7 +668,7 @@ def test_gap_length_identity_catches_a_wrap_gap_one_off(family):
             got = factor_interval_map(cf, n)
             d = got.gaps[-1]
             mutant = FactorMap(got.words, got.lefts, [*got.gaps[:-1], None],
-                               {**got.lengths, None: got.lengths[d].shift(1)})
+                               {**got.lengths, None: got.lengths[d] + ONE})
             assert layout_items(mutant)[:-1] == layout_items(got)[:-1]
             with pytest.raises(AssertionError, match=re.escape(str((str(cf), n)))):
                 assert_gap_identity(cf, n, mutant)
@@ -921,9 +923,8 @@ def test_three_distance_at_convergent_length(example_slope):
 
 
 def test_three_distance_precondition(example_slope):
-    with pytest.raises(ValueError):
-        three_distance(example_slope, 2)
-    three_distance(example_slope, 3)
+    with pytest.raises(ValueError, match=re.escape("n must be >= 1, got 0")):
+        three_distance(example_slope, 0)
 
 
 def test_three_distance_counts_sum(family):
@@ -945,9 +946,30 @@ def test_three_distance_matches_gap_oracle(family):
             assert counts == [count for count, _ in s.gaps]
 
 
+def assert_level_one_partition(cf: ContinuedFraction, n: int) -> None:
+    """n <= a_1: n gaps alpha and one gap 1 - n*alpha, the shorter one from
+    n = a_1 on (l = a_k); counts as the gap oracle finds them, lengths
+    ascending by `compare`, long = short + mid."""
+    s = three_distance(cf, n)
+    (_, short), (_, mid), (_, long) = s.gaps
+    assert (s.k, s.l, s.r) == (1, n, 0)
+    assert long == short + mid
+    assert compare(cf, short, mid) is compare(cf, mid, long) is Ordering.LT, (str(cf), n)
+    assert oracles.gap_spectrum(cf, n, [short, mid, long]) == [c for c, _ in s.gaps]
+    types = ((n, ALPHA), (1, ONE - n * ALPHA))
+    assert s.gaps[:2] == (types if n < cf.quotient(1) else types[::-1])
+
+
+@pytest.mark.parametrize("slope", ["[0;5,(1,7)]", "[0;7,(2)]", "[0;40,(3)]", "[0;9,1,2]", "[0;6]"])
+def test_three_distance_answers_every_n_up_to_a_1(slope):
+    cf = parse_slope(slope)
+    for n in range(1, cf.quotient(1) + 1):
+        assert_level_one_partition(cf, n)
+
+
 def test_decomposition_uniqueness(family):
     # From n = 1: k = 1 has q_{-1} = 0 and q_0 = 1, so n <= a_1 is (1, n, 0),
-    # while `three_distance` still refuses those n; n < 1 is refused.
+    # and `three_distance` answers those n too; n < 1 is refused.
     from sturmian.exactnum import convergent
     for cf in family:
         a_1 = cf.quotient(1)
@@ -960,8 +982,7 @@ def test_decomposition_uniqueness(family):
             assert (k == 1) == (n <= a_1)
             if n <= a_1:
                 assert (k, l, r) == (1, n, 0)
-                with pytest.raises(ValueError, match=re.escape(f"n must exceed a_1 = {a_1}, got {n}")):
-                    three_distance(cf, n)
+                assert_level_one_partition(cf, n)
         # Below n = 1 no (k, l, r) with l > 0 exists: refused, not (1, n, 0).
         for n in (0, -3):
             with pytest.raises(ValueError, match=re.escape(f"n must be >= 1, got {n}")):
