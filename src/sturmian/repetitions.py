@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import floordiv, sub
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from sturmian import oracles
 from sturmian.exactnum import (
@@ -33,8 +33,10 @@ from sturmian.exactnum import (
 )
 from sturmian.rotation import (
     FactorInterval,
+    FactorMap,
     _square_is_factor,
     characteristic_prefix,
+    coding_prefix,
     factor_interval_map,
     key_table,
     require_normalized,
@@ -146,7 +148,7 @@ def _length_indices(cf: ContinuedFraction, n: int, lengths: Iterable[LinearForm]
 
 def indices_by_interval(cf: ContinuedFraction, n: int) -> list[int]:
     """index_by_interval of every factor of length n, in layout order
-    (`FactorMap.words`, the order of `classify_length`)."""
+    (`FactorMap.lefts`, the order of `classify_length`)."""
     factors = factor_interval_map(cf, n)
     by_gap = dict(zip(factors.lengths, _length_indices(cf, n, factors.lengths.values())))
     return list(map(by_gap.__getitem__, factors.gaps))
@@ -202,8 +204,8 @@ def index_oracle(cf: ContinuedFraction, w: str) -> int:
 # ------------------------------------------------------------------
 
 def length_case(cf: ContinuedFraction, n: int
-                ) -> tuple[str, tuple[str, int, int, int, int, int]]:
-    """The length's case tag and pattern (root, m, split, first, rest, other).
+                ) -> tuple[str, tuple[str, int, int, int, int]]:
+    """The length's case tag and pattern (root, split, first, rest, other).
 
     The case is read off n's three-distance decomposition n = l*q_{k-1} +
     q_{k-2} + r (`three_distance_decomposition`).  n < a_1 (k = 1, l < a_1)
@@ -221,7 +223,7 @@ def length_case(cf: ContinuedFraction, n: int
     k, l, r = three_distance_decomposition(cf, n)
     ctx, a_k = _ctx(cf), cf.quotient(k)
     if k == 1 and l < a_k:
-        return "i", ("1" + "0" * (n - 1), 1, 0, 1, 1, a_k // n)
+        return "i", ("1" + "0" * (n - 1), 0, 1, 1, a_k // n)
     q1, q2 = ctx.pair(k - 1)[1], ctx.pair(k - 2)[1]
     # The root s_j (j = k, or k - 1 for v and vi; s_{k,l} for iv) gives
     # split = q_{j-1} - 1, and a = a_{j+1} (0 for iv) gives first and rest.
@@ -232,8 +234,8 @@ def length_case(cf: ContinuedFraction, n: int
     elif r == q1 - q2 and (k > 2 or l < a_k):
         tag, root, m, q, a = "vi" if k > 2 else "v", standard_word(cf, k - 1), l + 1, q2, a_k
     else:
-        return "vii", ("", 1, 0, 1, 1, 1)
-    return tag, (reversal(root), m, q - 1, (a + 2) // m, (a + 1) // m, 1)
+        return "vii", ("", 0, 1, 1, 1)
+    return tag, (reversal(root), q - 1, (a + 2) // m, (a + 1) // m, 1)
 
 
 def classify_length(cf: ContinuedFraction, n: int,
@@ -241,48 +243,55 @@ def classify_length(cf: ContinuedFraction, n: int,
     """IndexReport for every factor of length n, in circular order, by the
     positional rule (`_reports`); fractional indices only on request.  The
     interval formula and the scan oracle cross-check the rule in `verify`."""
-    case, fmap = length_case(cf, n), factor_interval_map(cf, n)
-    return _reports(cf, n, case, fmap.words, zip(fmap.lefts, fmap.gaps), fmap.lengths.values(),
-                    with_fractional)
+    return _reports(cf, n, length_case(cf, n), factor_interval_map(cf, n), with_fractional)
 
 
 def classify_word(cf: ContinuedFraction, w: str) -> IndexReport:
     """`classify_length`'s report of the factor w, fractional index filled,
-    from w alone in O(|w|): [w] by the height walk, no factor map."""
+    in O(|w|): [w] by the height walk, in a map of w alone (2|w| letters)."""
     if not check_word(w):
         raise NotAFactorError("the empty word has no index")
     case, (i, j, length) = length_case(cf, len(w)), _factor_interval(cf, w)
-    [report] = _reports(cf, len(w), case, [w], [(i, i - j)], [length], True)
+    fmap = FactorMap(coding_prefix(cf, -len(w), 2 * len(w)), [i], [i - j], {i - j: length})
+    [report] = _reports(cf, len(w), case, fmap, True)
     return report
 
 
-def _conjugate_positions(cf: ContinuedFraction, n: int, root: str, m: int,
-                         words: Sequence[str]) -> list[int | None]:
-    """The conjugate position of each words[t]: i if it is C^i(root)^m,
-    i < |root|, else None.
+def _conjugate_positions(cf: ContinuedFraction, n: int, root: str,
+                         fmap: FactorMap) -> list[int | None]:
+    """The conjugate position of each factor of `fmap`, in its order: i if
+    it is C^i(root)^m (n = m*|root|, i < |root|; C^i(root) starts at -i mod
+    |root| in root + root), else None.
 
-    w is C^i(root)^m when w[:|root|] first occurs at -i mod |root| in
-    root + root and w is m copies of it.  Self-check: root is primitive
-    (its shifts are distinct), and given all n + 1 factors, |root| match.
+    No word is compared.  For r = |root|, the factors at left indices 0..r-1
+    and n - r + 1..n are the windows of the end blocks coding[n - r + 1:]
+    and coding[:n + r - 1] (`FactorMap`).  A block passes when it has period
+    r and its first r letters occur in root + root, first at offset j: its
+    factor at left index i, top its last, is C^((i - top - j) mod r)(root)^m.
+    As root is primitive, those r windows at r distinct left indices are
+    the whole class.  That one end block holds it (the coding of -n..n-1 is
+    reverse(c[:n-1]) + "10" + c[:n-1], c the characteristic word) is not
+    proved here but self-checked: root primitive, |root| dividing n and
+    exactly one block passing, else AssertionError, never a wrong position.
     """
-    r, doubled = len(root), root * 2
-    positions = [-j % r if root and (j := doubled.find(w[:r])) >= 0 and w == w[:r] * m
-                 else None for w in words]
-    if (root and root in doubled[1:-1]
-            or len(words) > n and len(positions) - positions.count(None) != r):
+    r, coding, doubled = len(root), fmap.coding, root * 2
+    if not root:
+        return [None] * len(fmap.lefts)
+    passing = [(top, j) for top, block in ((r - 1, coding[n - r + 1:]), (n, coding[:n + r - 1]))
+               if block[r:] == block[:-r] and (j := doubled.find(block[:r])) >= 0]
+    if root in doubled[1:-1] or n % r or len(passing) != 1:
         raise AssertionError(f"the shifts of {root!r} are not distinct factors "
                              f"of length {n} for {cf}")
-    return positions
+    [(top, j)] = passing
+    return [(i - top - j) % r if top - r < i <= top else None for i in fmap.lefts]
 
 
-def _reports(cf: ContinuedFraction, n: int, case: tuple[str, tuple[str, int, int, int, int, int]],
-             words: Sequence[str], windows: Iterable[tuple[int, int]],
-             lengths: Iterable[LinearForm], with_fractional: bool) -> list[IndexReport]:
-    """IndexReport of each factor words[t], whose interval starts at {-i*alpha}
-    and has gap d for windows[t] = (i, d) (`_exits`).
+def _reports(cf: ContinuedFraction, n: int, case: tuple[str, tuple[str, int, int, int, int]],
+             fmap: FactorMap, with_fractional: bool) -> list[IndexReport]:
+    """IndexReport of each factor of `fmap`, in its order (`_exits` reads its gaps).
 
     One positional rule covers all seven cases (Damanik-Lenz): with the
-    case's (root, m, split, first, rest, other) from `length_case`, the
+    case's (root, split, first, rest, other) from `length_case`, the
     factor C^i(root)^m, i < |root|, has conjugate position i
     (`_conjugate_positions`) and index `first` if i < split, else `rest`;
     every other factor has `other`.  Each fractional index is (t - 1)/n
@@ -290,12 +299,12 @@ def _reports(cf: ContinuedFraction, n: int, case: tuple[str, tuple[str, int, int
     floor (t - 1) // n must equal the positional index: two routes meet on
     every word, on integers, before any Fraction is built.
     """
-    tag, (root, m, split, first, rest, other) = case
-    positions = _conjugate_positions(cf, n, root, m, words)
+    tag, (root, split, first, rest, other) = case
+    words, positions = fmap.words, _conjugate_positions(cf, n, root, fmap)
     indices = [other if pos is None else first if pos < split else rest for pos in positions]
     fractions = repeat(None)
     if with_fractional:
-        exits = _exits(cf, n, windows, lengths)
+        exits = _exits(cf, n, zip(fmap.lefts, fmap.gaps), fmap.lengths.values())
         if list(map(floordiv, map(sub, exits, repeat(1)), repeat(n))) != indices:
             for w, idx, t in zip(words, indices, exits):
                 if (t - 1) // n != idx:
@@ -366,7 +375,7 @@ def conjugacy_report(cf: ContinuedFraction, k: int, l: int) -> ConjugacyReport:
     )
 
     factors = factor_interval_map(cf, n)
-    positions = _conjugate_positions(cf, n, base, 1, factors.words)
+    positions = _conjugate_positions(cf, n, base, factors)
     conj = [""] * n
     for w, i, d in zip(factors.words, positions, factors.gaps):
         if i is None:

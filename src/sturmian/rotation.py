@@ -8,10 +8,10 @@ of the length-n factors.
 All positions are certified integers: keys m*p mod q and floors m*p//q,
 where p/q lies in a bracket of alpha holding no fraction that could tell
 the two apart (`KeyTable` states the rule), with no error bound and no
-sort.  Codings (factor-map words too) read their letters off the floors,
-letter j being floor((j+1)*alpha) - floor(j*alpha); the oracles' text
-comes from the standard-word recursion instead.  A length's factors are
-one circular layout (`FactorMap`) of words, left ends and gaps {d*alpha}.
+sort.  Codings read their letters off the floors, letter j being
+floor((j+1)*alpha) - floor(j*alpha); the oracles' text comes from the
+standard-word recursion instead.  A length's factors are one circular
+layout (`FactorMap`) of one coding, left ends and gaps {d*alpha}.
 The interval [w] of a word is one running max and min of its heights
 (counts of 1s in prefixes) in key units.  The heights of the periodic
 word w^inf drift by a fixed amount per period, so where it leaves the
@@ -225,38 +225,44 @@ def factors_of_length(cf: ContinuedFraction, n: int) -> list[tuple[str, FactorIn
 class FactorMap(NamedTuple):
     """The length-n factors as one circular layout, read in order.
 
-    words[t] is the factor of the t-th interval counterclockwise from 0, its
-    left end {-lefts[t]*alpha} and its length lengths[gaps[t]], for gaps[t] =
-    lefts[t] - lefts[(t + 1) % (n + 1)].  Whole-length consumers walk the
-    lists in this order; `interval(t)` builds one `FactorInterval`.
+    The t-th interval counterclockwise from 0 starts at {-i*alpha}, i =
+    lefts[t], and has length lengths[gaps[t]], gaps[t] = i - lefts[(t + 1)
+    % (n + 1)]; its factor (`words`) is coding[n - i: 2n - i], `coding`
+    being letters -n..n-1 of the orbit coding.  Whole-length consumers walk
+    the lists in this order; `interval(t)` builds one `FactorInterval`.
     """
 
-    words: list[str]
+    coding: str
     lefts: list[int]
     gaps: list[int]
     lengths: dict[int, LinearForm]
+
+    @property
+    def words(self) -> list[str]:
+        coding, n = self.coding, len(self.coding) // 2
+        return [coding[n - i: 2 * n - i] for i in self.lefts]
 
     def interval(self, t: int) -> FactorInterval:
         lefts = self.lefts
         return FactorInterval(lefts[t], lefts[(t + 1) % len(lefts)], self.lengths[self.gaps[t]])
 
 
-# An entry is one layout of n + 1 words of length n.  Single words, `index
-# --word` too, take the height walk (`word_interval`), so the one re-read is
-# power-classification's `indices_by_interval` of the layout
-# `classify_length` has just built: `verify --n-max 150` hits 1,800 times
-# and misses 1,909 at a bound of 1, 2 or 4 (1,812 and 1,897 at 256); the
-# `bench/` sweep and queries hit none.
+# An entry is one layout, 2n letters and three lists of n + 1 integers.
+# Single words, `index --word` too, take the height walk (`word_interval`),
+# so the one re-read is power-classification's `indices_by_interval` of the
+# layout `classify_length` has just built: `verify --n-max 150` hits 1,800
+# times and misses 1,909 at a bound of 1, 2 or 4 (1,812 and 1,897 at 256);
+# the `bench/` sweep and queries hit none.
 @lru_cache(maxsize=1)
 def factor_interval_map(cf: ContinuedFraction, n: int) -> FactorMap:
     """The length-n factors as one circular layout from 0 (cached).
 
     The points {0, -alpha, ..., -n*alpha} split the circle, ordered by a key
-    table of reach n; the word at {-i*alpha} is read off one coding of the
-    indices -n..n-1, with no sample point.  The gap from {-i*alpha} to the
-    next point {-j*alpha}, the wrap to 0 included, is d*alpha mod 1 for
-    d = i - j and lies in (0, 1): it is d*alpha - floor(d*alpha), whose
-    floor is the table's d*p//q as |d| <= n < q.  A layout cached under one
+    table of reach n; the word at {-i*alpha} is a window of the map's coding
+    of -n..n-1, no sample point.  The gap from {-i*alpha} to the next point
+    {-j*alpha}, the wrap to 0 included, is d*alpha mod 1 for d = i - j and
+    lies in (0, 1): it is d*alpha - floor(d*alpha), whose floor is the
+    table's d*p//q as |d| <= n < q.  A layout cached under one
     `STURM_DEPTH_LIMIT` stays certified when it is lowered.
     """
     require_normalized(cf)
@@ -264,11 +270,10 @@ def factor_interval_map(cf: ContinuedFraction, n: int) -> FactorMap:
         raise ValueError(f"factor length must be >= 1, got {n}")
     table = key_table(cf, n)
     p, q = table.p, table.q
-    bitstr = _coding(p, q, -n, n)  # {-i*alpha}'s word starts at n - i
     keys = [m % q for m in range(0, -(n + 1) * p, -p)]
     lefts = sorted(range(n + 1), key=keys.__getitem__)
     gaps = [i - j for i, j in zip(lefts, lefts[1:] + lefts[:1])]
-    return FactorMap([bitstr[n - i: 2 * n - i] for i in lefts], lefts, gaps,
+    return FactorMap(_coding(p, q, -n, n), lefts, gaps,
                      {d: LinearForm(d, d * p // q) for d in dict.fromkeys(gaps)})
 
 

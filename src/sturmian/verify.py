@@ -190,7 +190,7 @@ def suite_power_classification(cf: ContinuedFraction, n_max: int,
     for n in range(1, n_max + 1):
         try:
             reports = classify_length(cf, n)
-        except AssertionError as exc:  # the conjugate shift self-check
+        except AssertionError as exc:  # the class's end-block self-check
             yield False, str(exc)
             continue
         # Both routes list the length's words in layout order (`FactorMap`).

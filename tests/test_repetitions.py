@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import random
 import re
 import sys
+import textwrap
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -216,16 +218,16 @@ def test_case_tags_examples(example_slope, fib_slope):
 
 
 @pytest.mark.parametrize("slope, n, tag, pattern", [
-    ("[0;5,(1)]", 2, "i", ("10", 1, 0, 1, 1, 2)),
-    ("[0;2,(1,2)]", 2, "ii", ("10", 1, 0, 3, 2, 1)),
-    ("[0;2,(1)]", 3, "iii", ("010", 1, 1, 3, 2, 1)),
-    ("[0;2,(1,2)]", 5, "iv", ("10010", 1, 2, 2, 1, 1)),
-    ("[0;2,(3)]", 4, "v", ("10", 2, 0, 2, 2, 1)),
-    ("[0;2,(2)]", 10, "vi", ("01010", 2, 1, 2, 1, 1)),
-    ("[0;2,(1,2)]", 7, "vii", ("", 1, 0, 1, 1, 1)),
+    ("[0;5,(1)]", 2, "i", ("10", 0, 1, 1, 2)),
+    ("[0;2,(1,2)]", 2, "ii", ("10", 0, 3, 2, 1)),
+    ("[0;2,(1)]", 3, "iii", ("010", 1, 3, 2, 1)),
+    ("[0;2,(1,2)]", 5, "iv", ("10010", 2, 2, 1, 1)),
+    ("[0;2,(3)]", 4, "v", ("10", 0, 2, 2, 1)),
+    ("[0;2,(2)]", 10, "vi", ("01010", 1, 2, 1, 1)),
+    ("[0;2,(1,2)]", 7, "vii", ("", 0, 1, 1, 1)),
 ])
 def test_length_case_patterns(slope, n, tag, pattern):
-    # (root, m, split, first, rest, other) of one length per case.
+    # (root, split, first, rest, other) of one length per case.
     assert length_case(parse_slope(slope), n) == (tag, pattern)
 
 
@@ -331,9 +333,112 @@ def test_classify_refuses_a_root_without_distinct_factor_shifts(monkeypatch, fib
     # sees the second: neither root is primitive.
     case = repetitions.length_case
     monkeypatch.setattr(repetitions, "length_case",
-                        lambda cf, n: (case(cf, n)[0], (root, 1, 0, 1, 1, 1)))
+                        lambda cf, n: (case(cf, n)[0], (root, 0, 1, 1, 1)))
     with pytest.raises(AssertionError, match="not distinct factors"):
         classify(fib_slope, len(root))
+
+
+def test_classify_word_refuses_a_primitive_root_outside_the_language(monkeypatch, fib_slope):
+    # 110 is primitive but no factor, so no end block of the length-3
+    # coding is its class.  101 is one of its shifts: the per-word rule
+    # placed it at position 2, while the block rule refuses one word as it
+    # refuses the whole length.
+    case = repetitions.length_case
+    monkeypatch.setattr(repetitions, "length_case",
+                        lambda cf, n: (case(cf, n)[0], ("110", 0, 1, 1, 1)))
+    assert reference_conjugate_positions(3, "110", ["101"]) == [2]
+    for classify in (classify_length, classify_each_word):
+        with pytest.raises(AssertionError, match="not distinct factors"):
+            classify(fib_slope, 3)
+    with pytest.raises(AssertionError, match="not distinct factors"):
+        classify_word(fib_slope, "101")
+
+
+def reference_conjugate_positions(n: int, root: str, words: Iterable[str]) -> list[int | None]:
+    """The per-word rule that the block rule replaced, kept as its
+    reference: w is C^i(root)^m, n = m*|root|, when w[:|root|] first occurs
+    at -i mod |root| in root + root and w is m copies of it."""
+    r, doubled = len(root), root * 2
+    m = n // r if root else 1
+    return [-j % r if root and (j := doubled.find(w[:r])) >= 0 and w == w[:r] * m else None
+            for w in words]
+
+
+def assert_positions_match_the_reference(cf: ContinuedFraction, n: int) -> int:
+    """The conjugate positions of `classify_length` and of `classify_word`
+    on each factor of length n against the per-word rule; returns the
+    number of words compared.  A truncation's refusal of the length, or of
+    one word's exit table, skips it."""
+    try:
+        _, (root, *_) = length_case(cf, n)
+        reports = classify_length(cf, n)
+    except DepthError:
+        return 0
+    words = [r.word for r in reports]
+    expected = reference_conjugate_positions(n, root, words)
+    assert [r.conjugate_position for r in reports] == expected, (str(cf), n)
+    compared = 0
+    for w, position in zip(words, expected):
+        try:
+            report = classify_word(cf, w)
+        except DepthError:
+            continue
+        assert report.conjugate_position == position, (str(cf), w)
+        compared += 1
+    return compared
+
+
+def test_block_rule_matches_the_per_word_rule(family):
+    # Both ends of the class's block: at n = q_10 = 144 of [0;2,(1)] the
+    # class sits at left indices 0..r-1, at q_11 = 233 at n - r + 1..n.
+    for cf in family:
+        for n in range(1, 41):
+            assert_positions_match_the_reference(cf, n)
+    for n in (144, 233):
+        assert assert_positions_match_the_reference(family[0], n) == n + 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 40), st.lists(st.integers(1, 40), max_size=3),
+       st.lists(st.integers(1, 40), min_size=1, max_size=3), st.booleans(), st.data())
+def test_block_rule_matches_the_per_word_rule_on_drawn_slopes(a_1, preperiod, period,
+                                                             truncated, data):
+    # A length with a root (every case but vii), n <= 400.
+    quotients = (a_1, *preperiod)
+    cf = (ContinuedFraction((*quotients, *period)) if truncated
+          else ContinuedFraction(quotients, tuple(period)))
+    lengths = []
+    for n in range(1, 401):
+        try:
+            if length_case(cf, n)[1][0]:
+                lengths.append(n)
+        except DepthError:
+            continue
+    assert_positions_match_the_reference(cf, data.draw(st.sampled_from(lengths)))
+
+
+# Each mutant edits one clause of `_conjugate_positions`: the low block
+# read one left index up (1..r), the offset j one off, and a block passing
+# on its period alone (at n = 1, root 1, both one-letter blocks pass).
+BLOCK_RULE_MUTANTS = {
+    "block-shifted": ("(r - 1, coding[n - r + 1:])", "(r, coding[n - r:-1])"),
+    "offset-off-by-one": ("(i - top - j) % r", "(i - top - j + 1) % r"),
+    "period-without-find": ("(j := doubled.find(block[:r])) >= 0",
+                            "(j := doubled.find(block[:r])) >= -1"),
+}
+
+
+@pytest.mark.parametrize("clause, mutated", BLOCK_RULE_MUTANTS.values(), ids=BLOCK_RULE_MUTANTS)
+def test_block_rule_mutants_are_caught(monkeypatch, family, clause, mutated):
+    source = textwrap.dedent(inspect.getsource(repetitions._conjugate_positions))
+    assert source.count(clause) == 1
+    namespace = dict(vars(repetitions))
+    exec(source.replace(clause, mutated), namespace)
+    monkeypatch.setattr(repetitions, "_conjugate_positions", namespace["_conjugate_positions"])
+    with pytest.raises(AssertionError):
+        for cf in family:
+            for n in range(1, 41):
+                assert_positions_match_the_reference(cf, n)
 
 
 @pytest.mark.parametrize("classify", [lambda cf, n: classify_length(cf, n, with_fractional=True),
@@ -344,8 +449,8 @@ def test_classify_with_fractional_refuses_a_wrong_index(monkeypatch, fib_slope, 
     case = repetitions.length_case
 
     def flipped(cf, n):
-        tag, (root, m, split, first, rest, other) = case(cf, n)
-        return tag, (root, m, split, rest, first, other)
+        tag, (root, split, first, rest, other) = case(cf, n)
+        return tag, (root, split, rest, first, other)
 
     monkeypatch.setattr(repetitions, "length_case", flipped)
     classify_length(fib_slope, 3)  # without fractional indices nothing checks
@@ -518,7 +623,8 @@ def test_classify_cases_exhaustive(family):
     for cf in family + drawn:
         for n in range(1, 401):
             [(tag, q, m)] = _case_clauses(cf, n)  # exactly one condition holds
-            found, (root, m_found, *_) = length_case(cf, n)  # one case per decomposition
+            found, (root, *_) = length_case(cf, n)  # one case per decomposition
+            m_found = n // len(root) if root else 1  # n = m*|root|
             assert (found, len(root), m_found) == (tag, q, m), (str(cf), n)
 
 

@@ -667,7 +667,7 @@ def test_gap_length_identity_catches_a_wrap_gap_one_off(family):
         for n in (1, 7, 40):
             got = factor_interval_map(cf, n)
             d = got.gaps[-1]
-            mutant = FactorMap(got.words, got.lefts, [*got.gaps[:-1], None],
+            mutant = FactorMap(got.coding, got.lefts, [*got.gaps[:-1], None],
                                {**got.lengths, None: got.lengths[d] + ONE})
             assert layout_items(mutant)[:-1] == layout_items(got)[:-1]
             with pytest.raises(AssertionError, match=re.escape(str((str(cf), n)))):
@@ -1018,3 +1018,19 @@ def test_many_fresh_slopes_keep_memory_bounded():
     finally:
         tracemalloc.stop()
     assert retained < 4_000_000, retained
+
+
+def test_a_cached_factor_map_holds_one_coding_not_its_words():
+    # The 4,001 factors of length 4000 as strings would retain some 16 MB;
+    # the map keeps their 8,000-letter coding and three integer lists.
+    cf = parse_slope("[0;2,(1,2)]")
+    rotation.factor_interval_map.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        factor_interval_map(cf, 4000)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 1_000_000, retained
