@@ -149,8 +149,8 @@ def suite_closest_multiples(cf: ContinuedFraction) -> Checks:
 # ------------------------------------------------------------------
 
 def suite_three_distance(cf: ContinuedFraction) -> Checks:
-    """Formulaic gap counts vs the incremental gap oracle for every level."""
-    for n, tally in oracles.gap_spectra(cf, cf.quotient(1) + 1, 500):
+    """Formulaic gap counts vs the incremental gap oracle at every n = 1..500."""
+    for n, tally in oracles.gap_spectra(cf, 1, 500):
         gaps = three_distance(cf, n).gaps
         expected = [count for count, _ in gaps]
         counts = oracles.match_gaps(tally, [form for _, form in gaps])

@@ -140,5 +140,5 @@ def test_acceptance_8_three_distance():
     started = time.monotonic()
     [result] = verify.run_suites(names=["three-distance"])
     assert result.passed, result.line()
-    assert result.checks == 5_970
+    assert result.checks == 6_000
     _report("8 three-distance counts vs sorted gaps n<=500", started, budget=None)

@@ -259,7 +259,7 @@ def test_verify_three_distance_on_a_truncation(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "three-distance",
                        "--slope", "[0;3,1,4,1,5,9,2,6]")
     assert code == 0
-    assert "three-distance           PASS  (497 checks)" in out.splitlines()
+    assert "three-distance           PASS  (500 checks)" in out.splitlines()
 
 
 def test_verify_three_distance_on_a_shallow_truncation_refuses(capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import math
+import re
 from contextlib import contextmanager
 
 import pytest
@@ -216,8 +217,27 @@ def test_three_distance_takes_one_oracle_key_table_per_slope(monkeypatch):
     monkeypatch.setattr(oracles, "key_table", counting)
     family = verify.default_family()
     [result] = verify.run_suites(names=["three-distance"], slopes=family)
-    assert result.passed and result.checks == 5970
+    assert result.passed and result.checks == 6000
     assert calls == [(str(cf), 500) for cf in family]
+
+
+def test_three_distance_gate_checks_the_levels_up_to_a_1(monkeypatch):
+    # A wrong count at the levels n <= a_1 (k = 1) alone fails the suite,
+    # once per such level.
+    real = verify.three_distance
+
+    def miscounted(cf, n):
+        summary = real(cf, n)
+        if n > cf.quotient(1):
+            return summary
+        (count, form), *rest = summary.gaps
+        return summary._replace(gaps=((count + 1, form), *rest))
+
+    monkeypatch.setattr(verify, "three_distance", miscounted)
+    [result] = verify.run_suites(names=["three-distance"], slopes=[parse_slope("[0;5,(1,7)]")])
+    assert result.checks == 500
+    assert [re.search(r"gap counts at n=(\d+):", f)[1] for f in result.failures] == [
+        "1", "2", "3", "4", "5"]
 
 
 def test_power_classification_builds_each_map_once_and_rereads_it_once():
