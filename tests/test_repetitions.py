@@ -329,8 +329,8 @@ def classify_each_word(cf, n) -> list[IndexReport]:
 @pytest.mark.parametrize("root", ["11", "1010"])
 def test_classify_refuses_a_root_without_distinct_factor_shifts(monkeypatch, fib_slope, root,
                                                                  classify):
-    # 11 is not a factor; 1010 has only two distinct shifts.  A single word
-    # sees the second: neither root is primitive.
+    # 11 is not a factor, so no end block passes; 1010 is not primitive.
+    # A single word runs the same self-check as its whole length.
     case = repetitions.length_case
     monkeypatch.setattr(repetitions, "length_case",
                         lambda cf, n: (case(cf, n)[0], (root, 0, 1, 1, 1)))
@@ -394,8 +394,11 @@ def test_block_rule_matches_the_per_word_rule(family):
     for cf in family:
         for n in range(1, 41):
             assert_positions_match_the_reference(cf, n)
-    for n in (144, 233):
+    for n, block in ((144, range(144)), (233, range(1, 234))):
         assert assert_positions_match_the_reference(family[0], n) == n + 1
+        reports = classify_length(family[0], n)
+        lefts = factor_interval_map(family[0], n).lefts
+        assert {i for i, r in zip(lefts, reports) if r.conjugate_position is not None} == set(block)
 
 
 @settings(max_examples=40, deadline=None)
