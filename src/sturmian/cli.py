@@ -183,7 +183,7 @@ def _emit(args: argparse.Namespace, slope: object, rows: list,
     """The CLI's only output site: the rows as one JSON document, or a table.
 
     `table` reads the rows into lines; only --format table calls it.
-    `swapped` is None for `verify`, whose head has no letters_swapped_from_input.
+    `swapped` is None for `verify`'s default family: no letters_swapped_from_input.
     """
     if args.format == "json":
         # Only critical-exponent takes --depth; the other commands report the cap.
@@ -323,8 +323,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                              "not selected")
         if args.n_max is not None:
             raise ValueError("--n-max bounds only power-classification, not selected")
-    results = verify.run_suites(names=args.suite,
-                                slopes=None if args.slope is None else [_slope_of(args)[0]],
+    cf, swapped = (None, None) if args.slope is None else _slope_of(args)
+    results = verify.run_suites(names=args.suite, slopes=None if cf is None else [cf],
                                 n_max=150 if args.n_max is None else args.n_max,
                                 inject_fault=args.inject_fault)
     all_pass = all(r.passed for r in results)
@@ -333,8 +333,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
              "failures": r.failures[:20],
              **({} if r.refusal is None else {"refusal": r.refusal})}
             for r in results]
-    _emit(args, args.slope or "default-family", rows, lambda: [
-        *(r.line() for r in results), "ALL SUITES PASS" if all_pass else "VERIFICATION FAILED"])
+    _emit(args, cf or "default-family", rows, lambda: [*(r.line() for r in results),
+          "ALL SUITES PASS" if all_pass else "VERIFICATION FAILED"], swapped)
     return 0 if all_pass else 1
 
 

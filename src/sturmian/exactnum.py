@@ -75,7 +75,7 @@ class ContinuedFraction:
 
     def __post_init__(self) -> None:
         for a in self.preperiod + self.period:
-            if not isinstance(a, int) or a < 1:
+            if not isinstance(a, int) or isinstance(a, bool) or a < 1:
                 raise ValueError(f"partial quotients must be positive integers, got {a!r}")
         if not self.preperiod and not self.period:
             raise ValueError("empty continued fraction expansion")
@@ -174,11 +174,11 @@ ALPHA = LinearForm(1, 0)
 # ------------------------------------------------------------------
 
 def parse_slope(text: str) -> ContinuedFraction:
-    """Parse a slope string like "[0;2,(1,2)]" into a ContinuedFraction.
+    """The canonical spelling (`_canonical`) of a slope string like "[0;2,(1,2)]".
 
     Grammar: '[0;' then comma-separated positive integers, where the last
     element may be a parenthesized comma-separated period.  Whitespace is
-    insignificant.  The result is returned un-normalized (a_1 = 1 allowed).
+    insignificant.  The text as written is not kept; a_1 = 1 is allowed.
     """
     s = text.strip()
     if not s.startswith("[") or not s.endswith("]"):
@@ -203,8 +203,7 @@ def parse_slope(text: str) -> ContinuedFraction:
         if prefix and not prefix.endswith(","):
             raise SlopeSyntaxError(f"missing comma before period in {text!r}")
         body = prefix[:-1] if prefix else ""
-    preperiod = _parse_int_list(body, text)
-    return ContinuedFraction(preperiod, period)
+    return _canonical(_parse_int_list(body, text), period)
 
 
 def _parse_int_list(body: str, original: str) -> tuple[int, ...]:
@@ -222,21 +221,34 @@ def _parse_int_list(body: str, original: str) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _canonical(pre: tuple[int, ...], per: tuple[int, ...]) -> ContinuedFraction:
+    """A periodic slope's one spelling: a_1 in the preperiod, the period's primitive root,
+    and each later preperiod quotient equal to the period's last rolled in.  Truncations stay."""
+    if per:
+        n = len(per)  # only a divisor of n can be the root's length
+        per = per[:next(r for r in range(1, n + 1) if n % r == 0 and per[:r] * (n // r) == per)]
+        if not pre:
+            pre, per = per[:1], per[1:] + per[:1]
+        while len(pre) > 1 and pre[-1] == per[-1]:
+            pre, per = pre[:-1], per[-1:] + per[:-1]
+    return ContinuedFraction(pre, per)
+
+
 def normalize_slope(cf: ContinuedFraction) -> tuple[ContinuedFraction, bool]:
     """Ensure a_1 >= 2, rewriting [0;1,a_2,...] as [0;a_2+1,...].
 
-    Returns (normalized, swap).  swap=True signals that words emitted for
-    the normalized slope describe the original one with letters 0 and 1
-    exchanged.
+    Returns (normalized, swap), canonically spelled (`_canonical`).  swap=True
+    signals that words emitted for the normalized slope describe the original
+    one with letters 0 and 1 exchanged.
     """
     if cf.quotient(1) != 1:
-        return cf, False
+        return _canonical(cf.preperiod, cf.period), False
     pre, per = cf.preperiod, cf.period
     if len(pre) < 2 and not per:
         raise DepthExceededError("cannot normalize [0;1]: a_2 unknown in a depth-1 truncation")
     while len(pre) < 2:  # unroll whole periods, so the tail is per again
         pre += per
-    return ContinuedFraction((pre[1] + 1,) + pre[2:], per), True
+    return _canonical((pre[1] + 1,) + pre[2:], per), True
 
 
 # ------------------------------------------------------------------

@@ -511,13 +511,14 @@ def critical_exponent(cf: ContinuedFraction, depth_bound: int) -> CriticalExpone
     t_1 = a_2 + 2 - 1/a_1).  For a periodic slope the per-class limits of
     the t_k are 2 + a_{k+1} plus a purely periodic continued fraction, so
     the supremum is exact: attained by a term or equal to the best class
-    limit.  A truncation [0;a_1..a_m] knows t_0..t_{m-1}, which hold for
-    every slope of its cylinder, so their best is a certified lower bound.
-    `terms` lists t_2 up to t_{depth_bound}.
-
-    The supremum is finite for every eventually periodic or truncated
-    slope; it diverges exactly when the partial quotients grow without
-    limit, which these inputs cannot express.
+    limit, whose witness k0 in [m + p + 1, m + 2p] is the given spelling's (m and p its
+    preperiod and period lengths; `parse_slope` spells canonically).  For irrational x, x'
+    in (0, 1), 2 + a + x = 2 + a' + x' only if a = a' and x = x', one rotation of the
+    reversed period, so only terms, or a non-primitive period given to the library, reach
+    the tie rule.  A truncation [0;a_1..a_m] knows t_0..t_{m-1}, which hold for every slope
+    of its cylinder, so their best is a certified lower bound; `terms` lists t_2 up to
+    t_{depth_bound}.  The supremum is finite for every eventually periodic or truncated
+    slope; it diverges exactly when the partial quotients grow without limit.
     """
     require_normalized(cf)
     if depth_bound < 2:

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 import sturmian
 from conftest import periodic_tail_surd
-from sturmian import oracles, rotation
+from sturmian import exactnum, oracles, rotation
 from sturmian.cli import _build_parser, _json, main
-from sturmian.exactnum import LinearForm
+from sturmian.exactnum import ContinuedFraction, LinearForm
 from test_golden import FIXTURE, cases, invoke
 
 
@@ -553,3 +553,50 @@ def test_table_and_json_say_the_same(argv, monkeypatch):
                                 "are swapped relative to the input slope")
     assert doc["command"] == argv[0]
     _same_answer(argv[0], lines, doc["results"])
+
+
+# ------------------------------------------------------------------
+# one number, one answer: every spelling of a slope prints the same bytes
+# ------------------------------------------------------------------
+
+@st.composite
+def canonical_slopes(draw) -> ContinuedFraction:
+    """A periodic slope in its one spelling: a_1 in 2..5, up to two more
+    preperiod quotients, none of them repeating the period's last, and a
+    primitive period of 1-3 quotients in 1..4."""
+    pre = (draw(st.integers(2, 5)), *draw(st.lists(st.integers(1, 4), max_size=2)))
+    period = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    assume(all(period[r:] + period[:r] != period for r in range(1, len(period))))
+    assume(len(pre) == 1 or pre[-1] != period[-1])
+    return ContinuedFraction(pre, period)
+
+
+# With `index --word` on one factor of length 7, every command that takes a slope.
+SLOPE_COMMANDS = (["factors", "--n", "5"], ["index", "--n", "7"], ["three-distance", "--n", "12"],
+                  ["standard-word", "--k", "3"], ["conjugacy", "--k", "3", "--l", "1"],
+                  ["critical-exponent", "--depth", "12"],
+                  ["verify", "--suite", "best-approximations", "--suite", "power-classification",
+                   "--n-max", "8"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(canonical_slopes(), st.integers(1, 2), st.integers(2, 3), st.integers(0, 7))
+def test_every_spelling_of_a_slope_prints_the_same_bytes(cf, unrolled, repeats, pick):
+    pre, period = cf.preperiod, cf.period
+    shift = unrolled % len(period)
+    spellings = [ContinuedFraction(pre + (period * 2)[:unrolled], period[shift:] + period[:shift]),
+                 ContinuedFraction(pre, period * repeats)]
+    word = rotation.factors_of_length(cf, 7)[pick][0]
+    for args in [*SLOPE_COMMANDS, ["index", "--word", word]]:
+        for fmt in ("table", "json"):
+            want = invoke(args + ["--slope", str(cf), "--format", fmt])
+            for other in spellings:
+                got = invoke(args + ["--slope", str(other), "--format", fmt])
+                assert {**got, "argv": want["argv"]} == want, got["argv"]
+
+
+def test_spellings_of_one_number_share_one_context(capsys):
+    exactnum._ctx.cache_clear()
+    for slope in ("[0;2,(1)]", "[0;2,1,(1,1)]", "[0;2,(1,1,1)]"):
+        assert run(capsys, "index", "--slope", slope, "--n", "7")[0] == 0
+    assert exactnum._ctx.cache_info().currsize == 1

@@ -41,11 +41,19 @@ from sturmian.exactnum import (
 
 @pytest.mark.parametrize("text,pre,per", [
     ("[0;2,(1,2)]", (2,), (1, 2)),
-    ("[0;(1)]", (), (1,)),
+    ("[0;(1)]", (1,), (1,)),
     ("[0;2,1,1]", (2, 1, 1), ()),
     ("[0; 2, (1, 2)]", (2,), (1, 2)),
-    ("[0;5,1,(1)]", (5, 1), (1,)),
+    ("[0;5,1,(1)]", (5,), (1,)),  # a repeat of the period's last quotient rolls in
     ("[0;٣,(1)]", (3,), (1,)),  # a decimal digit int() reads
+    # The canonical spelling: a_1 written, the period's primitive root, and
+    # preperiod repeats of the period's last rolled in; never a_1 itself.
+    ("[0;(2,1)]", (2,), (1, 2)),
+    ("[0;2,(1,1,1)]", (2,), (1,)),
+    ("[0;2,1,2,(1,2,1,2)]", (2,), (1, 2)),
+    ("[0;3,4,1,(3,1)]", (3, 4), (1, 3)),
+    ("[0;2,(2)]", (2,), (2,)),
+    ("[0;2,1,1,1]", (2, 1, 1, 1), ()),  # a truncation keeps its spelling
 ])
 def test_parse_slope(text, pre, per):
     cf = parse_slope(text)
@@ -70,8 +78,21 @@ def test_parse_slope_rejects(bad):
 
 
 def test_slope_roundtrip_str():
-    for text in ["[0;2,(1,2)]", "[0;(1)]", "[0;2,1,1]", "[0;3,(2,1)]"]:
+    for text in ["[0;2,(1,2)]", "[0;1,(1)]", "[0;2,1,1]", "[0;3,(2,1)]"]:
         assert str(parse_slope(text)) == text
+    # A non-canonical spelling reads back as the number's one spelling.
+    assert str(parse_slope("[0;(1)]")) == "[0;1,(1)]"
+
+
+def test_normalize_slope_respells_a_slope_built_directly():
+    assert normalize_slope(ContinuedFraction((2, 1), (1, 1))) == (parse_slope("[0;2,(1)]"), False)
+    assert normalize_slope(ContinuedFraction((), (1, 1))) == (parse_slope("[0;2,(1)]"), True)
+
+
+@pytest.mark.parametrize("pre, per", [((2, True), (1,)), ((2,), (True,)), ((False, 2), ())])
+def test_bool_quotients_are_refused(pre, per):
+    with pytest.raises(ValueError, match="partial quotients must be positive integers"):
+        ContinuedFraction(pre, per)
 
 
 # ------------------------------------------------------------------
@@ -85,6 +106,7 @@ def test_slope_roundtrip_str():
     ("[0;1,1]", "[0;2]", True),
     ("[0;(1,3)]", "[0;4,(1,3)]", True),
     ("[0;1,2,(5)]", "[0;3,(5)]", True),
+    ("[0;1,(1,2)]", "[0;2,(2,1)]", True),  # [0;2,2,(1,2)] rolls one 2 in
 ])
 def test_normalize_slope(text, expected, swap):
     got, got_swap = normalize_slope(parse_slope(text))
