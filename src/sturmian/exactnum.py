@@ -229,8 +229,11 @@ def _canonical(pre: tuple[int, ...], per: tuple[int, ...]) -> ContinuedFraction:
         per = per[:next(r for r in range(1, n + 1) if n % r == 0 and per[:r] * (n // r) == per)]
         if not pre:
             pre, per = per[:1], per[1:] + per[:1]
-        while len(pre) > 1 and pre[-1] == per[-1]:
-            pre, per = pre[:-1], per[-1:] + per[:-1]
+        r, roll = len(per), 0  # the preperiod's tail that reads the period backwards
+        while roll < len(pre) - 1 and pre[-1 - roll] == per[-1 - roll % r]:
+            roll += 1
+        cut = r - roll % r  # rolled in by one rotation
+        pre, per = pre[:len(pre) - roll], per[cut:] + per[:cut]
     return ContinuedFraction(pre, per)
 
 

@@ -297,14 +297,16 @@ def _reports(cf: ContinuedFraction, n: int, case: tuple[str, tuple[str, int, int
     every other factor has `other`.  Each fractional index is (t - 1)/n
     for the exit t where w^inf leaves the language (`_exits`), so its
     floor (t - 1) // n must equal the positional index: two routes meet on
-    every word, on integers, before any Fraction is built.
+    every word, on integers, before any Fraction is built.  The same check
+    certifies the exit table, sized by these indices (`_exits`), so no
+    interval formula runs here.
     """
     tag, (root, split, first, rest, other) = case
     words, positions = fmap.words, _conjugate_positions(cf, n, root, fmap)
     indices = [other if pos is None else first if pos < split else rest for pos in positions]
     fractions = repeat(None)
     if with_fractional:
-        exits = _exits(cf, n, zip(fmap.lefts, fmap.gaps), fmap.lengths.values())
+        exits = _exits(cf, n, zip(fmap.lefts, fmap.gaps), (max(indices) + 1) * n)
         if list(map(floordiv, map(sub, exits, repeat(1)), repeat(n))) != indices:
             for w, idx, t in zip(words, indices, exits):
                 if (t - 1) // n != idx:
@@ -397,17 +399,19 @@ def conjugacy_report(cf: ContinuedFraction, k: int, l: int) -> ConjugacyReport:
 
 def fractional_index(cf: ContinuedFraction, w: str) -> Fraction:
     """sup of exponents e with w^e a factor, as an exact rational: (t - 1)/|w|
-    for the first prefix length t of w^inf that is not a factor (`_exits`)."""
+    for the first prefix length t of w^inf that is not a factor (`_exits`),
+    on the table the interval formula's index ind sizes: t <= (ind + 1)*|w|."""
     i, j, length = _factor_interval(cf, w)
-    [t] = _exits(cf, len(w), [(i, i - j)], [length])
-    return Fraction(t - 1, len(w))
+    n = len(w)
+    [t] = _exits(cf, n, [(i, i - j)], (_length_indices(cf, n, [length])[0] + 1) * n)
+    return Fraction(t - 1, n)
 
 
 def _exits(cf: ContinuedFraction, n: int, windows: Iterable[tuple[int, int]],
-           lengths: Iterable[LinearForm]) -> list[int]:
+           reach: int) -> list[int]:
     """Least t such that the prefix of length t of w^inf is not a factor, for
-    the factor w at {-i*alpha} of each window (i, d) in `windows` (d below);
-    `lengths` holds their interval lengths, which size the table.
+    the factor w at {-i*alpha} of each window (i, d) in `windows` (d below),
+    on one key table of the given `reach`, a multiple of n.
 
     Keys are K(m) = m*p mod q.  For the w whose interval starts at
     {-i*alpha}, the heights of `rotation._height_walk` are v_s = K(-i) -
@@ -421,10 +425,13 @@ def _exits(cf: ContinuedFraction, n: int, windows: Iterable[tuple[int, int]],
     key lo gets there, k = ceil((q - hi + lo)/delta) >= 1 (keys are
     distinct), and s <= n is the first index of that period that does (s = n
     is the t of s = 0 one period on).  delta < 0 mirrors it with the top.
-    Each comparison sets some (t - s)*alpha against an integer, and
-    w^(ind+1) is not a factor, so t <= (ind+1)*n: one table of reach
-    (ind+1)*n, ind the largest index of the lengths, signs all of them
-    as alpha does; keys are distinct, so there is no tie.
+    Each comparison for a word whose exit comes out as t sets some m*alpha,
+    |m| <= ceil(t/n)*n, against an integer, so on a reach that is a multiple
+    of n an exit t <= reach is exact (keys are distinct: no tie).  A later t
+    may be wrong, so the caller certifies it.  With reach (ind + 1)*n, ind at
+    least each word's index, either ind is certified, and bounds every exit
+    as w^(ind+1) is not a factor (`fractional_index`), or a floor (t - 1)//n
+    other than the word's index, as every t > reach has, is refused (`_reports`).
 
     The word at {-i*alpha} reads the window from a = n - i of one key list
     K(-n), ..., K(n): K(s-i) = (K(-i) + K(s)) mod q, s <= n.  Its least key
@@ -439,7 +446,7 @@ def _exits(cf: ContinuedFraction, n: int, windows: Iterable[tuple[int, int]],
     the bound hi - q + k*delta is at least 0, a key of the window (for
     delta < 0, q + k*delta is at most hi): s stays in [a, a + n].
     """
-    table = key_table(cf, (max(_length_indices(cf, n, lengths)) + 1) * n)
+    table = key_table(cf, reach)
     p, q = table.p, table.q
     keys = [m % q for m in range(-n * p, (n + 1) * p, p)]
     exits = []

@@ -21,6 +21,7 @@ language has a closed form (`repetitions._exits`).
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 from typing import NamedTuple
 
 from sturmian.exactnum import (
@@ -219,7 +220,11 @@ def factors_of_length(cf: ContinuedFraction, n: int) -> list[tuple[str, FactorIn
     Output follows the circular order of the intervals starting at 0.
     """
     factors = factor_interval_map(cf, n)
-    return list(zip(factors.words, map(factors.interval, range(n + 1))))
+    lefts, lengths = factors.lefts, factors.lengths
+    # tuple.__new__ fills each FactorInterval without a Python-level __new__ per factor.
+    intervals = map(tuple.__new__, repeat(FactorInterval),
+                    zip(lefts, lefts[1:] + lefts[:1], map(lengths.__getitem__, factors.gaps)))
+    return list(zip(factors.words, intervals))
 
 
 class FactorMap(NamedTuple):
@@ -229,7 +234,7 @@ class FactorMap(NamedTuple):
     lefts[t], and has length lengths[gaps[t]], gaps[t] = i - lefts[(t + 1)
     % (n + 1)]; its factor (`words`) is coding[n - i: 2n - i], `coding`
     being letters -n..n-1 of the orbit coding.  Whole-length consumers walk
-    the lists in this order; `interval(t)` builds one `FactorInterval`.
+    the lists in this order.
     """
 
     coding: str
@@ -241,10 +246,6 @@ class FactorMap(NamedTuple):
     def words(self) -> list[str]:
         coding, n = self.coding, len(self.coding) // 2
         return [coding[n - i: 2 * n - i] for i in self.lefts]
-
-    def interval(self, t: int) -> FactorInterval:
-        lefts = self.lefts
-        return FactorInterval(lefts[t], lefts[(t + 1) % len(lefts)], self.lengths[self.gaps[t]])
 
 
 # An entry is one layout, 2n letters and three lists of n + 1 integers.

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sturmian import oracles
@@ -222,6 +222,9 @@ def _answers(cf: ContinuedFraction, n_max: int) -> dict:
 @settings(max_examples=60, deadline=None)
 @given(A1, st.lists(QUOTIENTS, min_size=1, max_size=11), periodic_tails(2),
        periodic_tails(2))
+# [0;2,2,2] answers 01010 (index 4, fractional index 4) from an exit table
+# sized by its positional index, where the interval floors stay undecided.
+@example(2, [2, 2], ([], [1]), ([], [9, 2]))
 def test_truncation_answers_hold_for_extensions(a_1, rest, tail_1, tail_2):
     # Whatever [0;a_1..a_m] answers, codings, word intervals, fractional
     # indices and per-word reports included, must hold for every slope of

@@ -466,7 +466,7 @@ def test_classify_with_fractional_refuses_a_late_exit(monkeypatch, family):
     # (t - 1) // n is one above the positional index.
     exits = repetitions._exits
     monkeypatch.setattr(repetitions, "_exits",
-                        lambda cf, n, windows, lengths: [t + n for t in exits(cf, n, windows, lengths)])
+                        lambda cf, n, windows, reach: [t + n for t in exits(cf, n, windows, reach)])
     for cf in family:
         with pytest.raises(AssertionError, match="fractional index"):
             for n in range(1, 21):
@@ -482,8 +482,8 @@ def test_classify_with_fractional_names_the_one_late_word(monkeypatch, family):
         for n in (3, 5, 8):
             reports = classify_length(cf, n, with_fractional=True)
             for late, r in enumerate(reports):
-                monkeypatch.setattr(repetitions, "_exits", lambda cf, n, windows, lengths: [
-                    t + n * (j == late) for j, t in enumerate(exits(cf, n, windows, lengths))])
+                monkeypatch.setattr(repetitions, "_exits", lambda cf, n, windows, reach: [
+                    t + n * (j == late) for j, t in enumerate(exits(cf, n, windows, reach))])
                 with pytest.raises(AssertionError) as refused:
                     classify_length(cf, n, with_fractional=True)
                 assert str(refused.value) == (
@@ -551,14 +551,17 @@ def test_classify_word_matches_its_length_on_drawn_slopes(a_1, preperiod, period
 
 def reference_word_report(cf, w) -> IndexReport:
     """The whole-length route to one word's report: its row of
-    `classify_length`, then `fractional_index` filled in."""
+    `classify_length`, then its exit on a table sized by that row's index,
+    with no interval formula between them."""
     check_word(w)
     if not w:
         raise NotAFactorError("the empty word has no index")
     reports = [r for r in classify_length(cf, len(w)) if r.word == w]
     if not reports:
         raise NotAFactorError(f"{w!r} is not a factor for slope {cf}")
-    return reports[0]._replace(fractional_index=fractional_index(cf, w))
+    n, (i, j, _) = len(w), word_interval(cf, w)
+    [t] = repetitions._exits(cf, n, [(i, i - j)], (reports[0].integer_index + 1) * n)
+    return reports[0]._replace(fractional_index=Fraction(t - 1, n))
 
 
 def outcome(route, cf, w):
@@ -796,7 +799,7 @@ def check_exits_against_the_walk(cf, lengths: Iterable[int]) -> tuple[set[tuple[
             indices = indices_by_interval(cf, n)
             factors = factor_interval_map(cf, n)
             exits = repetitions._exits(cf, n, zip(factors.lefts, factors.gaps),
-                                       factors.lengths.values())
+                                       (max(indices) + 1) * n)
         except DepthError:
             continue
         for w, ind, t in zip(factors.words, indices, exits):
@@ -828,11 +831,13 @@ def test_exits_match_the_walk_of_a_power_on_drawn_truncations(a_1, rest):
 def whole_and_single_exits(cf, n) -> tuple[list[int], list[int]]:
     """`_exits` of every factor of length n in one call, with the layout's
     gaps, and one call per word, each with the gap left_idx - right_idx of
-    its own `word_interval` and on a table sized by that interval."""
+    its own `word_interval` and on a table sized by that word's index; the
+    indices come from the interval formula."""
     factors = factor_interval_map(cf, n)
-    whole = repetitions._exits(cf, n, zip(factors.lefts, factors.gaps), factors.lengths.values())
-    single = [t for w in factors.words for i, j, length in [word_interval(cf, w)]
-              for t in repetitions._exits(cf, n, [(i, i - j)], [length])]
+    whole = repetitions._exits(cf, n, zip(factors.lefts, factors.gaps),
+                               (max(indices_by_interval(cf, n)) + 1) * n)
+    single = [t for w in factors.words for i, j, _ in [word_interval(cf, w)]
+              for t in repetitions._exits(cf, n, [(i, i - j)], (index_by_interval(cf, w) + 1) * n)]
     return whole, single
 
 
@@ -886,6 +891,56 @@ def test_exits_of_a_whole_length_match_on_large_quotients(a_1, preperiod, period
     check_exits_against_the_walk(cf, lengths)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 40), st.lists(st.integers(1, 40), max_size=3),
+       st.lists(st.integers(1, 40), min_size=1, max_size=3), st.booleans(), st.integers(1, 60))
+def test_exits_within_the_reach_are_exact_and_the_rest_refused(a_1, preperiod, period, truncated, n):
+    # The certificate `_reports` relies on: on a table of reach m*n, for
+    # every m up to the interval formula's largest index + 1, the exits
+    # either include a floor (t - 1)//n >= m, above every index a reach of
+    # m*n claims, which the floor check refuses, or are the exact ones.
+    quotients = (a_1, *preperiod)
+    cf = (ContinuedFraction((*quotients, *period)) if truncated
+          else ContinuedFraction(quotients, tuple(period)))
+    try:
+        expected = [f for _, f in reference_fractional_indices(cf, n)]
+        factors = factor_interval_map(cf, n)
+    except DepthError:
+        return
+    top = max(indices_by_interval(cf, n)) + 1
+    for m in range(1, top + 1):
+        exits = repetitions._exits(cf, n, zip(factors.lefts, factors.gaps), m * n)
+        floors = [(t - 1) // n for t in exits]
+        if max(floors) < m:
+            assert [Fraction(t - 1, n) for t in exits] == expected, (str(cf), n, m)
+        else:
+            assert m < top, (str(cf), n)  # the interval formula's reach is exact
+
+
+def test_classify_refuses_an_underclaimed_index_at_each_convergent(monkeypatch, family):
+    # Mutant: at n = q_k every factor claims index 1, so the exit table
+    # reaches only 2*n.  Each such length must raise, naming a word whose
+    # exit floor (t - 1)//n is above 1, and never return reports.
+    case = repetitions.length_case
+
+    def underclaimed(cf, n):
+        tag, (root, split, *_) = case(cf, n)
+        return tag, (root, split, 1, 1, 1)
+
+    monkeypatch.setattr(repetitions, "length_case", underclaimed)
+    for cf in (*family, parse_slope("[0;3,1,4,1,5,9,2,6]")):
+        last = cf.truncation_depth or 12  # length_case at q_m reads a_(m+1)
+        for n in [q for k in range(last) if (q := convergent(cf, k).q) <= 400]:
+            with pytest.raises(AssertionError) as refused:
+                classify_length(cf, n, with_fractional=True)
+            found = re.fullmatch(r"case (i|ii|iii): '([01]+)' has index 1 but fractional "
+                                 rf"index (\S+) for {re.escape(str(cf))}", str(refused.value))
+            assert found, (str(cf), n, str(refused.value))
+            words = factor_interval_map(cf, n).words
+            assert Fraction(found[3]) >= 2, (str(cf), n)
+            assert indices_by_interval(cf, n)[words.index(found[2])] >= 2, (str(cf), n)
+
+
 def test_fractional_index_matches_the_walk_on_truncations():
     # Where the walk answers, the exit answers the same.  Its table reaches
     # (ind + 1)*n, one past the walk's, and here it answers wherever the
@@ -918,12 +973,14 @@ def test_exit_tables_are_sized_by_the_intervals_asked_for():
     assert len(factors.words) == 11
     with pytest.raises(DepthError, match=re.escape(
             "cannot certify 21 orbit points for slope [0;2,3] within depth 2")):
-        repetitions._exits(cf, 10, zip(factors.lefts, factors.gaps), factors.lengths.values())
+        repetitions._exits(cf, 10, zip(factors.lefts, factors.gaps),
+                           (max(indices_by_interval(cf, 10)) + 1) * 10)
     assert fractional_index(cf, "01001") == Fraction(8, 5)
     cf = parse_slope("[0;7,7]")
     factors = factor_interval_map(cf, 36)
     with pytest.raises(DepthError):
-        repetitions._exits(cf, 36, zip(factors.lefts, factors.gaps), factors.lengths.values())
+        repetitions._exits(cf, 36, zip(factors.lefts, factors.gaps),
+                           (max(indices_by_interval(cf, 36)) + 1) * 36)
     answered = {}
     for w in factors.words:
         try:

@@ -630,8 +630,12 @@ def reference_factor_interval_map(cf: ContinuedFraction, n: int) -> dict[str, Fa
 
 
 def layout_items(got: FactorMap) -> list[tuple[str, FactorInterval]]:
-    """The layout's (word, interval) pairs in order, read off `interval(t)`."""
-    return list(zip(got.words, map(got.interval, range(len(got.words)))))
+    """The layout's (word, interval) pairs in order, each interval built from
+    its left index, the next one's (the last wrapping to the first) and the
+    length of its gap."""
+    lefts = got.lefts
+    return [(w, FactorInterval(i, lefts[(t + 1) % len(lefts)], got.lengths[got.gaps[t]]))
+            for t, (w, i) in enumerate(zip(got.words, lefts))]
 
 
 def assert_gap_identity(cf: ContinuedFraction, n: int, got: FactorMap) -> None:
@@ -648,7 +652,13 @@ def assert_gap_identity(cf: ContinuedFraction, n: int, got: FactorMap) -> None:
 def test_shared_form_maps_match_the_per_entry_construction(family):
     for cf in family:
         for n in (*range(1, 201), 1000):
-            assert_gap_identity(cf, n, factor_interval_map(cf, n))
+            got = factor_interval_map(cf, n)
+            assert_gap_identity(cf, n, got)
+            # factors_of_length fills its tuples with tuple.__new__: the same
+            # pairs, each interval still a FactorInterval.
+            factors = factors_of_length(cf, n)
+            assert factors == layout_items(got), (str(cf), n)
+            assert all(type(iv) is FactorInterval for _, iv in factors)
 
 
 @settings(max_examples=50, deadline=None)
