@@ -43,7 +43,7 @@ from sturmian.words import semistandard_word, standard_word
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         exactnum.depth_limit()  # a bad STURM_DEPTH_LIMIT is refused by every command
         status = args.handler(args)
@@ -69,15 +69,31 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """`_build_parser().parse_args(argv)` by the command's own parser, the object the
+    subparser action calls.  An unknown or missing command, a top-level -h, a '--'
+    or a leftover argument takes the full parse and its usage error."""
+    parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None and "--" not in argv:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process (parse_args leaves it unchanged)."""
+    """The argument parser, built once per process (parse_args leaves it unchanged);
+    its `commands` maps each command to its own parser."""
     parser = argparse.ArgumentParser(
         prog="sturmian",
         description="Exact repetition analysis of Sturmian words from the "
                     "continued fraction of the slope.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def common(p: argparse.ArgumentParser, slope: bool = True) -> None:
         if slope:
@@ -140,7 +156,8 @@ def _build_parser() -> argparse.ArgumentParser:
 # ------------------------------------------------------------------
 
 def _slope_of(args: argparse.Namespace) -> tuple[ContinuedFraction, bool]:
-    return normalize_slope(parse_slope(args.slope))
+    cf = parse_slope(args.slope)  # already canonically spelled
+    return normalize_slope(cf) if cf.quotient(1) == 1 else (cf, False)
 
 
 def _form_encoder(cf: ContinuedFraction) -> Callable[[LinearForm], dict]:

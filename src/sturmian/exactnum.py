@@ -285,9 +285,10 @@ class _Ctx:
     def bracket(self, d: int) -> tuple[int, int, int, int]:
         """`alpha_bounds(cf, d)` for a depth d it accepts."""
         (p1, q1), (p0, q0) = self.pair(d), self.pair(d - 1)
-        # At a truncation's last depth, a_{d+1} = 1 gives the cylinder's mediant.
-        a = 1 if d == self.cf.truncation_depth else self.cf.quotient(d + 1)
-        p2, q2 = a * p1 + p0, a * q1 + q0
+        if d == self.cf.truncation_depth:  # the cylinder's mediant, as if a_{d+1} = 1
+            p2, q2 = p1 + p0, q1 + q0
+        else:
+            p2, q2 = self.pair(d + 1)
         return (p1, q1, p2, q2) if d % 2 == 0 else (p2, q2, p1, q1)
 
     def bracket_depth(self, n: int, top: int) -> int:
@@ -296,11 +297,15 @@ class _Ctx:
         neighbours: no fraction with a denominator up to n lies between them."""
         spans = self.spans
         if spans[-1] <= n and len(spans) <= top:
-            # Extended only as far as n needs, and published as pair() publishes.
+            # Extended only as far as n needs, and published as pair() publishes:
+            # q_d + q_{d+1}, with a_{d+1} = 1 at a truncation's last depth.
             spans = list(spans)
-            while spans[-1] <= n and len(spans) <= top:
-                _, b, _, e = self.bracket(len(spans))
-                spans.append(b + e)
+            d, last = len(spans), self.cf.truncation_depth
+            q0, q1 = self.pair(d - 1)[1], self.pair(d)[1]
+            while spans[-1] <= n and d <= top:
+                q0, q1 = q1, (1 if d == last else self.cf.quotient(d + 1)) * q1 + q0
+                spans.append(q0 + q1)
+                d += 1
             self.spans = spans
         # The list may reach past a cap lowered since it was extended.
         return min(bisect_right(spans, n), top)
@@ -549,11 +554,13 @@ def approx_str(cf: ContinuedFraction, form: LinearForm, digits: int = 12) -> str
 
     Derived from certified bounds only (never from a floating alpha): both
     ends are rounded until they agree, from the rule's depth for
-    isqrt(|q| * 10**digits), where the width |q|/(b*e) nears 10**-digits.
+    isqrt(|q| * 10**(digits + 6)), where the width |q|/(b*e) nears
+    10**-(digits + 6).  Rounding is monotone and the schedule ends at the cap,
+    so the start depth changes no rendering and no refusal.
     """
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
-    for ln, ld, hn, hd in _deepen(cf, form, isqrt(abs(form.q) * 10 ** digits)):
+    for ln, ld, hn, hd in _deepen(cf, form, isqrt(abs(form.q) * 10 ** (digits + 6))):
         lo_s = _render(ln, ld, digits)
         if lo_s == _render(hn, hd, digits):
             return lo_s

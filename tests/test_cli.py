@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 
 import pytest
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 import sturmian
 from conftest import periodic_tail_surd
 from sturmian import exactnum, oracles, rotation
-from sturmian.cli import _build_parser, _json, main
+from sturmian.cli import _build_parser, _json, _parse_args, main
 from sturmian.exactnum import ContinuedFraction, LinearForm
 from test_golden import FIXTURE, cases, invoke
 
@@ -373,6 +376,122 @@ def test_usage_error_leaves_the_shared_parser_intact(bad, monkeypatch):
               for case in json.loads(FIXTURE.read_text(encoding="utf-8"))}
     assert invoke(bad)["exit"] == 2
     assert invoke(good) == golden[tuple(good)]
+
+
+# ------------------------------------------------------------------
+# the command's own parser against the two-level parse
+# ------------------------------------------------------------------
+
+def _parsed(parse, argv: list[str]) -> tuple[object, str, str]:
+    """The Namespace, or the exit code of a usage error or -h, with what was printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _same_parse(argv: list[str]) -> None:
+    want = _parsed(_build_parser().parse_args, argv)
+    assert _parsed(_parse_args, argv) == want, argv
+
+
+@pytest.mark.parametrize("argv", cases(), ids=" ".join)
+def test_direct_dispatch_parses_the_golden_argvs_alike(argv):
+    _same_parse(argv)
+
+
+VALUES = st.sampled_from(["[0;2,(1,2)]", "[0;(1)]", "[0;2,1,1]", "1", "7", "40", "0", "-3",
+                          "x", "table", "json", "10010", "three-distance", "flip-gamma"])
+
+
+@st.composite
+def valid_argvs(draw) -> list[str]:
+    """A command with its required options and some optional ones, in any order,
+    as `--opt value` or `--opt=value`."""
+    ints, fmt = st.integers(1, 300).map(str), st.sampled_from(["table", "json"])
+    command, required, optional = draw(st.sampled_from([
+        ("factors", {"--slope": VALUES, "--n": ints}, {"--format": fmt}),
+        ("index", {"--slope": VALUES}, {"--format": fmt}),
+        ("three-distance", {"--slope": VALUES, "--n": ints}, {"--format": fmt}),
+        ("standard-word", {"--slope": VALUES, "--k": ints}, {"--format": fmt, "--l": ints}),
+        ("conjugacy", {"--slope": VALUES, "--k": ints, "--l": ints}, {"--format": fmt}),
+        ("critical-exponent", {"--slope": VALUES}, {"--format": fmt, "--depth": ints}),
+        ("verify", {}, {"--format": fmt, "--slope": VALUES, "--n-max": ints,
+                        "--suite": st.sampled_from(["three-distance", "square-lengths"]),
+                        "--inject-fault": st.just("flip-gamma")}),
+    ]))
+    if command == "index":  # exactly one of --n and --word
+        required.update([("--n", ints)] if draw(st.booleans()) else [("--word", VALUES)])
+    chosen = [*required, *(opt for opt in optional if draw(st.booleans()))]
+    if command == "verify" and "--suite" in chosen and draw(st.booleans()):
+        chosen.append("--suite")  # repeatable
+    values, pairs = {**required, **optional}, []
+    for opt in draw(st.permutations(chosen)):
+        value = draw(values[opt])
+        pairs.append([f"{opt}={value}"] if draw(st.booleans()) else [opt, value])
+    return [command, *(arg for pair in pairs for arg in pair)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_argvs())
+def test_direct_dispatch_parses_valid_argvs_alike(argv):
+    result = _parsed(_build_parser().parse_args, argv)[0]
+    assert isinstance(result, argparse.Namespace), argv
+    _same_parse(argv)
+
+
+@st.composite
+def malformed_argvs(draw) -> list[str]:
+    """A valid argv with one fault, or an argv with no valid command."""
+    argv = draw(valid_argvs())
+    fault = draw(st.sampled_from(["unknown", "positional", "missing", "--", "abbreviation",
+                                  "help", "empty", "command", "top-help"]))
+    at = draw(st.integers(1, len(argv)))
+    if fault == "unknown":
+        argv.insert(at, draw(st.sampled_from(["--bogus", "--bogus=1", "-z", "--depth"])))
+    elif fault == "positional":
+        argv.insert(at, draw(st.sampled_from(["extra", "5", "factors"])))
+    elif fault == "missing":
+        options = [i for i, arg in enumerate(argv) if arg.startswith("--")]
+        assume(options)
+        i = draw(st.sampled_from(options))
+        del argv[i:i + (1 if "=" in argv[i] else 2)]
+    elif fault == "--":
+        argv.insert(at, "--")
+    elif fault == "abbreviation":
+        options = [i for i, arg in enumerate(argv) if arg.startswith("--")]
+        assume(options)
+        i = draw(st.sampled_from(options))
+        name, eq, value = argv[i].partition("=")
+        argv[i] = name[:draw(st.integers(3, max(3, len(name) - 1)))] + eq + value
+    elif fault == "help":
+        argv.insert(at, draw(st.sampled_from(["-h", "--help", "--he"])))
+    elif fault == "empty":
+        argv = []
+    elif fault == "command":
+        argv[0] = draw(st.sampled_from([argv[0][:-1], argv[0].upper(), argv[0] + "s", "--n"]))
+    else:
+        argv.insert(0, "-h")
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(malformed_argvs())
+@example(["factors", "--slope", "[0;2,(1)]", "--n", "5", "--bogus"])
+@example(["factors", "--slope", "[0;2,(1)]", "--n", "5", "extra"])
+@example(["factors", "--sl", "[0;2,(1)]", "--n", "5"])
+@example(["factors", "--", "--slope", "[0;2,(1)]", "--n", "5"])
+@example(["verify", "--s", "three-distance"])
+@example(["index", "-h"])
+@example([])
+@example(["factor", "--slope", "[0;2,(1)]", "--n", "5"])
+def test_direct_dispatch_fails_malformed_argvs_alike(argv):
+    # Exit code and stderr bytes, or the same Namespace where argparse
+    # accepts the fault (an unambiguous abbreviation).
+    _same_parse(argv)
 
 
 # ------------------------------------------------------------------

@@ -7,12 +7,16 @@ import sys
 import threading
 import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FAMILY_SLOPES, alpha_oracle, form_bounds, form_sign_oracle, unroll
+from test_golden import cases as golden_cases
+from test_golden import invoke
+from sturmian import cli
 from sturmian import exactnum as ex
 from sturmian.exactnum import (
     ContinuedFraction,
@@ -725,6 +729,35 @@ def test_approx_str_matches_enclosure_rendering(case, digits):
         _outcome(reference_approx_str, cf, form, digits)
 
 
+def test_golden_decimals_are_decided_by_the_first_bracket(monkeypatch):
+    # Every decimal the golden commands print on a periodic slope: the rule's
+    # first bracket settles it, one _render per end, and every depth from the
+    # start of the narrower question isqrt(|q| * 10**digits) to the cap at
+    # which both ends round alike gives the same string.
+    monkeypatch.delenv("STURM_DEPTH_LIMIT", raising=False)
+    seen = set()
+
+    def recorded(cf, form, digits=12):
+        if cf.is_periodic:
+            seen.add((cf, form, digits))
+        return ex.approx_str(cf, form, digits)
+
+    monkeypatch.setattr(cli, "approx_str", recorded)
+    for argv in golden_cases():
+        invoke(argv)
+    assert len(seen) >= 10
+    render, calls = ex._render, []
+    monkeypatch.setattr(ex, "_render", lambda *args: calls.append(args) or render(*args))
+    for cf, (q, p), digits in seen:
+        calls.clear()
+        text = ex.approx_str(cf, LinearForm(q, p), digits)
+        assert len(calls) == 2, (str(cf), q, p)
+        for d in range(rule_depth(cf, isqrt(abs(q) * 10 ** digits)), cf.max_depth() + 1):
+            a, b, c, e = ex.alpha_bounds(cf, d)
+            ends = {render(q * a - p * b, b, digits), render(q * c - p * e, e, digits)}
+            assert len(ends) == 2 or ends == {text}, (str(cf), q, p, d)
+
+
 # ------------------------------------------------------------------
 # integer deepening loop against the Fraction versions it replaced
 # ------------------------------------------------------------------
@@ -933,6 +966,8 @@ def test_the_depth_rule_matches_a_walk_over_every_depth(slope):
             assert d == walked_depth(spans, n), (slope, n)
             # Tight: the depth before it has b + e <= n.
             assert d == 1 or spans[d - 2] <= n, (slope, n)
+        # Built by the recurrence, in one go or resumed at each depth.
+        assert ex._ctx(cf).spans == [0, *spans], slope
 
 
 @settings(max_examples=300, deadline=None)
@@ -974,6 +1009,11 @@ def test_the_cap_is_read_on_every_call(monkeypatch):
                 outcomes.append(_outcome(fn, *args))
                 assert outcomes[-1] == _outcome(ref, *args), (cap, fn.__name__, args)
         refusals[cap] = sum(isinstance(o, str) and o.startswith("Undecided") for o in outcomes)
+        # The cached spans, which reach past cap 5, are b + e at every depth they reach.
+        built = ex._ctx(cf).spans
+        assert built == [0, *(b + e for _, b, _, e in
+                              (ex.alpha_bounds(cf, d) for d in range(1, len(built))))]
+        assert len(built) > 6
     # The shallow cap refuses what the default answers.
     assert refusals[64] == 0 < refusals[5]
 
