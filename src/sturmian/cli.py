@@ -166,9 +166,12 @@ def _form_encoder(cf: ContinuedFraction) -> Callable[[LinearForm], dict]:
                                          "approx": approx_str(cf, form)})
 
 
-def _form_cell(form: dict) -> str:
-    """The table cell of a form's JSON object: its decimal, then the form."""
-    return f"{form['approx']}  [{LinearForm(form['q'], form['p'])}]"
+def _form_cells() -> Callable[[dict], str]:
+    """The table cell of a form's JSON object, its decimal then the form, rendered once per
+    distinct object of one answer (`_form_encoder` shares them, its rows keep them alive)."""
+    cells: dict[int, str] = {}
+    return lambda form: cells.get(id(form)) or cells.setdefault(
+        id(form), f"{form['approx']}  [{LinearForm(form['q'], form['p'])}]")
 
 
 def _dash(value: object) -> str:
@@ -177,19 +180,26 @@ def _dash(value: object) -> str:
 
 def _json(value: object, pad: str = "\n") -> str:
     """The bytes of `json.dumps(value, indent=2)`, which the C encoder cannot indent,
-    for None, bools, ints, strs, lists and str-keyed dicts; anything else is a TypeError."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or isinstance(value, bool):  # before int: True is an int
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
+    for None, bools, ints, strs, lists and str-keyed dicts; anything else is a TypeError.
+    A container writes a member of type str, int, None or bool inline: only the
+    other members (containers, and subclasses of str and int) recurse."""
     inner = pad + "  "
     if isinstance(value, dict):  # encode_basestring_ascii refuses a key that is no str
-        ends, items = "{}", [f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
-                             for k, v in value.items()]
+        ends, items = "{}", [f"""{encode_basestring_ascii(k)}: {
+            encode_basestring_ascii(v) if type(v) is str else int.__repr__(v) if type(v) is int
+            else 'null' if v is None else 'true' if v is True else 'false' if v is False
+            else _json(v, inner)}""" for k, v in value.items()]
     elif isinstance(value, list):
-        ends, items = "[]", [_json(v, inner) for v in value]
+        ends, items = "[]", [
+            encode_basestring_ascii(v) if type(v) is str else int.__repr__(v) if type(v) is int
+            else "null" if v is None else "true" if v is True else "false" if v is False
+            else _json(v, inner) for v in value]
+    elif isinstance(value, str):
+        return encode_basestring_ascii(value)
+    elif value is None or isinstance(value, bool):  # before int: True is an int
+        return "null" if value is None else "true" if value else "false"
+    elif isinstance(value, int):
+        return int.__repr__(value)
     else:
         raise TypeError(f"cannot write {type(value).__name__} as JSON")
     return f"{ends[0]}{inner}{(',' + inner).join(items)}{pad}{ends[1]}" if items else ends
@@ -228,11 +238,11 @@ def cmd_factors(args: argparse.Namespace) -> int:
     rows = [{"word": word, "left_idx": interval.left_idx, "right_idx": interval.right_idx,
              "length": encode(interval.length)}
             for word, interval in factors_of_length(cf, args.n)]
-    width = args.n + 2
+    width, cell = args.n + 2, _form_cells()
     return _emit(args, cf, rows, lambda: [
         f"{'word':<{width}} {'left':>5} {'right':>5}  length",
         *(f"{r['word']:<{width}} {r['left_idx']:>5} {r['right_idx']:>5}  "
-          f"{_form_cell(r['length'])}" for r in rows)], swapped)
+          f"{cell(r['length'])}" for r in rows)], swapped)
 
 
 def cmd_index(args: argparse.Namespace) -> int:
@@ -257,10 +267,11 @@ def cmd_three_distance(args: argparse.Namespace) -> int:
     encode = _form_encoder(cf)
     gaps = [{"count": count, "length": encode(form)} for count, form in s.gaps]
     row = {"n": args.n, "k": s.k, "l": s.l, "r": s.r, "gaps": gaps}
+    cell = _form_cells()
     return _emit(args, cf, [row], lambda: [
         f"n = {args.n} decomposes as {s.l}*q_{s.k - 1} + q_{s.k - 2} + {s.r}",
         f"{'count':>6}  length",
-        *(f"{gap['count']:>6}  {_form_cell(gap['length'])}" for gap in gaps)], swapped)
+        *(f"{gap['count']:>6}  {cell(gap['length'])}" for gap in gaps)], swapped)
 
 
 def cmd_standard_word(args: argparse.Namespace) -> int:
@@ -286,11 +297,11 @@ def cmd_conjugacy(args: argparse.Namespace) -> int:
     rows.append({"position": None, "word": rep.leftover,
                  "interval_length": encode(rep.gaps[2][1]), "block": "outside-class"})
     base = rep.conjugates[0]
-    width = len(base) + 2
+    width, cell = len(base) + 2, _form_cells()
     return _emit(args, cf, rows, lambda: [
         f"conjugates of {base} (length {len(base)}):",
         f"{'pos':>4}  {'word':<{width}} interval length",
-        *(f"{_dash(r['position']):>4}  {r['word']:<{width}} {_form_cell(r['interval_length'])}"
+        *(f"{_dash(r['position']):>4}  {r['word']:<{width}} {cell(r['interval_length'])}"
           f"  ({'outside the class' if r['position'] is None else r['block']})"
           for r in rows)], swapped)
 

@@ -270,17 +270,22 @@ class _Ctx:
 
     def pair(self, k: int) -> tuple[int, int]:
         pairs = self.pairs
-        if k + 1 < len(pairs):
-            return pairs[k + 1]
-        # Extend a private copy and publish it in one assignment, so a
-        # concurrent caller never sees (or appends to) a half-built list.
-        pairs = list(pairs)
+        return (pairs if k + 1 < len(pairs) else self.through(k))[k + 1]
+
+    def through(self, k: int) -> list[tuple[int, int]]:
+        """A published pair list that holds (p_k, q_k).  A longer one is a private copy,
+        extended and then published in one assignment: no caller sees it half-built."""
+        pairs = self.pairs
+        if k + 1 >= len(pairs):
+            self.pairs = pairs = self._grow(list(pairs), k)
+        return pairs
+
+    def _grow(self, pairs: list[tuple[int, int]], k: int) -> list[tuple[int, int]]:
+        """A private pair list extended in place through (p_k, q_k), each a_j read once."""
         for j in range(len(pairs) - 1, k + 1):
-            a = self.cf.quotient(j)
-            (p1, q1), (p2, q2) = pairs[j], pairs[j - 1]
+            a, (p1, q1), (p2, q2) = self.cf.quotient(j), pairs[j], pairs[j - 1]
             pairs.append((a * p1 + p2, a * q1 + q2))
-        self.pairs = pairs
-        return pairs[k + 1]
+        return pairs
 
     def bracket(self, d: int) -> tuple[int, int, int, int]:
         """`alpha_bounds(cf, d)` for a depth d it accepts."""
@@ -297,16 +302,15 @@ class _Ctx:
         neighbours: no fraction with a denominator up to n lies between them."""
         spans = self.spans
         if spans[-1] <= n and len(spans) <= top:
-            # Extended only as far as n needs, and published as pair() publishes:
-            # q_d + q_{d+1}, with a_{d+1} = 1 at a truncation's last depth.
-            spans = list(spans)
+            # Spans and pairs grow together as far as n needs, published as pair()
+            # publishes: q_d + q_{d+1}, with a_{d+1} = 1 at a truncation's last depth.
+            spans, pairs = list(spans), list(self.pairs)
             d, last = len(spans), self.cf.truncation_depth
-            q0, q1 = self.pair(d - 1)[1], self.pair(d)[1]
             while spans[-1] <= n and d <= top:
-                q0, q1 = q1, (1 if d == last else self.cf.quotient(d + 1)) * q1 + q0
-                spans.append(q0 + q1)
+                (_, q0), (_, q1) = self._grow(pairs, d if d == last else d + 1)[d:d + 2]
+                spans.append(q1 + (q1 + q0 if d == last else pairs[d + 2][1]))
                 d += 1
-            self.spans = spans
+            self.pairs, self.spans = pairs, spans
         # The list may reach past a cap lowered since it was extended.
         return min(bisect_right(spans, n), top)
 
@@ -568,10 +572,9 @@ def approx_str(cf: ContinuedFraction, form: LinearForm, digits: int = 12) -> str
 
 
 def decimal_str(x: Fraction, digits: int = 12) -> str:
-    """Deterministic decimal rendering of an exact rational."""
+    """Deterministic decimal rendering of an exact rational, from its numerator and denominator."""
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
-    x = Fraction(x)
     return _render(x.numerator, x.denominator, digits)
 
 

@@ -400,11 +400,8 @@ def conjugacy_report(cf: ContinuedFraction, k: int, l: int) -> ConjugacyReport:
 def fractional_index(cf: ContinuedFraction, w: str) -> Fraction:
     """sup of exponents e with w^e a factor, as an exact rational: (t - 1)/|w|
     for the first prefix length t of w^inf that is not a factor (`_exits`),
-    on the table the interval formula's index ind sizes: t <= (ind + 1)*|w|."""
-    i, j, length = _factor_interval(cf, w)
-    n = len(w)
-    [t] = _exits(cf, n, [(i, i - j)], (_length_indices(cf, n, [length])[0] + 1) * n)
-    return Fraction(t - 1, n)
+    on the table its positional index ind sizes, t <= (ind + 1)*|w| (`classify_word`)."""
+    return classify_word(cf, w).fractional_index
 
 
 def _exits(cf: ContinuedFraction, n: int, windows: Iterable[tuple[int, int]],
@@ -498,13 +495,11 @@ def _surd_le(x: tuple[Fraction, Fraction], y: tuple[Fraction, Fraction], d: int)
     return b > 0
 
 
-def _terms(cf: ContinuedFraction, last: int) -> list[Fraction]:
-    """t_0..t_last, t_k = a_{k+1} + 2 + (q_{k-1} - 2)/q_k with q_{-1} = 0, each the one
-    Fraction (q_{k+1} + 2 q_k - 2)/q_k (a_{k+1} q_k + q_{k-1} = q_{k+1})."""
-    ctx = _ctx(cf)
-    ctx.pair(last + 1)  # one extension of the cache, not one per k
-    qs = [ctx.pair(k)[1] for k in range(last + 2)]
-    return [Fraction(q2 + 2 * q1 - 2, q1) for q1, q2 in zip(qs, qs[1:])]
+def _terms(cf: ContinuedFraction, last: int) -> list[tuple[int, int]]:
+    """t_0..t_last, t_k = a_{k+1} + 2 + (q_{k-1} - 2)/q_k with q_{-1} = 0, each as the
+    integer pair (q_{k+1} + 2 q_k - 2, q_k) (a_{k+1} q_k + q_{k-1} = q_{k+1})."""
+    pairs = _ctx(cf).through(last + 1)[1:last + 3]  # (p_0, q_0)..(p_{last+1}, q_{last+1})
+    return [(q2 + 2 * q1 - 2, q1) for (_, q1), (_, q2) in zip(pairs, pairs[1:])]
 
 
 def critical_exponent(cf: ContinuedFraction, depth_bound: int) -> CriticalExponentResult:
@@ -548,21 +543,21 @@ def critical_exponent(cf: ContinuedFraction, depth_bound: int) -> CriticalExpone
     else:
         last = min(depth_bound, m - 1)
 
-    # Every candidate is A + B*sqrt(d): a term t_k is (t_k, 0).
-    candidates: list[tuple[Fraction, Fraction | int, ContinuedFraction | None, int]] = [
-        (t, 0, None, k) for k, t in enumerate(_terms(cf, last))]
-    terms = tuple((k, t) for t, _, _, k in candidates[2:depth_bound + 1])
-    d = 0
+    # The best term on integers (num/den <= x/y iff num*y <= x*den); a later k wins a tie.
+    terms = _terms(cf, last)
+    witness, (num, den) = 0, terms[0]
+    for k, (x, y) in enumerate(terms):
+        if num * y <= x * den:
+            witness, num, den = k, x, y
+    # Only that term meets the class limits: each candidate is A + B*sqrt(d), the
+    # term (t_k, 0), and a tie again keeps the later one.
+    best, tail = (Fraction(num, den), 0), None
     for k0 in range(m + period + 1, m + 2 * period + 1):
-        a, b, d, tail = _class_limit(cf, k0)
-        candidates.append((a, b, tail, k0))
-
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if _surd_le(best[:2], cand[:2], d):
-            best = cand
-    value, _, tail, witness = best
+        a, b, d, limit_tail = _class_limit(cf, k0)
+        if _surd_le(best, (a, b), d):
+            best, tail, witness = (a, b), limit_tail, k0
     return CriticalExponentResult(
-        terms=terms, witness_k=witness, value_attained=value if tail is None else None,
+        terms=tuple((k, Fraction(*terms[k])) for k in range(2, min(depth_bound, last) + 1)),
+        witness_k=witness, value_attained=best[0] if tail is None else None,
         limit_offset=None if tail is None else 2 + cf.quotient(witness + 1), limit_tail=tail,
     )

@@ -241,7 +241,7 @@ def suite_critical_exponent(cf: ContinuedFraction) -> Checks:
         if k <= 9 and convergent(cf, k).q <= 300:
             exact = fractional_index(cf, standard_word(cf, k))
             yield (exact == t, f"standard-word fractional index at k={k}: "
-                               f"interval route {exact} != term {t}")
+                               f"exit route {exact} != term {t}")
     longest = math.floor(hi * _RUN_PERIODS) + 1
     text = characteristic_prefix(cf, recurrence_window(cf, longest))
     observed, period = oracles.max_run_exponent(text, _RUN_PERIODS)

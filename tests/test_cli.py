@@ -508,10 +508,22 @@ JSON_VALUES = st.recursive(
     max_leaves=24)
 
 
+class _Text(str):
+    """A str subclass: the writer's inline members are exact types only."""
+
+
+# One form object shared by many rows, as `cli._form_encoder` shares them.
+_SHARED_FORM = {"q": 3, "p": -1, "approx": "2.23606797750"}
+
+
 @settings(max_examples=400, deadline=None)
 @given(JSON_VALUES)
 @example({"a": [], "b": {}, "c": [[], {}, [[{}]]], "d": {"e": {"f": []}}})
 @example(['"\\\b\x00 \u00e9 \U0001d538', True, False, None, 1, -10**40, 0])
+@example({"passed": True, "swapped": False, "list": [False, True, None]})
+@example({"sign": exactnum.Ordering.LT, "signs": [exactnum.Ordering.GT, exactnum.Ordering.EQ]})
+@example({"word": _Text('"0\n1"'), "words": [_Text("01"), _Text("")], _Text("key"): 1})
+@example({"results": [{"position": i, "interval_length": _SHARED_FORM} for i in range(5)]})
 def test_json_writer_prints_the_stdlib_indent_2_bytes(value):
     assert _json(value) == json.dumps(value, indent=2)
 

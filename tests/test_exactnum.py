@@ -1080,3 +1080,29 @@ def test_convergent_cache_is_thread_safe():
         # Whichever list was published last, it is a correct prefix.
         assert ctx.spans == [0, *(pairs[d][1] + pairs[d + 1][1]
                                   for d in range(1, len(ctx.spans)))], cf
+
+
+@pytest.mark.parametrize("quotients", [((2,), (1,)), ((3, 1, 4), (1, 5, 9)),
+                                       ((2, 1, 2, 1, 2), ()), ((4, 7), ())], ids=str)
+def test_depth_rule_and_bracket_read_each_quotient_once(monkeypatch, quotients):
+    # The depth rule's spans come from the pairs it extends (q_d + q_{d+1}, or
+    # 2*q_m + q_{m-1} at a truncation's last depth m), so neither it nor the
+    # bracket it picks reads any a_j a second time, however n grows.
+    reads: dict[int, int] = {}
+    quotient = ContinuedFraction.quotient
+
+    def counted(self: ContinuedFraction, k: int) -> int:
+        reads[k] = reads.get(k, 0) + 1
+        return quotient(self, k)
+
+    cf = ContinuedFraction(*quotients)
+    expected = {n: ex.alpha_bounds(cf, rule_depth(cf, n)) for n in (1, 5, 40, 1000, 10 ** 6)}
+    monkeypatch.setattr(ContinuedFraction, "quotient", counted)
+    ctx = ex._Ctx(cf)
+    for n, bracket in expected.items():
+        assert ctx.bracket(ctx.bracket_depth(n, cf.max_depth())) == bracket, n
+    assert reads and set(reads.values()) == {1}, reads
+    last = cf.truncation_depth
+    if last is not None:  # the mediant end reads no a_{m+1}
+        q0, q1 = ctx.pair(last - 1)[1], ctx.pair(last)[1]
+        assert (max(reads), ctx.spans[-1]) == (last, 2 * q1 + q0)

@@ -24,6 +24,8 @@ from sturmian.exactnum import (
     parse_slope,
 )
 from sturmian.repetitions import (
+    _exits,
+    _length_indices,
     _terms,
     classify_length,
     classify_word,
@@ -150,7 +152,7 @@ def test_formulas_match_oracles_on_drawn_slopes(a_1, tail, n):
 def check_first_terms(slope):
     # t_0 is the index of the letter 0; t_1 is the best fractional index
     # of the length-q_1 class, by interval iteration and by a scan.
-    t_0, t_1 = _terms(slope, 1)
+    t_0, t_1 = (Fraction(*pair) for pair in _terms(slope, 1))
     assert t_0 == slope.quotient(1) == fractional_index(slope, "0")
     q_1 = slope.quotient(1)
     window = characteristic_prefix(slope, oracle_window(slope, q_1))
@@ -238,6 +240,15 @@ def test_truncation_answers_hold_for_extensions(a_1, rest, tail_1, tail_2):
     if n_star <= 40:
         assert answers["factors", n_star - 1] is not None, str(truncation)
         assert answers["factors", n_star] is None, str(truncation)
+    # fractional_index answers each word the per-word report answers, and each
+    # word the exit table sized by the interval formula's index answers (its
+    # route before the positional index sized it), with the same value.
+    for (kind, w), report in answers.items():
+        if kind == "report":
+            fractional = None if report is None else report.fractional_index
+            assert answers["fractional", w] == fractional, w
+            interval_sized = _interval_sized_fractional_index(truncation, w)
+            assert interval_sized in (None, answers["fractional", w]), w
     # The critical exponent of the truncation is the best term it knows,
     # t_0..t_{m-1}: at least the older bound max(a_1, a_2 + 1, t_2..), and
     # at most the supremum of every slope in the cylinder.
@@ -251,6 +262,18 @@ def test_truncation_answers_hold_for_extensions(a_1, rest, tail_1, tail_2):
             if got is not None:
                 assert _query(extension, *key) == got, (str(truncation), str(extension), key)
         assert lower <= critical_exponent(extension, 16).bounds()[1], str(extension)
+
+
+def _interval_sized_fractional_index(cf: ContinuedFraction, w: str) -> Fraction | None:
+    """(t - 1)/|w| for the exit t of w on the table that the interval formula's
+    index ind sizes, t <= (ind + 1)*|w|; None where a DepthError refuses it."""
+    n = len(w)
+    try:
+        i, j, length = word_interval(cf, w)
+        [t] = _exits(cf, n, [(i, i - j)], (_length_indices(cf, n, [length])[0] + 1) * n)
+    except DepthError:
+        return None
+    return Fraction(t - 1, n)
 
 
 def _terms_by_hand(quotients: tuple[int, ...]) -> list[Fraction]:

@@ -1050,6 +1050,18 @@ def test_fractional_index_on_a_shallow_cylinder():
         fractional_index(cf, "000100")
 
 
+def test_fractional_index_answers_the_words_the_report_answers():
+    # The interval floors of 01010 on [0;2,2,2] stay undecided, but its
+    # positional index 4 sizes a table of reach 25 that the cylinder
+    # certifies (n* = 2*q_3 + q_2 = 29), as it does for the word's report.
+    cf = ContinuedFraction((2, 2, 2))
+    with pytest.raises(DepthError, match="undecided"):
+        index_by_interval(cf, "01010")
+    assert fractional_index(cf, "01010") == classify_word(cf, "01010").fractional_index == 4
+    for extension in ("[0;2,2,2,(1)]", "[0;2,2,2,(7,3)]"):
+        assert fractional_index(parse_slope(extension), "01010") == 4
+
+
 def test_fractional_index_standard_words(fib_slope):
     assert fractional_index(fib_slope, "010") == 3           # 3 + (q_1 - 2)/q_2
     s4 = standard_word(fib_slope, 4)
@@ -1186,7 +1198,7 @@ def check_candidate_order(cf: ContinuedFraction) -> None:
     class limit A + B*sqrt(D) is its tail's surd plus 2 + a_{k0+1}."""
     m, period = len(cf.preperiod), len(cf.period)
     cands = [((t, Fraction(0)), (t, None))
-             for t in repetitions._terms(cf, m + 2 * period + 2)]
+             for t in itertools.starmap(Fraction, repetitions._terms(cf, m + 2 * period + 2))]
     shared = set()
     for k0 in range(m + period + 1, m + 2 * period + 1):
         a, b, d, tail = repetitions._class_limit(cf, k0)
@@ -1245,11 +1257,46 @@ def reference_critical_exponent(cf: ContinuedFraction, depth_bound: int) -> tupl
     return terms, k, False, None, value, tail
 
 
+def scanned_critical_exponent(cf: ContinuedFraction, depth_bound: int
+                              ) -> repetitions.CriticalExponentResult:
+    """The critical exponent by the scan the integer pick replaced: every term
+    t_k = (q_{k+1} + 2 q_k - 2)/q_k a Fraction, and every candidate, the terms
+    by k and then the class limits, compared by `_surd_le` with the one before;
+    a tie keeps the later candidate."""
+    m, period = len(cf.preperiod), len(cf.period)
+    if period:
+        q_m = convergent(cf, m).q
+        s, fib_a, fib_b = 1, 1, 1
+        while fib_b < q_m:
+            fib_a, fib_b = fib_b, fib_a + fib_b
+            s += 1
+        last = max(m + period + 1, m + s + 1, depth_bound)
+    else:
+        last = min(depth_bound, m - 1)
+    qs = [_ctx(cf).pair(k)[1] for k in range(last + 2)]
+    candidates = [(Fraction(q2 + 2 * q1 - 2, q1), 0, None, k)
+                  for k, (q1, q2) in enumerate(zip(qs, qs[1:]))]
+    terms = tuple((k, t) for t, _, _, k in candidates[2:depth_bound + 1])
+    d = 0
+    for k0 in range(m + period + 1, m + 2 * period + 1):
+        a, b, d, tail = repetitions._class_limit(cf, k0)
+        candidates.append((a, b, tail, k0))
+    best = candidates[0]
+    for cand in candidates[1:]:
+        if repetitions._surd_le(best[:2], cand[:2], d):
+            best = cand
+    value, _, tail, witness = best
+    return repetitions.CriticalExponentResult(
+        terms=terms, witness_k=witness, value_attained=value if tail is None else None,
+        limit_offset=None if tail is None else 2 + cf.quotient(witness + 1), limit_tail=tail)
+
+
 def check_critical_exponent(cf: ContinuedFraction, depth_bound: int) -> None:
     res = critical_exponent(cf, depth_bound)
     got = (res.terms, res.witness_k, res.limit_tail is None, res.value_attained,
            res.limit_offset, res.limit_tail)
     assert got == reference_critical_exponent(cf, depth_bound), (str(cf), depth_bound)
+    assert res == scanned_critical_exponent(cf, depth_bound), (str(cf), depth_bound)
 
 
 @pytest.mark.parametrize("depth", [2, 30, 200])
@@ -1269,6 +1316,20 @@ DRAWN_TRUNCATED = st.builds(lambda a_1, rest: ContinuedFraction((a_1, *rest)),
 @given(DRAWN_PERIODIC | DRAWN_TRUNCATED, st.integers(2, 200))
 def test_critical_exponent_matches_the_reference_on_drawn_slopes(cf, depth):
     check_critical_exponent(cf, depth)
+
+
+@pytest.mark.parametrize("slope", ["[0;3,1,2,1,1]", "[0;2,(1,3)]"])
+def test_critical_exponent_tie_of_best_terms_keeps_the_later_k(monkeypatch, slope):
+    # No slope drawn so far had two equal best terms, so the tie is built: t_1
+    # and t_4 spell the same value 27/2 as different integer pairs, and only
+    # the cross-multiplication sees them equal.  The value beats the class
+    # limits of the periodic slope (5 + [0;(1,3)] the larger).
+    pairs = [(3, 1), (27, 2), (12, 4), (1, 1), (54, 4)]
+    monkeypatch.setattr(repetitions, "_terms",
+                        lambda cf, last: (pairs + [(1, 1)] * last)[:last + 1])
+    res = critical_exponent(parse_slope(slope), 4)
+    assert res.terms == ((2, 3), (3, 1), (4, Fraction(27, 2)))
+    assert (res.witness_k, res.value_attained, res.limit_tail) == (4, Fraction(27, 2), None)
 
 
 def test_critical_exponent_is_thread_safe():
