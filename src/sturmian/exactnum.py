@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from functools import lru_cache
@@ -62,23 +61,36 @@ class Ordering(IntEnum):
     GT = 1
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+def _unordered(self: tuple, other: object) -> NoReturn:
+    """Order slot of a tuple-backed value type, which is not ordered as a
+    tuple: a form is ordered only through `compare`, a slope not at all."""
+    raise TypeError(f"{type(self).__name__} values are not ordered")
+
+
+class _Quotients(NamedTuple):  # a NamedTuple's own body may not define __new__
+    preperiod: tuple[int, ...]
+    period: tuple[int, ...] = ()
+
+
+class ContinuedFraction(_Quotients):
     """Slope alpha = [0; a_1, a_2, ...] as preperiod plus optional period.
 
     An empty period means the expansion is a finite truncation: queries
     beyond len(preperiod) raise DepthExceededError instead of guessing.
+    A tuple (preperiod, period); `_make` and `_replace` check it too.
     """
 
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...] = ()
+    __slots__ = ()
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        for a in self.preperiod + self.period:
+    def __new__(cls, preperiod: tuple[int, ...], period: tuple[int, ...] = ()) -> ContinuedFraction:
+        for a in preperiod + period:
             if not isinstance(a, int) or isinstance(a, bool) or a < 1:
                 raise ValueError(f"partial quotients must be positive integers, got {a!r}")
-        if not self.preperiod and not self.period:
+        if not preperiod and not period:
             raise ValueError("empty continued fraction expansion")
+        return tuple.__new__(cls, (preperiod, period))
 
     @property
     def is_periodic(self) -> bool:
@@ -114,19 +126,12 @@ class ContinuedFraction:
         return "[0;" + ",".join(parts) + "]"
 
 
-@dataclass(frozen=True)
-class Convergent:
+class Convergent(NamedTuple):
     """Convergent p_k / q_k of the slope."""
 
     k: int
     p: int
     q: int
-
-
-def _unordered(self: tuple, other: object) -> NoReturn:
-    """Order slot of a tuple-backed value type, which is not ordered as a
-    tuple: a form is ordered only through `compare`."""
-    raise TypeError(f"{type(self).__name__} values are not ordered")
 
 
 class LinearForm(NamedTuple):

@@ -11,7 +11,6 @@ twice: by exact interval formulas and by scanning coded prefixes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import floordiv, sub
@@ -70,8 +69,7 @@ class IndexReport(NamedTuple):
     __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
 
-@dataclass(frozen=True)
-class ConjugacyReport:
+class ConjugacyReport(NamedTuple):
     """Interval structure of the conjugacy class of length n = q_{k,l}.
 
     conjugates[i] = C^i(reversed s_{k,l}), and `leftover` is the one factor
@@ -90,8 +88,7 @@ class ConjugacyReport:
 _BOUNDS_DEPTH = 40
 
 
-@dataclass(frozen=True)
-class CriticalExponentResult:
+class CriticalExponentResult(NamedTuple):
     """The supremum of fractional indices over all factors.
 
     When the supremum is attained it is the exact rational

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from sturmian import oracles
 from sturmian.exactnum import (
@@ -69,8 +68,7 @@ _RUN_PERIODS = 1200
 Checks = Iterator[tuple[bool, str]]
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     """One suite's outcome.  A suite whose slope is too shallow for one of
     its answers is refused: `refusal` holds the message, and it neither
     passes nor fails."""
@@ -78,7 +76,7 @@ class SuiteResult:
     name: str
     checks: int
     seconds: float
-    failures: list[str] = field(default_factory=list)
+    failures: list[str]
     refusal: str | None = None
 
     @property

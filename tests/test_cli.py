@@ -212,6 +212,19 @@ def test_a_closed_pipe_ends_with_one_error_line():
     assert err == "error: the output pipe was closed\n"
 
 
+def test_a_fresh_cli_import_loads_no_dataclass_machinery():
+    # `dataclasses` alone pulls these into the process; the value types are
+    # NamedTuples, which need none of them.  -S keeps `site` out of the count.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sturmian.__file__)))
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    out = subprocess.run(
+        [sys.executable, "-S", "-c",
+         f"import sturmian.cli, sys; print(*[m for m in {heavy!r} if m in sys.modules])"],
+        capture_output=True, text=True, timeout=60, check=True,
+        env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.split() == []
+
+
 def test_normalization_note(capsys):
     code, out, _ = run(capsys, "standard-word", "--slope", "[0;(1)]", "--k", "2",
                        "--format", "json")

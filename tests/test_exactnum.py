@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import sys
 import threading
@@ -137,10 +139,44 @@ def test_normalize_slope_respells_a_slope_built_directly():
     assert normalize_slope(ContinuedFraction((), (1, 1))) == (parse_slope("[0;2,(1)]"), True)
 
 
+# The constructor's check also guards `_make` and `_replace`, which a bare
+# NamedTuple lets past its `__new__`.
+_ROUTES = {
+    "constructor": ContinuedFraction,
+    "_make": lambda pre, per: ContinuedFraction._make((pre, per)),
+    "_replace": lambda pre, per: parse_slope("[0;2,(1)]")._replace(preperiod=pre, period=per),
+}
+
+
+@pytest.mark.parametrize("route", list(_ROUTES))
 @pytest.mark.parametrize("pre, per", [((2, True), (1,)), ((2,), (True,)), ((False, 2), ())])
-def test_bool_quotients_are_refused(pre, per):
+def test_bool_quotients_are_refused(route, pre, per):
     with pytest.raises(ValueError, match="partial quotients must be positive integers"):
-        ContinuedFraction(pre, per)
+        _ROUTES[route](pre, per)
+
+
+def test_slopes_are_not_ordered():
+    # Tuple order is not the order of the slopes.
+    cf, other = parse_slope("[0;2,(1,2)]"), parse_slope("[0;3,(1)]")
+    for order in (lambda: cf < other, lambda: cf <= other, lambda: sorted([cf, other])):
+        with pytest.raises(TypeError):
+            order()
+
+
+@pytest.mark.parametrize("text", ["[0;2,(1,2)]", "[0;2,1,1]"])
+def test_a_copied_slope_shares_its_cache_entry(text):
+    cf = parse_slope(text)
+    for twin in (copy.copy(cf), copy.deepcopy(cf), pickle.loads(pickle.dumps(cf))):
+        assert type(twin) is ContinuedFraction
+        assert twin == cf and hash(twin) == hash(cf)
+        assert ex._ctx(twin) is ex._ctx(cf)
+
+
+def test_a_slope_and_a_convergent_are_the_tuples_of_their_fields():
+    cf = parse_slope("[0;2,(1,2)]")
+    assert cf == ((2,), (1, 2)) and hash(cf) == hash(((2,), (1, 2)))
+    c = convergent(cf, 3)
+    assert c == (3, 3, 8) and (c.k, c.p, c.q) == (3, 3, 8)
 
 
 # ------------------------------------------------------------------

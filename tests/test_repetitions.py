@@ -665,6 +665,14 @@ def test_conjugacy_report_worked_example(example_slope):
     assert rep.conjugates[1] == "01001"  # position q_2 - 2 = 1 is s_{3,1}
 
 
+def test_result_records_are_the_tuples_of_their_fields(example_slope):
+    rep = conjugacy_report(example_slope, 3, 1)
+    assert rep == (rep.conjugates, "00100", rep.gaps)
+    res = critical_exponent(parse_slope("[0;5,1,(1)]"), 10)
+    assert res == (res.terms, 0, 5, None, None)
+    assert res.bounds() == (5, 5)
+
+
 def test_conjugacy_report_full_standard_word(example_slope):
     rep = conjugacy_report(example_slope, 3, 2)  # l = a_3: the word s_3
     assert rep.gaps[2] == (1, LinearForm(-8, -3))  # the unique minimum gap

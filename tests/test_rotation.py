@@ -5,6 +5,8 @@ from __future__ import annotations
 import gc
 import random
 import re
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -1027,6 +1029,54 @@ def test_many_fresh_slopes_keep_memory_bounded():
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert retained < 4_000_000, retained
+
+
+def test_threads_on_fresh_slopes_answer_as_one_and_keep_memory_bounded():
+    # Six threads enter each fresh slope at once, with a tiny switch interval,
+    # and race to fill every slope-keyed cache (`_ctx`, `alpha_bounds`,
+    # `factor_interval_map`).  Their answers must be those of a serial run,
+    # and the caches' bounds must still hold what they retain.
+    slopes = [ContinuedFraction((2 + i % 3, 2 + i % 4), (1 + i % 5, 1300 + i))
+              for i in range(12)]
+    workers = 6
+
+    def answers(cf: ContinuedFraction) -> list:
+        out = [repetitions.critical_exponent(cf, 12)]
+        for n in range(1, 11):
+            summary = three_distance(cf, n)
+            out += [repetitions.classify_length(cf, n, with_fractional=True), summary,
+                    factors_of_length(cf, n), [exactnum.approx_str(cf, g) for _, g in summary.gaps]]
+        return out
+
+    expected = [answers(cf) for cf in slopes]
+    for cache in (exactnum._ctx, exactnum.alpha_bounds, rotation.factor_interval_map):
+        cache.cache_clear()
+    barrier = threading.Barrier(workers)
+    seen: list[list[bool]] = [[] for _ in range(workers)]
+
+    def work(t: int) -> None:
+        for cf, want in zip(slopes, expected):
+            barrier.wait(timeout=60)
+            seen[t].append(answers(cf) == want)
+
+    gc.collect()
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    tracemalloc.start()
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(workers)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        sys.setswitchinterval(old_interval)
+    assert not any(th.is_alive() for th in threads)
+    assert seen == [[True] * len(slopes)] * workers  # a thread that raised stops short
     assert retained < 4_000_000, retained
 
 

@@ -324,6 +324,10 @@ def test_the_runner_counts_prefixes_caps_and_refuses(monkeypatch):
     # A DepthError after some checks refuses the suite: no checks, no failures.
     assert (shallow.checks, shallow.failures, shallow.passed) == (0, [], False)
     assert shallow.line() == "three-distance           REFUSED  too shallow"
+    # A result is the tuple of its fields, and it is immutable.
+    assert shallow == ("three-distance", 0, shallow.seconds, [], "too shallow")
+    with pytest.raises(AttributeError):
+        shallow.refusal = None
     # Only power-classification receives n_max and inject_fault.
     fault = {"n_max": 7, "inject_fault": "flip-gamma"}
     assert calls == [("failing", "[0;2,(1)]", fault), ("failing", "[0;3,(2)]", fault),
