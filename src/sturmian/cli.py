@@ -333,7 +333,8 @@ def cmd_critical_exponent(args: argparse.Namespace) -> int:
         for term in row["terms"]:
             yield f"{term['k']:>4}  {term['value']:<16} {term['approx']}"
         if row["depth_limited"]:
-            yield f"supremum >= {sup_approx} (lower bound, depth-limited at {args.depth})"
+            yield (f"supremum >= {sup_approx} (lower bound, depth-limited at "
+                   f"{min(args.depth, len(cf.preperiod) - 1)})")
         elif row["attained"]:
             yield (f"supremum = {sup['exact']} = {sup_approx} "
                    f"(attained, witness k = {res.witness_k})")

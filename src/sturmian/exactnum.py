@@ -292,15 +292,6 @@ class _Ctx:
             pairs.append((a * p1 + p2, a * q1 + q2))
         return pairs
 
-    def bracket(self, d: int) -> tuple[int, int, int, int]:
-        """`alpha_bounds(cf, d)` for a depth d it accepts."""
-        (p1, q1), (p0, q0) = self.pair(d), self.pair(d - 1)
-        if d == self.cf.truncation_depth:  # the cylinder's mediant, as if a_{d+1} = 1
-            p2, q2 = p1 + p0, q1 + q0
-        else:
-            p2, q2 = self.pair(d + 1)
-        return (p1, q1, p2, q2) if d % 2 == 0 else (p2, q2, p1, q1)
-
     def bracket_depth(self, n: int, top: int) -> int:
         """The depth rule: the first d <= top (the cap) whose `alpha_bounds`
         bracket a/b < alpha < c/e has b + e > n, else top.  The ends are Farey
@@ -368,7 +359,7 @@ def _semiconvergent_pair(cf: ContinuedFraction, k: int, l: int) -> tuple[int, in
     return (l * p1 + p2, l * q1 + q2)
 
 
-# Four integers per (slope, depth): `verify --n-max 150` keeps 425, a CLI query 3 or 4.
+# Four integers per (slope, depth): `verify --n-max 150` keeps 293, a CLI query at most 4.
 @lru_cache(maxsize=1024)
 def alpha_bounds(cf: ContinuedFraction, d: int) -> tuple[int, int, int, int]:
     """Certified integer bracket (a, b, c, e) with a/b < alpha < c/e at depth d.
@@ -383,21 +374,27 @@ def alpha_bounds(cf: ContinuedFraction, d: int) -> tuple[int, int, int, int]:
     m = cf.truncation_depth
     if m is not None and d > m:
         raise DepthExceededError(f"enclosure depth {d} exceeds truncation depth {m}")
-    return _ctx(cf).bracket(d)
+    ctx = _ctx(cf)
+    (p1, q1), (p0, q0) = ctx.pair(d), ctx.pair(d - 1)
+    p2, q2 = (p1 + p0, q1 + q0) if d == m else ctx.pair(d + 1)
+    return (p1, q1, p2, q2) if d % 2 == 0 else (p2, q2, p1, q1)
 
 
 def _deepen(cf: ContinuedFraction, form: LinearForm, n: int):
-    """Integer bounds ln/ld <= q*alpha - p <= hn/hd, ld, hd > 0 (strict unless
-    q == 0), at the rule's depth for n, twice that, ..., max_depth()."""
+    """Integer bounds ln/ld <= q*alpha - p <= hn/hd, ld, hd > 0 (strict unless q == 0), at
+    the rule's depth for n, then at max_depth() if the consumer is still open.  Brackets nest
+    (a convergent lies between the two before it, a truncation's mediant inside its last
+    bracket) and each decision is monotone in its bounds (one end's sign, both ends' nearest
+    integer, floor_ratio's m_lo rising and m_hi falling, rounding), so the cap settles, with the
+    same answer, what any depth between settles, and refuses exactly what every depth refuses."""
     q, p = form
-    ctx, top = _ctx(cf), cf.max_depth()
-    d = ctx.bracket_depth(n, top)
-    while d:
+    top = cf.max_depth()
+    rule = _ctx(cf).bracket_depth(n, top)
+    for d in (rule, top) if rule < top else (rule,):
         a, b, c, e = alpha_bounds(cf, d)
         if q < 0:
             a, b, c, e = c, e, a, b
         yield q * a - p * b, b, q * c - p * e, e
-        d = min(2 * d, top) if d < top else 0
 
 
 # Kept for the benchmark's span tracer, which looks it up by name.
@@ -562,10 +559,8 @@ def approx_str(cf: ContinuedFraction, form: LinearForm, digits: int = 12) -> str
     """Deterministic decimal rendering with `digits` significant digits.
 
     Derived from certified bounds only (never from a floating alpha): both
-    ends are rounded until they agree, from the rule's depth for
-    isqrt(|q| * 10**(digits + 6)), where the width |q|/(b*e) nears
-    10**-(digits + 6).  Rounding is monotone and the schedule ends at the cap,
-    so the start depth changes no rendering and no refusal.
+    ends round to one string at the rule's depth for isqrt(|q| * 10**(digits + 6)),
+    where the width |q|/(b*e) nears 10**-(digits + 6), or else at the cap.
     """
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")

@@ -84,10 +84,6 @@ class ConjugacyReport(NamedTuple):
     gaps: tuple[tuple[int, LinearForm], ...]
 
 
-# Depth of the tail's convergent bracket in CriticalExponentResult.bounds().
-_BOUNDS_DEPTH = 40
-
-
 class CriticalExponentResult(NamedTuple):
     """The supremum of fractional indices over all factors.
 
@@ -105,10 +101,10 @@ class CriticalExponentResult(NamedTuple):
     limit_tail: ContinuedFraction | None
 
     def bounds(self) -> tuple[Fraction, Fraction]:
-        """Certified rational bounds for the supremum."""
+        """Certified rational bounds for the supremum: the tail's bracket at the cap."""
         if self.value_attained is not None:
             return self.value_attained, self.value_attained
-        a, b, c, e = alpha_bounds(self.limit_tail, min(_BOUNDS_DEPTH, self.limit_tail.max_depth()))
+        a, b, c, e = alpha_bounds(self.limit_tail, self.limit_tail.max_depth())
         return self.limit_offset + Fraction(a, b), self.limit_offset + Fraction(c, e)
 
 

@@ -93,7 +93,8 @@ class SuiteResult(NamedTuple):
         for f in self.failures[:5]:
             out += f"\n    {f}"
         if len(self.failures) > 5:
-            out += f"\n    ... and {len(self.failures) - 5} more"
+            out += f"\n    ... and {len(self.failures) - 5} more" + (
+                " (stopped at the 21st failure)" if len(self.failures) == _MAX_FAILURES else "")
         return out
 
 

@@ -183,7 +183,22 @@ def test_critical_exponent_truncated_slope(capsys):
     code, out, _ = run(capsys, "critical-exponent", "--slope", "[0;2,1,2,1,2]",
                        "--depth", "10")
     assert code == 0
-    assert "lower bound, depth-limited" in out
+    assert out.endswith("(lower bound, depth-limited at 4)\n")  # t_0..t_4 of 5 quotients
+
+
+@pytest.mark.parametrize("slope, depth, known", [("[0;2]", 5, 0), ("[0;3,1,4,1,5,9,2,6]", 3, 3),
+                                                  ("[0;3,1,4,1,5,9,2,6]", 120, 7)])
+def test_critical_exponent_truncated_slope_names_its_last_term(capsys, slope, depth, known):
+    # The lower bound ranges over t_0..t_K, K = min(--depth, m - 1) for m known
+    # quotients: the table names K, not --depth.  The JSON row keeps --depth.
+    code, out, _ = run(capsys, "critical-exponent", "--slope", slope, "--depth", str(depth))
+    assert code == 0
+    assert out.endswith(f" (lower bound, depth-limited at {known})\n")
+    assert [line.split()[0] for line in out.splitlines()[1:-1]] == [
+        str(k) for k in range(2, known + 1)]
+    code, out, _ = run(capsys, "critical-exponent", "--slope", slope, "--depth", str(depth),
+                       "--format", "json")
+    assert (code, json.loads(out)["results"][0]["depth"]) == (0, depth)
 
 
 def test_critical_exponent_json_head_reports_the_default_depth(capsys):
@@ -626,10 +641,11 @@ def _matches(pattern: str, lines: list[str]) -> list[tuple]:
     return [m.groups() for m in found]
 
 
-def _supremum_line(row: dict) -> str:
+def _supremum_line(row: dict, slope: str) -> str:
     sup = row["supremum"]
-    if row["depth_limited"]:
-        return f"supremum >= {sup['approx']} (lower bound, depth-limited at {row['depth']})"
+    if row["depth_limited"]:  # t_0..t_K are known, K = min(depth, m - 1)
+        known = min(row["depth"], len(exactnum.parse_slope(slope).preperiod) - 1)
+        return f"supremum >= {sup['approx']} (lower bound, depth-limited at {known})"
     if row["attained"]:
         return (f"supremum = {sup['exact']} = {sup['approx']} "
                 f"(attained, witness k = {row['witness_k']})")
@@ -637,8 +653,8 @@ def _supremum_line(row: dict) -> str:
             f"(approached along the depth class of k = {row['witness_k']}, never attained)")
 
 
-def _same_answer(command: str, lines: list[str], rows: list[dict]) -> None:
-    """Assert that the table `lines` state what the JSON `rows` state."""
+def _same_answer(command: str, lines: list[str], rows: list[dict], slope: str) -> None:
+    """Assert that the table `lines` state what the JSON `rows` on `slope` state."""
     if command == "factors":
         assert _matches(rf"(\S+) +(\d+) +(\d+)  {_CELL}", lines[1:]) == [
             (r["word"], str(r["left_idx"]), str(r["right_idx"]), *_cell(r["length"]))
@@ -667,7 +683,7 @@ def _same_answer(command: str, lines: list[str], rows: list[dict]) -> None:
         terms = len(row["terms"])
         assert _matches(r" *(\d+)  (\S+) +(\S+)", lines[1:terms + 1]) == [
             (str(t["k"]), t["value"], t["approx"]) for t in row["terms"]]
-        assert lines[terms + 1:] == [_supremum_line(row)]
+        assert lines[terms + 1:] == [_supremum_line(row, slope)]
     elif command == "verify":
         suites = [line for line in lines[:-1] if not line.startswith("    ")]
         assert _matches(r"(\S+) +(PASS|FAIL)  \((\d+) checks\)", suites) == [
@@ -696,7 +712,7 @@ def test_table_and_json_say_the_same(argv, monkeypatch):
         assert lines.pop(0) == (f"# slope normalized to {doc['slope']}; letters 0/1 "
                                 "are swapped relative to the input slope")
     assert doc["command"] == argv[0]
-    _same_answer(argv[0], lines, doc["results"])
+    _same_answer(argv[0], lines, doc["results"], doc["slope"])
 
 
 # ------------------------------------------------------------------

@@ -1134,11 +1134,108 @@ def test_depth_rule_and_bracket_read_each_quotient_once(monkeypatch, quotients):
     cf = ContinuedFraction(*quotients)
     expected = {n: ex.alpha_bounds(cf, rule_depth(cf, n)) for n in (1, 5, 40, 1000, 10 ** 6)}
     monkeypatch.setattr(ContinuedFraction, "quotient", counted)
-    ctx = ex._Ctx(cf)
+    ex._ctx.cache_clear()
+    ex.alpha_bounds.cache_clear()
+    ctx = ex._ctx(cf)
     for n, bracket in expected.items():
-        assert ctx.bracket(ctx.bracket_depth(n, cf.max_depth())) == bracket, n
+        assert ex.alpha_bounds(cf, ctx.bracket_depth(n, cf.max_depth())) == bracket, n
     assert reads and set(reads.values()) == {1}, reads
     last = cf.truncation_depth
     if last is not None:  # the mediant end reads no a_{m+1}
         q0, q1 = ctx.pair(last - 1)[1], ctx.pair(last)[1]
         assert (max(reads), ctx.spans[-1]) == (last, 2 * q1 + q0)
+
+
+# ------------------------------------------------------------------
+# two depths settle every certified answer: the rule's, then the cap's
+# ------------------------------------------------------------------
+
+# The size n each consumer asks the depth rule about (see the README).
+QUESTION_SIZE = {
+    "sign": lambda f: abs(f["form"].q),
+    "nearest_integer": lambda f: 2 * abs(f["n"]),
+    "floor_ratio": lambda f: max(abs(f["num"].q), abs(f["den"].q)),
+    "approx_str": lambda f: isqrt(abs(f["form"].q) * 10 ** (f["digits"] + 6)),
+}
+
+
+def record_depths(monkeypatch) -> list[tuple[str, ContinuedFraction, int, list[int]]]:
+    """Wrap `alpha_bounds` to record each bracket stream of a consumer: its name,
+    slope, question size and the depths it reads, in order.  Other callers (a
+    test, `CriticalExponentResult.bounds`) are not recorded."""
+    streams: list[tuple[str, ContinuedFraction, int, list[int]]] = []
+    depths_of: dict = {}  # keyed by the stream's frame, which it keeps alive
+    bounds = ex.alpha_bounds
+
+    def recorded(cf: ContinuedFraction, d: int) -> tuple[int, int, int, int]:
+        stream = sys._getframe(1)
+        if stream.f_code is ex._deepen.__code__:
+            if stream not in depths_of:
+                consumer = stream.f_back
+                name = consumer.f_code.co_name
+                depths_of[stream] = []
+                streams.append((name, cf, QUESTION_SIZE[name](consumer.f_locals),
+                                depths_of[stream]))
+            depths_of[stream].append(d)
+        return bounds(cf, d)
+
+    monkeypatch.setattr(ex, "alpha_bounds", recorded)
+    return streams
+
+
+def assert_two_depths(streams) -> int:
+    """sign and nearest_integer read the rule's depth only; floor_ratio and
+    approx_str read it, then at most the cap.  Returns how many read the cap second."""
+    second = 0
+    for name, cf, n, depths in streams:
+        top = cf.max_depth()
+        rule = ex._ctx(cf).bracket_depth(n, top)
+        if name in ("sign", "nearest_integer"):
+            assert depths == [rule], (name, str(cf), n, depths)
+        else:
+            assert depths == [rule] or (rule < top and depths == [rule, top]), \
+                (name, str(cf), n, depths)
+            second += len(depths) == 2
+    return second
+
+
+@st.composite
+def two_depth_slopes(draw) -> ContinuedFraction:
+    """A periodic slope with quotients up to 9, or a truncation of depth 1-8."""
+    quotients = st.integers(1, 9)
+    if draw(st.booleans()):
+        return ContinuedFraction(tuple(draw(st.lists(quotients, max_size=3))),
+                                 tuple(draw(st.lists(quotients, min_size=1, max_size=3))))
+    return ContinuedFraction(tuple(draw(st.lists(quotients, min_size=1, max_size=8))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_depth_slopes(), st.integers(1, 10 ** 6), st.integers(-1, 2), DIGITS)
+@example(parse_slope("[0;2,(1,2)]"), 20, 0, 12)
+@example(parse_slope("[0;3,1,4,1,5,9,2,6]"), 5, 1, 12)
+def test_each_answer_reads_the_rules_depth_then_only_the_cap(cf, q, offset, digits):
+    c = convergent(cf, min(8, cf.max_depth()))
+    form = LinearForm(q, q * c.p // c.q + offset)
+    calls = [(ex.sign, form), (ex.sign, -form), (ex.nearest_integer, q),
+             (ex.nearest_integer, -q), (ex.floor_ratio, 3 * form + ex.ALPHA, form),
+             (ex.approx_str, form, digits),
+             *((recover_quotient, k) for k in range(1, min(12, cf.max_depth()) + 1))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("STURM_DEPTH_LIMIT", raising=False)
+        streams = record_depths(mp)
+        for fn, *args in calls:
+            try:
+                fn(cf, *args)
+            except ex.DepthError:
+                pass  # a refusal reads the same two depths
+        assert_two_depths(streams)
+
+
+def test_the_gate_reads_the_rules_depth_then_only_the_cap(monkeypatch):
+    # Every certified decision of `verify --n-max 40`, which passes; some
+    # floor_ratio streams are open at the rule's depth and read the cap.
+    monkeypatch.delenv("STURM_DEPTH_LIMIT", raising=False)
+    streams = record_depths(monkeypatch)
+    assert invoke(["verify", "--n-max", "40"])["exit"] == 0
+    assert {name for name, *_ in streams} == {"sign", "nearest_integer", "floor_ratio"}
+    assert assert_two_depths(streams) > 0

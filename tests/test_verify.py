@@ -321,6 +321,8 @@ def test_the_runner_counts_prefixes_caps_and_refuses(monkeypatch):
     assert (capped.checks, len(capped.failures), capped.passed) == (13 + 10, 21, False)
     assert capped.failures[11:13] == ["[0;2,(1)]: check 11", "[0;3,(2)]: check 0"]
     assert capped.failures[-1] == "[0;3,(2)]: check 8"
+    # The line says that the runner stopped the suite: 16 more is not a total.
+    assert capped.line().splitlines()[-1] == "    ... and 16 more (stopped at the 21st failure)"
     # A DepthError after some checks refuses the suite: no checks, no failures.
     assert (shallow.checks, shallow.failures, shallow.passed) == (0, [], False)
     assert shallow.line() == "three-distance           REFUSED  too shallow"
@@ -332,6 +334,10 @@ def test_the_runner_counts_prefixes_caps_and_refuses(monkeypatch):
     fault = {"n_max": 7, "inject_fault": "flip-gamma"}
     assert calls == [("failing", "[0;2,(1)]", fault), ("failing", "[0;3,(2)]", fault),
                      ("refused", "[0;2,(1)]", {})]
+    # A suite that ends below the cap, here with 12 failures, keeps the plain count.
+    (whole,) = verify.run_suites(names=["power-classification"], slopes=slopes[:1], n_max=7)
+    assert (len(whole.failures), whole.line().splitlines()[-1]) == (12, "    ... and 7 more")
+    assert verify.SuiteResult("s", 20, 0.0, ["f"] * 20).line().endswith("\n    ... and 15 more")
 
 
 def test_a_formula_self_check_fails_its_slope_only(monkeypatch, capsys):
