@@ -45,9 +45,9 @@ from sturmian.words import semistandard_word, standard_word
 def main(argv: list[str] | None = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        exactnum.depth_limit()  # a bad STURM_DEPTH_LIMIT is refused by every command
-        status = args.handler(args)
-        sys.stdout.flush()  # a reader that left early shows here, not at exit
+        with exactnum.query():  # one cap per call; a bad STURM_DEPTH_LIMIT is refused by all
+            status = args.handler(args)
+            sys.stdout.flush()  # a reader that left early shows here, not at exit
         return status
     except BrokenPipeError:
         # The rest of the output goes nowhere, so the flush at exit cannot raise again.
@@ -213,7 +213,7 @@ def _emit(args: argparse.Namespace, slope: object, rows: list,
     `swapped` is None for `verify`'s default family: no letters_swapped_from_input.
     """
     if args.format == "json":
-        # Only critical-exponent takes --depth; the other commands report the cap.
+        # Only critical-exponent takes --depth; the other commands report the query's cap.
         head = {"slope": str(slope), "depth": getattr(args, "depth", exactnum.depth_limit()),
                 "command": args.command}
         if swapped is not None:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_right
+from contextlib import contextmanager
+from contextvars import ContextVar
 from enum import IntEnum
 from fractions import Fraction
 from functools import lru_cache
@@ -23,6 +25,7 @@ from typing import Iterator, NamedTuple, NoReturn
 
 DEFAULT_DEPTH_LIMIT = 64
 _DEPTH_ENV = "STURM_DEPTH_LIMIT"
+_QUERY_CAP: ContextVar[int | None] = ContextVar("sturmian_query_cap", default=None)  # `query`
 
 
 class SlopeSyntaxError(ValueError):
@@ -42,7 +45,9 @@ class UndecidedError(DepthError):
 
 
 def depth_limit() -> int:
-    """Expansion depth cap: STURM_DEPTH_LIMIT if set, else 64."""
+    """Expansion depth cap: the open query's (`query`), else STURM_DEPTH_LIMIT, else 64."""
+    if (cap := _QUERY_CAP.get()) is not None:
+        return cap
     raw = os.environ.get(_DEPTH_ENV)
     if raw is None:
         return DEFAULT_DEPTH_LIMIT
@@ -53,6 +58,17 @@ def depth_limit() -> int:
     if value < 2:
         raise ValueError(f"{_DEPTH_ENV} must be at least 2, got {value}")
     return value
+
+
+@contextmanager
+def query() -> Iterator[None]:
+    """A query: its certified decisions (this thread or context) read one cap, the open query's
+    or else STURM_DEPTH_LIMIT's, reset on exit.  `@query()` runs each call of a function in one."""
+    token = _QUERY_CAP.set(depth_limit())  # an open query's cap, else the environment's
+    try:
+        yield
+    finally:
+        _QUERY_CAP.reset(token)
 
 
 class Ordering(IntEnum):
@@ -115,7 +131,7 @@ class ContinuedFraction(_Quotients):
         return self.period[(k - len(self.preperiod) - 1) % len(self.period)]
 
     def max_depth(self) -> int:
-        """Deepest usable quotient index under the depth limit (env/64)."""
+        """Deepest usable quotient index under the depth cap (`depth_limit`)."""
         cap = depth_limit()
         return cap if self.period else min(cap, len(self.preperiod))
 
@@ -353,9 +369,7 @@ def _semiconvergent_pair(cf: ContinuedFraction, k: int, l: int) -> tuple[int, in
     a_k = cf.quotient(k)
     if not 0 <= l <= a_k:
         raise ValueError(f"semiconvergent offset l must satisfy 0 <= l <= a_{k} = {a_k}, got {l}")
-    ctx = _ctx(cf)
-    p1, q1 = ctx.pair(k - 1)
-    p2, q2 = ctx.pair(k - 2)
+    (p2, q2), (p1, q1) = _ctx(cf).through(k - 1)[k - 1:k + 1]
     return (l * p1 + p2, l * q1 + q2)
 
 
@@ -380,21 +394,19 @@ def alpha_bounds(cf: ContinuedFraction, d: int) -> tuple[int, int, int, int]:
     return (p1, q1, p2, q2) if d % 2 == 0 else (p2, q2, p1, q1)
 
 
-def _deepen(cf: ContinuedFraction, form: LinearForm, n: int):
-    """Integer bounds ln/ld <= q*alpha - p <= hn/hd, ld, hd > 0 (strict unless q == 0), at
-    the rule's depth for n, then at max_depth() if the consumer is still open.  Brackets nest
-    (a convergent lies between the two before it, a truncation's mediant inside its last
-    bracket) and each decision is monotone in its bounds (one end's sign, both ends' nearest
+def _deepen(cf: ContinuedFraction, n: int, *forms: LinearForm):
+    """Per form, integer bounds ln/ld <= q*alpha - p <= hn/hd, ld, hd > 0 (strict unless q == 0),
+    from one bracket at the rule's depth for n, then at max_depth() if the consumer is still open.
+    Brackets nest (a convergent lies between the two before it, a truncation's mediant inside its
+    last bracket) and each decision is monotone in its bounds (one end's sign, both ends' nearest
     integer, floor_ratio's m_lo rising and m_hi falling, rounding), so the cap settles, with the
     same answer, what any depth between settles, and refuses exactly what every depth refuses."""
-    q, p = form
     top = cf.max_depth()
     rule = _ctx(cf).bracket_depth(n, top)
     for d in (rule, top) if rule < top else (rule,):
         a, b, c, e = alpha_bounds(cf, d)
-        if q < 0:
-            a, b, c, e = c, e, a, b
-        yield q * a - p * b, b, q * c - p * e, e
+        yield [(q * a - p * b, b, q * c - p * e, e) if q >= 0
+               else (q * c - p * e, e, q * a - p * b, b) for q, p in forms]
 
 
 # Kept for the benchmark's span tracer, which looks it up by name.
@@ -415,7 +427,7 @@ def sign(cf: ContinuedFraction, form: LinearForm) -> int:
     if form.q == 0:
         return 0 if form.p == 0 else (-1 if form.p > 0 else 1)
     # The alpha bounds are strict, so equality at an endpoint decides too.
-    for ln, _, hn, _ in _deepen(cf, form, abs(form.q)):
+    for [(ln, _, hn, _)] in _deepen(cf, abs(form.q), form):
         if ln >= 0:
             return 1
         if hn <= 0:
@@ -436,7 +448,7 @@ def compare(cf: ContinuedFraction, a: LinearForm, b: LinearForm) -> Ordering:
 
 def nearest_integer(cf: ContinuedFraction, n: int) -> int:
     """The integer closest to n*alpha (unique: alpha irrational)."""
-    for ln, ld, hn, hd in _deepen(cf, LinearForm(n, 0), 2 * abs(n)):
+    for [(ln, ld, hn, hd)] in _deepen(cf, 2 * abs(n), LinearForm(n, 0)):
         # floor(x + 1/2) over the open bounds lo < n*alpha < hi: from
         # floor(lo + 1/2) up to ceil(hi + 1/2) - 1.
         p_lo = (2 * ln + ld) // (2 * ld)
@@ -475,10 +487,8 @@ def convergent_distance(cf: ContinuedFraction, k: int) -> LinearForm:
 
 def floor_ratio(cf: ContinuedFraction, num: LinearForm, den: LinearForm) -> int:
     """floor(num/den) for two forms with certified positive values."""
-    # Both streams walk the same depths.
-    n = max(abs(num.q), abs(den.q))
-    for (nln, nld, nhn, nhd), (dln, dld, dhn, dhd) in zip(_deepen(cf, num, n),
-                                                          _deepen(cf, den, n)):
+    for (nln, nld, nhn, nhd), (dln, dld, dhn, dhd) in _deepen(cf, max(abs(num.q), abs(den.q)),
+                                                              num, den):
         if dln <= 0 or nln < 0:
             continue
         m_lo = nln * dhd // (nld * dhn)
@@ -564,7 +574,7 @@ def approx_str(cf: ContinuedFraction, form: LinearForm, digits: int = 12) -> str
     """
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
-    for ln, ld, hn, hd in _deepen(cf, form, isqrt(abs(form.q) * 10 ** (digits + 6))):
+    for [(ln, ld, hn, hd)] in _deepen(cf, isqrt(abs(form.q) * 10 ** (digits + 6)), form):
         lo_s = _render(ln, ld, digits)
         if lo_s == _render(hn, hd, digits):
             return lo_s

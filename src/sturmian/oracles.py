@@ -41,12 +41,10 @@ def match_gaps(tally: Mapping[tuple[int, int], int],
     raises.
     """
     counts = [0] * len(candidates)
-    for form, count in tally.items():
-        gap = LinearForm(*form)
-        try:
-            counts[candidates.index(gap)] += count
-        except ValueError:
-            raise AssertionError(f"orbit gap {gap} matched no candidate length") from None
+    for gap, count in tally.items():  # a form equals its plain (q, p) tuple
+        if gap not in candidates:
+            raise AssertionError(f"orbit gap {LinearForm(*gap)} matched no candidate length")
+        counts[candidates.index(gap)] += count
     return counts
 
 
@@ -72,21 +70,22 @@ def gap_spectrum(cf: ContinuedFraction, n: int,
 
 
 def gap_spectra(cf: ContinuedFraction, n_lo: int,
-                n_max: int) -> Iterator[tuple[int, Counter[tuple[int, int]]]]:
+                n_max: int) -> Iterator[tuple[int, dict[tuple[int, int], int]]]:
     """(n, gap tally of {0, alpha, ..., n*alpha}) for n_lo <= n <= n_max.
 
     One key_table(cf, n_max) orders every level: points differ by <= n_max.
     Point n goes into the sorted key list by bisection and splits the gap
     between its neighbours: the tally loses that gap's pair and gains its
     two halves.  A gap whose left key exceeds its right key wraps past 1 and
-    takes -1 on its floor difference.  Tallies are snapshots, for `match_gaps`.
+    takes -1 on its floor difference.  Tallies are plain-dict snapshots with no
+    zero counts, for `match_gaps`.
     """
     if not 0 <= n_lo <= n_max:
         raise ValueError(f"need 0 <= n_lo <= n_max, got {n_lo} and {n_max}")
     table = key_table(cf, n_max)
     p, q = table.p, table.q
     keys, points = [0], [0]  # sorted keys and their orbit indices
-    tally = Counter({(0, -1): 1})  # the one point 0: one gap, the whole circle
+    tally = {(0, -1): 1}  # the one point 0: one gap, the whole circle
     for n in range(n_max + 1):
         if n:
             key = n * p % q
@@ -94,13 +93,15 @@ def gap_spectra(cf: ContinuedFraction, n_lo: int,
             left, right = points[at - 1], points[at % n]
             wrap = at == n  # point n has the largest key: right is point 0
             fl_left, fl_n, fl_right = left * p // q, n * p // q, right * p // q
-            tally[right - left, fl_right - fl_left - wrap] -= 1
-            tally[n - left, fl_n - fl_left] += 1
-            tally[right - n, fl_right - fl_n - wrap] += 1
+            split = right - left, fl_right - fl_left - wrap
+            if (count := tally.pop(split)) > 1:  # no zero counts
+                tally[split] = count - 1
+            for half in (n - left, fl_n - fl_left), (right - n, fl_right - fl_n - wrap):
+                tally[half] = tally.get(half, 0) + 1
             keys.insert(at, key)
             points.insert(at, n)
         if n >= n_lo:
-            yield n, +tally
+            yield n, dict(tally)
 
 
 # ------------------------------------------------------------------

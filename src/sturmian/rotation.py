@@ -32,10 +32,8 @@ from sturmian.exactnum import (
     _ctx,
     _unordered,
     alpha_bounds,
-    convergent_distance,
-    semiconvergent_distance,
 )
-from sturmian.words import check_word, standard_word
+from sturmian.words import check_word, standard_pair
 
 
 class FactorInterval(NamedTuple):
@@ -183,7 +181,7 @@ def characteristic_prefix(cf: ContinuedFraction, length: int) -> str:
     """Prefix of the characteristic word c_alpha (orbit coding started at {alpha}).
 
     A prefix of the first standard word s_k with q_k >= length, built from
-    the quotients alone (`words.standard_word`) as s_{k-1}^c s_{k-2} with
+    the quotients alone (`words.standard_pair`) as s_{k-1}^c s_{k-2} with
     no more copies c than the length needs, so no standard word longer
     than a nonempty prefix is built.  A truncation [0;a_1..a_m]
     fixes s_m s_{m-1} s_m less its last two letters: every slope of its
@@ -202,12 +200,13 @@ def characteristic_prefix(cf: ContinuedFraction, length: int) -> str:
         # s_k = s_{k-1}^e s_{k-2}, e = a_k (a_1 - 1 at k = 1): only as many
         # copies as the length needs.
         copies = min(-(-length // q_prev), cf.quotient(k) - (k == 1))
-        return (standard_word(cf, k - 1) * copies + standard_word(cf, k - 2))[:length]
+        prev, cur = standard_pair(cf, k - 1)
+        return (cur * copies + prev)[:length]
     if length > 2 * q + q_prev - 2:
         raise UndecidedError(f"cannot certify a coding of length {length} "
                              f"from index 1 for slope {cf}")
-    s_m = standard_word(cf, m)
-    return (s_m + standard_word(cf, m - 1) + s_m)[:length]
+    prev, s_m = standard_pair(cf, m)
+    return (s_m + prev + s_m)[:length]
 
 
 # ------------------------------------------------------------------
@@ -384,11 +383,12 @@ def three_distance(cf: ContinuedFraction, n: int) -> PartitionSummary:
     """Formulaic gap summary for the points {0, alpha, ..., n*alpha}, n >= 1;
     n <= a_1 is level k = 1: n gaps alpha and one gap 1 - n*alpha."""
     k, l, r = three_distance_decomposition(cf, n)
-    q_prev = _ctx(cf).pair(k - 1)[1]
-    a = (n + 1 - q_prev, convergent_distance(cf, k - 1))
-    b = (r + 1, semiconvergent_distance(cf, k, l))
-    c = (q_prev - r - 1, semiconvergent_distance(cf, k, l - 1))
+    (p2, q2), (p1, q1), (_, q) = _ctx(cf).through(k)[k - 1:k + 2]  # the walk read q_k
+    s = 1 if k % 2 else -1  # ||q_{k-1} a||; (-1)^k (q_{k,l} a - p_{k,l}) at l and l - 1
+    a = (n + 1 - q1, LinearForm(s * q1, s * p1))
+    b = (r + 1, LinearForm(-s * (l * q1 + q2), -s * (l * p1 + p2)))
+    c = (q1 - r - 1, LinearForm(-s * ((l - 1) * q1 + q2), -s * ((l - 1) * p1 + p2)))
     if c[1] != a[1] + b[1]:
         raise AssertionError("distance recurrence violated in three-distance summary")
-    # Sort the two non-long types exactly: ||q_{k,l} a|| < ||q_{k-1} a|| iff l = a_k.
-    return PartitionSummary(k, l, r, (b, a, c) if l == cf.quotient(k) else (a, b, c))
+    # Sort the two non-long types exactly: ||q_{k,l} a|| < ||q_{k-1} a|| iff q_{k,l} = q_k.
+    return PartitionSummary(k, l, r, (b, a, c) if l * q1 + q2 == q else (a, b, c))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import time
+from itertools import repeat
 from typing import Iterator, NamedTuple
 
 from sturmian import oracles
@@ -29,6 +30,7 @@ from sturmian.exactnum import (
     convergent_distance,
     distance,
     parse_slope,
+    query,
     recover_quotient,
     semiconvergent_den,
     semiconvergent_distance,
@@ -203,13 +205,17 @@ def suite_power_classification(cf: ContinuedFraction, n_max: int,
         # every scan, once both formulas have answered, so a truncation
         # refuses with their message; one scan of it for every word.
         window = characteristic_prefix(cf, oracle_window(cf, n))
-        scans = oracles.max_powers(window, [r.word for r in reports])
+        words = [r.word for r in reports]
+        scans = oracles.max_powers(window, words)
+        # The gate's hottest checks: when the three routes agree on all n + 1 words, all pass.
+        if [r.integer_index for r in reports] == formulas == list(map(scans.__getitem__, words)):
+            yield from repeat((True, ""), len(words))
+            continue
         for report, formula in zip(reports, formulas, strict=True):
             w, case = report.word, report.integer_index
             if case == formula:
                 scanned = scans[w]
                 ok = scanned == formula
-                # The hottest check of the gate: format only on failure.
                 yield ok, ("" if ok else
                            f"n={n} {w}: case index {case}, formula {formula}, scan {scanned}")
             else:
@@ -308,11 +314,12 @@ SUITES = {
 }
 
 
+@query()  # one depth cap for the whole run: a bad STURM_DEPTH_LIMIT raises once, here
 def run_suites(names: list[str] | None = None,
                slopes: list[ContinuedFraction] | None = None,
                n_max: int = 150,
                inject_fault: str | None = None) -> list[SuiteResult]:
-    """Run the named suites (default: all) over the slope family.
+    """Run the named suites (default: all) over the slope family, in one query.
 
     n_max and inject_fault reach power-classification only; the other
     suites keep their own bounds (500 for the kernel and gap suites, 150

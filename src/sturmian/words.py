@@ -22,14 +22,15 @@ def standard_word(cf: ContinuedFraction, k: int) -> str:
     """The k-th standard word s_k, k >= -1; |s_k| = q_k for k >= 0."""
     if k < -1:
         raise ValueError(f"standard word index must be >= -1, got {k}")
+    return "1" if k == -1 else standard_pair(cf, k)[1]
+
+
+def standard_pair(cf: ContinuedFraction, k: int) -> tuple[str, str]:
+    """(s_{k-1}, s_k) for k >= 0, from one walk of s_j = s_{j-1}^(a_j) s_{j-2}."""
     prev, cur = "1", "0"  # s_{-1}, s_0
-    if k == -1:
-        return prev
-    for j in range(1, k + 1):
-        a = cf.quotient(j)
-        exponent = a - 1 if j == 1 else a
-        prev, cur = cur, cur * exponent + prev
-    return cur
+    for j in range(1, k + 1):  # s_1 = s_0^(a_1 - 1) s_{-1}
+        prev, cur = cur, cur * (cf.quotient(j) - (j == 1)) + prev
+    return prev, cur
 
 
 def semistandard_word(cf: ContinuedFraction, k: int, l: int) -> str:
@@ -44,7 +45,8 @@ def semistandard_word(cf: ContinuedFraction, k: int, l: int) -> str:
 
 def standard_or_semistandard(cf: ContinuedFraction, k: int, l: int) -> str:
     """s_{k,l} = s_{k-1}^l s_{k-2} for k >= 2 and 0 < l <= a_k; s_{k,a_k} = s_k."""
-    return standard_word(cf, k - 1) * l + standard_word(cf, k - 2)
+    prev, cur = standard_pair(cf, k - 1)
+    return cur * l + prev
 
 
 def cyclic_shift(w: str, i: int) -> str:

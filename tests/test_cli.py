@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 import sturmian
 from conftest import periodic_tail_surd
-from sturmian import exactnum, oracles, rotation
+from sturmian import cli, exactnum, oracles, rotation
 from sturmian.cli import _build_parser, _json, _parse_args, main
-from sturmian.exactnum import ContinuedFraction, LinearForm
+from sturmian.exactnum import ContinuedFraction, LinearForm, parse_slope
 from test_golden import FIXTURE, cases, invoke
 
 
@@ -339,6 +339,27 @@ def test_depth_limit_env(capsys, monkeypatch):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["depth"] == 32
+
+
+def test_json_depth_is_the_cap_of_the_query_that_computed_the_rows(capsys, monkeypatch):
+    # The call reads its cap once, when its query opens: a handler that
+    # changes STURM_DEPTH_LIMIT mid-query computes its rows under cap 48, and
+    # the "depth" field reports 48, not the cap of 4 set in between.
+    real = cli.factors_of_length
+    seen = []
+
+    def lowering(cf, n):
+        monkeypatch.setenv("STURM_DEPTH_LIMIT", "4")
+        seen.append(cf.max_depth())
+        return real(cf, n)
+
+    monkeypatch.setenv("STURM_DEPTH_LIMIT", "48")
+    monkeypatch.setattr(cli, "factors_of_length", lowering)
+    code, out, _ = run(capsys, "factors", "--slope", "[0;2,(1)]", "--n", "30",
+                       "--format", "json")
+    assert (code, json.loads(out)["depth"], seen) == (0, 48, [48])
+    # Outside any query the cap is read on every call again.
+    assert exactnum.depth_limit() == 4 == parse_slope("[0;2,(1)]").max_depth()
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])

@@ -24,11 +24,15 @@ from sturmian.exactnum import (
     Ordering,
     UndecidedError,
     compare,
+    convergent,
+    convergent_distance,
     parse_slope,
+    semiconvergent_distance,
 )
 from sturmian.rotation import (
     FactorInterval,
     FactorMap,
+    PartitionSummary,
     characteristic_prefix,
     coding_prefix,
     factor_interval_map,
@@ -39,7 +43,7 @@ from sturmian.rotation import (
     three_distance_decomposition,
     word_interval,
 )
-from sturmian.words import standard_word
+from sturmian.words import standard_pair, standard_word
 
 
 # ------------------------------------------------------------------
@@ -485,14 +489,15 @@ def test_characteristic_prefix_reads_only_the_quotients(monkeypatch):
 def test_characteristic_prefix_builds_no_standard_word_past_its_length(monkeypatch):
     # s_k = s_{k-1}^(a_k) s_{k-2} is cut to the copies the length needs, so
     # a large a_k costs no more than the letters asked for.
+    # Both words of each (s_{k-1}, s_k) walk are recorded.
     built = []
 
     def recording(cf, k):
-        word = standard_word(cf, k)
-        built.append(len(word))
-        return word
+        pair = standard_pair(cf, k)
+        built.extend(map(len, pair))
+        return pair
 
-    monkeypatch.setattr(rotation, "standard_word", recording)
+    monkeypatch.setattr(rotation, "standard_pair", recording)
     cf = parse_slope("[0;2,(40)]")
     for length in (1, 2, 3, 80, 83, 137_302):
         built.clear()
@@ -999,6 +1004,42 @@ def test_decomposition_uniqueness(family):
         for n in (0, -3):
             with pytest.raises(ValueError, match=re.escape(f"n must be >= 1, got {n}")):
                 three_distance_decomposition(cf, n)
+
+
+def reference_three_distance(cf: ContinuedFraction, n: int) -> PartitionSummary:
+    """The route `three_distance` replaced: a walk over `convergent` for the
+    decomposition, the lengths from `convergent_distance` and
+    `semiconvergent_distance`, the recurrence check, and the order by a_k."""
+    k, q2, q1 = 1, 0, 1
+    while (q := convergent(cf, k).q) + q1 <= n:
+        k, q2, q1 = k + 1, q1, q
+    l, r = divmod(n - q2, q1)
+    a = (n + 1 - q1, convergent_distance(cf, k - 1))
+    b = (r + 1, semiconvergent_distance(cf, k, l))
+    c = (q1 - r - 1, semiconvergent_distance(cf, k, l - 1))
+    assert c[1] == a[1] + b[1]
+    return PartitionSummary(k, l, r, (b, a, c) if l == cf.quotient(k) else (a, b, c))
+
+
+def _three_distance_outcome(fn, cf: ContinuedFraction, n: int) -> object:
+    try:
+        return fn(cf, n)
+    except exactnum.DepthExceededError as exc:  # a truncation too short for n
+        return f"DepthExceededError: {exc}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=6),
+       st.lists(st.integers(1, 40), max_size=3), st.integers(1, 10 ** 6))
+def test_three_distance_matches_the_route_it_replaced(pre, period, n):
+    # Periodic slopes and truncations; every n <= a_1 + 1 (level one and the
+    # first n past it) and one n up to 10^6, which a truncation may refuse.
+    cf = ContinuedFraction(tuple(pre), tuple(period))
+    for m in [*range(1, cf.quotient(1) + 2), n]:
+        got = _three_distance_outcome(three_distance, cf, m)
+        assert got == _three_distance_outcome(reference_three_distance, cf, m), (str(cf), m)
+        if not isinstance(got, str):
+            assert type(got.gaps[0][1]) is LinearForm  # no plain tuple stands in for a form
 
 
 # ------------------------------------------------------------------

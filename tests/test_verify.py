@@ -5,14 +5,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 import math
+import os
 import re
+import sys
+import threading
 from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sturmian import oracles, rotation, verify
+from sturmian import exactnum, oracles, rotation, verify
 from sturmian.cli import main
 from sturmian.exactnum import ContinuedFraction, DepthExceededError, parse_slope
 from sturmian.repetitions import (
@@ -380,3 +383,160 @@ def test_a_memory_error_is_no_failure_of_one_slope(monkeypatch):
     monkeypatch.setattr(verify, "conjugacy_report", report)
     with pytest.raises(MemoryError):
         verify.run_suites(names=["conjugacy-intervals"], slopes=[parse_slope("[0;2,(1)]")])
+
+
+# ------------------------------------------------------------------
+# one depth cap per run: the query context
+# ------------------------------------------------------------------
+
+@pytest.mark.parametrize("value, message", [
+    ("zzz", "STURM_DEPTH_LIMIT must be an integer, got 'zzz'"),
+    ("1", "STURM_DEPTH_LIMIT must be at least 2, got 1"),
+])
+def test_query_a_bad_cap_is_refused_once_when_the_run_opens(monkeypatch, small_family,
+                                                            value, message):
+    # One ValueError, as for n_max < 1, before any suite runs: not one
+    # failure per slope in each suite.
+    calls = []
+    monkeypatch.setitem(verify.SUITES, "best-approximations",
+                        lambda cf: iter(calls.append(cf) or ()))
+    monkeypatch.setenv("STURM_DEPTH_LIMIT", value)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify.run_suites(names=["best-approximations"], slopes=small_family)
+    assert calls == []
+
+
+def test_query_a_run_that_raises_leaves_no_cap_behind(monkeypatch, small_family):
+    monkeypatch.setenv("STURM_DEPTH_LIMIT", "64")
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        verify.run_suites(names=["best-approximations", "nope"], slopes=small_family)
+    # Outside any query the cap is read on every call again.
+    assert exactnum._QUERY_CAP.get() is None
+    monkeypatch.setenv("STURM_DEPTH_LIMIT", "4")
+    assert exactnum.depth_limit() == 4 == small_family[0].max_depth()
+
+
+def test_query_a_run_inside_an_open_query_keeps_its_cap(monkeypatch, small_family):
+    # run_suites opens a query only when none is open: inside one, it reads
+    # neither the environment nor a cap of its own.
+    monkeypatch.setenv("STURM_DEPTH_LIMIT", "64")
+    with exactnum.query():
+        monkeypatch.setenv("STURM_DEPTH_LIMIT", "zzz")
+        [result] = verify.run_suites(names=["three-distance"], slopes=small_family[:1])
+        assert exactnum.depth_limit() == 64
+    assert result.passed and result.checks == 500
+    assert exactnum._QUERY_CAP.get() is None
+
+
+def _answers(results: list[verify.SuiteResult]) -> list[verify.SuiteResult]:
+    return [r._replace(seconds=0.0) for r in results]
+
+
+def test_query_threads_keep_their_runs_cap_while_another_lowers_it(monkeypatch):
+    # More runs than cores, preempted every microsecond, each opened under
+    # cap 64.  Once every run is inside its first suite, another thread sets
+    # cap 4, which refuses both suites; every run still answers as a serial
+    # run does.
+    slopes = [parse_slope("[0;2,(1)]"), parse_slope("[0;3,(1,2)]")]
+    names = ["best-approximations", "three-distance"]
+    monkeypatch.setenv("STURM_DEPTH_LIMIT", "4")
+    lowered = _answers(verify.run_suites(names=names, slopes=slopes))
+    monkeypatch.setenv("STURM_DEPTH_LIMIT", "64")
+    serial = _answers(verify.run_suites(names=names, slopes=slopes))
+    assert all(r.passed for r in serial) and all(r.refusal for r in lowered)
+
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    runners = min(cores or 1, 32) + 1
+    inside = threading.Barrier(runners + 1)
+    real = verify.SUITES["best-approximations"]
+
+    def held(cf):
+        if cf is slopes[0]:
+            inside.wait(timeout=60)  # every run has opened its query
+            inside.wait(timeout=60)  # and the cap is now 4
+        yield from real(cf)
+
+    def lower() -> None:
+        inside.wait(timeout=60)
+        os.environ["STURM_DEPTH_LIMIT"] = "4"
+        inside.wait(timeout=60)
+
+    answers: list = [None] * runners
+
+    def run(t: int) -> None:
+        answers[t] = _answers(verify.run_suites(names=names, slopes=slopes))
+
+    monkeypatch.setitem(verify.SUITES, "best-approximations", held)
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(runners)]
+        threads.append(threading.Thread(target=lower))
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(th.is_alive() for th in threads)
+    assert os.environ["STURM_DEPTH_LIMIT"] == "4"
+    assert answers == [serial] * runners
+
+
+# ------------------------------------------------------------------
+# power-classification: whole-length agreement, else the per-word loop
+# ------------------------------------------------------------------
+
+def reference_power_classification(cf: ContinuedFraction, n_max: int,
+                                   inject_fault: str | None):
+    """The suite as a per-word loop over every length, with no whole-length
+    comparison: the messages and checks the suite must reproduce."""
+    for n in range(1, n_max + 1):
+        try:
+            reports = verify.classify_length(cf, n)
+        except AssertionError as exc:
+            yield False, str(exc)
+            continue
+        formulas = verify.indices_by_interval(cf, n)
+        if inject_fault == "flip-gamma":
+            factors = verify.factor_interval_map(cf, n)
+            dist = verify.distance(cf, n)
+            formulas = [index + (1 if factors.lengths[d] == dist else -1)
+                        for index, d in zip(formulas, factors.gaps)]
+        window = verify.characteristic_prefix(cf, verify.oracle_window(cf, n))
+        scans = oracles.max_powers(window, [r.word for r in reports])
+        for report, formula in zip(reports, formulas, strict=True):
+            w, case = report.word, report.integer_index
+            if case == formula:
+                ok = scans[w] == formula
+                yield ok, ("" if ok else
+                           f"n={n} {w}: case index {case}, formula {formula}, scan {scans[w]}")
+            else:
+                yield False, f"n={n} {w}: case index {case} != formula {formula}"
+
+
+def test_power_classification_fails_as_the_per_word_loop_does(monkeypatch, small_family):
+    # A scan that misreports one word of length 7, and flip-gamma, give the
+    # failure lines and check counts of the per-word loop.
+    scan = oracles.max_powers
+
+    def misreported(text, words):
+        scans = scan(text, words)
+        if len(next(iter(scans))) == 7:
+            scans[sorted(scans)[3]] += 1
+        return scans
+
+    # 350 words of lengths 1..25 per slope; flip-gamma fails every word and
+    # stops the suite at its 21st failure.
+    for patch, fault, books in [(scan, None, (1050, 0)), (misreported, None, (1050, 3)),
+                                (scan, "flip-gamma", (21, 21))]:
+        with monkeypatch.context() as mp:
+            mp.setattr(oracles, "max_powers", patch)
+            got = verify.run_suites(names=["power-classification"], slopes=small_family,
+                                    n_max=25, inject_fault=fault)
+            mp.setitem(verify.SUITES, "power-classification", reference_power_classification)
+            want = verify.run_suites(names=["power-classification"], slopes=small_family,
+                                     n_max=25, inject_fault=fault)
+        assert _answers(got) == _answers(want), fault
+        assert [r.line() for r in got] == [r.line() for r in want]
+        assert (got[0].checks, len(got[0].failures)) == books
