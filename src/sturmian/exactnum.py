@@ -523,18 +523,13 @@ def best_approximations(cf: ContinuedFraction, q_max: int) -> list[Convergent]:
     if q_max < 1:
         raise ValueError(f"q_max must be >= 1, got {q_max}")
     out = []
-    k = 0
-    while True:
-        try:
-            c = convergent(cf, k)
-        except DepthExceededError:
-            raise DepthExceededError(
-                f"best approximations up to {q_max} need convergents beyond the truncation"
-            ) from None
-        if c.q > q_max:
-            break
-        out.append(c)
-        k += 1
+    try:
+        while (c := convergent(cf, len(out))).q <= q_max:
+            out.append(c)
+    except DepthExceededError:
+        raise DepthExceededError(
+            f"best approximations up to {q_max} need convergents beyond the truncation"
+        ) from None
     return out
 
 

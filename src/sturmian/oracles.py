@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from sturmian.exactnum import ContinuedFraction, LinearForm
 from sturmian.rotation import key_table
@@ -253,18 +253,17 @@ def _power_roots_of_length(text: str, mask: int, n: int, exponent: int) -> Itera
         i = marks.find("1", i + 1)
 
 
-def max_powers(text: str, words: Iterable[str]) -> dict[str, int]:
-    """max_power(text, w) for every w in words, all of one length n.
+def max_powers(text: str, words: list[str]) -> list[int]:
+    """max_power(text, w) for each of words, all of one length n, in their order.
 
     One period-n match mask serves every word: the words whose e-th power
     is a factor, for e = 2, 3, ..., have index at least e, and the scan
     stops at the first e with none.  A word never found that way has index
     1 if it occurs in text at all, else 0.
     """
-    words = set(words)
-    lengths = {len(w) for w in words}
+    lengths = set(map(len, words))
     if not lengths:
-        return {}
+        return []
     if len(lengths) > 1 or 0 in lengths:
         raise ValueError(f"words must be nonempty and of one length, got lengths {sorted(lengths)}")
     [n] = lengths
@@ -274,7 +273,7 @@ def max_powers(text: str, words: Iterable[str]) -> dict[str, int]:
     while roots := set(_power_roots_of_length(text, mask, n, e)):
         marked.update(dict.fromkeys(roots, e))
         e += 1
-    return {w: marked.get(w) or int(w in text) for w in words}
+    return [marked.get(w) or int(w in text) for w in words]
 
 
 def square_root_lengths(text: str, n_max: int) -> set[int]:

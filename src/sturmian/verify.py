@@ -1,7 +1,8 @@
 """Verification suites: every structural claim checked against an oracle.
 
 Each suite is a generator of checks on one slope: it runs a formula route
-and an independent brute-force route and yields (ok, message) pairs.
+and an independent brute-force route and yields (ok, message) pairs, where
+ok is a bool for one check, or a count n for n checks that all pass.
 `run_suites` owns the rest: it loops over the slopes, counts the checks,
 prefixes each failure with its slope, stops a suite at its 21st failure,
 times it, and reports a DepthError as a refusal and any other error a
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import math
 import time
-from itertools import repeat
 from typing import Iterator, NamedTuple
 
 from sturmian import oracles
@@ -67,7 +67,7 @@ _MAX_FAILURES = 21
 # The critical-exponent suite's run scan covers periods up to this.
 _RUN_PERIODS = 1200
 
-Checks = Iterator[tuple[bool, str]]
+Checks = Iterator[tuple[bool | int, str]]
 
 
 class SuiteResult(NamedTuple):
@@ -170,14 +170,13 @@ def suite_square_lengths(cf: ContinuedFraction) -> Checks:
 
 def suite_conjugacy(cf: ContinuedFraction) -> Checks:
     """Conjugacy-class interval tags vs the level partition and the
-    three-distance counts; the rotation identity inside the class."""
+    three-distance counts; the class is the shifts of reversed s_{k,l}."""
     for k, l, n in semiconvergents(cf, 150):
         rep = conjugacy_report(cf, k, l)  # self-certifies vs intervals
         yield (set(three_distance(cf, n).gaps) == set(rep.gaps),
                f"class ({k},{l}) tags disagree with the partition")
-        yield (rep.conjugates[convergent(cf, k - 1).q - 2] ==
-               standard_or_semistandard(cf, k, l),
-               f"rotation identity fails at ({k},{l})")
+        yield (list(rep.conjugates) == conjugates(reversal(standard_or_semistandard(cf, k, l))),
+               f"class ({k},{l}) is not the shifts of reversed s_({k},{l}) in order")
 
 
 # ------------------------------------------------------------------
@@ -205,19 +204,17 @@ def suite_power_classification(cf: ContinuedFraction, n_max: int,
         # every scan, once both formulas have answered, so a truncation
         # refuses with their message; one scan of it for every word.
         window = characteristic_prefix(cf, oracle_window(cf, n))
-        words = [r.word for r in reports]
-        scans = oracles.max_powers(window, words)
-        # The gate's hottest checks: when the three routes agree on all n + 1 words, all pass.
-        if [r.integer_index for r in reports] == formulas == list(map(scans.__getitem__, words)):
-            yield from repeat((True, ""), len(words))
+        scans = oracles.max_powers(window, [r.word for r in reports])
+        # The gate's hottest checks: when the three routes agree on all n + 1
+        # words, one item passes them all; else each word is one check.
+        if [r.integer_index for r in reports] == formulas == scans:
+            yield len(scans), ""
             continue
-        for report, formula in zip(reports, formulas, strict=True):
+        for report, formula, scanned in zip(reports, formulas, scans, strict=True):
             w, case = report.word, report.integer_index
             if case == formula:
-                scanned = scans[w]
-                ok = scanned == formula
-                yield ok, ("" if ok else
-                           f"n={n} {w}: case index {case}, formula {formula}, scan {scanned}")
+                yield (scanned == formula,
+                       f"n={n} {w}: case index {case}, formula {formula}, scan {scanned}")
             else:
                 yield False, f"n={n} {w}: case index {case} != formula {formula}"
 
@@ -257,30 +254,22 @@ def suite_critical_exponent(cf: ContinuedFraction) -> Checks:
 def suite_cube_structure(cf: ContinuedFraction) -> Checks:
     """Square and cube roots are conjugates of standard-family words;
     slopes whose quotients cap every index below 4 contain no fourth
-    power; cubes of every convergent length exist."""
+    power; a cube at each convergent length exists as the quotients say."""
     window = characteristic_prefix(cf, oracle_window(cf, 100))
-    allowed_sq = _standard_conjugates(cf, 100, include_semis=True)
-    allowed_cube = _standard_conjugates(cf, 100, include_semis=False)
-    for w in sorted(oracles.power_roots(window, 100, 2)):
-        yield w in allowed_sq, f"square root {w} not conjugate to a standard-family word"
-    for w in sorted(oracles.power_roots(window, 100, 3)):
-        if w == "0":
-            yield cf.quotient(1) > 2, "cube 000 requires a_1 > 2"
-        else:
-            yield w in allowed_cube, f"cube root {w} not conjugate to a standard word"
-    # Cubes with |w| = q_k exist for every k >= 2 (the class index
-    # reaches a_{k+1} + 2 >= 3); at k = 0 and 1 existence is exactly
-    # a_1 >= 3 resp. a_2 >= 2.  Certify both directions by intervals.
-    yield ((word_interval(cf, "000") is not None) == (cf.quotient(1) >= 3),
-           "cube of the letter 0 disagrees with a_1")
-    q1_cube = reversal(standard_word(cf, 1)) * 3
-    yield ((word_interval(cf, q1_cube) is not None) == (cf.quotient(2) >= 2),
-           "cube at length q_1 disagrees with a_2")
-    for k in range(2, 9):
-        if convergent(cf, k).q > 400:
+    for exponent, power in (2, "square"), (3, "cube"):
+        allowed = _standard_conjugates(cf, 100, exponent)
+        for w in sorted(oracles.power_roots(window, 100, exponent)):
+            yield w in allowed, f"{power} root {w} not conjugate to a standard-family word"
+    # The cube of reversed s_k (|s_k| = q_k) is a factor exactly when
+    # a_1 >= 3 at k = 0, a_2 >= 2 at k = 1, and always for k >= 2 (the
+    # class index reaches a_{k+1} + 2 >= 3).  Certify both directions by
+    # intervals.
+    for k in range(9):
+        if k >= 2 and convergent(cf, k).q > 400:
             break
-        cube = reversal(standard_word(cf, k)) * 3
-        yield word_interval(cf, cube) is not None, f"no cube of period length q_{k}"
+        expected = k >= 2 or cf.quotient(k + 1) >= 3 - k
+        found = word_interval(cf, reversal(standard_word(cf, k)) * 3) is not None
+        yield found == expected, f"cube at length q_{k}: found {found}, the rule says {expected}"
     # Fourth powers need an index >= 4 somewhere: a quotient a_k >= 2
     # with k >= 2, or a_1 >= 4 (0^{a_1} is a factor).  Slopes with
     # a_1 <= 3 and every later quotient 1 have none.
@@ -289,12 +278,14 @@ def suite_cube_structure(cf: ContinuedFraction) -> Checks:
         yield best < 4, f"fourth power of period {period} found; exponent {best}"
 
 
-def _standard_conjugates(cf: ContinuedFraction, n_max: int,
-                         include_semis: bool) -> set[str]:
-    words = [standard_word(cf, k) for k in range(0 if include_semis else 1, 2)
-             if convergent(cf, k).q <= n_max]
+def _standard_conjugates(cf: ContinuedFraction, n_max: int, exponent: int) -> set[str]:
+    """Conjugates of the words of length <= n_max whose exponent-th powers
+    may occur: s_0 = 0 when a_1 >= exponent, s_1, and every s_{k,l} for
+    squares but only the standard s_k = s_{k,a_k} for cubes."""
+    words = [standard_word(cf, k) for k in (0, 1)
+             if convergent(cf, k).q <= n_max and (k or cf.quotient(1) >= exponent)]
     words += [standard_or_semistandard(cf, k, l) for k, l, _ in semiconvergents(cf, n_max)
-              if include_semis or l == cf.quotient(k)]
+              if exponent == 2 or l == cf.quotient(k)]
     return {c for w in words for c in conjugates(w)}
 
 
@@ -347,7 +338,7 @@ def run_suites(names: list[str] | None = None,
             for cf in slopes:
                 try:
                     for ok, message in SUITES[name](cf, **kwargs):
-                        checks += 1
+                        checks += ok or 1  # True, False or a count of passes
                         if not ok:
                             failures.append(f"{cf}: {message}")
                             if len(failures) == _MAX_FAILURES:

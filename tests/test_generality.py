@@ -60,11 +60,11 @@ def check_indices_match_oracle(slope, lengths):
         reports = classify_length(slope, n)
         text = characteristic_prefix(slope, oracle_window(slope, n))
         scans = oracles.max_powers(text, [report.word for report in reports])
-        for report in reports:
+        for report, scanned in zip(reports, scans, strict=True):
             formula = index_by_interval(slope, report.word)
             assert report.integer_index == formula
             assert index_oracle(slope, report.word) == formula
-            assert scans[report.word] == formula
+            assert scanned == formula
 
 
 def check_three_distance_matches_spectrum(slope, lengths):

@@ -242,12 +242,12 @@ def test_power_roots_exponent_one_lists_primitive_factors():
         power_roots("0101", 2, 0)
 
 
-def _words_to_scan(text: str, n: int) -> set[str]:
+def _words_to_scan(text: str, n: int) -> list[str]:
     """Every word of length n <= 3; beyond, every factor and its last letter flipped."""
     if n <= 3:
-        return {"".join(bits) for bits in itertools.product("01", repeat=n)}
+        return ["".join(bits) for bits in itertools.product("01", repeat=n)]
     factors = {text[i:i + n] for i in range(len(text) - n + 1)} | {"0" * n}
-    return factors | {w[:-1] + "10"[int(w[-1])] for w in factors}
+    return sorted(factors | {w[:-1] + "10"[int(w[-1])] for w in factors})
 
 
 def test_max_powers_match_max_power_on_all_short_texts():
@@ -255,8 +255,7 @@ def test_max_powers_match_max_power_on_all_short_texts():
     for text in ALL_SHORT_TEXTS + TEXTS:
         for n in range(1, len(text) + 3):
             words = _words_to_scan(text, n)
-            assert max_powers(text, words) == \
-                {w: max_power(text, w) for w in words}, (text, n)
+            assert max_powers(text, words) == [max_power(text, w) for w in words], (text, n)
 
 
 def test_max_powers_match_max_power_on_family_windows(family):
@@ -264,14 +263,22 @@ def test_max_powers_match_max_power_on_family_windows(family):
     for cf in family:
         for n in range(10, 151, 10):
             text = characteristic_prefix(cf, oracle_window(cf, n))
-            words = {w for w, _ in factors_of_length(cf, n)}
-            words |= {w[:-1] + "10"[int(w[-1])] for w in words}  # mostly absent
-            assert max_powers(text, words) == \
-                {w: max_power(text, w) for w in words}, (str(cf), n)
+            words = [w for w, _ in factors_of_length(cf, n)]
+            words += [w[:-1] + "10"[int(w[-1])] for w in words]  # mostly absent
+            assert max_powers(text, words) == [max_power(text, w) for w in words], (str(cf), n)
+
+
+def test_max_powers_answers_each_given_word_in_the_given_order():
+    # One answer per given word, a repeated word once per occurrence.
+    text = "0100101001001"
+    words = ["11", "01", "00", "01", "10", "01"]
+    assert max_powers(text, words) == [0, 2, 1, 2, 2, 2]
+    assert max_powers(text, words[::-1]) == [2, 2, 2, 1, 2, 0]
+    assert max_powers(text, words) == [max_power(text, w) for w in words]
 
 
 def test_max_powers_rejects_mixed_or_empty_words():
-    assert max_powers("0101", []) == {}
+    assert max_powers("0101", []) == []
     with pytest.raises(ValueError):
         max_powers("0101", ["0", "01"])
     with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sturmian import exactnum, oracles, rotation, verify
+from sturmian import exactnum, oracles, repetitions, rotation, verify
 from sturmian.cli import main
 from sturmian.exactnum import ContinuedFraction, DepthExceededError, parse_slope
 from sturmian.repetitions import (
@@ -25,6 +25,7 @@ from sturmian.repetitions import (
     recurrence_window,
 )
 from sturmian.rotation import characteristic_prefix
+from sturmian.words import reversal, standard_word
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +48,46 @@ def test_cube_structure_fourth_powers_off_all_ones_tails(slope):
     # power a factor even when the period is all ones.
     [result] = verify.run_suites(names=["cube-structure"], slopes=[parse_slope(slope)])
     assert result.passed, result.line()
+
+
+@pytest.mark.parametrize("slope, passed", [("[0;2,(1)]", False), ("[0;3,(1)]", True)])
+def test_cube_structure_admits_the_cube_root_0_only_when_a_1_is_3(monkeypatch, slope, passed):
+    # A scan that reports the cube 000: a factor at a_1 = 3, not at a_1 = 2.
+    roots = oracles.power_roots
+    monkeypatch.setattr(oracles, "power_roots", lambda text, n_max, exponent:
+                        roots(text, n_max, exponent) | ({"0"} if exponent == 3 else set()))
+    [result] = verify.run_suites(names=["cube-structure"], slopes=[parse_slope(slope)])
+    assert result.failures == ([] if passed else
+                               [f"{slope}: cube root 0 not conjugate to a standard-family word"])
+
+
+def test_cube_structure_sees_a_hidden_cube_at_length_q_1(monkeypatch):
+    # a_2 = 2: the cube of reversed s_1 = 01 is a factor.  An interval
+    # route that loses it fails the one cube rule, at k = 1 only.
+    cf = parse_slope("[0;2,(2)]")
+    cube = reversal(standard_word(cf, 1)) * 3
+    real = verify.word_interval
+    monkeypatch.setattr(verify, "word_interval",
+                        lambda cf, w: None if w == cube else real(cf, w))
+    [result] = verify.run_suites(names=["cube-structure"], slopes=[cf])
+    assert result.failures == ["[0;2,(2)]: cube at length q_1: found False, the rule says True"]
+
+
+def test_conjugacy_sees_two_conjugate_positions_swapped(monkeypatch):
+    # Positions r - 1 and r - 2 of each class swapped: every tag still fits
+    # its interval and conjugate q_{k-1} - 2 is still s_{k,l}, so only the
+    # comparison with the shifts of the formula's reversed root sees it.
+    real = repetitions._conjugate_positions
+
+    def swapped(cf, n, root, fmap):
+        r = len(root)
+        return [{r - 1: r - 2, r - 2: r - 1}.get(i, i) for i in real(cf, n, root, fmap)]
+
+    monkeypatch.setattr(repetitions, "_conjugate_positions", swapped)
+    [result] = verify.run_suites(names=["conjugacy-intervals"], slopes=[parse_slope("[0;2,(1)]")])
+    # Every class of [0;2,(1)] up to length 150, k = 2..10, fails.
+    assert result.failures == [f"[0;2,(1)]: class ({k},1) is not the shifts of "
+                               f"reversed s_({k},1) in order" for k in range(2, 11)]
 
 
 @contextmanager
@@ -343,6 +384,35 @@ def test_the_runner_counts_prefixes_caps_and_refuses(monkeypatch):
     assert verify.SuiteResult("s", 20, 0.0, ["f"] * 20).line().endswith("\n    ... and 15 more")
 
 
+def test_an_item_of_n_passes_keeps_the_books_of_n_single_checks(monkeypatch):
+    # A suite may yield (n, "") for n passing checks.  Mixed with failures,
+    # it gives the result of the same stream yielded one check at a time,
+    # through the stop at the 21st failure on the second slope.
+    def batched(cf, **kwargs):
+        for i in range(15):
+            yield 3 + i, ""
+            yield False, f"check {i}"
+            yield True, "unused"
+
+    def single(cf, **kwargs):
+        for ok, message in batched(cf):
+            yield from [(ok, message)] if type(ok) is bool else [(True, "")] * ok
+
+    slopes = [parse_slope(s) for s in ("[0;2,(1)]", "[0;3,(2)]", "[0;2,(3)]")]
+    for some in slopes[:1], slopes:
+        monkeypatch.setitem(verify.SUITES, "power-classification", batched)
+        got = verify.run_suites(names=["power-classification"], slopes=some)
+        monkeypatch.setitem(verify.SUITES, "power-classification", single)
+        want = verify.run_suites(names=["power-classification"], slopes=some)
+        assert _answers(got) == _answers(want)
+        assert [r.line() for r in got] == [r.line() for r in want]
+    # 180 checks on the first slope; on the second, six items of 3..8
+    # passes, six failures and the five single passes between them.
+    assert (got[0].checks, len(got[0].failures)) == (180 + 33 + 6 + 5, 21)
+    assert got[0].failures[-1] == "[0;3,(2)]: check 5"
+    assert got[0].line().endswith("(stopped at the 21st failure)")
+
+
 def test_a_formula_self_check_fails_its_slope_only(monkeypatch, capsys):
     # An AssertionError from a formula is a failure of that slope: the suite
     # goes on with the next slope, the other suites still run, and the CLI
@@ -505,12 +575,12 @@ def reference_power_classification(cf: ContinuedFraction, n_max: int,
                         for index, d in zip(formulas, factors.gaps)]
         window = verify.characteristic_prefix(cf, verify.oracle_window(cf, n))
         scans = oracles.max_powers(window, [r.word for r in reports])
-        for report, formula in zip(reports, formulas, strict=True):
+        for report, formula, scanned in zip(reports, formulas, scans, strict=True):
             w, case = report.word, report.integer_index
             if case == formula:
-                ok = scans[w] == formula
+                ok = scanned == formula
                 yield ok, ("" if ok else
-                           f"n={n} {w}: case index {case}, formula {formula}, scan {scans[w]}")
+                           f"n={n} {w}: case index {case}, formula {formula}, scan {scanned}")
             else:
                 yield False, f"n={n} {w}: case index {case} != formula {formula}"
 
@@ -522,8 +592,8 @@ def test_power_classification_fails_as_the_per_word_loop_does(monkeypatch, small
 
     def misreported(text, words):
         scans = scan(text, words)
-        if len(next(iter(scans))) == 7:
-            scans[sorted(scans)[3]] += 1
+        if len(words[0]) == 7:
+            scans[words.index(sorted(words)[3])] += 1
         return scans
 
     # 350 words of lengths 1..25 per slope; flip-gamma fails every word and
