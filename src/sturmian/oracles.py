@@ -253,13 +253,16 @@ def _power_roots_of_length(text: str, mask: int, n: int, exponent: int) -> Itera
         i = marks.find("1", i + 1)
 
 
-def max_powers(text: str, words: list[str]) -> list[int]:
+def max_powers(text: str, words: list[str], cover: str = "") -> list[int]:
     """max_power(text, w) for each of words, all of one length n, in their order.
 
     One period-n match mask serves every word: the words whose e-th power
     is a factor, for e = 2, 3, ..., have index at least e, and the scan
     stops at the first e with none.  A word never found that way has index
-    1 if it occurs in text at all, else 0.
+    1 if it occurs in text at all, else 0.  If `cover` occurs in text, so
+    does each of its length-n windows: they are marked 1 up front, and a
+    word among them needs no search of its own.  Every other word is
+    searched, so the answers are max_power's whatever `cover` holds.
     """
     lengths = set(map(len, words))
     if not lengths:
@@ -268,7 +271,8 @@ def max_powers(text: str, words: list[str]) -> list[int]:
         raise ValueError(f"words must be nonempty and of one length, got lengths {sorted(lengths)}")
     [n] = lengths
     mask = _match_mask(_bits(text), n)
-    marked: dict[str, int] = {}
+    starts = range(len(cover) - n + 1) if cover in text else ()
+    marked = {cover[i:i + n]: 1 for i in starts}
     e = 2
     while roots := set(_power_roots_of_length(text, mask, n, e)):
         marked.update(dict.fromkeys(roots, e))

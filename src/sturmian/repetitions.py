@@ -141,7 +141,7 @@ def _length_indices(cf: ContinuedFraction, n: int, lengths: Iterable[LinearForm]
 
 def indices_by_interval(cf: ContinuedFraction, n: int) -> list[int]:
     """index_by_interval of every factor of length n, in layout order
-    (`FactorMap.lefts`, the order of `classify_length`)."""
+    (`FactorMap.lefts`, the order of `classify_length` and `indices_by_position`)."""
     factors = factor_interval_map(cf, n)
     by_gap = dict(zip(factors.lengths, _length_indices(cf, n, factors.lengths.values())))
     return list(map(by_gap.__getitem__, factors.gaps))
@@ -231,6 +231,12 @@ def length_case(cf: ContinuedFraction, n: int
     return tag, (reversal(root), q - 1, (a + 2) // m, (a + 1) // m, 1)
 
 
+def indices_by_position(cf: ContinuedFraction, n: int) -> list[int]:
+    """The positional rule's index of every factor of length n, in layout
+    order: `classify_length`'s integer indices, with no report built."""
+    return _positional(cf, n, length_case(cf, n), factor_interval_map(cf, n))[1]
+
+
 def classify_length(cf: ContinuedFraction, n: int,
                     with_fractional: bool = False) -> list[IndexReport]:
     """IndexReport for every factor of length n, in circular order, by the
@@ -279,6 +285,16 @@ def _conjugate_positions(cf: ContinuedFraction, n: int, root: str,
     return [(i - top - j) % r if top - r < i <= top else None for i in fmap.lefts]
 
 
+def _positional(cf: ContinuedFraction, n: int, case: tuple[str, tuple[str, int, int, int, int]],
+                fmap: FactorMap) -> tuple[list[int | None], list[int]]:
+    """(conjugate positions, indices) of the factors of `fmap`, in its order,
+    by the positional rule (`_reports`)."""
+    _, (root, split, first, rest, other) = case
+    positions = _conjugate_positions(cf, n, root, fmap)
+    return positions, [other if pos is None else first if pos < split else rest
+                       for pos in positions]
+
+
 def _reports(cf: ContinuedFraction, n: int, case: tuple[str, tuple[str, int, int, int, int]],
              fmap: FactorMap, with_fractional: bool) -> list[IndexReport]:
     """IndexReport of each factor of `fmap`, in its order (`_exits` reads its gaps).
@@ -294,9 +310,8 @@ def _reports(cf: ContinuedFraction, n: int, case: tuple[str, tuple[str, int, int
     certifies the exit table, sized by these indices (`_exits`), so no
     interval formula runs here.
     """
-    tag, (root, split, first, rest, other) = case
-    words, positions = fmap.words, _conjugate_positions(cf, n, root, fmap)
-    indices = [other if pos is None else first if pos < split else rest for pos in positions]
+    tag, words = case[0], fmap.words
+    positions, indices = _positional(cf, n, case, fmap)
     fractions = repeat(None)
     if with_fractional:
         exits = _exits(cf, n, zip(fmap.lefts, fmap.gaps), (max(indices) + 1) * n)

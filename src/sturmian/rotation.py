@@ -249,10 +249,11 @@ class FactorMap(NamedTuple):
 
 # An entry is one layout, 2n letters and three lists of n + 1 integers.
 # Single words, `index --word` too, take the height walk (`word_interval`),
-# so the one re-read is power-classification's `indices_by_interval` of the
-# layout `classify_length` has just built: `verify --n-max 150` hits 1,800
-# times and misses 1,909 at a bound of 1, 2 or 4 (1,812 and 1,897 at 256);
-# the `bench/` sweep and queries hit none.
+# so the only re-reads are power-classification's: `indices_by_interval`
+# and the scan's words and coding read back the layout `indices_by_position`
+# has just built.  `verify --n-max 150` hits 3,600 times and misses 1,909
+# at a bound of 1, 2 or 4 (3,612 and 1,897 at 256); the `bench/` sweep and
+# queries hit none.
 @lru_cache(maxsize=1)
 def factor_interval_map(cf: ContinuedFraction, n: int) -> FactorMap:
     """The length-n factors as one circular layout from 0 (cached).

@@ -42,6 +42,7 @@ from sturmian.repetitions import (
     critical_exponent,
     fractional_index,
     indices_by_interval,
+    indices_by_position,
     oracle_window,
     recurrence_window,
     square_lengths,
@@ -185,32 +186,34 @@ def suite_conjugacy(cf: ContinuedFraction) -> Checks:
 
 def suite_power_classification(cf: ContinuedFraction, n_max: int,
                                inject_fault: str | None) -> Checks:
-    """Case indices == interval formula == scan oracle for every factor of
-    every length; case tags exclusive and exhaustive."""
+    """Positional rule == interval formula == scan oracle on the integer
+    index of every factor of every length n <= n_max."""
     for n in range(1, n_max + 1):
         try:
-            reports = classify_length(cf, n)
+            positional = indices_by_position(cf, n)
         except AssertionError as exc:  # the class's end-block self-check
             yield False, str(exc)
             continue
-        # Both routes list the length's words in layout order (`FactorMap`).
+        # The routes list the length's words in layout order (`FactorMap`).
         formulas = indices_by_interval(cf, n)
+        factors = factor_interval_map(cf, n)
         if inject_fault == "flip-gamma":
-            factors = factor_interval_map(cf, n)
             dist = distance(cf, n)
             formulas = [index + (1 if factors.lengths[d] == dist else -1)
                         for index, d in zip(formulas, factors.gaps)]
         # Each length builds its own oracle window, long enough to certify
         # every scan, once both formulas have answered, so a truncation
-        # refuses with their message; one scan of it for every word.
+        # refuses with their message; one scan of it for every word, and one
+        # search of the layout's coding, whose windows are the words (`max_powers`).
         window = characteristic_prefix(cf, oracle_window(cf, n))
-        scans = oracles.max_powers(window, [r.word for r in reports])
+        scans = oracles.max_powers(window, factors.words, factors.coding)
         # The gate's hottest checks: when the three routes agree on all n + 1
-        # words, one item passes them all; else each word is one check.
-        if [r.integer_index for r in reports] == formulas == scans:
+        # words, one item passes them all; else each word of the length's
+        # reports (`classify_length`) is one check.
+        if positional == formulas == scans:
             yield len(scans), ""
             continue
-        for report, formula, scanned in zip(reports, formulas, scans, strict=True):
+        for report, formula, scanned in zip(classify_length(cf, n), formulas, scans, strict=True):
             w, case = report.word, report.integer_index
             if case == formula:
                 yield (scanned == formula,

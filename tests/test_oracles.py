@@ -32,6 +32,7 @@ from sturmian.oracles import (
 from sturmian.repetitions import oracle_window
 from sturmian.rotation import (
     characteristic_prefix,
+    factor_interval_map,
     factors_of_length,
     key_table,
     three_distance,
@@ -252,10 +253,19 @@ def _words_to_scan(text: str, n: int) -> list[str]:
 
 def test_max_powers_match_max_power_on_all_short_texts():
     # Every n from 1 to past the text's length, the empty text included.
+    # A cover may only spare searches: with none (""), a factor of the text,
+    # a non-factor, or a cover built of absent words, every answer is
+    # max_power's.  The two non-factors would mark absent words if the
+    # cover's windows were taken without checking that the cover occurs.
     for text in ALL_SHORT_TEXTS + TEXTS:
         for n in range(1, len(text) + 3):
             words = _words_to_scan(text, n)
-            assert max_powers(text, words) == [max_power(text, w) for w in words], (text, n)
+            want = [max_power(text, w) for w in words]
+            assert max_powers(text, words) == want, (text, n)
+            absent = "".join(w for w, p in zip(words, want) if not p)
+            at = len(text) // 3
+            for cover in text[at:at + 2 * n], "0" * (len(text) + 1), absent:
+                assert max_powers(text, words, cover) == want, (text, n, cover)
 
 
 def test_max_powers_match_max_power_on_family_windows(family):
@@ -265,7 +275,11 @@ def test_max_powers_match_max_power_on_family_windows(family):
             text = characteristic_prefix(cf, oracle_window(cf, n))
             words = [w for w, _ in factors_of_length(cf, n)]
             words += [w[:-1] + "10"[int(w[-1])] for w in words]  # mostly absent
-            assert max_powers(text, words) == [max_power(text, w) for w in words], (str(cf), n)
+            want = [max_power(text, w) for w in words]
+            assert max_powers(text, words) == want, (str(cf), n)
+            # The gate's cover: the layout's coding, whose windows are the factors.
+            coding = factor_interval_map(cf, n).coding
+            assert max_powers(text, words, coding) == want, (str(cf), n)
 
 
 def test_max_powers_answers_each_given_word_in_the_given_order():

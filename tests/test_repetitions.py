@@ -42,6 +42,7 @@ from sturmian.repetitions import (
     critical_exponent,
     fractional_index,
     indices_by_interval,
+    indices_by_position,
     index_by_interval,
     index_oracle,
     length_case,
@@ -201,6 +202,32 @@ def test_indices_by_interval_on_drawn_truncations(a_1, rest):
                 indices_by_interval(cf, n)
         else:
             assert indices_by_interval(cf, n) == list(direct.values()), (str(cf), n)
+
+
+def test_indices_by_position_are_the_reports_indices(family):
+    # The gate's positional route: the indices of `classify_length`, in
+    # its order, at every length the gate checks.
+    for cf in family:
+        for n in range(1, 151):
+            assert indices_by_position(cf, n) == [
+                r.integer_index for r in classify_length(cf, n)], (str(cf), n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.lists(st.integers(1, 5), min_size=1, max_size=11))
+def test_indices_by_position_on_drawn_truncations(a_1, rest):
+    # On a truncation both routes answer alike or refuse alike, with the
+    # same error and message.
+    cf = ContinuedFraction((a_1, *rest))
+    for n in range(1, 41):
+        answers = []
+        for route in (indices_by_position,
+                      lambda cf, n: [r.integer_index for r in classify_length(cf, n)]):
+            try:
+                answers.append(route(cf, n))
+            except (DepthError, AssertionError) as exc:
+                answers.append((type(exc), str(exc)))
+        assert answers[0] == answers[1], (str(cf), n)
 
 
 # ------------------------------------------------------------------

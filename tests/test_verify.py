@@ -225,9 +225,10 @@ def test_default_family_has_twelve_slopes():
                                                   ("[0;3,3,1,4,2,1,2]", 60, 1890)])
 def test_power_classification_builds_and_scans_each_length_window(
         monkeypatch, slope, n_max, checks):
-    # Each length builds exactly its own window and scans it: nothing is
-    # built ahead for later lengths, on a periodic slope with a large
-    # quotient or on a truncation.
+    # Each length builds exactly its own window and scans it for its own
+    # words, with its layout's coding as the cover: nothing is built ahead
+    # for later lengths, on a periodic slope with a large quotient or on a
+    # truncation.
     cf = parse_slope(slope)
     built, scanned = [], []
     build, scan = verify.characteristic_prefix, oracles.max_powers
@@ -237,9 +238,12 @@ def test_power_classification_builds_and_scans_each_length_window(
         built.append(length)
         return text
 
-    def recorded_scan(text, cases):
+    def recorded_scan(text, words, cover):
+        n = len(words[0])
+        factors = rotation.factor_interval_map(cf, n)
+        assert (words, cover) == (factors.words, factors.coding), n
         scanned.append(len(text))
-        return scan(text, cases)
+        return scan(text, words, cover)
 
     monkeypatch.setattr(verify, "characteristic_prefix", recorded_build)
     monkeypatch.setattr(oracles, "max_powers", recorded_scan)
@@ -284,15 +288,16 @@ def test_three_distance_gate_checks_the_levels_up_to_a_1(monkeypatch):
         "1", "2", "3", "4", "5"]
 
 
-def test_power_classification_builds_each_map_once_and_rereads_it_once():
-    # classify_length builds the length's factor map and indices_by_interval
-    # reads it back: the one re-read the map cache is sized by.
+def test_power_classification_builds_each_map_once_and_rereads_it_twice():
+    # indices_by_position builds the length's factor map, and
+    # indices_by_interval and the scan's words and cover read it back: the
+    # re-reads the map cache is sized by.
     rotation.factor_interval_map.cache_clear()
     [result] = verify.run_suites(names=["power-classification"],
                                  slopes=[parse_slope("[0;2,(1,2)]")], n_max=30)
     assert result.passed
     info = rotation.factor_interval_map.cache_info()
-    assert (info.misses, info.hits) == (30, 30)
+    assert (info.misses, info.hits) == (30, 60)
 
 
 def test_a_refused_suite_does_not_end_the_gate():
@@ -560,10 +565,11 @@ def test_query_threads_keep_their_runs_cap_while_another_lowers_it(monkeypatch):
 def reference_power_classification(cf: ContinuedFraction, n_max: int,
                                    inject_fault: str | None):
     """The suite as a per-word loop over every length, with no whole-length
-    comparison: the messages and checks the suite must reproduce."""
+    comparison, on `classify_length`'s reports and a scan with no cover:
+    the messages and checks the suite must reproduce."""
     for n in range(1, n_max + 1):
         try:
-            reports = verify.classify_length(cf, n)
+            reports = repetitions.classify_length(cf, n)
         except AssertionError as exc:
             yield False, str(exc)
             continue
@@ -590,8 +596,8 @@ def test_power_classification_fails_as_the_per_word_loop_does(monkeypatch, small
     # failure lines and check counts of the per-word loop.
     scan = oracles.max_powers
 
-    def misreported(text, words):
-        scans = scan(text, words)
+    def misreported(text, words, cover=""):
+        scans = scan(text, words, cover)
         if len(words[0]) == 7:
             scans[words.index(sorted(words)[3])] += 1
         return scans
